@@ -1,16 +1,34 @@
 """Bounded-variable revised simplex on dense arrays (minimization).
 
-Two-phase method: artificial variables absorb any residual infeasibility
-of the slack start, phase 1 drives their sum to zero, phase 2 optimizes
-the real objective.  The basis inverse is kept explicitly and updated in
-product form each pivot; a dense LU refactorization refreshes it every
-``REFACTOR_EVERY`` pivots.  Pricing is Dantzig with Bland's rule engaged
-permanently after ``BLAND_AFTER`` degenerate pivots, which guarantees
-termination.
+A cold solve is a two-phase primal method: the start puts every
+variable at its lower bound (its upper bound, or 0, when that is
+infinite), artificial variables absorb the rows this leaves infeasible,
+phase 1 drives their sum to zero and phase 2 optimizes the real
+objective.  After phase 1 the artificial columns stay pinned to [0, 0].
+
+A warm solve reoptimizes from the final state of an earlier optimal
+solve of the same rows after its variable bounds changed, as a
+branch-and-bound child differs from its parent by one bound.  Reduced
+costs do not depend on the bounds, so the basis stays dual feasible and
+only x_B is recomputed.  A bounded dual simplex then restores primal
+feasibility: the most infeasible basic variable leaves (infeasibility
+measured against the norm of its row of B^-1, the dual steepest edge),
+and a bound-flipping ratio test over the movable nonbasic columns picks
+the entering one; when every eligible column at its helpful bound still
+leaves the row infeasible, the LP is infeasible.  On an iteration limit
+or a non-finite value the solve falls back to a cold one.
+
+The basis inverse is kept explicitly and updated in product form each
+pivot; a dense LU refactorization refreshes it every ``REFACTOR_EVERY``
+pivots.  The pivot count travels with the state, so the refresh also
+holds along a dive of warm solves.  Primal pricing is Dantzig; in either
+method Bland's lowest-index rule engages permanently after
+``BLAND_AFTER`` degenerate pivots, which guarantees termination.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +56,7 @@ class SimplexResult:
     duals: np.ndarray  # one multiplier per row
     iterations: int
     iterates: list[tuple[int, float]] | None = None  # debug: (iteration, objective)
-    basis: np.ndarray | None = None
+    state: _Workspace | None = None  # final basis of an optimal solve, for ``warm``
 
 
 def _slack_bounds(sense: str) -> tuple[float, float]:
@@ -51,20 +69,14 @@ def _slack_bounds(sense: str) -> tuple[float, float]:
     raise ValueError(f"bad row sense {sense!r}")
 
 
-def _start_values(lb: np.ndarray, ub: np.ndarray, which: str) -> np.ndarray:
-    lo_fin = np.isfinite(lb)
-    hi_fin = np.isfinite(ub)
-    if which == "low":
-        x = np.where(lo_fin, lb, np.where(hi_fin, ub, 0.0))
-    else:
-        x = np.where(hi_fin, ub, np.where(lo_fin, lb, 0.0))
-    return x
-
-
 class _Workspace:
-    """Mutable solver state over the extended (structural+slack+artificial) system."""
+    """Mutable solver state over the extended (structural+slack+artificial) system.
 
-    def __init__(self, c, a, senses, b, lb, ub, start_hint=None):
+    The workspace a solve ends with is its warm-start state; ``child``
+    copies everything a solve writes and shares the extended matrix.
+    """
+
+    def __init__(self, a, senses, b, lb, ub):
         m, n = a.shape
         self.m, self.n = m, n
         sl_lo = np.empty(m)
@@ -72,26 +84,8 @@ class _Workspace:
         for r, s in enumerate(senses):
             sl_lo[r], sl_hi[r] = _slack_bounds(s)
 
-        # start from the hint (snapped to bounds) when one is given, else
-        # pick the all-low/all-high start with less row violation
-        candidates = []
-        if start_hint is not None:
-            hint = np.clip(np.asarray(start_hint, dtype=float), lb, ub)
-            hint = np.where(np.isfinite(hint), hint, 0.0)
-            snapped = np.where(hint - lb <= ub - hint, lb, ub)
-            snapped = np.where(np.isfinite(snapped), snapped, 0.0)
-            candidates.append(snapped)
-        candidates.append(_start_values(lb, ub, "low"))
-        candidates.append(_start_values(lb, ub, "high"))
-        best = None
-        for xs in candidates:
-            resid = b - a @ xs
-            viol = np.maximum(resid - sl_hi, 0.0) + np.maximum(sl_lo - resid, 0.0)
-            total = float(viol.sum())
-            if best is None or total < best[0] - 1e-12:
-                best = (total, xs, resid)
-        _, x_struct, resid = best
-
+        x_struct = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+        resid = b - a @ x_struct
         slack_vals = np.clip(resid, sl_lo, sl_hi)
         art_resid = resid - slack_vals
         art_rows = np.nonzero(np.abs(art_resid) > _FEAS_TOL)[0]
@@ -114,33 +108,76 @@ class _Workspace:
         self.binv = np.eye(m)
         self.is_basic = np.zeros(total, dtype=bool)
         self.is_basic[self.basis] = True
-        self.pivots = 0
+        self.pivots = 0  # since the last refactorization
         self.degenerate = 0
         self.iterations = 0
         if k and m:
             self.refactorize()  # artificial columns carry -1 coefficients
 
+    def child(self, lb: np.ndarray, ub: np.ndarray) -> _Workspace:
+        """A copy of this state under new structural bounds, x_B recomputed.
+
+        Nonbasic variables move onto their new bounds where they left
+        them.  The extended matrix, b and the pivot count are inherited.
+        """
+        ws = copy.copy(self)
+        ws.basis = self.basis.copy()
+        ws.binv = self.binv.copy()
+        ws.is_basic = self.is_basic.copy()
+        ws.lb = self.lb.copy()
+        ws.ub = self.ub.copy()
+        ws.lb[: self.n] = lb
+        ws.ub[: self.n] = ub
+        ws.x = np.minimum(np.maximum(self.x, ws.lb), ws.ub)
+        ws.degenerate = 0
+        ws.iterations = 0
+        ws.basic_values()
+        return ws
+
+    def basic_values(self) -> None:
+        """x_B from the nonbasic values through the current basis inverse."""
+        x_n = self.x.copy()
+        x_n[self.basis] = 0.0
+        self.x[self.basis] = self.binv @ (self.b - self.A @ x_n)
+
     def refactorize(self) -> None:
         bmat = self.A[:, self.basis]
         lu, piv = lu_factor(bmat)
         self.binv = lu_solve((lu, piv), np.eye(self.m))
-        nonbasic = ~self.is_basic
-        rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
-        self.x[self.basis] = self.binv @ rhs
+        self.pivots = 0
+        self.basic_values()
 
     def duals(self, c: np.ndarray) -> np.ndarray:
         return c[self.basis] @ self.binv
 
+    def pivot(self, p: int, j: int, w: np.ndarray) -> None:
+        """Column j replaces the basic variable of row p; w = B^-1 A_j."""
+        leaving = self.basis[p]
+        self.basis[p] = j
+        self.is_basic[leaving] = False
+        self.is_basic[j] = True
+        row = self.binv[p] / w[p]
+        self.binv -= w[:, None] * row
+        self.binv[p] = row
+        self.pivots += 1
+        if self.pivots >= REFACTOR_EVERY:
+            self.refactorize()
+
+    def _bound_state(self):
+        """(movable, at_lb, at_ub) masks over the extended variables."""
+        at_lb = np.abs(self.x - self.lb) <= 1e-9
+        at_ub = np.abs(self.x - self.ub) <= 1e-9
+        movable = ~self.is_basic & (self.ub - self.lb > _PIVOT_TOL)
+        return movable, at_lb, at_ub
+
     def minimize(self, c, max_iters, collect=None):
-        """Run simplex iterations on objective c.  Returns a status string."""
+        """Run primal simplex iterations on objective c.  Returns a status string."""
         use_bland = self.degenerate >= BLAND_AFTER
         while self.iterations < max_iters:
             self.iterations += 1
             y = self.duals(c)
             d = c - y @ self.A
-            at_lb = np.abs(self.x - self.lb) <= 1e-9
-            at_ub = np.abs(self.x - self.ub) <= 1e-9
-            movable = ~self.is_basic & (self.ub - self.lb > _PIVOT_TOL)
+            movable, at_lb, at_ub = self._bound_state()
             free = movable & ~at_lb & ~at_ub
             up = movable & (at_lb | free) & (d < -_DUAL_TOL)
             down = movable & ((at_ub & ~at_lb) | free) & (d > _DUAL_TOL)
@@ -196,17 +233,107 @@ class _Workspace:
             self.x[j] += sigma * t_star
             self.x[self.basis] += t_star * dxb
             self.x[leaving] = lb_b[p] if dxb[p] < 0 else ub_b[p]
-            self.basis[p] = j
-            self.is_basic[leaving] = False
-            self.is_basic[j] = True
-            wp = w[p]
-            self.binv[p, :] /= wp
-            mask = np.arange(self.m) != p
-            self.binv[mask, :] -= np.outer(w[mask], self.binv[p, :])
-            self.pivots += 1
-            if self.pivots % REFACTOR_EVERY == 0:
-                self.refactorize()
+            self.pivot(p, j, w)
         return STATUS_ITERATION_LIMIT
+
+    def dual(self, c, max_iters):
+        """Bounded dual simplex from a dual feasible basis until x_B is in bounds.
+
+        The leaving variable is the basic one whose bound violation is
+        largest against the norm of its row of B^-1 (dual steepest edge),
+        and it leaves at the bound it violates.  The ratio test walks the
+        breakpoints of the movable nonbasic columns in order and flips
+        each boxed one to its other bound while the leaving row stays
+        infeasible after the flip (the bound-flipping ratio test); the
+        column where that stops enters.  Returns STATUS_OPTIMAL when the
+        basis is primal feasible and its reduced costs dual feasible,
+        STATUS_INFEASIBLE when the leaving row stays infeasible with
+        every eligible column at its helpful bound, or
+        STATUS_ITERATION_LIMIT.
+        """
+        d = c - self.duals(c) @ self.A
+        movable, at_lb, at_ub = self._bound_state()
+        can_up = movable & (at_lb | ~at_ub)
+        can_down = movable & ~at_lb
+        span = self.ub - self.lb
+        while self.iterations < max_iters:
+            self.iterations += 1
+            bland = self.degenerate >= BLAND_AFTER
+            xb = self.x[self.basis]
+            lb_b = self.lb[self.basis]
+            ub_b = self.ub[self.basis]
+            below = lb_b - xb
+            infeas = np.maximum(below, xb - ub_b)
+            bad = (infeas > _FEAS_TOL).nonzero()[0]
+            if not len(bad):
+                if ((can_up & (d < -_DUAL_TOL)) | (can_down & (d > _DUAL_TOL))).any():
+                    return self.minimize(c, max_iters)  # round-off left a dual infeasibility
+                return STATUS_OPTIMAL
+            if len(bad) == 1:
+                r = int(bad[0])
+            elif bland:
+                r = int(bad[self.basis[bad].argmin()])
+            else:
+                rows = self.binv[bad]
+                r = int(bad[(infeas[bad] ** 2 / (rows * rows).sum(axis=1)).argmax()])
+
+            # x_p rises to its lower bound (s = 1) or falls to its upper (s = -1)
+            s = 1.0 if below[r] > 0 else -1.0
+            alpha = self.binv[r] @ self.A
+            sa = alpha if s > 0 else -alpha
+            cols = (((sa < -_PIVOT_TOL) & can_up) | ((sa > _PIVOT_TOL) & can_down)).nonzero()[0]
+            if not len(cols):
+                return STATUS_INFEASIBLE
+            mag = np.abs(alpha[cols])
+            ratios = np.abs(d[cols]) / mag
+            # ties go to the largest pivot, or under Bland's rule to the lowest index
+            order = np.lexsort((cols if bland else -mag, ratios))
+            # infeasibility of row p left after each breakpoint's column flips
+            left = infeas[r] - (mag * span[cols])[order].cumsum()
+            k = int((left <= _FEAS_TOL).argmax())
+            if left[k] > _FEAS_TOL:
+                return STATUS_INFEASIBLE
+            q = int(cols[order[k]])
+            if ratios[order[k]] <= _DEGEN_TOL:
+                self.degenerate += 1
+
+            if k:
+                flips = cols[order[:k]]
+                delta = np.where(can_up[flips], span[flips], -span[flips])
+                self.x[flips] += delta
+                self.x[self.basis] -= self.binv @ (self.A[:, flips] @ delta)
+                can_up[flips] = delta < 0
+                can_down[flips] = delta > 0
+            w = self.binv @ self.A[:, q]
+            leaving = self.basis[r]
+            bound = lb_b[r] if s > 0 else ub_b[r]
+            step = (self.x[leaving] - bound) / w[r]
+            self.x[self.basis] -= step * w
+            self.x[q] += step
+            self.x[leaving] = bound
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
+            can_up[q] = can_down[q] = False
+            can_up[leaving] = s > 0 and span[leaving] > _PIVOT_TOL
+            can_down[leaving] = s < 0 and span[leaving] > _PIVOT_TOL
+            self.pivot(r, q, w)
+        return STATUS_ITERATION_LIMIT
+
+
+def _result(ws: _Workspace, status: str, c_full: np.ndarray, iterates=None) -> SimplexResult:
+    """The result of a finished solve of objective c_full over ``ws``."""
+    x = ws.x[: ws.n].copy()
+    if status == STATUS_INFEASIBLE:
+        return SimplexResult(status, x, np.nan, np.zeros(ws.m), ws.iterations)
+    return SimplexResult(
+        status=status,
+        x=x,
+        objective=float(c_full[: ws.n] @ x),
+        duals=ws.duals(c_full),
+        iterations=ws.iterations,
+        iterates=iterates,
+        state=ws if status == STATUS_OPTIMAL else None,
+    )
 
 
 def solve_bounded_lp(
@@ -218,12 +345,15 @@ def solve_bounded_lp(
     ub: np.ndarray,
     max_iters: int = 20000,
     debug: bool = False,
-    start_hint: np.ndarray | None = None,
+    warm: _Workspace | None = None,
 ) -> SimplexResult:
     """Minimize c.x subject to rows (a, senses, b) and bounds lb <= x <= ub.
 
-    ``start_hint`` seeds the nonbasic start near a known good point (each
-    variable snaps to its closer bound); correctness never depends on it.
+    ``warm`` is the ``state`` of an optimal earlier solve of the same c,
+    a, senses and b under other bounds; the solve then reoptimizes from
+    its basis with the dual simplex and falls back to a cold solve on an
+    iteration limit or a numerical failure.  ``iterations`` counts both.
+    ``warm`` is never modified, so one state can seed several solves.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -232,24 +362,32 @@ def solve_bounded_lp(
     ub = np.asarray(ub, dtype=float)
     m, n = a.shape
 
-    if np.any(lb > ub):
+    if (lb > ub).any():
         return SimplexResult(STATUS_INFEASIBLE, np.full(n, np.nan), np.nan, np.zeros(m), 0)
 
-    ws = _Workspace(c, a, senses, b, lb, ub, start_hint=start_hint)
+    spent = 0
+    if warm is not None:
+        c_full = np.zeros(warm.A.shape[1])
+        c_full[:n] = c
+        ws = warm.child(lb, ub)
+        status = ws.dual(c_full, max_iters)
+        if status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all():
+            return _result(ws, status, c_full)
+        spent = ws.iterations
+
+    ws = _Workspace(a, senses, b, lb, ub)
+    ws.iterations = spent
     c_full = np.zeros(ws.A.shape[1])
 
     if len(ws.artificial):
         c_full[ws.artificial] = 1.0
-        status = ws.minimize(c_full, max_iters)
+        status = ws.minimize(c_full, max_iters + spent)
         if status == STATUS_ITERATION_LIMIT:
             return SimplexResult(
                 status, ws.x[:n].copy(), float(c @ ws.x[:n]), ws.duals(c_full), ws.iterations
             )
-        phase1 = float(ws.x[ws.artificial].sum())
-        if phase1 > _FEAS_TOL:
-            return SimplexResult(
-                STATUS_INFEASIBLE, ws.x[:n].copy(), np.nan, np.zeros(m), ws.iterations
-            )
+        if float(ws.x[ws.artificial].sum()) > _FEAS_TOL:
+            return _result(ws, STATUS_INFEASIBLE, c_full)
         # pin artificials so they can never re-enter
         ws.lb[ws.artificial] = 0.0
         ws.ub[ws.artificial] = 0.0
@@ -257,15 +395,5 @@ def solve_bounded_lp(
 
     c_full[:n] = c
     iterates: list[tuple[int, float]] | None = [] if debug else None
-    status = ws.minimize(c_full, max_iters, collect=iterates)
-    duals = ws.duals(c_full)
-    x = ws.x[:n].copy()
-    return SimplexResult(
-        status=status,
-        x=x,
-        objective=float(c @ x),
-        duals=duals,
-        iterations=ws.iterations,
-        iterates=iterates,
-        basis=ws.basis.copy(),
-    )
+    status = ws.minimize(c_full, max_iters + spent, collect=iterates)
+    return _result(ws, status, c_full, iterates)

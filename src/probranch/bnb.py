@@ -31,6 +31,13 @@ from .model import (
 )
 
 
+# A rounded point is accepted only if it meets every row this closely.
+# Binaries are then exact integers, so a pure binary point's row sums
+# carry round-off alone; rounding a near-integral LP value can overfill a
+# row by up to INTEGRALITY_TOL times its coefficient, which must not pass.
+ROUNDED_ROW_TOL = 1e-9
+
+
 class TooManyBinariesError(ValueError):
     """brute_force refuses instances beyond its enumeration cap."""
 
@@ -43,8 +50,6 @@ class SolveOptions:
     abs_gap: float = 1e-9
     cutoff: float | None = None  # in the instance's own sense
     node_order: str = "best_bound"  # best_bound | depth_first
-    branch_rule: str = "most_fractional"
-    seed: int = 0
     trace_path: str | Path | None = None
 
     def validate(self) -> None:
@@ -54,8 +59,6 @@ class SolveOptions:
             raise ValueError("gaps must be non-negative")
         if self.node_order not in ("best_bound", "depth_first"):
             raise ValueError(f"bad node_order {self.node_order!r}")
-        if self.branch_rule != "most_fractional":
-            raise ValueError(f"bad branch_rule {self.branch_rule!r}")
 
 
 @dataclass
@@ -168,20 +171,13 @@ def solve_mip(
         incumbent_log.append((time.monotonic() - t0, user_obj))
         return True
 
-    sense_le = np.array([s == "<=" for s in senses])
-    sense_ge = np.array([s == ">=" for s in senses])
-    sense_eq = np.array([s == "=" for s in senses])
+    # row i holds when row_sign[i] * (a_i x - b_i) <= 0, equality rows at 0
+    row_sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
+    row_eq = np.array([s == "=" for s in senses], dtype=bool)
 
     def row_violation(x: np.ndarray) -> float:
-        lhs = a @ x
-        worst = 0.0
-        if sense_le.any():
-            worst = max(worst, float(np.max(lhs[sense_le] - b[sense_le])))
-        if sense_ge.any():
-            worst = max(worst, float(np.max(b[sense_ge] - lhs[sense_ge])))
-        if sense_eq.any():
-            worst = max(worst, float(np.max(np.abs(lhs[sense_eq] - b[sense_eq]))))
-        return worst
+        gap = row_sign * (a @ x - b)
+        return float(np.max(np.where(row_eq, np.abs(gap), gap), initial=0.0))
 
     # Pure single-row knapsacks admit a closed-form node relaxation: take
     # free items by best ratio until the residual capacity binds.  This is
@@ -202,7 +198,7 @@ def solve_mip(
         """Returns (status, x, bound) for the node's knapsack LP."""
         x = lb.copy()
         cap = b[0] - float(kn_w @ x)
-        if cap < -FEASIBILITY_TOL:
+        if cap < -ROUNDED_ROW_TOL:  # the items fixed to 1 overfill it
             return _simplex.STATUS_INFEASIBLE, None, math.inf
         for j in kn_order:
             if c[j] >= 0:
@@ -226,7 +222,7 @@ def solve_mip(
         if nodes >= opts.node_limit or time.monotonic() - t0 > opts.time_limit:
             limit_hit = True
             break
-        parent_bound, node_id, depth, (lb, ub, hint) = tree.pop()
+        parent_bound, node_id, depth, (lb, ub, warm) = tree.pop()
         reason = should_prune(parent_bound)
         if reason:
             trace(node_id, depth, parent_bound, reason)
@@ -235,9 +231,11 @@ def solve_mip(
         nodes += 1
         if knapsack_mode:
             lp_status, x, bound = knapsack_relaxation(lb, ub)
+            state = None
         else:
-            res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, start_hint=hint)
+            res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm)
             lp_status, x, bound = res.status, res.x, res.objective
+            state = res.state
         if lp_status == _simplex.STATUS_INFEASIBLE:
             trace(node_id, depth, math.inf, "pruned_infeasible")
             continue
@@ -251,13 +249,19 @@ def solve_mip(
         if reason:
             trace(node_id, depth, bound, reason)
             continue
-        frac = np.abs(x[:n_bin] - np.round(x[:n_bin]))
+        # fixed binaries are integral by their bounds and never branched on
+        frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(x[:n_bin] - np.round(x[:n_bin])), 0.0)
         if n_bin and frac.max() <= INTEGRALITY_TOL:
             xi = x.copy()
             xi[:n_bin] = np.round(xi[:n_bin])
-            accept(xi, float(c @ xi))
-            trace(node_id, depth, bound, "integral")
-            continue
+            # rounding can push a row past its bound (a knapsack item at
+            # 1 - 4e-7 overfills it by that much): such a point is branched
+            # on, unless rounding moved no free binary and any violation is
+            # the LP's own
+            if frac.max() == 0.0 or row_violation(xi) <= ROUNDED_ROW_TOL:
+                accept(xi, float(c @ xi))
+                trace(node_id, depth, bound, "integral")
+                continue
         if n_bin == 0:
             accept(x, bound)
             trace(node_id, depth, bound, "integral")
@@ -268,7 +272,7 @@ def solve_mip(
         for rounder in (np.round, np.floor, np.ceil):
             xr = x.copy()
             xr[:n_bin] = np.clip(rounder(x[:n_bin]), lb[:n_bin], ub[:n_bin])
-            if row_violation(xr) <= FEASIBILITY_TOL:
+            if row_violation(xr) <= ROUNDED_ROW_TOL:
                 accept(xr, float(c @ xr))
 
         j = int(np.argmax(frac))  # ties resolve to the lowest index
@@ -277,10 +281,10 @@ def solve_mip(
         children = []
         lb_up = lb.copy()
         lb_up[j] = 1.0
-        children.append((lb_up, ub, x))
+        children.append((lb_up, ub, state))
         ub_dn = ub.copy()
         ub_dn[j] = 0.0
-        children.append((lb, ub_dn, x))
+        children.append((lb, ub_dn, state))
         if not up_first:
             children.reverse()
         # depth-first pops from the end, so push the preferred child last

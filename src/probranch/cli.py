@@ -199,7 +199,7 @@ def _prediction_for(args, inst):
 
 def _cmd_solve(args) -> int:
     inst = deserialize(Path(args.instance).read_bytes())
-    opts = SolveOptions(time_limit=args.time_limit, seed=args.seed)
+    opts = SolveOptions(time_limit=args.time_limit)
     if args.mode == "plain":
         rep = solve_mip(inst, options=opts)
         doc = {

@@ -35,7 +35,8 @@ class Prediction:
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=float)
-        if np.any(self.probabilities < 0) or np.any(self.probabilities > 1):
+        # written so that NaN, which fails every comparison, is rejected too
+        if not np.all((self.probabilities >= 0) & (self.probabilities <= 1)):
             raise ValueError("probabilities must lie in [0, 1]")
 
 

@@ -150,3 +150,33 @@ def reference_logistic_probabilities(x, y, reg, iters=20000, lr=0.5):
         w -= lr * gw
         b -= lr * gb
     return 1.0 / (1.0 + np.exp(-(x @ w + b)))
+
+
+def binary_enumeration(instance, tol=1e-9):
+    """Exact optimum of a pure-binary instance by enumerating every 0/1 point.
+
+    Rows must hold within ``tol``.  Returns nan when no point is
+    feasible.  Meant for n <= 20.
+    """
+    n = instance.num_binary
+    assert instance.num_continuous == 0 and n <= 20
+    points = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    ok = np.ones(len(points), dtype=bool)
+    for row in instance.rows:
+        lhs = np.zeros(len(points))
+        for j, v in row.coeffs:
+            lhs += v * points[:, j]
+        if row.sense == "<=":
+            ok &= lhs <= row.rhs + tol
+        elif row.sense == ">=":
+            ok &= lhs >= row.rhs - tol
+        else:
+            ok &= np.abs(lhs - row.rhs) <= tol
+    if not ok.any():
+        return math.nan
+    values = np.zeros(len(points))
+    for j, v in instance.objective:
+        values += v * points[:, j]
+    if instance.sense == "maximize":
+        return float(values[ok].max())
+    return float(values[ok].min())

@@ -11,7 +11,8 @@ from probranch.bnb import (
     solve_mip,
 )
 from probranch.model import LinearCut, LinearRow, MipInstance, check_feasible
-from probranch.generators import gen_ca, gen_mkp, gen_scp
+from probranch.generators import gen_ca, gen_knapsack_uniform, gen_mkp, gen_scp
+from probranch.lp import relaxation_arrays
 
 EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
 
@@ -86,9 +87,24 @@ class TestSolveMip:
                     checked += 1
         assert checked >= 100
 
+    def test_rounded_point_that_overfills_a_row_is_not_accepted(self):
+        # a node's LP point holds an item at 1 - 4e-7; rounding it overfills
+        # the capacity by 4.4e-7 and would beat the optimum (10.564675)
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        inst = gen_knapsack_uniform(50, 0.3, 110120).instance
+        c, a, _, b, _, _ = relaxation_arrays(inst)
+        ref = milp(-c, constraints=LinearConstraint(a, -np.inf, b), integrality=np.ones(50),
+                   bounds=Bounds(0, 1), options={"mip_rel_gap": 0})
+        assert -ref.fun == pytest.approx(10.556446, abs=1e-6)
+        rep = solve_mip(inst)
+        assert rep.status == "optimal"
+        assert rep.objective == pytest.approx(-ref.fun, abs=1e-9)
+        assert float(a[0] @ rep.best_solution.values) <= b[0]
+
     def test_determinism_identical_node_counts(self):
         _, inst = gen_scp(10, 14, 0.25, 1, seed=9).instances[0]
-        opts = SolveOptions(seed=3, **EXACT)
+        opts = SolveOptions(**EXACT)
         first = solve_mip(inst, options=opts)
         second = solve_mip(inst, options=opts)
         assert first.nodes == second.nodes

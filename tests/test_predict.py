@@ -284,5 +284,6 @@ class TestPredictionFiles:
         assert back.probabilities == pytest.approx(pred.probabilities)
 
     def test_prediction_type_validates_range(self):
-        with pytest.raises(ValueError):
-            Prediction(np.array([1.5]), source="external")
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError):
+                Prediction(np.array([0.5, bad]), source="external")

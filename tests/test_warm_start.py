@@ -1,0 +1,190 @@
+"""Warm-started node LPs in branch and bound.
+
+Every node below the root reoptimizes its parent's final basis with the
+bounded dual simplex.  These tests hold each such LP to a cold solve of
+the same node, exact mode to independent oracles on randomized
+instances, and the refactorization interval to whole dives.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import binary_enumeration, set_cover_dp, set_packing_dp
+from probranch import _simplex
+from probranch.bnb import SolveOptions, solve_mip
+from probranch.branching import Calibration, build_hyperplanes, make_partition, partition_solve
+from probranch.generators import gen_ca, gen_scp
+from probranch.lp import relaxation_arrays
+from probranch.model import LinearRow, MipInstance, check_feasible
+from probranch.predict import Prediction, lp_root_predict
+
+EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
+
+
+def tight_mkp(m: int, n: int, seed: int) -> MipInstance:
+    """Multi-knapsack with Chu-Beasley capacities b_i = 0.25 sum_j A_ij."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, 1001, size=(m, n)).astype(float)
+    c = a.mean(axis=0) + rng.integers(1, 501, size=n)
+    b = 0.25 * a.sum(axis=1)
+    return MipInstance(
+        f"mkp_{m}x{n}_{seed}", "maximize", n, 0,
+        objective=[(j, float(c[j])) for j in range(n)],
+        rows=[LinearRow([(j, float(a[i, j])) for j in range(n)], "<=", float(b[i]))
+              for i in range(m)],
+    )
+
+
+def flipped(inst: MipInstance) -> MipInstance:
+    """The same problem in the other objective sense, costs negated."""
+    return MipInstance(
+        inst.name, "minimize" if inst.sense == "maximize" else "maximize",
+        inst.num_binary, inst.num_continuous,
+        objective=[(j, -v) for j, v in inst.objective],
+        rows=inst.rows, continuous_bounds=inst.continuous_bounds,
+    )
+
+
+FAMILIES = {
+    "mkp": lambda: [tight_mkp(5, 15, 1), tight_mkp(4, 14, 2)],
+    "ca": lambda: [inst for _, inst in gen_ca(30, 100, 5, seed=5).instances],
+    "scp": lambda: [inst for _, inst in gen_scp(20, 60, 0.25, 8, seed=6).instances],
+}
+
+
+@pytest.mark.parametrize("with_cuts", [False, True], ids=["plain", "partition"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch, family, with_cuts):
+    cold = _simplex.solve_bounded_lp
+    warm_solves = []
+
+    def recording(c, a, senses, b, lb, ub, **kwargs):
+        res = cold(c, a, senses, b, lb, ub, **kwargs)
+        if kwargs.get("warm") is not None:
+            warm_solves.append((c, a, senses, b, lb.copy(), ub.copy(), kwargs["warm"], res))
+        return res
+
+    monkeypatch.setattr(_simplex, "solve_bounded_lp", recording)
+    for inst in FAMILIES[family]():
+        regions = [[]]
+        if with_cuts:
+            pred = lp_root_predict(inst)
+            cuts = build_hyperplanes(pred, tau=0.9, sigma=0.0, delta=0.05, mode="tightened")
+            regions = [r.cuts for r in make_partition(*cuts).regions
+                       if not r.infeasible_by_construction]
+        for region_cuts in regions:
+            solve_mip(inst, region_cuts, SolveOptions(**EXACT))
+
+    assert len(warm_solves) >= 30
+    statuses = set()
+    for c, a, senses, b, lb, ub, warm, res in warm_solves:
+        ref = cold(c, a, senses, b, lb, ub)
+        assert res.status == ref.status
+        statuses.add(res.status)
+        if ref.status == _simplex.STATUS_OPTIMAL:
+            assert res.objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-9)
+            assert res.state.A is warm.A  # reoptimized in place, no cold fallback
+    assert _simplex.STATUS_OPTIMAL in statuses
+
+
+def test_dive_longer_than_refactor_interval_refactorizes(monkeypatch):
+    every = 4
+    monkeypatch.setattr(_simplex, "REFACTOR_EVERY", every)
+    counts = {"pivot": 0, "refactorize": 0}
+
+    def counted(name):
+        method = getattr(_simplex._Workspace, name)
+
+        def wrapper(ws, *args):
+            counts[name] += 1
+            return method(ws, *args)
+
+        monkeypatch.setattr(_simplex._Workspace, name, wrapper)
+
+    counted("pivot")
+    counted("refactorize")
+    _, inst = gen_ca(20, 60, 1, seed=3).instances[0]
+    c, a, senses, b, lb, ub = relaxation_arrays(inst)
+    c = -c
+    res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
+    state = res.state
+    carried = state.pivots
+    counts.update(pivot=0, refactorize=0)
+    # dive: fix the most fractional bid to 0 (a set packing stays feasible)
+    nodes = []
+    while True:
+        frac = np.abs(res.x - np.round(res.x))
+        if frac.max() <= 1e-6:
+            break
+        ub = ub.copy()
+        ub[int(np.argmax(frac))] = 0.0
+        res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=state)
+        assert res.status == _simplex.STATUS_OPTIMAL
+        assert res.state.A is state.A
+        nodes.append((lb, ub, res.objective))
+        state = res.state
+        assert state.pivots < every
+
+    pivots, refactorizations = counts["pivot"], counts["refactorize"]
+    assert pivots > every
+    assert refactorizations == (carried + pivots) // every
+    assert state.pivots == (carried + pivots) % every
+    for lb, ub, objective in nodes:
+        ref = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
+        assert objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_partition_solve_matches_oracles_on_random_instances(seed):
+    rng = np.random.default_rng([seed, 2024])
+    kind = ("mkp", "scp", "ca")[seed % 3]
+    if kind == "mkp":
+        inst = tight_mkp(int(rng.integers(2, 6)), int(rng.integers(8, 15)), seed)
+        expected = binary_enumeration(inst)
+    elif kind == "scp":
+        m, n = int(rng.integers(12, 19)), int(rng.integers(30, 61))
+        inst = gen_scp(m, n, float(rng.uniform(0.2, 0.3)), 1, seed=seed).instances[0][1]
+        expected = set_cover_dp(inst)
+    else:
+        items, bids = int(rng.integers(12, 19)), int(rng.integers(60, 121))
+        inst = gen_ca(items, bids, 1, seed=seed).instances[0][1]
+        expected = set_packing_dp(inst)
+    if rng.integers(2):
+        inst, expected = flipped(inst), -expected
+    if rng.integers(2):
+        pred = lp_root_predict(inst)
+    else:
+        pred = Prediction(rng.random(inst.num_binary), "external")
+    cal = Calibration(tau_star=float(rng.choice([0.6, 0.75, 0.9])),
+                      sigma=float(rng.choice([0.0, 0.02])), delta=0.05)
+    tightened = bool(rng.integers(2))
+    better = (lambda u, v: u < v - 1e-9) if inst.sense == "minimize" else (lambda u, v: u > v + 1e-9)
+
+    exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact",
+                            tightened=tightened)
+    assert exact.best.status == "optimal"
+    assert exact.best.objective == pytest.approx(expected, rel=0, abs=1e-9)
+    assert check_feasible(inst, exact.best.best_solution.values)[0]
+
+    heuristic = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="heuristic",
+                                tightened=tightened)
+    if heuristic.best.best_solution is not None:
+        assert check_feasible(inst, heuristic.best.best_solution.values)[0]
+        assert not better(heuristic.best.objective, expected)
+
+
+def test_numerical_failure_falls_back_to_a_cold_solve():
+    inst = tight_mkp(5, 15, 1)
+    c, a, senses, b, lb, ub = relaxation_arrays(inst)
+    c = -c
+    root = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
+    broken = root.state.child(lb, ub)
+    broken.binv[:] = np.nan
+    ub = ub.copy()
+    ub[int(np.argmax(np.abs(root.x - np.round(root.x))))] = 0.0
+    res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=broken)
+    ref = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
+    assert res.status == ref.status == _simplex.STATUS_OPTIMAL
+    assert res.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert res.state.A is not broken.A
+    assert res.iterations == ref.iterations + 1  # the failed warm pass is counted
