@@ -98,7 +98,10 @@ def solve_standard_form(
 
         d = x / s
         mmat = (a * d) @ a.T
-        mmat[np.diag_indices_from(mmat)] += 1e-12 * (1.0 + np.trace(mmat) / m)
+        # a shift relative to the trace would swamp the small rows (bounds
+        # beside knapsack rows near 1000) and stall the primal residual
+        diag = np.diag_indices_from(mmat)
+        mmat[diag] += 1e-12 * mmat[diag] + 1e-14
         try:
             fac = cho_factor(mmat)
             solve = lambda r: cho_solve(fac, r)

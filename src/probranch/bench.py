@@ -35,7 +35,7 @@ from .branching import (
 )
 from .generators import gen_knapsack_uniform, read_family, stream_rng
 from .lp import fractional_knapsack
-from .predict import load_prediction, logistic_predict, logistic_train
+from .predict import load_prediction_from_dir, logistic_predict, logistic_train
 
 DEFAULT_SHIFT = 10.0
 DEFAULT_TIME_LIMIT = 10.0  # desk-scale per-solve budget, overridable
@@ -236,18 +236,14 @@ def _build_predictor(config: BenchConfig, train):
         return (lambda inst: lp_root_predict(inst, backend=backend)), cal
 
     if predictor.startswith("file:"):
-        pred_dir = Path(predictor[len("file:"):])
-
-        def from_file(inst):
-            return load_prediction(pred_dir / f"{inst.name}.pred.json", inst.num_binary)
-
+        pred_dir = predictor[len("file:"):]
         cal = Calibration(
             tau_star=config.tau if config.tau is not None else 0.9,
             sigma=config.sigma if config.sigma is not None else 0.0,
             delta=config.delta if config.delta is not None else 0.05,
             stats=None,
         )
-        return from_file, cal
+        return (lambda inst: load_prediction_from_dir(pred_dir, inst)), cal
 
     raise ValueError(f"unknown predictor {predictor!r}")
 

@@ -1,10 +1,11 @@
 """LP-based branch and bound for binary MILP, plus exact test oracles.
 
-The solver accepts injected cuts, an objective cutoff, and node/time
-limits.  Branching is most-fractional with ties broken toward the lowest
-index; node selection is best-bound by default with a depth-first
-option.  A rounding heuristic runs at every node so the incumbent log is
-dense enough for time-to-target measurements.
+The solver accepts injected cuts, an objective cutoff, node/time limits
+and root boxes, so a branching disjunction is searched as one tree.
+Branching is most-fractional with ties broken toward the lowest index;
+node selection is best-bound by default with a depth-first option.  A
+rounding heuristic runs at every node so the incumbent log is dense
+enough for time-to-target measurements.
 
 A single solve is single-threaded; concurrent solves on distinct
 instances are safe.  Incumbent timestamps come from a monotonic clock.
@@ -69,6 +70,9 @@ class SolveReport:
     nodes: int
     wall_time: float
     incumbent_log: list[tuple[float, float]] = field(default_factory=list)
+    root_nodes: list[int] = field(default_factory=list)  # per root box
+    root_seconds: list[float] = field(default_factory=list)  # per root box
+    best_root: int | None = None  # the root whose subtree found best_solution
 
     @property
     def objective(self) -> float:
@@ -109,8 +113,15 @@ def solve_mip(
     instance: MipInstance,
     extra_cuts: list[LinearCut] = (),
     options: SolveOptions | None = None,
+    roots: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> SolveReport:
     """Branch-and-bound solve of instance plus cuts, honouring options.
+
+    ``roots`` lists (lb, ub) boxes over all variables, one root node
+    each (default: the instance's own bounds); the solve searches their
+    union.  The subtrees share the incumbent, the limits and the
+    incumbent log, and the report counts nodes and seconds per root.  A
+    root LP reoptimizes the first optimal root LP's final basis.
 
     The report is in the instance's own sense.  Limits are statuses:
     hitting the node or time limit yields status "limit" with the best
@@ -131,6 +142,16 @@ def solve_mip(
     cutoff = None
     if opts.cutoff is not None:
         cutoff = -opts.cutoff if negate else opts.cutoff
+
+    boxes = [(lb0, ub0)] if roots is None else [
+        (np.array(lo, dtype=float), np.array(hi, dtype=float)) for lo, hi in roots]
+    if any(lo.shape != lb0.shape or (lo > hi).any() for lo, hi in boxes):
+        raise ValueError("a root box needs lb <= ub over every variable")
+    root_nodes = [0] * len(boxes)
+    root_seconds = [0.0] * len(boxes)
+    root = None  # root box of the node being processed
+    best_root = None
+    root_state = None  # final LP state of the first optimal root LP
 
     incumbent_val = math.inf
     incumbent_x: np.ndarray | None = None
@@ -160,13 +181,14 @@ def solve_mip(
         return None
 
     def accept(x: np.ndarray, val: float) -> bool:
-        nonlocal incumbent_val, incumbent_x
+        nonlocal incumbent_val, incumbent_x, best_root
         if val >= incumbent_val:
             return False
         if cutoff is not None and val > cutoff - opts.abs_gap:
             return False
         incumbent_val = val
         incumbent_x = x.copy()
+        best_root = root
         user_obj = (-val if negate else val) + 0.0
         incumbent_log.append((time.monotonic() - t0, user_obj))
         return True
@@ -178,6 +200,25 @@ def solve_mip(
     def row_violation(x: np.ndarray) -> float:
         gap = row_sign * (a @ x - b)
         return float(np.max(np.where(row_eq, np.abs(gap), gap), initial=0.0))
+
+    # An equality row with one continuous column defines that column (a
+    # partition count column t_S = sum_S y_j), so rounding recomputes it.
+    cont = a[:, n_bin:] != 0
+    def_rows = np.nonzero(row_eq & (cont.sum(axis=1) == 1))[0]
+    def_cols = n_bin + np.nonzero(cont[def_rows])[1]
+
+    def rounded(x: np.ndarray, rounder, lb: np.ndarray, ub: np.ndarray):
+        """x with binaries rounded into the box and defined columns recomputed, or
+        None when that point breaks a row or a defined column's bounds."""
+        xr = x.copy()
+        xr[:n_bin] = np.clip(rounder(x[:n_bin]), lb[:n_bin], ub[:n_bin])
+        if len(def_rows):
+            xr[def_cols] = 0.0
+            xr[def_cols] = (b[def_rows] - a[def_rows] @ xr) / a[def_rows, def_cols]
+            t = xr[def_cols]
+            if (np.maximum(lb[def_cols] - t, t - ub[def_cols]) > ROUNDED_ROW_TOL).any():
+                return None
+        return xr if row_violation(xr) <= ROUNDED_ROW_TOL else None
 
     # Pure single-row knapsacks admit a closed-form node relaxation: take
     # free items by best ratio until the residual capacity binds.  This is
@@ -215,27 +256,39 @@ def solve_mip(
         return _simplex.STATUS_OPTIMAL, x, float(c @ x)
 
     tree = _Tree(opts.node_order)
-    tree.push(-math.inf, 0, next_id, (lb0.copy(), ub0.copy(), None))
-    next_id += 1
+    # depth-first pops from the end, so the first root goes in last
+    order = range(len(boxes)) if opts.node_order == "best_bound" else reversed(range(len(boxes)))
+    for k in order:
+        tree.push(-math.inf, 0, next_id, (boxes[k][0].copy(), boxes[k][1].copy(), None, k))
+        next_id += 1
 
+    clock = t0
     while len(tree):
-        if nodes >= opts.node_limit or time.monotonic() - t0 > opts.time_limit:
+        now = time.monotonic()
+        if root is not None:
+            root_seconds[root] += now - clock
+        clock = now
+        if nodes >= opts.node_limit or now - t0 > opts.time_limit:
             limit_hit = True
             break
-        parent_bound, node_id, depth, (lb, ub, warm) = tree.pop()
+        parent_bound, node_id, depth, (lb, ub, warm, root) = tree.pop()
         reason = should_prune(parent_bound)
         if reason:
             trace(node_id, depth, parent_bound, reason)
             continue
 
         nodes += 1
+        root_nodes[root] += 1
         if knapsack_mode:
             lp_status, x, bound = knapsack_relaxation(lb, ub)
             state = None
         else:
-            res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm)
+            res = _simplex.solve_bounded_lp(
+                c, a, senses, b, lb, ub, warm=root_state if warm is None else warm)
             lp_status, x, bound = res.status, res.x, res.objective
             state = res.state
+            if depth == 0 and root_state is None:
+                root_state = state
         if lp_status == _simplex.STATUS_INFEASIBLE:
             trace(node_id, depth, math.inf, "pruned_infeasible")
             continue
@@ -252,13 +305,13 @@ def solve_mip(
         # fixed binaries are integral by their bounds and never branched on
         frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(x[:n_bin] - np.round(x[:n_bin])), 0.0)
         if n_bin and frac.max() <= INTEGRALITY_TOL:
-            xi = x.copy()
-            xi[:n_bin] = np.round(xi[:n_bin])
             # rounding can push a row past its bound (a knapsack item at
             # 1 - 4e-7 overfills it by that much): such a point is branched
             # on, unless rounding moved no free binary and any violation is
             # the LP's own
-            if frac.max() == 0.0 or row_violation(xi) <= ROUNDED_ROW_TOL:
+            xi = x.copy() if frac.max() == 0.0 else rounded(x, np.round, lb, ub)
+            if xi is not None:
+                xi[:n_bin] = np.round(xi[:n_bin])
                 accept(xi, float(c @ xi))
                 trace(node_id, depth, bound, "integral")
                 continue
@@ -270,9 +323,8 @@ def solve_mip(
         # rounding heuristic: nearest / floor / ceil of the relaxation,
         # kept whenever the rounded point stays feasible
         for rounder in (np.round, np.floor, np.ceil):
-            xr = x.copy()
-            xr[:n_bin] = np.clip(rounder(x[:n_bin]), lb[:n_bin], ub[:n_bin])
-            if row_violation(xr) <= ROUNDED_ROW_TOL:
+            xr = rounded(x, rounder, lb, ub)
+            if xr is not None:
                 accept(xr, float(c @ xr))
 
         j = int(np.argmax(frac))  # ties resolve to the lowest index
@@ -281,10 +333,10 @@ def solve_mip(
         children = []
         lb_up = lb.copy()
         lb_up[j] = 1.0
-        children.append((lb_up, ub, state))
+        children.append((lb_up, ub, state, root))
         ub_dn = ub.copy()
         ub_dn[j] = 0.0
-        children.append((lb, ub_dn, state))
+        children.append((lb, ub_dn, state, root))
         if not up_first:
             children.reverse()
         # depth-first pops from the end, so push the preferred child last
@@ -294,6 +346,8 @@ def solve_mip(
             next_id += 1
 
     wall = time.monotonic() - t0
+    if root is not None:
+        root_seconds[root] += t0 + wall - clock
     open_bound = tree.min_bound()
 
     if limit_hit:
@@ -331,6 +385,9 @@ def solve_mip(
         nodes=nodes,
         wall_time=wall,
         incumbent_log=incumbent_log,
+        root_nodes=root_nodes,
+        root_seconds=root_seconds,
+        best_root=best_root,
     )
 
 

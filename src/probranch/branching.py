@@ -9,9 +9,10 @@ cardinality hyperplanes
 
 whose intercepts carry a Chebyshev-style slack sigma|S|/sqrt(delta), and
 partition the feasible region by the two cuts and their integer
-complements.  Solving the cut region first and pruning the other three
-against its objective preserves exactness while concentrating the work
-where the optimum is likely to live.
+complements.  The partition is a branching disjunction: each region is
+a box on one count column per hyperplane, and the regions are the roots
+of a single branch-and-bound tree.  Searching all of them preserves
+exactness; searching the cut region alone is the heuristic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import SolveOptions, SolveReport, solve_mip
-from .model import FORMAT_VERSION, LinearCut, MipInstance
+from .model import FORMAT_VERSION, LinearCut, LinearRow, MipInstance
 from .predict import Prediction
 
 # Threshold grid used for calibration curves; thresholds must exceed 0.5
@@ -383,10 +384,6 @@ class BranchPartition:
 
     regions: list[PartitionRegion]
 
-    @property
-    def first(self) -> PartitionRegion:
-        return self.regions[0]
-
     def satisfied_regions(self, assignment: np.ndarray) -> list[int]:
         """Indices of regions whose cut-set the 0/1 assignment satisfies."""
         hits = []
@@ -456,30 +453,23 @@ def make_partition(
 
 
 @dataclass
+class RegionRecord:
+    """Nodes and seconds the tree spent below one region's root."""
+
+    label: str
+    nodes: int
+    seconds: float
+
+
+@dataclass
 class PartitionReport:
-    """Merged solve report plus the per-region reports and the cuts used."""
+    """The tree's solve report plus the per-region records and the cuts used."""
 
     best: SolveReport
-    regions: list[tuple[str, SolveReport]]
+    regions: list[RegionRecord]
+    best_region: str | None  # label of the region that held the best solution
     hyperplanes: tuple[CardinalityHyperplane | None, CardinalityHyperplane | None]
     mode: str
-
-
-def _better(sense: str, a: float, b: float) -> bool:
-    return a < b if sense == "minimize" else a > b
-
-
-def _merge_logs(region_reports: list[tuple[str, SolveReport]], sense: str):
-    log = []
-    offset = 0.0
-    best = None
-    for _, rep in region_reports:
-        for t, obj in rep.incumbent_log:
-            if best is None or _better(sense, obj, best):
-                best = obj
-                log.append((offset + t, obj))
-        offset += rep.wall_time
-    return log
 
 
 def partition_solve(
@@ -490,21 +480,20 @@ def partition_solve(
     mode: str = "exact",
     tightened: bool = False,
 ) -> PartitionReport:
-    """Solve via the probabilistic partition.
+    """Solve via the probabilistic partition, as one branch-and-bound tree.
 
-    heuristic mode solves only the region where both cuts hold; exact
-    mode then sweeps the complement regions with the first region's
-    objective as a non-strict cutoff (none if the first region was
-    infeasible) and returns the best solution across regions, which
-    matches the plain optimum because the partition covers the feasible
-    set.  Regions are solved sequentially here; they are independent
-    once the first region's objective is known, so a concurrent sweep
-    would be safe.
+    One continuous count column t_S = sum_{j in S} y_j is appended per
+    hyperplane, with an equality row and bounds [0, |S|], so each region
+    is a box on these columns: a >= r cut is [r, |S|], a <= r cut
+    [0, r].  Exact mode roots the tree at every region not empty by
+    construction; the regions cover every 0/1 point, so the shared
+    incumbent is the plain optimum.  Heuristic mode roots it at the
+    first region alone and reports "feasible".  The count columns are
+    stripped from the returned solution.
     """
     if mode not in ("heuristic", "exact"):
         raise ValueError(f"bad mode {mode!r}")
     calibration.validate()
-    opts = options or SolveOptions()
     cut_up, cut_down = build_hyperplanes(
         prediction,
         calibration.tau_star,
@@ -512,93 +501,40 @@ def partition_solve(
         calibration.delta,
         mode="tightened" if tightened else "plain",
     )
-    partition = make_partition(cut_up, cut_down)
-    sense = instance.sense
-
-    region_reports: list[tuple[str, SolveReport]] = []
-    first = partition.first
-    first_report = solve_mip(instance, first.cuts, opts)
-    region_reports.append((first.label, first_report))
-
-    if mode == "exact":
-        cutoff = None
-        if first_report.best_solution is not None:
-            cutoff = first_report.objective
-        if opts.cutoff is not None:
-            cutoff = (
-                opts.cutoff
-                if cutoff is None
-                else (min if sense == "minimize" else max)(opts.cutoff, cutoff)
-            )
-        for region in partition.regions[1:]:
-            if region.infeasible_by_construction:
-                region_reports.append(
-                    (
-                        region.label,
-                        SolveReport(
-                            best_solution=None,
-                            best_bound=math.inf if sense == "minimize" else -math.inf,
-                            status="infeasible",
-                            nodes=0,
-                            wall_time=0.0,
-                        ),
-                    )
-                )
-                continue
-            ropts = replace(opts, cutoff=cutoff)
-            region_reports.append((region.label, solve_mip(instance, region.cuts, ropts)))
-
-    best_label = None
-    best_report = None
-    for label, rep in region_reports:
-        if rep.best_solution is None:
-            continue
-        if best_report is None or _better(sense, rep.objective, best_report.objective):
-            best_label = label
-            best_report = rep
-
-    nodes = sum(rep.nodes for _, rep in region_reports)
-    wall = sum(rep.wall_time for _, rep in region_reports)
-    any_limit = any(rep.status == "limit" for _, rep in region_reports)
-
-    if best_report is not None:
-        solution = best_report.best_solution
-        objective = best_report.objective
-        if any_limit:
-            status = "limit"
-        elif mode == "exact":
-            status = "optimal"
-        else:
-            status = "feasible"
-        if mode == "exact" and not any_limit:
-            bound = objective
-        else:
-            bounds = [rep.best_bound for _, rep in region_reports]
-            bound = min(bounds) if sense == "minimize" else max(bounds)
-    else:
-        solution = None
-        objective = math.nan
-        if any_limit:
-            status = "limit"
-        elif mode == "heuristic":
-            status = first_report.status
-        elif all(rep.status in ("infeasible", "cutoff") for _, rep in region_reports):
-            status = "infeasible"
-        else:
-            status = first_report.status
-        bound = math.inf if sense == "minimize" else -math.inf
-
-    merged = SolveReport(
-        best_solution=solution,
-        best_bound=bound,
-        status=status,
-        nodes=nodes,
-        wall_time=wall,
-        incumbent_log=_merge_logs(region_reports, sense),
+    planes = [h for h in (cut_up, cut_down) if h is not None]
+    n = instance.num_vars
+    counted = replace(
+        instance,
+        num_continuous=instance.num_continuous + len(planes),
+        rows=instance.rows + [
+            LinearRow([(int(j), 1.0) for j in h.indices] + [(n + k, -1.0)], "=", 0.0)
+            for k, h in enumerate(planes)
+        ],
+        continuous_bounds=instance.continuous_bounds
+        + [(0.0, float(len(h.indices))) for h in planes],
     )
+    regions = [r for r in make_partition(cut_up, cut_down).regions
+               if not r.infeasible_by_construction]
+    if mode == "heuristic":
+        regions = regions[:1]
+    boxes = []
+    for region in regions:
+        lb, ub = counted.bounds_arrays()
+        for k, cut in enumerate(region.cuts):  # one cut per hyperplane, in order
+            (lb if cut.sense == ">=" else ub)[n + k] = cut.rhs
+        boxes.append((lb, ub))
+    rep = solve_mip(counted, options=options, roots=boxes)
+
+    status = "feasible" if mode == "heuristic" and rep.status == "optimal" else rep.status
+    solution = rep.best_solution
+    if solution is not None:
+        solution = replace(solution, values=solution.values[:n],
+                           status="optimal" if status == "optimal" else "feasible")
     return PartitionReport(
-        best=merged,
-        regions=region_reports,
+        best=replace(rep, best_solution=solution, status=status),
+        regions=[RegionRecord(r.label, nodes, secs)
+                 for r, nodes, secs in zip(regions, rep.root_nodes, rep.root_seconds)],
+        best_region=None if rep.best_root is None else regions[rep.best_root].label,
         hyperplanes=(cut_up, cut_down),
         mode=mode,
     )

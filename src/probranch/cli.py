@@ -193,7 +193,7 @@ def _prediction_for(args, inst):
         backend = "simplex" if args.predictor.endswith("simplex") else "ipm"
         return predict.lp_root_predict(inst, backend=backend)
     if args.predictor.startswith("file:"):
-        return predict.load_prediction(args.predictor[len("file:"):], inst.num_binary)
+        return predict.load_prediction_from_dir(args.predictor[len("file:"):], inst)
     raise ValueError(f"unknown predictor {args.predictor!r}")
 
 
@@ -249,10 +249,10 @@ def _cmd_solve(args) -> int:
             "nodes": rep.nodes,
             "wall_time": rep.wall_time,
             "regions": [
-                {"label": label, "status": r.status, "nodes": r.nodes,
-                 "objective": None if r.best_solution is None else r.objective}
-                for label, r in part.regions
+                {"label": r.label, "nodes": r.nodes, "seconds": r.seconds}
+                for r in part.regions
             ],
+            "best_region": part.best_region,
         }
     text = json.dumps(doc, indent=2)
     if args.out:

@@ -209,6 +209,11 @@ def save_prediction(prediction: Prediction, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def load_prediction_from_dir(pred_dir: str | Path, instance) -> Prediction:
+    """The instance's prediction from a directory of ``<name>.pred.json`` files."""
+    return load_prediction(Path(pred_dir) / f"{instance.name}.pred.json", instance.num_binary)
+
+
 def load_prediction(path: str | Path, n: int) -> Prediction:
     """Load an external prediction file for an instance with n binaries.
 

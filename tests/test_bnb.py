@@ -41,6 +41,25 @@ class TestSolveMip:
         assert rep.objective == pytest.approx(0.0, abs=1e-12)
         assert np.all(rep.best_solution.values == 0.0)
 
+    @pytest.mark.parametrize("order", ["best_bound", "depth_first"])
+    def test_root_boxes_search_their_union_as_one_tree(self, order):
+        for _, inst in small_families(2):
+            bf = brute_force(inst)
+            lb, ub = inst.bounds_arrays()
+            j = int(np.argmax(bf.values[: inst.num_binary]))
+            down, up = ub.copy(), lb.copy()
+            down[j], up[j] = 0.0, 1.0
+            boxes = [(lb, down), (up, ub)]
+            rep = solve_mip(inst, options=SolveOptions(node_order=order, **EXACT), roots=boxes)
+            assert rep.status == "optimal"
+            assert rep.objective == pytest.approx(bf.objective, abs=1e-9)
+            assert len(rep.root_nodes) == len(rep.root_seconds) == 2
+            assert sum(rep.root_nodes) == rep.nodes
+            box_lb, box_ub = boxes[rep.best_root]
+            assert np.all((box_lb <= rep.best_solution.values) & (rep.best_solution.values <= box_ub))
+        with pytest.raises(ValueError):
+            solve_mip(inst, roots=[(up, down)])
+
     def test_cutoff_below_optimum_reports_cutoff(self):
         _, inst = gen_scp(8, 10, 0.3, 1, seed=7).instances[0]
         bf = brute_force(inst)

@@ -4,6 +4,9 @@ import pytest
 
 from probranch import cli
 from probranch.bench import LemmaReport
+from probranch.bnb import brute_force
+from probranch.model import deserialize
+from probranch.predict import lp_root_predict, save_prediction
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,24 @@ def test_solve_plain_and_data_free(tmp_path, family_dir):
     a = json.loads(plain.read_text())
     b = json.loads(exact.read_text())
     assert a["objective"] == pytest.approx(b["objective"], abs=1e-9)
+
+
+def test_solve_with_prediction_directory(tmp_path, family_dir):
+    inst_path = family_dir / "instance_0003.json"
+    inst = deserialize(inst_path.read_bytes())
+    pred_dir = tmp_path / "preds"
+    pred_dir.mkdir()
+    save_prediction(lp_root_predict(inst), pred_dir / f"{inst.name}.pred.json")
+    out = tmp_path / "sol.json"
+    assert cli.main([
+        "solve", "--instance", str(inst_path), "--predictor", f"file:{pred_dir}",
+        "--mode", "exact", "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "optimal"
+    assert doc["objective"] == pytest.approx(brute_force(inst).objective, abs=1e-9)
+    assert doc["best_region"] in [r["label"] for r in doc["regions"]]
+    assert sum(r["nodes"] for r in doc["regions"]) == doc["nodes"]
 
 
 def test_bench_subcommand(tmp_path, family_dir):

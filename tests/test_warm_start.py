@@ -2,20 +2,29 @@
 
 Every node below the root reoptimizes its parent's final basis with the
 bounded dual simplex.  These tests hold each such LP to a cold solve of
-the same node, exact mode to independent oracles on randomized
-instances, and the refactorization interval to whole dives.
+the same node, the partition tree (exact and heuristic mode) to
+independent oracles on randomized instances, and the refactorization
+interval to whole dives.
 """
+
+import time
 
 import numpy as np
 import pytest
 
-from oracles import binary_enumeration, set_cover_dp, set_packing_dp
-from probranch import _simplex
+from oracles import binary_enumeration, highs_optimum, set_cover_dp, set_packing_dp
+from probranch import _simplex, branching
 from probranch.bnb import SolveOptions, solve_mip
-from probranch.branching import Calibration, build_hyperplanes, make_partition, partition_solve
+from probranch.branching import (
+    Calibration,
+    build_hyperplanes,
+    data_free_calibration,
+    make_partition,
+    partition_solve,
+)
 from probranch.generators import gen_ca, gen_scp
 from probranch.lp import relaxation_arrays
-from probranch.model import LinearRow, MipInstance, check_feasible
+from probranch.model import MAXIMIZE, LinearRow, MipInstance, check_feasible
 from probranch.predict import Prediction, lp_root_predict
 
 EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
@@ -42,6 +51,32 @@ def flipped(inst: MipInstance) -> MipInstance:
         inst.num_binary, inst.num_continuous,
         objective=[(j, -v) for j, v in inst.objective],
         rows=inst.rows, continuous_bounds=inst.continuous_bounds,
+    )
+
+
+def with_continuous(inst: MipInstance, rng) -> MipInstance:
+    """inst plus one to three continuous columns that enter its rows and objective.
+
+    Each column has bounds [lo, hi] around 0, so every point of inst
+    stays feasible, and coefficients of the same sign and scale as the
+    instance's own, so the optimum may use it.
+    """
+    d = int(rng.integers(1, 4))
+    n = inst.num_vars
+    obj_scale = np.mean([v for _, v in inst.objective])
+    rows = []
+    for row in inst.rows:
+        scale = np.mean([v for _, v in row.coeffs])
+        extra = [(n + k, float(scale * rng.uniform(0.3, 1.0)))
+                 for k in range(d) if rng.random() < 0.5]
+        rows.append(LinearRow(row.coeffs + extra, row.sense, row.rhs))
+    return MipInstance(
+        inst.name + "_mixed", inst.sense, inst.num_binary, inst.num_continuous + d,
+        objective=inst.objective + [(n + k, float(obj_scale * rng.uniform(0.5, 1.5)))
+                                    for k in range(d)],
+        rows=rows,
+        continuous_bounds=inst.continuous_bounds + [
+            (float(rng.choice([0.0, -0.5])), float(rng.uniform(0.5, 2.0))) for _ in range(d)],
     )
 
 
@@ -149,28 +184,83 @@ def test_partition_solve_matches_oracles_on_random_instances(seed):
         items, bids = int(rng.integers(12, 19)), int(rng.integers(60, 121))
         inst = gen_ca(items, bids, 1, seed=seed).instances[0][1]
         expected = set_packing_dp(inst)
+    mixed = bool(rng.integers(2))
+    if mixed:
+        # the count columns go after these, so column bookkeeping is tested here
+        inst = with_continuous(inst, rng)
     if rng.integers(2):
         inst, expected = flipped(inst), -expected
-    if rng.integers(2):
-        pred = lp_root_predict(inst)
-    else:
+    if mixed:
+        expected = highs_optimum(inst)
+    source = ("external", "lp-root-simplex", "lp-root-ipm")[int(rng.integers(3))]
+    if source == "external":
         pred = Prediction(rng.random(inst.num_binary), "external")
+    else:
+        pred = lp_root_predict(inst, backend=source.removeprefix("lp-root-"))
     cal = Calibration(tau_star=float(rng.choice([0.6, 0.75, 0.9])),
                       sigma=float(rng.choice([0.0, 0.02])), delta=0.05)
     tightened = bool(rng.integers(2))
-    better = (lambda u, v: u < v - 1e-9) if inst.sense == "minimize" else (lambda u, v: u > v + 1e-9)
+    tol = dict(rel=1e-7, abs=1e-7) if mixed else dict(rel=0, abs=1e-9)
 
     exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact",
                             tightened=tightened)
     assert exact.best.status == "optimal"
-    assert exact.best.objective == pytest.approx(expected, rel=0, abs=1e-9)
+    assert exact.best.objective == pytest.approx(expected, **tol)
     assert check_feasible(inst, exact.best.best_solution.values)[0]
+    assert exact.best.nodes == sum(r.nodes for r in exact.regions)
 
+    # heuristic mode is the exact search of the first region alone
     heuristic = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="heuristic",
                                 tightened=tightened)
-    if heuristic.best.best_solution is not None:
-        assert check_feasible(inst, heuristic.best.best_solution.values)[0]
-        assert not better(heuristic.best.objective, expected)
+    cuts = build_hyperplanes(pred, cal.tau_star, cal.sigma, cal.delta,
+                             mode="tightened" if tightened else "plain")
+    first = solve_mip(inst, make_partition(*cuts).regions[0].cuts, SolveOptions(**EXACT))
+    assert heuristic.best.nodes == heuristic.regions[0].nodes
+    if first.best_solution is None:
+        assert heuristic.best.best_solution is None
+        assert heuristic.best.status == first.status == "infeasible"
+        return
+    assert heuristic.best.status == "feasible"
+    assert heuristic.best.objective == pytest.approx(first.objective, **tol)
+    assert check_feasible(inst, heuristic.best.best_solution.values)[0]
+    sign = 1.0 if inst.sense == MAXIMIZE else -1.0
+    slack = tol["abs"] + tol["rel"] * abs(expected)
+    assert sign * heuristic.best.objective <= sign * expected + slack
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_partition_solve_is_one_tree(monkeypatch, mode):
+    calls = []
+
+    def counted(instance, extra_cuts=(), options=None, roots=None):
+        calls.append(len(roots))
+        return solve_mip(instance, extra_cuts, options, roots)
+
+    monkeypatch.setattr(branching, "solve_mip", counted)
+    inst = tight_mkp(4, 14, 2)
+    pred = lp_root_predict(inst)
+    cal = Calibration(tau_star=0.75, sigma=0.0, delta=0.05)
+    rep = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode=mode)
+    live = [r.label for r in make_partition(*build_hyperplanes(
+        pred, cal.tau_star, cal.sigma, cal.delta)).regions if not r.infeasible_by_construction]
+    assert calls == [len(rep.regions)]
+    assert [r.label for r in rep.regions] == (live if mode == "exact" else live[:1])
+    assert rep.best.nodes == sum(r.nodes for r in rep.regions)
+    assert rep.best_region in [r.label for r in rep.regions]
+    assert len(rep.best.best_solution.values) == inst.num_vars  # count columns stripped
+
+
+def test_time_limit_covers_the_whole_exact_solve():
+    inst = tight_mkp(5, 40, 1)
+    pred = lp_root_predict(inst)
+    limit = 0.2
+    start = time.perf_counter()
+    rep = partition_solve(inst, pred, data_free_calibration(), SolveOptions(time_limit=limit),
+                          mode="exact", tightened=True)
+    elapsed = time.perf_counter() - start
+    assert rep.best.status == "limit"
+    # one node LP of a 5x40 MKP takes about a millisecond
+    assert rep.best.wall_time <= elapsed <= limit + 0.1
 
 
 def test_numerical_failure_falls_back_to_a_cold_solve():
