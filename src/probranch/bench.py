@@ -134,7 +134,9 @@ def _is_data_free(predictor: str) -> bool:
     return predictor.startswith("lp-root")
 
 
-def _labels_for(instances, time_limit) -> list[np.ndarray | None]:
+def solve_labels(instances, time_limit) -> list[np.ndarray | None]:
+    """Training labels: each instance's rounded binary solution, or None
+    when its solve finds no solution within ``time_limit``."""
     labels = []
     for _, inst in instances:
         rep = solve_mip(inst, options=SolveOptions(time_limit=time_limit))
@@ -193,7 +195,7 @@ def _build_predictor(config: BenchConfig, train):
 
     predictor = config.predictor
     if predictor == "logistic":
-        labels = _labels_for(train, config.time_limit)
+        labels = solve_labels(train, config.time_limit)
         usable = [(xi, inst, y) for (xi, inst), y in zip(train, labels) if y is not None]
         if len(usable) < 5:
             raise ValueError("not enough solved training instances for the logistic model")

@@ -145,11 +145,8 @@ def _train_slice(family, train_count):
 def _cmd_train(args) -> int:
     family = read_family(args.family)
     train = _train_slice(family, args.train_count)
-    labeled = []
-    for xi, inst in train:
-        rep = solve_mip(inst, options=SolveOptions(time_limit=args.time_limit))
-        if rep.best_solution is not None:
-            labeled.append((xi, np.round(rep.best_solution.binary_part(inst))))
+    labels = bench_mod.solve_labels(train, args.time_limit)
+    labeled = [(xi, y) for (xi, _), y in zip(train, labels) if y is not None]
     if len(labeled) < 2:
         print("error: not enough solvable training instances", file=sys.stderr)
         return 1
@@ -158,7 +155,12 @@ def _cmd_train(args) -> int:
     )
     out = Path(args.out or "model.json")
     predict.save_model(model, out)
-    print(f"trained {model.num_vars} per-variable models on {len(labeled)} instances -> {out}")
+    fitted = [k for k in model.iterations if k > 0]
+    at_cap = fitted.count(args.max_iters)
+    print(
+        f"trained {model.num_vars} per-variable models on {len(labeled)} instances "
+        f"({len(fitted)} fitted, {at_cap} at --max-iters) -> {out}"
+    )
     return 0
 
 
@@ -168,14 +170,12 @@ def _cmd_calibrate(args) -> int:
     train = _train_slice(family, args.train_count)
     n_val = max(2, int(round(len(train) * args.calib_fraction)))
     val = train[len(train) - n_val :]
-    pairs = []
-    for xi, inst in val:
-        rep = solve_mip(inst, options=SolveOptions(time_limit=args.time_limit))
-        if rep.best_solution is None:
-            continue
-        pairs.append(
-            (predict.logistic_predict(model, xi), np.round(rep.best_solution.binary_part(inst)))
-        )
+    labels = bench_mod.solve_labels(val, args.time_limit)
+    pairs = [
+        (predict.logistic_predict(model, xi), y)
+        for (xi, _), y in zip(val, labels)
+        if y is not None
+    ]
     cal = branching.calibrate(pairs, delta=args.delta)
     out = Path(args.out or "calibration.json")
     branching.save_calibration(cal, out)

@@ -4,12 +4,15 @@ Three sources: per-variable logistic models trained on solved instances
 of a family, the LP root relaxation (simplex or interior point), and
 external prediction files.  All produce a Prediction whose entries live
 in [0, 1].
+
+The logistic models of all variables are fitted together: one batched
+gradient descent moves a (variables, features) weight matrix, while each
+model keeps its own line search, stopping rule and iteration count.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,58 +65,29 @@ class LogisticModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # at most 1, so it never overflows
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def logistic_loss(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, reg: float
-) -> float:
-    """Mean logistic loss plus (reg/2)*||w||^2 (the intercept is unpenalized)."""
-    z = x @ w + b
+def logistic_loss(w: np.ndarray, b, x: np.ndarray, y: np.ndarray, reg: float):
+    """Mean logistic loss plus (reg/2)*||w||^2 (the intercept is unpenalized).
+
+    ``w`` is one weight vector, or a (k, f) stack of them with ``b`` a
+    k-vector and ``y`` an (n, k) label matrix; a stack gives its k losses.
+    """
+    z = x @ w.T + b
     # softplus(z) - y z is the negative log-likelihood per sample
-    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * reg * (w @ w))
+    nll = (np.logaddexp(0.0, z) - y * z).sum(axis=0) / len(x)
+    loss = nll + 0.5 * reg * np.einsum("...i,...i", w, w)
+    return float(loss) if np.ndim(w) == 1 else loss
 
 
-def logistic_gradient(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, reg: float
-) -> tuple[np.ndarray, float]:
-    p = _sigmoid(x @ w + b)
-    gw = x.T @ (p - y) / len(y) + reg * w
-    gb = float(np.mean(p - y))
-    return gw, gb
-
-
-def _fit_one(x: np.ndarray, y: np.ndarray, reg: float, max_iters: int, tol: float):
-    """Full-batch gradient descent with backtracking line search, zero init."""
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    loss = logistic_loss(w, b, x, y, reg)
-    trace = [loss]
-    it = 0
-    while it < max_iters:
-        gw, gb = logistic_gradient(w, b, x, y, reg)
-        gnorm2 = float(gw @ gw) + gb * gb
-        if math.sqrt(gnorm2) <= tol:
-            break
-        step = 1.0
-        while step > 1e-12:
-            w2 = w - step * gw
-            b2 = b - step * gb
-            new_loss = logistic_loss(w2, b2, x, y, reg)
-            if new_loss <= loss - 1e-4 * step * gnorm2:
-                break
-            step *= 0.5
-        else:
-            break  # no productive step remains
-        w, b, loss = w2, b2, new_loss
-        trace.append(loss)
-        it += 1
-    return w, b, it, trace
+def logistic_gradient(w: np.ndarray, b, x: np.ndarray, y: np.ndarray, reg: float):
+    """Gradient of ``logistic_loss`` in (w, b), for one weight vector or a stack."""
+    r = _sigmoid(x @ w.T + b) - y
+    gw = r.T @ x / len(x) + reg * w
+    gb = r.sum(axis=0) / len(x)
+    return gw, (float(gb) if np.ndim(w) == 1 else gb)
 
 
 def logistic_train(
@@ -126,7 +100,12 @@ def logistic_train(
 
     Features are standardized with the training-set mean/std.  Variables
     whose labels are constant across the dataset short-circuit to an
-    intercept-only model.  Training is deterministic (zero init).
+    intercept-only model.  The others are fitted together in one batched
+    full-batch gradient descent from zero weights: each model takes its
+    own backtracking (Armijo) step and stops on its own, when its
+    gradient norm reaches ``tol``, after ``max_iters`` steps, or when no
+    productive step is left, and a stopped model never moves again.
+    Training is deterministic.
     """
     if len(dataset) < 2:
         raise ValueError("need at least two training samples")
@@ -140,31 +119,52 @@ def logistic_train(
     xs = (x - mean) / std
 
     n_vars = labels.shape[1]
+    const = np.all(labels == labels[0], axis=0)
+    p = np.clip(labels[0, const], _P_FLOOR, 1.0 - _P_FLOOR)
     weights = np.zeros((n_vars, x.shape[1]))
     intercepts = np.zeros(n_vars)
-    iterations = []
-    traces = []
-    for j in range(n_vars):
-        y = labels[:, j]
-        if np.all(y == y[0]):
-            p = min(max(float(y[0]), _P_FLOOR), 1.0 - _P_FLOOR)
-            intercepts[j] = math.log(p / (1.0 - p))
-            iterations.append(0)
-            traces.append([logistic_loss(weights[j], intercepts[j], xs, y, reg)])
-            continue
-        w, b, it, trace = _fit_one(xs, y, reg, max_iters, tol)
-        weights[j] = w
-        intercepts[j] = b
-        iterations.append(it)
-        traces.append(trace)
+    intercepts[const] = np.log(p / (1.0 - p))
+    loss = logistic_loss(weights, intercepts, xs, labels, reg)
+    history = [loss.copy()]
+    iterations = np.zeros(n_vars, dtype=int)
+    # the models still descending, and their own compact copies of w, b, y and loss
+    live = np.flatnonzero(~const)
+    w, b, y, f = weights[live], intercepts[live], labels[:, live], loss[live]
+    for it in range(max_iters):
+        gw, gb = logistic_gradient(w, b, xs, y, reg)
+        gnorm2 = np.einsum("ij,ij->i", gw, gw) + gb * gb
+        # every model still searching tries the same step, 1.0 halved each round
+        moved = np.zeros(live.size, dtype=bool)
+        search = np.flatnonzero(np.sqrt(gnorm2) > tol)
+        step = 1.0
+        while search.size and step > 1e-12:
+            w2 = w[search] - step * gw[search]
+            b2 = b[search] - step * gb[search]
+            trial = logistic_loss(w2, b2, xs, y[:, search], reg)
+            ok = trial <= f[search] - 1e-4 * step * gnorm2[search]
+            hit = search[ok]
+            w[hit], b[hit], f[hit], moved[hit] = w2[ok], b2[ok], trial[ok], True
+            search = search[~ok]
+            step *= 0.5
+        if not moved.all():  # a model that took no step has stopped for good
+            done = live[~moved]
+            weights[done], intercepts[done], iterations[done] = w[~moved], b[~moved], it
+            live, w, b, y, f = live[moved], w[moved], b[moved], y[:, moved], f[moved]
+            if not live.size:
+                break
+        loss[live] = f
+        history.append(loss.copy())
+    # the models still live stopped at the cap
+    weights[live], intercepts[live], iterations[live] = w, b, max_iters
+    history = np.asarray(history)
     return LogisticModel(
         weights=weights,
         intercepts=intercepts,
         feature_mean=mean,
         feature_std=std,
         regularization=reg,
-        iterations=iterations,
-        loss_trace=traces,
+        iterations=iterations.tolist(),
+        loss_trace=[history[: k + 1, j].tolist() for j, k in enumerate(iterations)],
     )
 
 

@@ -60,6 +60,33 @@ def test_train_calibrate_solve_pipeline(tmp_path, family_dir):
     assert len(doc["regions"]) >= 1
 
 
+@pytest.mark.parametrize("max_iters, reg", [(3, 1e-4), (300, 0.1)])
+def test_train_reports_models_stopped_at_the_cap(tmp_path, capsys, max_iters, reg):
+    # auction labels vary from instance to instance; the scp family's do not
+    family = tmp_path / "ca"
+    assert cli.main([
+        "generate", "--kind", "ca", "--items", "8", "--bids", "16",
+        "--count", "10", "--seed", "1", "--out", str(family),
+    ]) == 0
+    model = tmp_path / "model.json"
+    capsys.readouterr()
+    assert cli.main([
+        "train", "--family", str(family), "--train-count", "10",
+        "--max-iters", str(max_iters), "--reg", str(reg), "--out", str(model),
+    ]) == 0
+    iterations = json.loads(model.read_text())["iterations"]
+    fitted = sum(k > 0 for k in iterations)
+    at_cap = iterations.count(max_iters)
+    if max_iters == 3:
+        assert at_cap == fitted > 0
+    else:  # the stronger penalty lets most fits meet --tol first
+        assert 0 < at_cap < fitted
+    assert capsys.readouterr().out.strip() == (
+        f"trained {len(iterations)} per-variable models on 10 instances "
+        f"({fitted} fitted, {at_cap} at --max-iters) -> {model}"
+    )
+
+
 def test_solve_plain_and_data_free(tmp_path, family_dir):
     inst = str(family_dir / "instance_0000.json")
     plain = tmp_path / "plain.json"

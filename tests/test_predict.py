@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import reference_logistic_probabilities
+from oracles import reference_logistic_fit, reference_logistic_probabilities
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.generators import gen_knapsack_uniform, gen_scp
 from probranch.model import LinearRow, MipInstance, MalformedDocumentError
@@ -148,6 +148,103 @@ class TestLogisticTrain:
             return hits / total
 
         assert accuracy(held) >= accuracy(fit) - 0.10
+
+
+def fit_against_loop(x, labels, reg=1e-4, max_iters=500, tol=1e-6):
+    """Train the batch and check every column against a loop fitting it alone."""
+    model = logistic_train(list(zip(x, labels)), reg=reg, max_iters=max_iters, tol=tol)
+    std = x.std(axis=0)
+    std[std == 0] = 1.0
+    xs = (x - x.mean(axis=0)) / std
+    for j in range(labels.shape[1]):
+        trace = model.loss_trace[j]
+        assert len(trace) == model.iterations[j] + 1
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        if np.all(labels[:, j] == labels[0, j]):
+            assert model.iterations[j] == 0 and not model.weights[j].any()
+            continue
+        w, b, it, ref_trace = reference_logistic_fit(xs, labels[:, j], reg, max_iters, tol)
+        assert model.iterations[j] == it
+        assert len(trace) == len(ref_trace)
+        assert np.max(np.abs(model.weights[j] - w)) <= 1e-12
+        assert abs(model.intercepts[j] - b) <= 1e-12
+        assert np.max(np.abs(np.array(trace) - ref_trace)) <= 1e-12
+    return model
+
+
+class TestBatchedFit:
+    """The batched fit agrees with fitting each column alone."""
+
+    def separable(self, seed=0):
+        # 10 samples of 60 features, as in a pipeline-ca training set
+        rng = np.random.default_rng(seed)
+        labels = (rng.random((10, 15)) > 0.5).astype(float)
+        labels[0], labels[1] = 1.0, 0.0  # no column is constant
+        return rng.normal(100.0, 50.0, size=(10, 60)), labels
+
+    def test_separable_columns_all_stop_at_the_cap(self):
+        model = fit_against_loop(*self.separable())
+        assert model.iterations == [500] * 15
+
+    def test_constant_and_fitted_columns_mixed(self):
+        x, labels = self.separable(seed=1)
+        labels[:, [0, 7]] = 0.0
+        labels[:, 4] = 1.0
+        model = fit_against_loop(x, labels)
+        assert [j for j, k in enumerate(model.iterations) if k == 0] == [0, 4, 7]
+
+    def test_columns_meeting_tol_at_different_times(self):
+        rng = np.random.default_rng(5)
+        half = rng.normal(size=(20, 3))
+        x = np.vstack([half, -half])
+        labels = (rng.random((40, 5)) > 0.5).astype(float)
+        labels[:, 0] = x[:, 0] > 0  # separable: runs to the cap
+        labels[:, 3] = np.tile(rng.random(20) > 0.3, 2)  # mirrored: only the intercept moves
+        labels[:, 4] = np.tile(np.repeat([1.0, 0.0], 10), 2)  # balanced and mirrored
+        model = fit_against_loop(x, labels, reg=1e-3)
+        its = model.iterations
+        assert its[0] == 500 and its[4] == 0
+        assert all(0 < k < 500 for k in its[1:4])
+        assert len(set(its)) == 5
+
+    def test_column_whose_line_search_runs_out(self):
+        # with a huge penalty no step of at least 1e-12 decreases the loss
+        # of a column whose weight gradient is non-zero; the intercept-only
+        # column (its weight gradient is exactly zero) keeps descending
+        x = np.tile([[-1.0], [1.0]], (4, 1))
+        stuck = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        free = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        labels = np.column_stack([free, stuck, np.ones(8)])
+        reg = 1e14
+        model = fit_against_loop(x, labels, reg=reg)
+        assert 0 < model.iterations[0] < 500
+        assert model.iterations[1] == 0
+        gw, gb = logistic_gradient(np.zeros(1), 0.0, x, stuck, reg)
+        assert np.hypot(gw[0], gb) > 1e-6  # it stopped for want of a step, not at tol
+        # a smaller penalty admits a first step of about 1e-8, far below 1.0
+        model = fit_against_loop(x, labels, reg=1e8, max_iters=1)
+        assert model.iterations == [1, 1, 0]
+
+    def test_three_iterations(self):
+        x, labels = self.separable(seed=2)
+        labels[:, 2] = 1.0
+        model = fit_against_loop(x, labels, max_iters=3)
+        assert sorted(set(model.iterations)) == [0, 3]
+
+    def test_stacked_loss_and_gradient_match_rows(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(9, 4))
+        y = (rng.random((9, 6)) > 0.5).astype(float)
+        w = rng.normal(size=(6, 4))
+        b = rng.normal(size=6)
+        loss = logistic_loss(w, b, x, y, 1e-2)
+        gw, gb = logistic_gradient(w, b, x, y, 1e-2)
+        assert loss.shape == gb.shape == (6,) and gw.shape == (6, 4)
+        for j in range(6):
+            assert loss[j] == pytest.approx(logistic_loss(w[j], b[j], x, y[:, j], 1e-2), rel=1e-14)
+            gwj, gbj = logistic_gradient(w[j], b[j], x, y[:, j], 1e-2)
+            np.testing.assert_allclose(gw[j], gwj, rtol=1e-13, atol=1e-15)
+            assert gb[j] == pytest.approx(gbj, rel=1e-13, abs=1e-15)
 
 
 class TestLogisticPredict:
