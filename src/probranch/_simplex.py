@@ -9,14 +9,18 @@ objective.  After phase 1 the artificial columns stay pinned to [0, 0].
 A warm solve reoptimizes from the final state of an earlier optimal
 solve of the same rows after its variable bounds changed, as a
 branch-and-bound child differs from its parent by one bound.  Reduced
-costs do not depend on the bounds, so the basis stays dual feasible and
-only x_B is recomputed.  A bounded dual simplex then restores primal
-feasibility: the most infeasible basic variable leaves (infeasibility
-measured against the norm of its row of B^-1, the dual steepest edge),
-and a bound-flipping ratio test over the movable nonbasic columns picks
-the entering one; when every eligible column at its helpful bound still
-leaves the row infeasible, the LP is infeasible.  On an iteration limit
-or a non-finite value the solve falls back to a cold one.
+costs do not depend on the bounds, so the basis stays dual feasible,
+only x_B is recomputed, and the reduced costs d an optimal warm solve
+ends with are carried in its state and start its children's solves.  A
+bounded dual simplex then restores primal feasibility: the most
+infeasible basic variable leaves (infeasibility measured against the
+norm of its row of B^-1, the dual steepest edge), and a bound-flipping
+ratio test over the movable nonbasic columns picks the entering one;
+when every eligible column at its helpful bound still leaves the row
+infeasible, the LP is infeasible.  Within the dual loop x_B, d and the
+basic bounds are updated at each pivot and flip, not gathered again.
+On an iteration limit or a non-finite value the solve falls back to a
+cold one.
 
 The basis inverse is kept explicitly and updated in product form each
 pivot; a dense LU refactorization refreshes it every ``REFACTOR_EVERY``
@@ -28,7 +32,6 @@ method Bland's lowest-index rule engages permanently after
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +56,7 @@ class SimplexResult:
     status: str
     x: np.ndarray  # structural variable values
     objective: float  # c . x for the minimized objective
-    duals: np.ndarray  # one multiplier per row
+    duals: np.ndarray | None  # one multiplier per row; None after a warm solve
     iterations: int
     iterates: list[tuple[int, float]] | None = None  # debug: (iteration, objective)
     state: _Workspace | None = None  # final basis of an optimal solve, for ``warm``
@@ -111,6 +114,7 @@ class _Workspace:
         self.pivots = 0  # since the last refactorization
         self.degenerate = 0
         self.iterations = 0
+        self.d = None  # reduced costs at the end of an optimal dual solve
         if k and m:
             self.refactorize()  # artificial columns carry -1 coefficients
 
@@ -118,9 +122,12 @@ class _Workspace:
         """A copy of this state under new structural bounds, x_B recomputed.
 
         Nonbasic variables move onto their new bounds where they left
-        them.  The extended matrix, b and the pivot count are inherited.
+        them.  The extended matrix, b, the carried reduced costs and the
+        pivot count are inherited; only the arrays a solve writes are
+        copied.
         """
-        ws = copy.copy(self)
+        ws = _Workspace.__new__(_Workspace)
+        ws.m, ws.n, ws.A, ws.b, ws.artificial = self.m, self.n, self.A, self.b, self.artificial
         ws.basis = self.basis.copy()
         ws.binv = self.binv.copy()
         ws.is_basic = self.is_basic.copy()
@@ -129,15 +136,15 @@ class _Workspace:
         ws.lb[: self.n] = lb
         ws.ub[: self.n] = ub
         ws.x = np.minimum(np.maximum(self.x, ws.lb), ws.ub)
-        ws.degenerate = 0
-        ws.iterations = 0
+        ws.d = self.d
+        ws.pivots = self.pivots
+        ws.degenerate = ws.iterations = 0
         ws.basic_values()
         return ws
 
     def basic_values(self) -> None:
         """x_B from the nonbasic values through the current basis inverse."""
-        x_n = self.x.copy()
-        x_n[self.basis] = 0.0
+        x_n = np.where(self.is_basic, 0.0, self.x)
         self.x[self.basis] = self.binv @ (self.b - self.A @ x_n)
 
     def refactorize(self) -> None:
@@ -239,97 +246,133 @@ class _Workspace:
     def dual(self, c, max_iters):
         """Bounded dual simplex from a dual feasible basis until x_B is in bounds.
 
-        The leaving variable is the basic one whose bound violation is
-        largest against the norm of its row of B^-1 (dual steepest edge),
-        and it leaves at the bound it violates.  The ratio test walks the
+        The reduced costs start from the carried ``d`` when the state
+        has one and are computed from the basis otherwise.  The leaving
+        variable is the basic one whose bound violation is largest
+        against the norm of its row of B^-1 (dual steepest edge), and it
+        leaves at the bound it violates.  The ratio test walks the
         breakpoints of the movable nonbasic columns in order and flips
         each boxed one to its other bound while the leaving row stays
         infeasible after the flip (the bound-flipping ratio test); the
-        column where that stops enters.  Returns STATUS_OPTIMAL when the
-        basis is primal feasible and its reduced costs dual feasible,
+        column where that stops enters.  x_B and the basic bounds live
+        in the loop and x_B is written back to ``x`` on every return.
+        Returns STATUS_OPTIMAL when the basis is primal feasible and its
+        reduced costs dual feasible (and keeps them as ``d``),
         STATUS_INFEASIBLE when the leaving row stays infeasible with
         every eligible column at its helpful bound, or
         STATUS_ITERATION_LIMIT.
         """
-        d = c - self.duals(c) @ self.A
-        movable, at_lb, at_ub = self._bound_state()
-        can_up = movable & (at_lb | ~at_ub)
-        can_down = movable & ~at_lb
+        x, A, basis = self.x, self.A, self.basis
+        d = c - self.duals(c) @ A if self.d is None else self.d.copy()
+        self.d = None
         span = self.ub - self.lb
+        at_lb = np.abs(x - self.lb) <= 1e-9
+        at_ub = np.abs(x - self.ub) <= 1e-9
+        movable = span > _PIVOT_TOL
+        movable[basis] = False
+        # h is -1 where a nonbasic column can only rise (it sits at its
+        # lower bound), +1 where it can only fall and 0 where it cannot
+        # move; a free column (movable, at neither bound) moves either way
+        h = np.where(at_lb, -1.0, np.where(at_ub, 1.0, 0.0)) * movable
+        free = movable & (h == 0.0)
+        any_free = np.count_nonzero(free)
+        xb, lb_b, ub_b = x[basis], self.lb[basis], self.ub[basis]
+        binv = self.binv
+        status = STATUS_ITERATION_LIMIT
         while self.iterations < max_iters:
             self.iterations += 1
-            bland = self.degenerate >= BLAND_AFTER
-            xb = self.x[self.basis]
-            lb_b = self.lb[self.basis]
-            ub_b = self.ub[self.basis]
-            below = lb_b - xb
-            infeas = np.maximum(below, xb - ub_b)
+            infeas = np.maximum(lb_b - xb, xb - ub_b)
             bad = (infeas > _FEAS_TOL).nonzero()[0]
             if not len(bad):
-                if ((can_up & (d < -_DUAL_TOL)) | (can_down & (d > _DUAL_TOL))).any():
-                    return self.minimize(c, max_iters)  # round-off left a dual infeasibility
-                return STATUS_OPTIMAL
+                status = STATUS_OPTIMAL
+                break
+            bland = self.degenerate >= BLAND_AFTER
             if len(bad) == 1:
                 r = int(bad[0])
             elif bland:
-                r = int(bad[self.basis[bad].argmin()])
+                r = int(bad[basis[bad].argmin()])
             else:
-                rows = self.binv[bad]
+                rows = binv[bad]
                 r = int(bad[(infeas[bad] ** 2 / (rows * rows).sum(axis=1)).argmax()])
 
-            # x_p rises to its lower bound (s = 1) or falls to its upper (s = -1)
-            s = 1.0 if below[r] > 0 else -1.0
-            alpha = self.binv[r] @ self.A
-            sa = alpha if s > 0 else -alpha
-            cols = (((sa < -_PIVOT_TOL) & can_up) | ((sa > _PIVOT_TOL) & can_down)).nonzero()[0]
+            # x_p rises to its lower bound or falls to its upper; a column
+            # is eligible when moving it the way it can pushes x_p that way
+            rises = xb[r] < lb_b[r]
+            alpha = binv[r] @ A
+            ha = h * alpha
+            eligible = ha > _PIVOT_TOL if rises else ha < -_PIVOT_TOL
+            if any_free:
+                eligible |= free & (np.abs(alpha) > _PIVOT_TOL)
+            cols = eligible.nonzero()[0]
             if not len(cols):
-                return STATUS_INFEASIBLE
+                status = STATUS_INFEASIBLE
+                break
             mag = np.abs(alpha[cols])
             ratios = np.abs(d[cols]) / mag
-            # ties go to the largest pivot, or under Bland's rule to the lowest index
-            order = np.lexsort((cols if bland else -mag, ratios))
-            # infeasibility of row p left after each breakpoint's column flips
-            left = infeas[r] - (mag * span[cols])[order].cumsum()
-            k = int((left <= _FEAS_TOL).argmax())
-            if left[k] > _FEAS_TOL:
-                return STATUS_INFEASIBLE
-            q = int(cols[order[k]])
-            if ratios[order[k]] <= _DEGEN_TOL:
+            # the first breakpoint: least ratio, ties to the largest pivot,
+            # then (as in the full order below) the lowest index
+            i = int(ratios.argmin())
+            tied = ratios == ratios[i]
+            if np.count_nonzero(tied) > 1:
+                i = int(np.where(tied, mag, -1.0).argmax())
+            k = 0
+            if bland or infeas[r] - mag[i] * span[cols[i]] > _FEAS_TOL:
+                # ties go to the largest pivot, or under Bland's rule to the lowest index
+                order = np.lexsort((cols if bland else -mag, ratios))
+                # infeasibility of row p left after each breakpoint's column flips
+                left = infeas[r] - (mag * span[cols])[order].cumsum()
+                k = int((left <= _FEAS_TOL).argmax())
+                if left[k] > _FEAS_TOL:
+                    status = STATUS_INFEASIBLE
+                    break
+                i = int(order[k])
+            q = int(cols[i])
+            if ratios[i] <= _DEGEN_TOL:
                 self.degenerate += 1
 
             if k:
                 flips = cols[order[:k]]
-                delta = np.where(can_up[flips], span[flips], -span[flips])
-                self.x[flips] += delta
-                self.x[self.basis] -= self.binv @ (self.A[:, flips] @ delta)
-                can_up[flips] = delta < 0
-                can_down[flips] = delta > 0
-            w = self.binv @ self.A[:, q]
-            leaving = self.basis[r]
-            bound = lb_b[r] if s > 0 else ub_b[r]
-            step = (self.x[leaving] - bound) / w[r]
-            self.x[self.basis] -= step * w
-            self.x[q] += step
-            self.x[leaving] = bound
+                delta = np.where(h[flips] > 0, -span[flips], span[flips])
+                x[flips] += delta
+                xb -= binv @ (A[:, flips] @ delta)
+                h[flips] = np.sign(delta)
+                free[flips] = False
+            w = binv @ A[:, q]
+            leaving = basis[r]
+            bound = lb_b[r] if rises else ub_b[r]
+            step = (xb[r] - bound) / w[r]
+            xb -= step * w
+            xb[r] = x[q] + step
+            x[leaving] = bound
+            lb_b[r], ub_b[r] = self.lb[q], self.ub[q]
             d -= (d[q] / alpha[q]) * alpha
-            d[q] = 0.0
-            can_up[q] = can_down[q] = False
-            can_up[leaving] = s > 0 and span[leaving] > _PIVOT_TOL
-            can_down[leaving] = s < 0 and span[leaving] > _PIVOT_TOL
+            d[q] = h[q] = 0.0
+            free[q] = False
+            h[leaving] = (-1.0 if rises else 1.0) if span[leaving] > _PIVOT_TOL else 0.0
             self.pivot(r, q, w)
-        return STATUS_ITERATION_LIMIT
+            if not self.pivots:  # refactorized: a new B^-1, and x_B recomputed in x
+                binv, xb = self.binv, x[basis]
+        x[basis] = xb
+        if status == STATUS_OPTIMAL:
+            dual_infeasible = np.count_nonzero(h * d > _DUAL_TOL) or (
+                any_free and np.count_nonzero(np.abs(d[free]) > _DUAL_TOL))
+            if dual_infeasible:
+                return self.minimize(c, max_iters)  # round-off left a dual infeasibility
+            self.d = d
+        return status
 
 
-def _result(ws: _Workspace, status: str, c_full: np.ndarray, iterates=None) -> SimplexResult:
+def _result(ws: _Workspace, status: str, c_full: np.ndarray, iterates=None,
+            duals: bool = True) -> SimplexResult:
     """The result of a finished solve of objective c_full over ``ws``."""
     x = ws.x[: ws.n].copy()
     if status == STATUS_INFEASIBLE:
-        return SimplexResult(status, x, np.nan, np.zeros(ws.m), ws.iterations)
+        return SimplexResult(status, x, np.nan, np.zeros(ws.m) if duals else None, ws.iterations)
     return SimplexResult(
         status=status,
         x=x,
         objective=float(c_full[: ws.n] @ x),
-        duals=ws.duals(c_full),
+        duals=ws.duals(c_full) if duals else None,
         iterations=ws.iterations,
         iterates=iterates,
         state=ws if status == STATUS_OPTIMAL else None,
@@ -354,6 +397,8 @@ def solve_bounded_lp(
     its basis with the dual simplex and falls back to a cold solve on an
     iteration limit or a numerical failure.  ``iterations`` counts both.
     ``warm`` is never modified, so one state can seed several solves.
+    A warm solve that needs no fallback computes no row multipliers:
+    its ``duals`` is None.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -362,7 +407,7 @@ def solve_bounded_lp(
     ub = np.asarray(ub, dtype=float)
     m, n = a.shape
 
-    if (lb > ub).any():
+    if np.count_nonzero(lb > ub):
         return SimplexResult(STATUS_INFEASIBLE, np.full(n, np.nan), np.nan, np.zeros(m), 0)
 
     spent = 0
@@ -372,7 +417,7 @@ def solve_bounded_lp(
         ws = warm.child(lb, ub)
         status = ws.dual(c_full, max_iters)
         if status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all():
-            return _result(ws, status, c_full)
+            return _result(ws, status, c_full, duals=False)
         spent = ws.iterations
 
     ws = _Workspace(a, senses, b, lb, ub)

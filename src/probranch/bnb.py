@@ -1,7 +1,7 @@
 """LP-based branch and bound for binary MILP, plus exact test oracles.
 
-The solver accepts injected cuts, an objective cutoff, node/time limits
-and root boxes, so a branching disjunction is searched as one tree.
+The solver accepts injected cuts, node/time limits and root boxes, so
+a branching disjunction is searched as one tree.
 Branching is most-fractional with ties broken toward the lowest index;
 node selection is best-bound by default with a depth-first option.  A
 rounding heuristic runs at every node so the incumbent log is dense
@@ -49,7 +49,6 @@ class SolveOptions:
     node_limit: int = 10**9
     rel_gap: float = 1e-6
     abs_gap: float = 1e-9
-    cutoff: float | None = None  # in the instance's own sense
     node_order: str = "best_bound"  # best_bound | depth_first
     trace_path: str | Path | None = None
 
@@ -66,7 +65,7 @@ class SolveOptions:
 class SolveReport:
     best_solution: Solution | None
     best_bound: float
-    status: str  # optimal | feasible | infeasible | cutoff | limit
+    status: str  # optimal | feasible | infeasible | limit
     nodes: int
     wall_time: float
     incumbent_log: list[tuple[float, float]] = field(default_factory=list)
@@ -109,6 +108,49 @@ class _Tree:
         return min((e[0] for e in self.stack), default=math.inf)
 
 
+class _Roundings:
+    """Nearest, floor and ceil roundings of a node's LP point, checked in one pass.
+
+    Binaries are rounded into the node's box.  A continuous column that
+    an equality row defines alone (a partition count column
+    t_S = sum_S y_j) is recomputed from the rounded binaries and must
+    stay in the box; every row must then hold within ROUNDED_ROW_TOL.
+    """
+
+    def __init__(self, a: np.ndarray, senses: list[str], b: np.ndarray, n_bin: int):
+        self.n_bin = n_bin
+        sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
+        eq = np.array([s == "=" for s in senses], dtype=bool)
+        # row i holds when lhs_i x <= rhs_i; an equality row also enters negated
+        self.lhs = np.vstack([sign[:, None] * a, -a[eq]])
+        self.rhs = np.concatenate([sign * b, -b[eq]])
+        cont = a[:, n_bin:] != 0
+        def_rows = np.nonzero(eq & (cont.sum(axis=1) == 1))[0]
+        self.def_cols = n_bin + np.nonzero(cont[def_rows])[1]
+        self.def_a = a[def_rows]
+        self.def_a[:, self.def_cols] = 0.0  # each row's own column is solved for
+        self.def_b = b[def_rows]
+        self.def_pivot = a[def_rows, self.def_cols]
+
+    def __call__(self, x: np.ndarray, lb: np.ndarray, ub: np.ndarray):
+        """(points, ok): the three rounded points as rows of a (3, n) array
+        and which of them meet the rows and the box."""
+        n_bin, cols = self.n_bin, self.def_cols
+        pts = np.empty((3, len(x)))
+        pts[:] = x
+        y, p = x[:n_bin], pts[:, :n_bin]
+        np.rint(y, out=p[0])
+        np.floor(y, out=p[1])
+        np.ceil(y, out=p[2])
+        np.minimum(np.maximum(p, lb[:n_bin], out=p), ub[:n_bin], out=p)
+        box = True
+        if len(cols):
+            t = (self.def_b - pts @ self.def_a.T) / self.def_pivot
+            pts[:, cols] = t
+            box = ~(np.maximum(lb[cols] - t, t - ub[cols]) > ROUNDED_ROW_TOL).any(axis=1)
+        return pts, box & (pts @ self.lhs.T - self.rhs <= ROUNDED_ROW_TOL).all(axis=1)
+
+
 def solve_mip(
     instance: MipInstance,
     extra_cuts: list[LinearCut] = (),
@@ -139,10 +181,6 @@ def solve_mip(
     c = -c_user if negate else c_user
     n_rows_inst = len(instance.rows)
 
-    cutoff = None
-    if opts.cutoff is not None:
-        cutoff = -opts.cutoff if negate else opts.cutoff
-
     boxes = [(lb0, ub0)] if roots is None else [
         (np.array(lo, dtype=float), np.array(hi, dtype=float)) for lo, hi in roots]
     if any(lo.shape != lb0.shape or (lo > hi).any() for lo, hi in boxes):
@@ -168,57 +206,22 @@ def solve_mip(
             inc = "" if incumbent_x is None else incumbent_val
             trace_rows.append((node_id, depth, bound, action, inc))
 
-    def gap_term() -> float:
-        if incumbent_x is None:
-            return 0.0
-        return max(opts.abs_gap, opts.rel_gap * abs(incumbent_val))
-
-    def should_prune(bound: float) -> str | None:
-        if incumbent_x is not None and bound >= incumbent_val - gap_term():
-            return "pruned_bound"
-        if cutoff is not None and bound >= cutoff - opts.abs_gap:
-            return "pruned_cutoff"
-        return None
+    # a node whose bound reaches prune_at cannot beat the incumbent by the gap
+    prune_at = math.inf
 
     def accept(x: np.ndarray, val: float) -> bool:
-        nonlocal incumbent_val, incumbent_x, best_root
+        nonlocal incumbent_val, incumbent_x, best_root, prune_at
         if val >= incumbent_val:
-            return False
-        if cutoff is not None and val > cutoff - opts.abs_gap:
             return False
         incumbent_val = val
         incumbent_x = x.copy()
         best_root = root
+        prune_at = val - max(opts.abs_gap, opts.rel_gap * abs(val))
         user_obj = (-val if negate else val) + 0.0
         incumbent_log.append((time.monotonic() - t0, user_obj))
         return True
 
-    # row i holds when row_sign[i] * (a_i x - b_i) <= 0, equality rows at 0
-    row_sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
-    row_eq = np.array([s == "=" for s in senses], dtype=bool)
-
-    def row_violation(x: np.ndarray) -> float:
-        gap = row_sign * (a @ x - b)
-        return float(np.max(np.where(row_eq, np.abs(gap), gap), initial=0.0))
-
-    # An equality row with one continuous column defines that column (a
-    # partition count column t_S = sum_S y_j), so rounding recomputes it.
-    cont = a[:, n_bin:] != 0
-    def_rows = np.nonzero(row_eq & (cont.sum(axis=1) == 1))[0]
-    def_cols = n_bin + np.nonzero(cont[def_rows])[1]
-
-    def rounded(x: np.ndarray, rounder, lb: np.ndarray, ub: np.ndarray):
-        """x with binaries rounded into the box and defined columns recomputed, or
-        None when that point breaks a row or a defined column's bounds."""
-        xr = x.copy()
-        xr[:n_bin] = np.clip(rounder(x[:n_bin]), lb[:n_bin], ub[:n_bin])
-        if len(def_rows):
-            xr[def_cols] = 0.0
-            xr[def_cols] = (b[def_rows] - a[def_rows] @ xr) / a[def_rows, def_cols]
-            t = xr[def_cols]
-            if (np.maximum(lb[def_cols] - t, t - ub[def_cols]) > ROUNDED_ROW_TOL).any():
-                return None
-        return xr if row_violation(xr) <= ROUNDED_ROW_TOL else None
+    roundings = _Roundings(a, senses, b, n_bin)
 
     # Pure single-row knapsacks admit a closed-form node relaxation: take
     # free items by best ratio until the residual capacity binds.  This is
@@ -234,6 +237,7 @@ def solve_mip(
     if knapsack_mode:
         kn_w = a[0]
         kn_order = np.argsort(c / kn_w, kind="stable")
+        kn_order = kn_order[c[kn_order] < 0]  # the items that can improve the objective
 
     def knapsack_relaxation(lb: np.ndarray, ub: np.ndarray):
         """Returns (status, x, bound) for the node's knapsack LP."""
@@ -241,18 +245,12 @@ def solve_mip(
         cap = b[0] - float(kn_w @ x)
         if cap < -ROUNDED_ROW_TOL:  # the items fixed to 1 overfill it
             return _simplex.STATUS_INFEASIBLE, None, math.inf
-        for j in kn_order:
-            if c[j] >= 0:
-                break  # remaining items cannot improve the objective
-            if lb[j] == ub[j]:
-                continue
-            w = kn_w[j]
-            if w <= cap:
-                x[j] = 1.0
-                cap -= w
-            else:
-                x[j] = cap / w
-                break
+        free = kn_order[lb[kn_order] < ub[kn_order]]
+        reach = np.cumsum(kn_w[free])
+        k = int(np.searchsorted(reach, cap, side="right"))  # items that fit whole
+        x[free[:k]] = 1.0
+        if k < len(free):
+            x[free[k]] = (cap - (reach[k - 1] if k else 0.0)) / kn_w[free[k]]
         return _simplex.STATUS_OPTIMAL, x, float(c @ x)
 
     tree = _Tree(opts.node_order)
@@ -272,9 +270,8 @@ def solve_mip(
             limit_hit = True
             break
         parent_bound, node_id, depth, (lb, ub, warm, root) = tree.pop()
-        reason = should_prune(parent_bound)
-        if reason:
-            trace(node_id, depth, parent_bound, reason)
+        if parent_bound >= prune_at:
+            trace(node_id, depth, parent_bound, "pruned_bound")
             continue
 
         nodes += 1
@@ -298,36 +295,37 @@ def solve_mip(
             limit_hit = True
             trace(node_id, depth, math.nan, "lp_iteration_limit")
             break
-        reason = should_prune(bound)
-        if reason:
-            trace(node_id, depth, bound, reason)
+        if bound >= prune_at:
+            trace(node_id, depth, bound, "pruned_bound")
             continue
-        # fixed binaries are integral by their bounds and never branched on
-        frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(x[:n_bin] - np.round(x[:n_bin])), 0.0)
-        if n_bin and frac.max() <= INTEGRALITY_TOL:
-            # rounding can push a row past its bound (a knapsack item at
-            # 1 - 4e-7 overfills it by that much): such a point is branched
-            # on, unless rounding moved no free binary and any violation is
-            # the LP's own
-            xi = x.copy() if frac.max() == 0.0 else rounded(x, np.round, lb, ub)
-            if xi is not None:
-                xi[:n_bin] = np.round(xi[:n_bin])
-                accept(xi, float(c @ xi))
-                trace(node_id, depth, bound, "integral")
-                continue
         if n_bin == 0:
             accept(x, bound)
             trace(node_id, depth, bound, "integral")
             continue
+        # fixed binaries are integral by their bounds and never branched on
+        frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(x[:n_bin] - np.rint(x[:n_bin])), 0.0)
+        j = int(frac.argmax())  # ties resolve to the lowest index
+        fmax = frac[j]
+        # rounding can push a row past its bound (a knapsack item at
+        # 1 - 4e-7 overfills it by that much): such a point is branched
+        # on, unless rounding moved no free binary and any violation is
+        # the LP's own
+        if fmax == 0.0:
+            xi = x.copy()
+            xi[:n_bin] = np.rint(xi[:n_bin])
+            accept(xi, float(c @ xi))
+            trace(node_id, depth, bound, "integral")
+            continue
+        cand, ok = roundings(x, lb, ub)  # nearest, floor, ceil
+        if fmax <= INTEGRALITY_TOL and ok[0]:
+            accept(cand[0], float(c @ cand[0]))
+            trace(node_id, depth, bound, "integral")
+            continue
 
-        # rounding heuristic: nearest / floor / ceil of the relaxation,
-        # kept whenever the rounded point stays feasible
-        for rounder in (np.round, np.floor, np.ceil):
-            xr = rounded(x, rounder, lb, ub)
-            if xr is not None:
-                accept(xr, float(c @ xr))
+        # rounding heuristic: each rounding that stays feasible is kept
+        for i in ok.nonzero()[0]:
+            accept(cand[i], float(c @ cand[i]))
 
-        j = int(np.argmax(frac))  # ties resolve to the lowest index
         trace(node_id, depth, bound, f"branched_v{j}")
         up_first = x[j] >= 0.5
         children = []
@@ -356,9 +354,6 @@ def solve_mip(
     elif incumbent_x is not None:
         status = "optimal"
         best_bound_int = incumbent_val
-    elif cutoff is not None:
-        status = "cutoff"
-        best_bound_int = cutoff
     else:
         status = "infeasible"
         best_bound_int = math.inf

@@ -7,6 +7,7 @@ other error (including bad usage).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,7 +39,9 @@ def _add_common(p):
     p.add_argument("--out", type=str, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not modify it."""
     parser = _Parser(prog="probranch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

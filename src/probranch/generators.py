@@ -99,7 +99,9 @@ def gen_mkp(m: int, n: int, num_instances: int, seed: int) -> InstanceFamily:
     """Multi-knapsack family: max c.y s.t. Ay <= b, only b varies (xi = b).
 
     A_ij ~ U{1..1000}, c_j = mean_i A_ij + U{1..500}, and per instance
-    b_i ~ U[0.8 * s_i, 1.2 * s_i] with s_i = sum_j A_ij / (4 n).
+    b_i ~ U[0.8 * s_i, 1.2 * s_i] with s_i = 0.25 * sum_j A_ij: each row
+    holds about a quarter of its total weight, the tightness ratio 0.25
+    of Chu & Beasley (1998).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -107,7 +109,7 @@ def gen_mkp(m: int, n: int, num_instances: int, seed: int) -> InstanceFamily:
     a = rng.integers(1, 1001, size=(m, n)).astype(float)
     delta = rng.integers(1, 501, size=n).astype(float)
     c = a.mean(axis=0) + delta
-    center = a.sum(axis=1) / (4.0 * n)
+    center = 0.25 * a.sum(axis=1)
 
     def build(b: np.ndarray, name: str) -> MipInstance:
         inst = MipInstance(

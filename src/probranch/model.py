@@ -155,7 +155,7 @@ class Solution:
 
     values: np.ndarray
     objective: float
-    status: str  # optimal | feasible | infeasible | cutoff | limit
+    status: str  # optimal | feasible | infeasible
 
     def binary_part(self, instance: MipInstance) -> np.ndarray:
         return np.asarray(self.values)[: instance.num_binary]

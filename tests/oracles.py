@@ -198,6 +198,38 @@ def reference_logistic_fit(x, y, reg, max_iters, tol):
     return w, b, it, trace
 
 
+def reference_roundings(a, senses, b, n_bin, x, lb, ub, tol=1e-9):
+    """The rounding heuristic as one loop per rounder: the batched pass's reference.
+
+    Nearest, floor and ceil round the binaries of x into [lb, ub]; a
+    continuous column that an equality row defines alone is recomputed
+    from the rounded point and must stay in its bounds; every row must
+    hold within ``tol``.  Returns [(k, point)] for the roundings that
+    survive, k = 0, 1, 2 in that order.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    row_sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
+    row_eq = np.array([s == "=" for s in senses], dtype=bool)
+    cont = a[:, n_bin:] != 0
+    def_rows = np.nonzero(row_eq & (cont.sum(axis=1) == 1))[0]
+    def_cols = n_bin + np.nonzero(cont[def_rows])[1]
+    out = []
+    for k, rounder in enumerate((np.round, np.floor, np.ceil)):
+        xr = x.copy()
+        xr[:n_bin] = np.clip(rounder(x[:n_bin]), lb[:n_bin], ub[:n_bin])
+        if len(def_rows):
+            xr[def_cols] = 0.0
+            xr[def_cols] = (b[def_rows] - a[def_rows] @ xr) / a[def_rows, def_cols]
+            t = xr[def_cols]
+            if (np.maximum(lb[def_cols] - t, t - ub[def_cols]) > tol).any():
+                continue
+        gap = row_sign * (a @ xr - b)
+        if float(np.max(np.where(row_eq, np.abs(gap), gap), initial=0.0)) <= tol:
+            out.append((k, xr))
+    return out
+
+
 def binary_enumeration(instance, tol=1e-9):
     """Exact optimum of a pure-binary instance by enumerating every 0/1 point.
 

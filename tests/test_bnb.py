@@ -60,30 +60,6 @@ class TestSolveMip:
         with pytest.raises(ValueError):
             solve_mip(inst, roots=[(up, down)])
 
-    def test_cutoff_below_optimum_reports_cutoff(self):
-        _, inst = gen_scp(8, 10, 0.3, 1, seed=7).instances[0]
-        bf = brute_force(inst)
-        opts = SolveOptions(cutoff=bf.objective - 1.0, **EXACT)
-        rep = solve_mip(inst, options=opts)
-        assert rep.status == "cutoff"
-        assert rep.best_solution is None
-
-    def test_cutoff_soundness_on_small_instances(self):
-        for _, inst in small_families(2):
-            bf = brute_force(inst)
-            sense_mult = 1.0 if inst.sense == "minimize" else -1.0
-            for shift in (0.5, 2.0):
-                # a cutoff strictly better than the optimum must close the tree
-                cutoff = bf.objective - sense_mult * shift
-                rep = solve_mip(inst, options=SolveOptions(cutoff=cutoff, **EXACT))
-                if rep.status == "cutoff":
-                    if inst.sense == "minimize":
-                        assert bf.objective >= cutoff - 1e-9
-                    else:
-                        assert bf.objective <= cutoff + 1e-9
-                else:
-                    assert rep.objective == pytest.approx(bf.objective, abs=1e-9)
-
     def test_exactness_over_100_seeded_instances(self):
         checked = 0
         for seed in range(9):

@@ -278,7 +278,7 @@ class TestPartition:
 
 
 class TestPartitionSolve:
-    def test_exact_mode_matches_brute_force_with_cutoff_pruning(self):
+    def test_exact_mode_matches_brute_force_and_names_the_regions(self):
         _, inst = gen_mkp(3, 12, 1, seed=61).instances[0]
         bf = brute_force(inst)
         pred = lp_root_predict(inst, backend="simplex")

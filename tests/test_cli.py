@@ -159,6 +159,32 @@ def test_usage_error_exits_one():
     assert cli.main(["solve"]) == 1  # missing required --instance
 
 
+def test_cached_parser_gives_each_call_its_own_namespace(monkeypatch, capsys):
+    seen = []
+
+    def record(args):
+        seen.append(vars(args).copy())
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_solve", record)
+    monkeypatch.setattr(cli, "_cmd_verify", record)
+    assert cli.main(["solve", "--instance", "a.json", "--mode", "plain", "--tightened",
+                     "--seed", "5"]) == 0
+    assert cli.main(["solve", "--mode", "nonsense"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(["verify", "--check", "hoeffding", "--trials", "10"]) == 0
+    assert cli.main(["solve", "--instance", "b.json"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+
+    first, second, third = seen
+    assert (first["command"], first["instance"], first["mode"]) == ("solve", "a.json", "plain")
+    assert first["tightened"] is True and first["seed"] == 5
+    assert (second["command"], second["check"], second["trials"]) == ("verify", "hoeffding", 10)
+    assert second["seed"] == 0 and "instance" not in second and "mode" not in second
+    assert (third["command"], third["instance"], third["mode"]) == ("solve", "b.json", "exact")
+    assert third["tightened"] is False and third["seed"] == 0
+
+
 def test_runtime_error_exits_one(tmp_path):
     assert cli.main([
         "solve", "--instance", str(tmp_path / "missing.json"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from probranch.bnb import brute_force
 from probranch.generators import (
     InstanceFamily,
     fixed_signature,
@@ -29,7 +30,7 @@ class TestMkp:
     def test_rhs_ratio_window(self):
         fam = gen_mkp(3, 10, 5, seed=7)
         a, _, _ = fam.template.constraint_arrays()
-        center = a.sum(axis=1) / (4.0 * 10)
+        center = 0.25 * a.sum(axis=1)
         for _, inst in fam.instances:
             _, _, b = inst.constraint_arrays()
             ratios = b / center
@@ -157,6 +158,25 @@ class TestFamilyIo:
         )
         with pytest.raises(ValueError):
             bad.validate()
+
+
+FAMILIES = {
+    "mkp": lambda: [inst for _, inst in gen_mkp(3, 10, 8, seed=1).instances],
+    # set-covering labels vary on 3 of seeds 1-10 at this size (ROADMAP item 1)
+    "scp": lambda: [inst for _, inst in gen_scp(8, 14, 0.3, 8, seed=1).instances],
+    "ca": lambda: [inst for _, inst in gen_ca(8, 16, 8, seed=1).instances],
+    "knapsack": lambda: [gen_knapsack_uniform(12, 0.3, seed=s).instance for s in range(4)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_has_nonzero_optima_and_varied_labels(kind):
+    insts = FAMILIES[kind]()
+    sols = [brute_force(inst) for inst in insts]
+    assert all(sol.status == "optimal" for sol in sols)
+    assert any(sol.objective != 0.0 for sol in sols)
+    labels = {tuple(np.rint(sol.values[: inst.num_binary])) for sol, inst in zip(sols, insts)}
+    assert len(labels) > 1
 
 
 def test_stream_rng_streams_are_independent():

@@ -1,10 +1,12 @@
 """Warm-started node LPs in branch and bound.
 
 Every node below the root reoptimizes its parent's final basis with the
-bounded dual simplex.  These tests hold each such LP to a cold solve of
-the same node, the partition tree (exact and heuristic mode) to
-independent oracles on randomized instances, and the refactorization
-interval to whole dives.
+bounded dual simplex, starting from the parent's carried reduced costs.
+These tests hold each such LP to a cold solve of the same node and its
+carried reduced costs to ones computed afresh, the partition tree
+(exact and heuristic mode) to independent oracles on randomized
+instances, the refactorization interval to whole dives, and the batched
+rounding pass to the per-rounder loop it replaced.
 """
 
 import time
@@ -12,8 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import binary_enumeration, highs_optimum, set_cover_dp, set_packing_dp
-from probranch import _simplex, branching
+from oracles import (
+    binary_enumeration,
+    highs_optimum,
+    reference_roundings,
+    set_cover_dp,
+    set_packing_dp,
+)
+from probranch import _simplex, bnb, branching
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import (
     Calibration,
@@ -120,6 +128,83 @@ def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch, family, with_cuts)
             assert res.objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-9)
             assert res.state.A is warm.A  # reoptimized in place, no cold fallback
     assert _simplex.STATUS_OPTIMAL in statuses
+
+
+@pytest.mark.parametrize("with_cuts", [False, True], ids=["plain", "partition"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_carried_reduced_costs_match_the_final_basis(monkeypatch, family, with_cuts):
+    solve = _simplex.solve_bounded_lp
+    states = []
+
+    def recording(c, a, senses, b, lb, ub, **kwargs):
+        res = solve(c, a, senses, b, lb, ub, **kwargs)
+        if kwargs.get("warm") is not None and res.status == _simplex.STATUS_OPTIMAL:
+            states.append((c, res.state))
+        return res
+
+    monkeypatch.setattr(_simplex, "solve_bounded_lp", recording)
+    for inst in FAMILIES[family]():
+        regions = [[]]
+        if with_cuts:
+            pred = lp_root_predict(inst)
+            cuts = build_hyperplanes(pred, tau=0.9, sigma=0.0, delta=0.05, mode="tightened")
+            regions = [r.cuts for r in make_partition(*cuts).regions
+                       if not r.infeasible_by_construction]
+        for region_cuts in regions:
+            solve_mip(inst, region_cuts, SolveOptions(**EXACT))
+
+    assert len(states) >= 30
+    for c, state in states:
+        assert state.d is not None  # a warm solve that needed no fallback
+        # within 1e-9 relative to the largest cost, so basic columns'
+        # exact zeros match their recomputed round-off
+        c_full = np.zeros(state.A.shape[1])
+        c_full[: len(c)] = c
+        fresh = c_full - state.duals(c_full) @ state.A
+        assert np.abs(state.d - fresh).max() <= 1e-9 * max(1.0, np.abs(c).max())
+
+
+def counted_partition(monkeypatch, inst):
+    """The instance with count columns and the region boxes partition_solve builds."""
+    seen = {}
+
+    def capture(instance, extra_cuts=(), options=None, roots=None):
+        seen.update(instance=instance, roots=roots)
+        return solve_mip(instance, extra_cuts, options, roots)
+
+    monkeypatch.setattr(branching, "solve_mip", capture)
+    pred = lp_root_predict(inst)
+    partition_solve(inst, pred, Calibration(tau_star=0.75, sigma=0.0, delta=0.05),
+                    SolveOptions(**EXACT))
+    return seen["instance"], seen["roots"]
+
+
+@pytest.mark.parametrize("family", ["mkp", "ca", "scp", "counted"])
+def test_batched_rounding_matches_the_per_rounder_loop(monkeypatch, family):
+    if family == "counted":
+        inst, boxes = counted_partition(monkeypatch, tight_mkp(5, 15, 1))
+        assert inst.num_continuous == 2  # both count columns, defined by their rows
+    else:
+        inst = FAMILIES[family]()[0]
+        boxes = [inst.bounds_arrays()]
+    c, a, senses, b, _, _ = relaxation_arrays(inst)
+    n_bin = inst.num_binary
+    rounding = bnb._Roundings(a, senses, b, n_bin)
+    rng = np.random.default_rng(7)
+    kept = rejected = 0
+    for trial in range(300):
+        lb, ub = (v.copy() for v in boxes[trial % len(boxes)])
+        fixed = np.nonzero(rng.random(n_bin) < rng.choice([0.0, 0.1, 0.3]))[0]
+        lb[fixed] = ub[fixed] = rng.random(len(fixed)) < 0.3
+        x = rng.uniform(lb, ub)
+        points, ok = rounding(x, lb, ub)
+        ref = reference_roundings(a, senses, b, n_bin, x, lb, ub)
+        assert [int(k) for k in np.nonzero(ok)[0]] == [k for k, _ in ref]
+        for k, point in ref:
+            assert np.array_equal(points[k], point)
+        kept += len(ref)
+        rejected += 3 - len(ref)
+    assert kept and rejected
 
 
 def test_dive_longer_than_refactor_interval_refactorizes(monkeypatch):
