@@ -24,18 +24,11 @@ import numpy as np
 from scipy import stats as spstats
 
 from .bnb import SolveOptions, solve_mip
-from .branching import (
-    Calibration,
-    NoFeasibleThresholdError,
-    accuracy_curves,
-    data_free_calibration,
-    partition_solve,
-    select_tau,
-    sigma_from_stats,
-)
+from .branching import cut_settings, partition_solve
 from .generators import gen_knapsack_uniform, read_family, stream_rng
 from .lp import fractional_knapsack
-from .predict import load_prediction_from_dir, logistic_predict, logistic_train
+from .model import MipInstance
+from .predict import logistic_predict, logistic_train, predictor
 
 DEFAULT_SHIFT = 10.0
 DEFAULT_TIME_LIMIT = 10.0  # desk-scale per-solve budget, overridable
@@ -83,10 +76,11 @@ class BenchConfig:
     family_dir: str | Path
     predictor: str = "logistic"  # logistic | lp-root-simplex | lp-root-ipm | file:<dir>
     mode: str = "heuristic"  # heuristic | exact | plain
-    tau: float | None = None  # None selects tau automatically
-    delta: float | None = None  # None: 0.05 data-driven, 1e-8 data-free
-    sigma: float | None = None  # None: from calibration curves (0 data-free)
-    tightened: bool | None = None  # None: tightened for data-free, plain otherwise
+    # None takes the default of branching.cut_settings
+    tau: float | None = None
+    delta: float | None = None
+    sigma: float | None = None
+    tightened: bool | None = None
     time_limit: float = DEFAULT_TIME_LIMIT
     train_count: int | None = None  # None: everything not in the test split
     test_count: int = 20
@@ -130,124 +124,16 @@ class BenchReport:
     config: dict = field(default_factory=dict)
 
 
-def _is_data_free(predictor: str) -> bool:
-    return predictor.startswith("lp-root")
-
-
-def solve_labels(instances, time_limit) -> list[np.ndarray | None]:
-    """Training labels: each instance's rounded binary solution, or None
-    when its solve finds no solution within ``time_limit``."""
-    labels = []
-    for _, inst in instances:
+def solve_labels(instances, time_limit) -> list[tuple[np.ndarray, MipInstance, np.ndarray]]:
+    """Training labels: ``(features, instance, y)`` for every ``(features,
+    instance)`` pair whose solve finds a solution within ``time_limit``,
+    with y the solution's rounded binary part."""
+    labeled = []
+    for xi, inst in instances:
         rep = solve_mip(inst, options=SolveOptions(time_limit=time_limit))
-        if rep.best_solution is None:
-            labels.append(None)
-        else:
-            labels.append(np.round(rep.best_solution.binary_part(inst)))
-    return labels
-
-
-def _auto_tau(stats) -> float | None:
-    """One-sided fallback threshold rule for degenerate families.
-
-    When one rounded set is empty on every validation instance (its
-    accuracy curve has no valid point anywhere), the strict two-sided
-    rule cannot bind; take the largest tau dominated by every curve that
-    does have valid instances.
-    """
-    for i in range(len(stats.tau_grid) - 1, -1, -1):
-        tau = float(stats.tau_grid[i])
-        has_l = stats.num_valid_l[i] > 0
-        has_u = stats.num_valid_u[i] > 0
-        if not (has_l or has_u):
-            continue
-        if (not has_l or stats.mean_alpha_l[i] >= tau) and (
-            not has_u or stats.mean_alpha_u[i] >= tau
-        ):
-            return tau
-    return None
-
-
-def _calibrate_or_fallback(pairs, delta: float) -> Calibration:
-    stats = accuracy_curves(pairs)
-    try:
-        tau = select_tau(stats)
-    except NoFeasibleThresholdError:
-        tau = _auto_tau(stats)
-        if tau is None:
-            warnings.warn(
-                "no usable accuracy curve; falling back to tau=0.9, sigma=0",
-                stacklevel=2,
-            )
-            return Calibration(tau_star=0.9, sigma=0.0, delta=delta, stats=None)
-        warnings.warn(
-            "one rounded set was always empty; tau selected one-sidedly",
-            stacklevel=2,
-        )
-    return Calibration(
-        tau_star=tau, sigma=sigma_from_stats(stats, tau), delta=delta, stats=stats
-    )
-
-
-def _build_predictor(config: BenchConfig, train):
-    """Returns (predict_fn(instance) -> Prediction, Calibration)."""
-    from .predict import lp_root_predict
-
-    predictor = config.predictor
-    if predictor == "logistic":
-        labels = solve_labels(train, config.time_limit)
-        usable = [(xi, inst, y) for (xi, inst), y in zip(train, labels) if y is not None]
-        if len(usable) < 5:
-            raise ValueError("not enough solved training instances for the logistic model")
-        n_fit = max(2, int(round(len(usable) * (1.0 - config.calib_fraction))))
-        n_fit = min(n_fit, len(usable) - 1)
-        fit, val = usable[:n_fit], usable[n_fit:]
-        model = logistic_train([(xi, y) for xi, _, y in fit])
-        pairs = [(logistic_predict(model, xi), y) for xi, _, y in val]
-        if config.tau is None:
-            cal = _calibrate_or_fallback(
-                pairs, delta=config.delta if config.delta is not None else 0.05
-            )
-            if config.sigma is not None:
-                cal = Calibration(cal.tau_star, config.sigma, cal.delta, cal.stats)
-        else:
-            stats = accuracy_curves(pairs)
-            sigma = config.sigma
-            if sigma is None:
-                try:
-                    sigma = sigma_from_stats(stats, config.tau)
-                except ValueError:
-                    sigma = 0.0
-            cal = Calibration(
-                tau_star=config.tau,
-                sigma=sigma,
-                delta=config.delta if config.delta is not None else 0.05,
-                stats=None,
-            )
-        cal.validate()
-        return (lambda inst: logistic_predict(model, np.array(inst.param_tag))), cal
-
-    if predictor in ("lp-root-simplex", "lp-root-ipm"):
-        backend = "simplex" if predictor.endswith("simplex") else "ipm"
-        cal = data_free_calibration(
-            tau=config.tau if config.tau is not None else 0.9,
-            delta=config.delta if config.delta is not None else 1e-8,
-        )
-        if config.sigma is not None:
-            cal = Calibration(cal.tau_star, config.sigma, cal.delta, None)
-        return (lambda inst: lp_root_predict(inst, backend=backend)), cal
-
-    if predictor.startswith("file:"):
-        pred_dir = predictor[len("file:"):]
-        cal = Calibration(
-            tau_star=config.tau if config.tau is not None else 0.9,
-            sigma=config.sigma if config.sigma is not None else 0.0,
-            delta=config.delta if config.delta is not None else 0.05,
-            stats=None,
-        )
-        return (lambda inst: load_prediction_from_dir(pred_dir, inst)), cal
-
-    raise ValueError(f"unknown predictor {predictor!r}")
+        if rep.best_solution is not None:
+            labeled.append((xi, inst, np.round(rep.best_solution.binary_part(inst))))
+    return labeled
 
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
@@ -272,14 +158,24 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         raise ValueError("empty training split")
     train = family.instances[: min(n_train, total - config.test_count)]
 
-    tightened = config.tightened
-    if tightened is None:
-        tightened = _is_data_free(config.predictor)
-
+    model = pairs = None
+    if config.mode != "plain" and config.predictor == "logistic":
+        usable = solve_labels(train, config.time_limit)
+        if len(usable) < 5:
+            raise ValueError("not enough solved training instances for the logistic model")
+        n_fit = max(2, int(round(len(usable) * (1.0 - config.calib_fraction))))
+        n_fit = min(n_fit, len(usable) - 1)
+        fit, val = usable[:n_fit], usable[n_fit:]
+        model = logistic_train([(xi, y) for xi, _, y in fit])
+        pairs = [(logistic_predict(model, xi), y) for xi, _, y in val]
+    cal, tightened = cut_settings(
+        config.predictor, pairs=pairs, tau=config.tau, delta=config.delta,
+        sigma=config.sigma, tightened=config.tightened,
+    )
     if config.mode == "plain":
         predict_fn, cal = None, None
     else:
-        predict_fn, cal = _build_predictor(config, train)
+        predict_fn = predictor(config.predictor, model)
 
     opts = SolveOptions(time_limit=config.time_limit)
     rows: list[BenchRow] = []

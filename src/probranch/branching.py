@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -164,6 +165,21 @@ def accuracy_curves(
     return out
 
 
+def _top_dominated_tau(stats: AccuracyStats, both_sides: bool) -> float | None:
+    """Largest grid tau that every valid mean accuracy curve reaches, or None.
+
+    A side is valid at a grid point when some instance's set is
+    non-empty there; ``both_sides`` skips the points where one is not.
+    """
+    sides = ((stats.mean_alpha_l, stats.num_valid_l), (stats.mean_alpha_u, stats.num_valid_u))
+    for i in range(len(stats.tau_grid) - 1, -1, -1):
+        tau = float(stats.tau_grid[i])
+        means = [mean[i] for mean, num_valid in sides if num_valid[i]]
+        if means and (len(means) == 2 or not both_sides) and min(means) >= tau:
+            return tau
+    return None
+
+
 def select_tau(stats: AccuracyStats) -> float:
     """Largest grid threshold dominated by both mean accuracy curves.
 
@@ -171,13 +187,10 @@ def select_tau(stats: AccuracyStats) -> float:
     mean up/down accuracies >= tau and at least one valid instance on
     each side; raises NoFeasibleThresholdError when nothing qualifies.
     """
-    for i in range(len(stats.tau_grid) - 1, -1, -1):
-        tau = float(stats.tau_grid[i])
-        if not (stats.num_valid_l[i] and stats.num_valid_u[i]):
-            continue
-        if stats.mean_alpha_l[i] >= tau and stats.mean_alpha_u[i] >= tau:
-            return tau
-    raise NoFeasibleThresholdError("no grid threshold dominates both accuracy curves")
+    tau = _top_dominated_tau(stats, both_sides=True)
+    if tau is None:
+        raise NoFeasibleThresholdError("no grid threshold dominates both accuracy curves")
+    return tau
 
 
 def sigma_from_stats(stats: AccuracyStats, tau: float) -> float:
@@ -225,13 +238,45 @@ class Calibration:
 def calibrate(
     pairs: list[tuple[Prediction | np.ndarray, np.ndarray]],
     delta: float = 0.05,
-    tau_grid: np.ndarray | None = None,
+    tau: float | None = None,
 ) -> Calibration:
-    """Pick tau* from accuracy curves and bound sigma by the variance there."""
-    stats = accuracy_curves(pairs, tau_grid)
-    tau = select_tau(stats)
-    sigma = sigma_from_stats(stats, tau)
-    cal = Calibration(tau_star=tau, sigma=sigma, delta=delta, stats=stats)
+    """Pick tau* from accuracy curves and bound sigma by the variance there.
+
+    tau* is the largest grid threshold that both mean accuracy curves
+    reach (``select_tau``).  When none qualifies, tau* is the largest
+    grid threshold where one rounded set is empty on every instance and
+    the other curve reaches it, with a warning; when there is none
+    either, tau* = 0.9 and sigma = 0, with a warning.
+    A given ``tau`` is used as is, with sigma from the variance at tau
+    (0 when no instance is valid there or tau is off the grid) and no
+    stats kept.
+    """
+    stats = accuracy_curves(pairs)
+    if tau is not None:
+        try:
+            sigma = sigma_from_stats(stats, tau)
+        except ValueError:
+            sigma = 0.0
+        cal = Calibration(tau_star=tau, sigma=sigma, delta=delta)
+        cal.validate()
+        return cal
+    try:
+        tau = select_tau(stats)
+    except NoFeasibleThresholdError:
+        tau = _top_dominated_tau(stats, both_sides=False)
+        if tau is None:
+            warnings.warn(
+                "no usable accuracy curve; falling back to tau=0.9, sigma=0",
+                stacklevel=2,
+            )
+            return Calibration(tau_star=0.9, sigma=0.0, delta=delta)
+        warnings.warn(
+            "one rounded set was always empty; tau selected one-sidedly",
+            stacklevel=2,
+        )
+    cal = Calibration(
+        tau_star=tau, sigma=sigma_from_stats(stats, tau), delta=delta, stats=stats
+    )
     cal.validate()
     return cal
 
@@ -248,6 +293,41 @@ def data_free_calibration(
     return Calibration(
         tau_star=tau, sigma=slack_fraction * math.sqrt(delta), delta=delta, stats=None
     )
+
+
+def cut_settings(
+    predictor: str,
+    cal: Calibration | None = None,
+    pairs: list[tuple[Prediction | np.ndarray, np.ndarray]] | None = None,
+    tau: float | None = None,
+    delta: float | None = None,
+    sigma: float | None = None,
+    tightened: bool | None = None,
+) -> tuple[Calibration, bool]:
+    """The calibration and the tightened flag a partition solve runs with.
+
+    A given ``cal`` (a calibration file) keeps its own tau and delta.
+    Otherwise delta defaults to 1e-8 for a data-free predictor
+    (``lp-root-*``) and to 0.05 for any other; with ``pairs`` the
+    calibration is ``calibrate(pairs, delta, tau)``, and without them
+    tau defaults to 0.9 and sigma is 0 (``data_free_calibration`` for a
+    data-free predictor).  Cuts are tightened by default only for a
+    data-free predictor without a calibration or pairs.  A user
+    ``sigma`` replaces the calibrated one and drops the accuracy stats,
+    whose variance no longer bounds it.
+    """
+    data_free = cal is None and pairs is None and predictor.startswith("lp-root")
+    if cal is None:
+        delta = (1e-8 if data_free else 0.05) if delta is None else delta
+        if pairs is not None:
+            cal = calibrate(pairs, delta, tau)
+        elif data_free:
+            cal = data_free_calibration(0.9 if tau is None else tau, delta)
+        else:
+            cal = Calibration(0.9 if tau is None else tau, 0.0, delta)
+    if sigma is not None:
+        cal = Calibration(cal.tau_star, sigma, cal.delta)
+    return cal, data_free if tightened is None else tightened
 
 
 def _stats_to_doc(stats: AccuracyStats) -> dict:

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import branching, predict
 from .bnb import SolveOptions, solve_mip
@@ -148,8 +146,7 @@ def _train_slice(family, train_count):
 def _cmd_train(args) -> int:
     family = read_family(args.family)
     train = _train_slice(family, args.train_count)
-    labels = bench_mod.solve_labels(train, args.time_limit)
-    labeled = [(xi, y) for (xi, _), y in zip(train, labels) if y is not None]
+    labeled = [(xi, y) for xi, _, y in bench_mod.solve_labels(train, args.time_limit)]
     if len(labeled) < 2:
         print("error: not enough solvable training instances", file=sys.stderr)
         return 1
@@ -173,31 +170,15 @@ def _cmd_calibrate(args) -> int:
     train = _train_slice(family, args.train_count)
     n_val = max(2, int(round(len(train) * args.calib_fraction)))
     val = train[len(train) - n_val :]
-    labels = bench_mod.solve_labels(val, args.time_limit)
     pairs = [
         (predict.logistic_predict(model, xi), y)
-        for (xi, _), y in zip(val, labels)
-        if y is not None
+        for xi, _, y in bench_mod.solve_labels(val, args.time_limit)
     ]
     cal = branching.calibrate(pairs, delta=args.delta)
     out = Path(args.out or "calibration.json")
     branching.save_calibration(cal, out)
     print(f"tau*={cal.tau_star} sigma={cal.sigma:.6g} delta={cal.delta} -> {out}")
     return 0
-
-
-def _prediction_for(args, inst):
-    if args.predictor == "logistic":
-        if not args.model:
-            raise ValueError("the logistic predictor needs --model")
-        model = predict.load_model(args.model)
-        return predict.logistic_predict(model, np.array(inst.param_tag))
-    if args.predictor in ("lp-root-simplex", "lp-root-ipm"):
-        backend = "simplex" if args.predictor.endswith("simplex") else "ipm"
-        return predict.lp_root_predict(inst, backend=backend)
-    if args.predictor.startswith("file:"):
-        return predict.load_prediction_from_dir(args.predictor[len("file:"):], inst)
-    raise ValueError(f"unknown predictor {args.predictor!r}")
 
 
 def _cmd_solve(args) -> int:
@@ -215,26 +196,15 @@ def _cmd_solve(args) -> int:
             "wall_time": rep.wall_time,
         }
     else:
-        if args.calibration:
-            cal = branching.load_calibration(args.calibration)
-        elif args.predictor.startswith("lp-root"):
-            cal = branching.data_free_calibration(
-                tau=args.tau if args.tau is not None else 0.9,
-                delta=args.delta if args.delta is not None else 1e-8,
-            )
-        else:
-            cal = branching.Calibration(
-                tau_star=args.tau if args.tau is not None else 0.9,
-                sigma=args.sigma if args.sigma is not None else 0.0,
-                delta=args.delta if args.delta is not None else 0.05,
-            )
-        if args.sigma is not None:
-            cal = branching.Calibration(cal.tau_star, args.sigma, cal.delta, cal.stats)
-        tightened = args.tightened or (
-            args.predictor.startswith("lp-root") and not args.calibration
+        cal, tightened = branching.cut_settings(
+            args.predictor,
+            branching.load_calibration(args.calibration) if args.calibration else None,
+            tau=args.tau, delta=args.delta, sigma=args.sigma,
+            tightened=args.tightened or None,  # the flag can only ask for tightened cuts
         )
+        model = predict.load_model(args.model) if args.model else None
         part = branching.partition_solve(
-            inst, _prediction_for(args, inst), cal, options=opts,
+            inst, predict.predictor(args.predictor, model)(inst), cal, options=opts,
             mode=args.mode, tightened=tightened,
         )
         rep = part.best

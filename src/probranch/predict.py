@@ -198,6 +198,26 @@ def lp_root_predict(instance: MipInstance, backend: str = "simplex") -> Predicti
     return Prediction(probabilities=p, source=source)
 
 
+def predictor(name: str, model: LogisticModel | None = None):
+    """The function instance -> Prediction behind a predictor name.
+
+    Names: ``logistic`` (needs ``model``; features are the instance's
+    ``param_tag``), ``lp-root-simplex``, ``lp-root-ipm`` and
+    ``file:<dir>`` (``<dir>/<instance-name>.pred.json`` files).
+    """
+    if name == "logistic":
+        if model is None:
+            raise ValueError("the logistic predictor needs a model")
+        return lambda inst: logistic_predict(model, np.array(inst.param_tag))
+    if name in ("lp-root-simplex", "lp-root-ipm"):
+        backend = name[len("lp-root-"):]
+        return lambda inst: lp_root_predict(inst, backend=backend)
+    if name.startswith("file:"):
+        pred_dir = name[len("file:"):]
+        return lambda inst: load_prediction_from_dir(pred_dir, inst)
+    raise ValueError(f"unknown predictor {name!r}")
+
+
 def save_prediction(prediction: Prediction, path: str | Path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,43 @@ class TestCalibration:
         assert 0.5 < cal.tau_star <= 1.0
         assert cal.sigma >= 0.0
         assert cal.stats is not None
+
+    # two 2-variable predictions in [0.96, 0.99]: the down-sets are always empty
+    CONFIDENT = [np.array([0.96, 0.99]), np.array([0.97, 0.98])]
+
+    def test_always_empty_side_selects_tau_one_sidedly(self):
+        pairs = [(p, np.ones(2)) for p in self.CONFIDENT]
+        with pytest.raises(NoFeasibleThresholdError):
+            select_tau(accuracy_curves(pairs))
+        with pytest.warns(UserWarning, match="one-sidedly"):
+            cal = calibrate(pairs, delta=0.05)
+        # at 0.99 only the first instance's up-set {1} is non-empty, and it is right
+        assert cal.tau_star == pytest.approx(0.99)
+        assert cal.sigma == 0.0 and cal.delta == 0.05
+        assert cal.stats.num_valid_l.sum() == 0
+
+    def test_no_usable_curve_falls_back_to_tau_0_9(self):
+        pairs = [(p, np.zeros(2)) for p in self.CONFIDENT]  # every up-set is wrong
+        with pytest.warns(UserWarning, match="no usable accuracy curve"):
+            cal = calibrate(pairs, delta=0.1)
+        assert (cal.tau_star, cal.sigma, cal.delta, cal.stats) == (0.9, 0.0, 0.1, None)
+
+    def test_explicit_tau_takes_sigma_from_the_stats_at_tau(self):
+        pairs = [
+            (np.array([0.95, 0.92, 0.03, 0.6]), np.array([1.0, 0.0, 0.0, 1.0])),
+            (np.array([0.91, 0.05, 0.08, 0.5]), np.array([1.0, 1.0, 0.0, 0.0])),
+        ]
+        stats = accuracy_curves(pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cal = calibrate(pairs, delta=0.05, tau=0.9)
+            # no instance has a non-empty set at 0.99; 0.935 is off the grid
+            empty = calibrate(pairs, delta=0.05, tau=0.99)
+            off_grid = calibrate(pairs, delta=0.05, tau=0.935)
+        assert cal.tau_star == 0.9 and cal.stats is None
+        assert cal.sigma == pytest.approx(sigma_from_stats(stats, 0.9)) == pytest.approx(0.25)
+        assert (empty.tau_star, empty.sigma) == (0.99, 0.0)
+        assert (off_grid.tau_star, off_grid.sigma) == (0.935, 0.0)
 
     def test_save_load_round_trip(self, tmp_path):
         stats = flat_stats(0.95, 0.95, var_l=0.0004, var_u=0.0001)

@@ -1,11 +1,16 @@
 import json
+import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from probranch import cli
 from probranch.bench import LemmaReport
 from probranch.bnb import brute_force
-from probranch.model import deserialize
+from probranch.branching import Calibration, accuracy_curves, save_calibration, sigma_from_stats
+from probranch.generators import InstanceFamily, gen_mkp, write_family
+from probranch.model import LinearRow, MipInstance, deserialize
 from probranch.predict import lp_root_predict, save_prediction
 
 
@@ -37,20 +42,27 @@ def test_generate_knapsack_instance(tmp_path):
     assert doc["num_binary"] == 30
 
 
-def test_train_calibrate_solve_pipeline(tmp_path, family_dir):
+def test_train_calibrate_solve_pipeline(tmp_path):
+    # auction labels vary from instance to instance, so train fits real models
+    family = tmp_path / "ca"
+    assert cli.main([
+        "generate", "--kind", "ca", "--items", "8", "--bids", "16",
+        "--count", "16", "--seed", "1", "--out", str(family),
+    ]) == 0
     model = tmp_path / "model.json"
     assert cli.main([
-        "train", "--family", str(family_dir), "--train-count", "12",
+        "train", "--family", str(family), "--train-count", "12",
         "--out", str(model),
     ]) == 0
+    assert sum(k > 0 for k in json.loads(model.read_text())["iterations"]) > 0
     calib = tmp_path / "calib.json"
     assert cli.main([
-        "calibrate", "--family", str(family_dir), "--model", str(model),
+        "calibrate", "--family", str(family), "--model", str(model),
         "--train-count", "12", "--out", str(calib),
     ]) == 0
     report = tmp_path / "sol.json"
     assert cli.main([
-        "solve", "--instance", str(family_dir / "instance_0014.json"),
+        "solve", "--instance", str(family / "instance_0014.json"),
         "--predictor", "logistic", "--model", str(model),
         "--calibration", str(calib), "--mode", "exact", "--out", str(report),
     ]) == 0
@@ -58,6 +70,87 @@ def test_train_calibrate_solve_pipeline(tmp_path, family_dir):
     assert doc["status"] == "optimal"
     assert doc["mode"] == "exact"
     assert len(doc["regions"]) >= 1
+
+
+def test_calibrate_falls_back_on_a_label_constant_family(tmp_path):
+    # every optimum takes every item (the one row never binds), so the
+    # models predict all ones and every rounded-down set is empty
+    rng = np.random.default_rng(2)
+    template = MipInstance(
+        name="all_ones", sense="maximize", num_binary=4, num_continuous=0,
+        objective=[(j, 1.0) for j in range(4)],
+        rows=[LinearRow([(j, 1.0) for j in range(4)], "<=", 4.0)],
+    )
+    instances = []
+    for i in range(8):
+        c = rng.uniform(1.0, 2.0, 4)
+        instances.append((c, replace(
+            template, name=f"all_ones_{i}", objective=[(j, float(v)) for j, v in enumerate(c)],
+            param_tag=[float(v) for v in c],
+        )))
+    family = tmp_path / "ones"
+    write_family(InstanceFamily(template, "cost_c", instances, seed=2), family)
+    model, calib = tmp_path / "model.json", tmp_path / "calib.json"
+    assert cli.main(["train", "--family", str(family), "--train-count", "8",
+                     "--out", str(model)]) == 0
+    with pytest.warns(UserWarning, match="one-sidedly"):
+        assert cli.main(["calibrate", "--family", str(family), "--model", str(model),
+                         "--train-count", "8", "--out", str(calib)]) == 0
+    assert 0.5 < json.loads(calib.read_text())["tau_star"] <= 1.0
+
+
+def test_user_sigma_replaces_the_measured_one(tmp_path):
+    # a measured sigma > 0 at tau*, overridden by sigma = 0
+    stats = accuracy_curves([
+        (np.array([0.95, 0.92, 0.03, 0.6]), np.array([1.0, 0.0, 0.0, 1.0])),
+        (np.array([0.91, 0.05, 0.08, 0.5]), np.array([1.0, 1.0, 0.0, 0.0])),
+    ])
+    calib = tmp_path / "calib.json"
+    save_calibration(Calibration(0.9, sigma_from_stats(stats, 0.9), 0.05, stats), calib)
+    family = tmp_path / "mkp"
+    write_family(gen_mkp(5, 15, 40, seed=3), family)
+    out = tmp_path / "sol.json"
+    assert cli.main([
+        "solve", "--instance", str(family / "instance_0039.json"),
+        "--predictor", "lp-root-simplex", "--calibration", str(calib),
+        "--sigma", "0", "--out", str(out),
+    ]) == 0
+    assert json.loads(out.read_text())["sigma"] == 0.0
+    prefix = tmp_path / "bench"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main([
+            "bench", "--family", str(family), "--predictor", "logistic",
+            "--sigma", "0", "--test-count", "5", "--out", str(prefix),
+        ]) == 0
+    assert json.loads(prefix.with_suffix(".json").read_text())["config"]["sigma"] == 0.0
+
+
+@pytest.mark.parametrize("overrides", [[], ["--tau", "0.8", "--delta", "0.1", "--sigma", "0.01"]])
+@pytest.mark.parametrize("predictor", ["lp-root-simplex", "lp-root-ipm", "file"])
+def test_solve_and_bench_share_cut_defaults(tmp_path, family_dir, predictor, overrides):
+    if predictor == "file":
+        predictor = f"file:{tmp_path / 'preds'}"
+        (tmp_path / "preds").mkdir()
+        for i in (14, 15):
+            inst = deserialize((family_dir / f"instance_{i:04d}.json").read_bytes())
+            save_prediction(lp_root_predict(inst), tmp_path / "preds" / f"{inst.name}.pred.json")
+    out, prefix = tmp_path / "sol.json", tmp_path / "bench"
+    assert cli.main([
+        "solve", "--instance", str(family_dir / "instance_0015.json"),
+        "--predictor", predictor, *overrides, "--out", str(out),
+    ]) == 0
+    assert cli.main([
+        "bench", "--family", str(family_dir), "--predictor", predictor,
+        "--test-count", "2", *overrides, "--out", str(prefix),
+    ]) == 0
+    keys = ("tau", "sigma", "delta", "tightened")
+    solved = json.loads(out.read_text())
+    config = json.loads(prefix.with_suffix(".json").read_text())["config"]
+    assert {k: solved[k] for k in keys} == {k: config[k] for k in keys}
+    data_free = predictor.startswith("lp-root")
+    expected = (0.8, 0.01, 0.1) if overrides else (0.9, 0.0, 1e-8 if data_free else 0.05)
+    assert [solved[k] for k in keys] == [*expected, data_free]
 
 
 @pytest.mark.parametrize("max_iters, reg", [(3, 1e-4), (300, 0.1)])

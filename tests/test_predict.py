@@ -17,6 +17,7 @@ from probranch.predict import (
     logistic_predict,
     logistic_train,
     lp_root_predict,
+    predictor,
     save_model,
     save_prediction,
 )
@@ -333,6 +334,16 @@ class TestLpRootPredict:
         uk = gen_knapsack_uniform(10, 0.3, seed=57)
         assert lp_root_predict(uk.instance, "simplex").source == "lp_root_simplex"
         assert lp_root_predict(uk.instance, "ipm").source == "lp_root_ipm"
+
+
+def test_predictor_names():
+    uk = gen_knapsack_uniform(10, 0.3, seed=57)
+    assert predictor("lp-root-simplex")(uk.instance).source == "lp_root_simplex"
+    assert predictor("lp-root-ipm")(uk.instance).source == "lp_root_ipm"
+    with pytest.raises(ValueError, match="needs a model"):
+        predictor("logistic")
+    with pytest.raises(ValueError, match="unknown predictor"):
+        predictor("lp-root-dual")
 
 
 class TestPredictionFiles:
