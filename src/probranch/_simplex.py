@@ -10,8 +10,8 @@ A warm solve reoptimizes from the final state of an earlier optimal
 solve of the same rows after its variable bounds changed, as a
 branch-and-bound child differs from its parent by one bound.  Reduced
 costs do not depend on the bounds, so the basis stays dual feasible,
-only x_B is recomputed, and the reduced costs d an optimal warm solve
-ends with are carried in its state and start its children's solves.  A
+only x_B is recomputed, and the reduced costs d an optimal solve ends
+with are carried in its state and start its children's solves.  A
 bounded dual simplex then restores primal feasibility: the most
 infeasible basic variable leaves (infeasibility measured against the
 norm of its row of B^-1, the dual steepest edge), and a bound-flipping
@@ -21,6 +21,10 @@ infeasible, the LP is infeasible.  Within the dual loop x_B, d and the
 basic bounds are updated at each pivot and flip, not gathered again.
 On an iteration limit or a non-finite value the solve falls back to a
 cold one.
+
+A ``deadline`` (a ``time.monotonic()`` instant) stops either method
+between iterations with STATUS_TIME_LIMIT; that stop never falls back
+to a cold solve.
 
 The basis inverse is kept explicitly and updated in product form each
 pivot; a dense LU refactorization refreshes it every ``REFACTOR_EVERY``
@@ -32,6 +36,7 @@ method Bland's lowest-index rule engages permanently after
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration_limit"
+STATUS_TIME_LIMIT = "time_limit"
 
 
 @dataclass
@@ -114,7 +120,7 @@ class _Workspace:
         self.pivots = 0  # since the last refactorization
         self.degenerate = 0
         self.iterations = 0
-        self.d = None  # reduced costs at the end of an optimal dual solve
+        self.d = None  # reduced costs at the end of an optimal solve
         if k and m:
             self.refactorize()  # artificial columns carry -1 coefficients
 
@@ -177,10 +183,16 @@ class _Workspace:
         movable = ~self.is_basic & (self.ub - self.lb > _PIVOT_TOL)
         return movable, at_lb, at_ub
 
-    def minimize(self, c, max_iters, collect=None):
-        """Run primal simplex iterations on objective c.  Returns a status string."""
+    def minimize(self, c, max_iters, collect=None, deadline=None):
+        """Run primal simplex iterations on objective c.  Returns a status string.
+
+        An optimal return keeps the final reduced costs as ``d``.
+        """
         use_bland = self.degenerate >= BLAND_AFTER
+        self.d = None
         while self.iterations < max_iters:
+            if deadline is not None and time.monotonic() > deadline:
+                return STATUS_TIME_LIMIT
             self.iterations += 1
             y = self.duals(c)
             d = c - y @ self.A
@@ -192,6 +204,7 @@ class _Workspace:
             if collect is not None:
                 collect.append((self.iterations - 1, float(c @ self.x)))
             if not viol.any():
+                self.d = d
                 return STATUS_OPTIMAL
             if use_bland:
                 j = int(np.nonzero(viol > 0)[0][0])
@@ -243,14 +256,13 @@ class _Workspace:
             self.pivot(p, j, w)
         return STATUS_ITERATION_LIMIT
 
-    def dual(self, c, max_iters):
+    def dual(self, c, max_iters, deadline=None):
         """Bounded dual simplex from a dual feasible basis until x_B is in bounds.
 
-        The reduced costs start from the carried ``d`` when the state
-        has one and are computed from the basis otherwise.  The leaving
-        variable is the basic one whose bound violation is largest
-        against the norm of its row of B^-1 (dual steepest edge), and it
-        leaves at the bound it violates.  The ratio test walks the
+        The reduced costs start from a copy of the carried ``d``, which
+        every optimal state has.  The leaving variable is the basic one
+        whose bound violation is largest against the norm of its row of
+        B^-1 (dual steepest edge), and it leaves at the bound it violates.  The ratio test walks the
         breakpoints of the movable nonbasic columns in order and flips
         each boxed one to its other bound while the leaving row stays
         infeasible after the flip (the bound-flipping ratio test); the
@@ -259,11 +271,11 @@ class _Workspace:
         Returns STATUS_OPTIMAL when the basis is primal feasible and its
         reduced costs dual feasible (and keeps them as ``d``),
         STATUS_INFEASIBLE when the leaving row stays infeasible with
-        every eligible column at its helpful bound, or
-        STATUS_ITERATION_LIMIT.
+        every eligible column at its helpful bound, STATUS_TIME_LIMIT
+        once ``deadline`` has passed, or STATUS_ITERATION_LIMIT.
         """
         x, A, basis = self.x, self.A, self.basis
-        d = c - self.duals(c) @ A if self.d is None else self.d.copy()
+        d = self.d.copy()
         self.d = None
         span = self.ub - self.lb
         at_lb = np.abs(x - self.lb) <= 1e-9
@@ -280,6 +292,9 @@ class _Workspace:
         binv = self.binv
         status = STATUS_ITERATION_LIMIT
         while self.iterations < max_iters:
+            if deadline is not None and time.monotonic() > deadline:
+                status = STATUS_TIME_LIMIT
+                break
             self.iterations += 1
             infeas = np.maximum(lb_b - xb, xb - ub_b)
             bad = (infeas > _FEAS_TOL).nonzero()[0]
@@ -357,7 +372,8 @@ class _Workspace:
             dual_infeasible = np.count_nonzero(h * d > _DUAL_TOL) or (
                 any_free and np.count_nonzero(np.abs(d[free]) > _DUAL_TOL))
             if dual_infeasible:
-                return self.minimize(c, max_iters)  # round-off left a dual infeasibility
+                # round-off left a dual infeasibility
+                return self.minimize(c, max_iters, deadline=deadline)
             self.d = d
         return status
 
@@ -389,6 +405,7 @@ def solve_bounded_lp(
     max_iters: int = 20000,
     debug: bool = False,
     warm: _Workspace | None = None,
+    deadline: float | None = None,
 ) -> SimplexResult:
     """Minimize c.x subject to rows (a, senses, b) and bounds lb <= x <= ub.
 
@@ -398,7 +415,8 @@ def solve_bounded_lp(
     iteration limit or a numerical failure.  ``iterations`` counts both.
     ``warm`` is never modified, so one state can seed several solves.
     A warm solve that needs no fallback computes no row multipliers:
-    its ``duals`` is None.
+    its ``duals`` is None.  Past ``deadline`` (a ``time.monotonic()``
+    instant) the solve stops with STATUS_TIME_LIMIT, warm or cold.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -415,8 +433,9 @@ def solve_bounded_lp(
         c_full = np.zeros(warm.A.shape[1])
         c_full[:n] = c
         ws = warm.child(lb, ub)
-        status = ws.dual(c_full, max_iters)
-        if status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all():
+        status = ws.dual(c_full, max_iters, deadline)
+        if status == STATUS_TIME_LIMIT or (
+                status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all()):
             return _result(ws, status, c_full, duals=False)
         spent = ws.iterations
 
@@ -426,8 +445,8 @@ def solve_bounded_lp(
 
     if len(ws.artificial):
         c_full[ws.artificial] = 1.0
-        status = ws.minimize(c_full, max_iters + spent)
-        if status == STATUS_ITERATION_LIMIT:
+        status = ws.minimize(c_full, max_iters + spent, deadline=deadline)
+        if status in (STATUS_ITERATION_LIMIT, STATUS_TIME_LIMIT):
             return SimplexResult(
                 status, ws.x[:n].copy(), float(c @ ws.x[:n]), ws.duals(c_full), ws.iterations
             )
@@ -440,5 +459,5 @@ def solve_bounded_lp(
 
     c_full[:n] = c
     iterates: list[tuple[int, float]] | None = [] if debug else None
-    status = ws.minimize(c_full, max_iters + spent, collect=iterates)
+    status = ws.minimize(c_full, max_iters + spent, collect=iterates, deadline=deadline)
     return _result(ws, status, c_full, iterates)

@@ -7,6 +7,17 @@ node selection is best-bound by default with a depth-first option.  A
 rounding heuristic runs at every node so the incumbent log is dense
 enough for time-to-target measurements.
 
+Reduced-cost fixing: a node below a root starts from its parent's
+optimal LP state, whose reduced costs d bound every point of the
+parent's box, c.x >= parent bound + sum_j d_j (x_j - x*_j).  Before the
+node LP is solved, a free binary nonbasic at its lower bound with
+d_j > prune_at - parent bound gets ub_j = lb_j, and one at its upper
+bound with -d_j above that gap gets lb_j = ub_j: moving it would cost
+more than the incumbent leaves to gain.  The node LP and every
+descendant inherit the fixed box, and ``SolveReport.fixed`` counts the
+fixings.  Root boxes and the closed-form knapsack relaxation carry no
+reduced costs and are not fixed.
+
 A single solve is single-threaded; concurrent solves on distinct
 instances are safe.  Incumbent timestamps come from a monotonic clock.
 """
@@ -37,6 +48,11 @@ from .model import (
 # carry round-off alone; rounding a near-integral LP value can overfill a
 # row by up to INTEGRALITY_TOL times its coefficient, which must not pass.
 ROUNDED_ROW_TOL = 1e-9
+
+# Reduced-cost fixing needs d_j to clear the gap by this much, relative
+# to the cutoff's magnitude, so round-off in d cannot fix a binary whose
+# other value is still within the gap.
+FIXING_TOL = 1e-9
 
 
 class TooManyBinariesError(ValueError):
@@ -72,6 +88,7 @@ class SolveReport:
     root_nodes: list[int] = field(default_factory=list)  # per root box
     root_seconds: list[float] = field(default_factory=list)  # per root box
     best_root: int | None = None  # the root whose subtree found best_solution
+    fixed: int = 0  # binaries fixed by reduced-cost fixing, over all nodes
 
     @property
     def objective(self) -> float:
@@ -151,6 +168,32 @@ class _Roundings:
         return pts, box & (pts @ self.lhs.T - self.rhs <= ROUNDED_ROW_TOL).all(axis=1)
 
 
+def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
+    """(lb, ub, count): the box with the binaries the parent's reduced costs rule out fixed.
+
+    ``warm`` is the parent's optimal LP state and ``gap`` the cutoff
+    minus the parent's bound.  A free binary nonbasic at its lower bound
+    with d_j > gap + tol is fixed there, one at its upper bound with
+    -d_j > gap + tol likewise.  Siblings share box arrays, so an array
+    is copied before it changes.
+    """
+    d = warm.d[:n_bin]
+    hit = np.abs(d) > gap + tol
+    if not hit.any():
+        return lb, ub, 0
+    x = warm.x[:n_bin]
+    hit &= (lb[:n_bin] < ub[:n_bin]) & ~warm.is_basic[:n_bin]
+    down = hit & (d > 0) & (np.abs(x - warm.lb[:n_bin]) <= 1e-9)
+    up = hit & (d < 0) & (np.abs(x - warm.ub[:n_bin]) <= 1e-9)
+    if down.any():
+        ub = ub.copy()
+        ub[:n_bin][down] = lb[:n_bin][down]
+    if up.any():
+        lb = lb.copy()
+        lb[:n_bin][up] = ub[:n_bin][up]
+    return lb, ub, int(np.count_nonzero(down) + np.count_nonzero(up))
+
+
 def solve_mip(
     instance: MipInstance,
     extra_cuts: list[LinearCut] = (),
@@ -167,11 +210,13 @@ def solve_mip(
 
     The report is in the instance's own sense.  Limits are statuses:
     hitting the node or time limit yields status "limit" with the best
-    incumbent attached when one exists.
+    incumbent attached when one exists.  The time limit also stops a
+    node LP between simplex iterations.
     """
     opts = options or SolveOptions()
     opts.validate()
     t0 = time.monotonic()
+    deadline = None if math.isinf(opts.time_limit) else t0 + opts.time_limit
     n_bin = instance.num_binary
 
     from .lp import relaxation_arrays  # local import to avoid a cycle
@@ -195,6 +240,7 @@ def solve_mip(
     incumbent_x: np.ndarray | None = None
     incumbent_log: list[tuple[float, float]] = []
     nodes = 0
+    fixed = 0
     next_id = 0
     limit_hit = False
 
@@ -273,6 +319,10 @@ def solve_mip(
         if parent_bound >= prune_at:
             trace(node_id, depth, parent_bound, "pruned_bound")
             continue
+        if warm is not None and prune_at < math.inf:
+            lb, ub, k = _fix_by_reduced_costs(
+                warm, lb, ub, n_bin, prune_at - parent_bound, FIXING_TOL * max(1.0, abs(prune_at)))
+            fixed += k
 
         nodes += 1
         root_nodes[root] += 1
@@ -281,7 +331,8 @@ def solve_mip(
             state = None
         else:
             res = _simplex.solve_bounded_lp(
-                c, a, senses, b, lb, ub, warm=root_state if warm is None else warm)
+                c, a, senses, b, lb, ub, warm=root_state if warm is None else warm,
+                deadline=deadline)
             lp_status, x, bound = res.status, res.x, res.objective
             state = res.state
             if depth == 0 and root_state is None:
@@ -291,9 +342,10 @@ def solve_mip(
             continue
         if lp_status == _simplex.STATUS_UNBOUNDED:
             raise RuntimeError("LP relaxation is unbounded; MILP statuses cannot express this")
-        if lp_status == _simplex.STATUS_ITERATION_LIMIT:
+        if lp_status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
             limit_hit = True
-            trace(node_id, depth, math.nan, "lp_iteration_limit")
+            trace(node_id, depth, math.nan, f"lp_{lp_status}")
+            tree.push(parent_bound, depth, node_id, (lb, ub, warm, root))  # still open
             break
         if bound >= prune_at:
             trace(node_id, depth, bound, "pruned_bound")
@@ -383,6 +435,7 @@ def solve_mip(
         root_nodes=root_nodes,
         root_seconds=root_seconds,
         best_root=best_root,
+        fixed=fixed,
     )
 
 

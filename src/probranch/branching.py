@@ -235,6 +235,28 @@ class Calibration:
                 raise ValueError("sigma^2 is below the accuracy variance at tau_star")
 
 
+def calibration_at(stats: AccuracyStats, tau: float, delta: float) -> Calibration:
+    """The calibration at a given grid tau: sigma from the variance there, no stats kept.
+
+    sigma is 0 when no instance is valid at tau.  A tau off the grid has
+    no measured variance, so it raises ValueError rather than taking the
+    narrowest margin.
+    """
+    grid = stats.tau_grid
+    if not np.isclose(grid, tau, rtol=0, atol=1e-12).any():
+        raise ValueError(
+            f"tau={tau} is not on the calibration grid ({grid[0]:g}, {grid[1]:g}, ..., "
+            f"{grid[-1]:g}), so no variance gives its sigma; choose a grid tau "
+            "or give sigma yourself (--sigma)")
+    try:
+        sigma = sigma_from_stats(stats, tau)
+    except ValueError:  # no valid instance at tau
+        sigma = 0.0
+    cal = Calibration(tau_star=tau, sigma=sigma, delta=delta)
+    cal.validate()
+    return cal
+
+
 def calibrate(
     pairs: list[tuple[Prediction | np.ndarray, np.ndarray]],
     delta: float = 0.05,
@@ -247,19 +269,12 @@ def calibrate(
     grid threshold where one rounded set is empty on every instance and
     the other curve reaches it, with a warning; when there is none
     either, tau* = 0.9 and sigma = 0, with a warning.
-    A given ``tau`` is used as is, with sigma from the variance at tau
-    (0 when no instance is valid there or tau is off the grid) and no
-    stats kept.
+    A given ``tau`` is used as is (``calibration_at``: it must be a grid
+    point).
     """
     stats = accuracy_curves(pairs)
     if tau is not None:
-        try:
-            sigma = sigma_from_stats(stats, tau)
-        except ValueError:
-            sigma = 0.0
-        cal = Calibration(tau_star=tau, sigma=sigma, delta=delta)
-        cal.validate()
-        return cal
+        return calibration_at(stats, tau, delta)
     try:
         tau = select_tau(stats)
     except NoFeasibleThresholdError:
@@ -306,9 +321,11 @@ def cut_settings(
 ) -> tuple[Calibration, bool]:
     """The calibration and the tightened flag a partition solve runs with.
 
-    A given ``cal`` (a calibration file) keeps its own tau and delta.
-    Otherwise delta defaults to 1e-8 for a data-free predictor
-    (``lp-root-*``) and to 0.05 for any other; with ``pairs`` the
+    A given ``cal`` (a calibration file) supplies tau and delta unless
+    ``tau`` or ``delta`` is given; a new ``tau`` takes its sigma from the
+    file's stats (``calibration_at``), or keeps the file's sigma when the
+    file has none.  Otherwise delta defaults to 1e-8 for a data-free
+    predictor (``lp-root-*``) and to 0.05 for any other; with ``pairs`` the
     calibration is ``calibrate(pairs, delta, tau)``, and without them
     tau defaults to 0.9 and sigma is 0 (``data_free_calibration`` for a
     data-free predictor).  Cuts are tightened by default only for a
@@ -317,9 +334,17 @@ def cut_settings(
     whose variance no longer bounds it.
     """
     data_free = cal is None and pairs is None and predictor.startswith("lp-root")
-    if cal is None:
+    if cal is not None:
+        delta = cal.delta if delta is None else delta
+        if tau is None or tau == cal.tau_star:
+            cal = replace(cal, delta=delta)
+        elif sigma is None and cal.stats is not None:
+            cal = calibration_at(cal.stats, tau, delta)
+        else:
+            cal = Calibration(tau, cal.sigma, delta)
+    else:
         delta = (1e-8 if data_free else 0.05) if delta is None else delta
-        if pairs is not None:
+        if pairs is not None and (tau is None or sigma is None):
             cal = calibrate(pairs, delta, tau)
         elif data_free:
             cal = data_free_calibration(0.9 if tau is None else tau, delta)

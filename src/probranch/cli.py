@@ -193,6 +193,7 @@ def _cmd_solve(args) -> int:
             "objective": None if rep.best_solution is None else rep.objective,
             "best_bound": rep.best_bound,
             "nodes": rep.nodes,
+            "fixed": rep.fixed,
             "wall_time": rep.wall_time,
         }
     else:
@@ -220,6 +221,7 @@ def _cmd_solve(args) -> int:
             "objective": None if rep.best_solution is None else rep.objective,
             "best_bound": rep.best_bound,
             "nodes": rep.nodes,
+            "fixed": rep.fixed,
             "wall_time": rep.wall_time,
             "regions": [
                 {"label": r.label, "nodes": r.nodes, "seconds": r.seconds}

@@ -470,13 +470,14 @@ class TestCalibration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cal = calibrate(pairs, delta=0.05, tau=0.9)
-            # no instance has a non-empty set at 0.99; 0.935 is off the grid
+            # no instance has a non-empty set at 0.99
             empty = calibrate(pairs, delta=0.05, tau=0.99)
-            off_grid = calibrate(pairs, delta=0.05, tau=0.935)
         assert cal.tau_star == 0.9 and cal.stats is None
         assert cal.sigma == pytest.approx(sigma_from_stats(stats, 0.9)) == pytest.approx(0.25)
         assert (empty.tau_star, empty.sigma) == (0.99, 0.0)
-        assert (off_grid.tau_star, off_grid.sigma) == (0.935, 0.0)
+        # 0.935 is off the grid: no variance measures its sigma
+        with pytest.raises(ValueError, match=r"not on the calibration grid \(0.51, 0.52, .*--sigma"):
+            calibrate(pairs, delta=0.05, tau=0.935)
 
     def test_save_load_round_trip(self, tmp_path):
         stats = flat_stats(0.95, 0.95, var_l=0.0004, var_u=0.0001)

@@ -7,7 +7,7 @@ import pytest
 
 from probranch import cli
 from probranch.bench import LemmaReport
-from probranch.bnb import brute_force
+from probranch.bnb import brute_force, solve_mip
 from probranch.branching import Calibration, accuracy_curves, save_calibration, sigma_from_stats
 from probranch.generators import InstanceFamily, gen_mkp, write_family
 from probranch.model import LinearRow, MipInstance, deserialize
@@ -282,3 +282,69 @@ def test_runtime_error_exits_one(tmp_path):
     assert cli.main([
         "solve", "--instance", str(tmp_path / "missing.json"),
     ]) == 1
+
+
+@pytest.fixture(scope="module")
+def mkp_calibration(tmp_path_factory):
+    """An MKP family and a calibration file at tau* = 0.9 whose stats give sigma 0.25 there."""
+    root = tmp_path_factory.mktemp("mkpcal")
+    stats = accuracy_curves([
+        (np.array([0.95, 0.92, 0.03, 0.6]), np.array([1.0, 0.0, 0.0, 1.0])),
+        (np.array([0.91, 0.05, 0.08, 0.5]), np.array([1.0, 1.0, 0.0, 0.0])),
+    ])
+    calib = root / "calib.json"
+    save_calibration(Calibration(0.9, sigma_from_stats(stats, 0.9), 0.05, stats), calib)
+    family = root / "mkp"
+    write_family(gen_mkp(5, 15, 40, seed=3), family)
+    return family, calib, stats
+
+
+def test_solve_with_calibration_takes_the_given_tau_and_delta(tmp_path, mkp_calibration):
+    family, calib, stats = mkp_calibration
+    out = tmp_path / "sol.json"
+    assert cli.main([
+        "solve", "--instance", str(family / "instance_0039.json"),
+        "--predictor", "lp-root-simplex", "--calibration", str(calib),
+        "--tau", "0.93", "--delta", "0.2", "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["tau"], doc["delta"]) == (0.93, 0.2)
+    # sigma comes from the file's stats at the new tau, not from tau* = 0.9
+    assert doc["sigma"] == sigma_from_stats(stats, 0.93) == 0.5
+    assert doc["status"] == "optimal"
+
+
+def test_tau_off_the_grid_is_an_error(tmp_path, capsys, mkp_calibration):
+    family, calib, _ = mkp_calibration
+    for tau, code in (("0.83", 0), ("0.835", 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main([
+                "bench", "--family", str(family), "--predictor", "logistic",
+                "--tau", tau, "--test-count", "5", "--out", str(tmp_path / f"b{tau}"),
+            ]) == code
+        assert cli.main([
+            "solve", "--instance", str(family / "instance_0039.json"),
+            "--predictor", "lp-root-simplex", "--calibration", str(calib), "--tau", tau,
+        ]) == code
+    err = capsys.readouterr().err
+    assert err.count("tau=0.835 is not on the calibration grid (0.51, 0.52, ..., 1)") == 2
+    assert "--sigma" in err
+    # a user sigma needs no measured variance, so any tau in (0.5, 1] is accepted
+    assert cli.main([
+        "solve", "--instance", str(family / "instance_0039.json"), "--predictor",
+        "lp-root-simplex", "--calibration", str(calib), "--tau", "0.835", "--sigma", "0.1",
+    ]) == 0
+
+
+def test_solve_reports_the_fixed_binaries(tmp_path, mkp_calibration):
+    family, _, _ = mkp_calibration
+    inst = family / "instance_0001.json"
+    for mode in ("plain", "exact"):
+        out = tmp_path / f"{mode}.json"
+        assert cli.main(["solve", "--instance", str(inst), "--mode", mode,
+                         "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        if mode == "plain":
+            assert doc["fixed"] == solve_mip(deserialize(inst.read_bytes())).fixed > 0
+        assert isinstance(doc["fixed"], int) and doc["fixed"] >= 0

@@ -9,6 +9,7 @@ instances, the refactorization interval to whole dives, and the batched
 rounding pass to the per-rounder loop it replaced.
 """
 
+import math
 import time
 
 import numpy as np
@@ -363,3 +364,51 @@ def test_numerical_failure_falls_back_to_a_cold_solve():
     assert res.objective == pytest.approx(ref.objective, rel=1e-12)
     assert res.state.A is not broken.A
     assert res.iterations == ref.iterations + 1  # the failed warm pass is counted
+
+
+def test_cold_solve_keeps_its_final_reduced_costs():
+    inst = tight_mkp(5, 15, 1)
+    c, a, senses, b, lb, ub = relaxation_arrays(inst)
+    state = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub).state
+    c_full = np.zeros(state.A.shape[1])
+    c_full[: len(c)] = -c
+    # the same formula over the same basis inverse a child would use
+    assert np.array_equal(state.d, c_full - state.duals(c_full) @ state.A)
+
+
+def test_deadline_stops_a_large_lp_between_iterations():
+    inst = tight_mkp(60, 400, 1)
+    c, a, senses, b, lb, ub = relaxation_arrays(inst)
+    start = time.perf_counter()
+    full = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub)
+    full_s = time.perf_counter() - start
+    assert full.status == _simplex.STATUS_OPTIMAL and full.iterations > 100
+
+    start = time.perf_counter()
+    cut = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub, deadline=time.monotonic() + 1e-3)
+    assert time.perf_counter() - start < full_s / 4
+    assert cut.status == _simplex.STATUS_TIME_LIMIT and cut.state is None
+    assert 0 < cut.iterations < full.iterations
+
+    # a warm solve past its deadline stops without a cold fallback
+    ub_dn = ub.copy()
+    ub_dn[int(np.argmax(np.abs(full.x - np.round(full.x))))] = 0.0
+    warm = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub_dn, warm=full.state,
+                                     deadline=time.monotonic() - 1.0)
+    assert warm.status == _simplex.STATUS_TIME_LIMIT and warm.iterations == 0
+
+    # branch and bound hands its deadline to the root LP, which stops early
+    budget = 0.2 * full_s
+    rep = solve_mip(inst, options=SolveOptions(time_limit=budget))
+    assert rep.status == "limit"
+    assert rep.wall_time < budget + full_s / 2
+    if rep.nodes:  # the unfinished root stays open, so nothing bounds the maximum
+        assert rep.best_bound == math.inf
+
+
+def test_an_unreached_deadline_changes_no_node_count():
+    for inst in [tight_mkp(5, 20, 3)] + FAMILIES["ca"]()[:2]:
+        free = solve_mip(inst, options=SolveOptions(**EXACT))
+        timed = solve_mip(inst, options=SolveOptions(time_limit=1e6, **EXACT))
+        assert (timed.status, timed.nodes, timed.fixed) == (free.status, free.nodes, free.fixed)
+        assert timed.objective == free.objective
