@@ -8,7 +8,7 @@ for reformulating bounded/inequality problems into standard form.
 Convergence is declared when the relative duality gap and the scaled
 primal/dual residuals all drop below ``tol``.  Infeasible problems are
 recognized by divergence: the complementarity measure collapses while
-the primal residual stalls, or the iterates blow up.
+the primal residual stalls, or an entry of x or s blows up.
 """
 
 from __future__ import annotations

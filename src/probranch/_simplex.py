@@ -64,7 +64,6 @@ class SimplexResult:
     objective: float  # c . x for the minimized objective
     duals: np.ndarray | None  # one multiplier per row; None after a warm solve
     iterations: int
-    iterates: list[tuple[int, float]] | None = None  # debug: (iteration, objective)
     state: _Workspace | None = None  # final basis of an optimal solve, for ``warm``
 
 
@@ -183,7 +182,7 @@ class _Workspace:
         movable = ~self.is_basic & (self.ub - self.lb > _PIVOT_TOL)
         return movable, at_lb, at_ub
 
-    def minimize(self, c, max_iters, collect=None, deadline=None):
+    def minimize(self, c, max_iters, deadline=None):
         """Run primal simplex iterations on objective c.  Returns a status string.
 
         An optimal return keeps the final reduced costs as ``d``.
@@ -201,8 +200,6 @@ class _Workspace:
             up = movable & (at_lb | free) & (d < -_DUAL_TOL)
             down = movable & ((at_ub & ~at_lb) | free) & (d > _DUAL_TOL)
             viol = np.where(up, -d, 0.0) + np.where(down, d, 0.0)
-            if collect is not None:
-                collect.append((self.iterations - 1, float(c @ self.x)))
             if not viol.any():
                 self.d = d
                 return STATUS_OPTIMAL
@@ -378,8 +375,7 @@ class _Workspace:
         return status
 
 
-def _result(ws: _Workspace, status: str, c_full: np.ndarray, iterates=None,
-            duals: bool = True) -> SimplexResult:
+def _result(ws: _Workspace, status: str, c_full: np.ndarray, duals: bool = True) -> SimplexResult:
     """The result of a finished solve of objective c_full over ``ws``."""
     x = ws.x[: ws.n].copy()
     if status == STATUS_INFEASIBLE:
@@ -390,7 +386,6 @@ def _result(ws: _Workspace, status: str, c_full: np.ndarray, iterates=None,
         objective=float(c_full[: ws.n] @ x),
         duals=ws.duals(c_full) if duals else None,
         iterations=ws.iterations,
-        iterates=iterates,
         state=ws if status == STATUS_OPTIMAL else None,
     )
 
@@ -403,7 +398,6 @@ def solve_bounded_lp(
     lb: np.ndarray,
     ub: np.ndarray,
     max_iters: int = 20000,
-    debug: bool = False,
     warm: _Workspace | None = None,
     deadline: float | None = None,
 ) -> SimplexResult:
@@ -458,6 +452,5 @@ def solve_bounded_lp(
         c_full[ws.artificial] = 0.0
 
     c_full[:n] = c
-    iterates: list[tuple[int, float]] | None = [] if debug else None
-    status = ws.minimize(c_full, max_iters + spent, collect=iterates, deadline=deadline)
-    return _result(ws, status, c_full, iterates)
+    status = ws.minimize(c_full, max_iters + spent, deadline=deadline)
+    return _result(ws, status, c_full)

@@ -86,7 +86,6 @@ class BenchConfig:
     test_count: int = 20
     calib_fraction: float = 0.2
     seed: int = 0
-    out: str | Path | None = None
 
     def validate(self) -> None:
         if self.mode not in ("heuristic", "exact", "plain"):
@@ -352,19 +351,7 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
             bound = math.exp(-t * t / (2.0 * (n * p + t / 3.0)))
         # exact binomial tail P(Bin(n,p) >= ceil(np + t))
         exact = float(spstats.binom.sf(math.ceil(n * p + t) - 1, n, p))
-        stderr = _binom_stderr(empirical, trials)
-        return LemmaReport(
-            name=which,
-            params=params,
-            trials=trials,
-            empirical=empirical,
-            bound=bound,
-            stderr=stderr,
-            passed=empirical <= bound + 3.0 * stderr,
-            exact=exact,
-        )
-
-    if which == "chebyshev":
+    elif which == "chebyshev":
         t = float(params["t"])
         lo = float(params.get("lo", 0.0))
         hi = float(params.get("hi", 1.0))
@@ -377,19 +364,7 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
         bound = var / (t * t)
         # exact tail of |U - mean| >= t for the uniform distribution
         exact = max(0.0, 1.0 - min(2.0 * t, hi - lo) / (hi - lo))
-        stderr = _binom_stderr(empirical, trials)
-        return LemmaReport(
-            name=which,
-            params=params,
-            trials=trials,
-            empirical=empirical,
-            bound=bound,
-            stderr=stderr,
-            passed=empirical <= bound + 3.0 * stderr,
-            exact=exact,
-        )
-
-    if which == "uniform_bins":
+    elif which == "uniform_bins":
         n = int(params["n"])
         delta = float(params["delta"])
         if n < 1 or not 0 < delta < 1:
@@ -410,19 +385,20 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
         bound = n_bins * math.exp(-n * delta / 4.0)
         # union of exact per-bin binomial tails P(Bin(n, delta) > 2n delta)
         exact = min(1.0, n_bins * float(spstats.binom.sf(math.floor(cap), n, delta)))
-        stderr = _binom_stderr(empirical, trials)
-        return LemmaReport(
-            name="uniform_bins",
-            params=params,
-            trials=trials,
-            empirical=empirical,
-            bound=bound,
-            stderr=stderr,
-            passed=empirical <= bound + 3.0 * stderr,
-            exact=exact,
-        )
+    else:
+        raise ValueError(f"unknown validator {which!r}")
 
-    raise ValueError(f"unknown validator {which!r}")
+    stderr = _binom_stderr(empirical, trials)
+    return LemmaReport(
+        name=which,
+        params=params,
+        trials=trials,
+        empirical=empirical,
+        bound=bound,
+        stderr=stderr,
+        passed=empirical <= bound + 3.0 * stderr,
+        exact=exact,
+    )
 
 
 @dataclass

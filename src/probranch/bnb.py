@@ -3,7 +3,7 @@
 The solver accepts injected cuts, node/time limits and root boxes, so
 a branching disjunction is searched as one tree.
 Branching is most-fractional with ties broken toward the lowest index;
-node selection is best-bound by default with a depth-first option.  A
+node selection is best-bound, ties going to the node created first.  A
 rounding heuristic runs at every node so the incumbent log is dense
 enough for time-to-target measurements.
 
@@ -24,12 +24,10 @@ instances are safe.  Incumbent timestamps come from a monotonic clock.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -65,16 +63,12 @@ class SolveOptions:
     node_limit: int = 10**9
     rel_gap: float = 1e-6
     abs_gap: float = 1e-9
-    node_order: str = "best_bound"  # best_bound | depth_first
-    trace_path: str | Path | None = None
 
     def validate(self) -> None:
         if self.time_limit <= 0 or self.node_limit <= 0:
             raise ValueError("limits must be positive")
         if self.rel_gap < 0 or self.abs_gap < 0:
             raise ValueError("gaps must be non-negative")
-        if self.node_order not in ("best_bound", "depth_first"):
-            raise ValueError(f"bad node_order {self.node_order!r}")
 
 
 @dataclass
@@ -93,36 +87,6 @@ class SolveReport:
     @property
     def objective(self) -> float:
         return self.best_solution.objective if self.best_solution else math.nan
-
-
-class _Tree:
-    """Open-node container honouring the configured node order."""
-
-    def __init__(self, order: str):
-        self.order = order
-        self.heap: list = []
-        self.stack: list = []
-
-    def push(self, bound: float, depth: int, node_id: int, payload) -> None:
-        if self.order == "best_bound":
-            heapq.heappush(self.heap, (bound, node_id, depth, payload))
-        else:
-            self.stack.append((bound, node_id, depth, payload))
-
-    def pop(self):
-        if self.order == "best_bound":
-            bound, node_id, depth, payload = heapq.heappop(self.heap)
-        else:
-            bound, node_id, depth, payload = self.stack.pop()
-        return bound, node_id, depth, payload
-
-    def __len__(self) -> int:
-        return len(self.heap) + len(self.stack)
-
-    def min_bound(self) -> float:
-        if self.order == "best_bound":
-            return self.heap[0][0] if self.heap else math.inf
-        return min((e[0] for e in self.stack), default=math.inf)
 
 
 class _Roundings:
@@ -244,14 +208,6 @@ def solve_mip(
     next_id = 0
     limit_hit = False
 
-    trace_rows: list[tuple] = []
-
-    def trace(node_id, depth, bound, action):
-        # bounds and incumbents are recorded in the internal minimize sense
-        if opts.trace_path is not None:
-            inc = "" if incumbent_x is None else incumbent_val
-            trace_rows.append((node_id, depth, bound, action, inc))
-
     # a node whose bound reaches prune_at cannot beat the incumbent by the gap
     prune_at = math.inf
 
@@ -299,15 +255,14 @@ def solve_mip(
             x[free[k]] = (cap - (reach[k - 1] if k else 0.0)) / kn_w[free[k]]
         return _simplex.STATUS_OPTIMAL, x, float(c @ x)
 
-    tree = _Tree(opts.node_order)
-    # depth-first pops from the end, so the first root goes in last
-    order = range(len(boxes)) if opts.node_order == "best_bound" else reversed(range(len(boxes)))
-    for k in order:
-        tree.push(-math.inf, 0, next_id, (boxes[k][0].copy(), boxes[k][1].copy(), None, k))
+    # open nodes (bound, node_id, depth, node): a heap, ties to the older node
+    tree = []
+    for k, (lo, hi) in enumerate(boxes):
+        heapq.heappush(tree, (-math.inf, next_id, 0, (lo.copy(), hi.copy(), None, k)))
         next_id += 1
 
     clock = t0
-    while len(tree):
+    while tree:
         now = time.monotonic()
         if root is not None:
             root_seconds[root] += now - clock
@@ -315,9 +270,8 @@ def solve_mip(
         if nodes >= opts.node_limit or now - t0 > opts.time_limit:
             limit_hit = True
             break
-        parent_bound, node_id, depth, (lb, ub, warm, root) = tree.pop()
+        parent_bound, node_id, depth, (lb, ub, warm, root) = heapq.heappop(tree)
         if parent_bound >= prune_at:
-            trace(node_id, depth, parent_bound, "pruned_bound")
             continue
         if warm is not None and prune_at < math.inf:
             lb, ub, k = _fix_by_reduced_costs(
@@ -338,21 +292,17 @@ def solve_mip(
             if depth == 0 and root_state is None:
                 root_state = state
         if lp_status == _simplex.STATUS_INFEASIBLE:
-            trace(node_id, depth, math.inf, "pruned_infeasible")
             continue
         if lp_status == _simplex.STATUS_UNBOUNDED:
             raise RuntimeError("LP relaxation is unbounded; MILP statuses cannot express this")
         if lp_status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
             limit_hit = True
-            trace(node_id, depth, math.nan, f"lp_{lp_status}")
-            tree.push(parent_bound, depth, node_id, (lb, ub, warm, root))  # still open
+            heapq.heappush(tree, (parent_bound, node_id, depth, (lb, ub, warm, root)))  # still open
             break
         if bound >= prune_at:
-            trace(node_id, depth, bound, "pruned_bound")
             continue
         if n_bin == 0:
             accept(x, bound)
-            trace(node_id, depth, bound, "integral")
             continue
         # fixed binaries are integral by their bounds and never branched on
         frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(x[:n_bin] - np.rint(x[:n_bin])), 0.0)
@@ -366,39 +316,29 @@ def solve_mip(
             xi = x.copy()
             xi[:n_bin] = np.rint(xi[:n_bin])
             accept(xi, float(c @ xi))
-            trace(node_id, depth, bound, "integral")
             continue
         cand, ok = roundings(x, lb, ub)  # nearest, floor, ceil
         if fmax <= INTEGRALITY_TOL and ok[0]:
             accept(cand[0], float(c @ cand[0]))
-            trace(node_id, depth, bound, "integral")
             continue
 
         # rounding heuristic: each rounding that stays feasible is kept
         for i in ok.nonzero()[0]:
             accept(cand[i], float(c @ cand[i]))
 
-        trace(node_id, depth, bound, f"branched_v{j}")
-        up_first = x[j] >= 0.5
-        children = []
         lb_up = lb.copy()
         lb_up[j] = 1.0
-        children.append((lb_up, ub, state, root))
         ub_dn = ub.copy()
         ub_dn[j] = 0.0
-        children.append((lb, ub_dn, state, root))
-        if not up_first:
-            children.reverse()
-        # depth-first pops from the end, so push the preferred child last
-        ordered = children if opts.node_order == "best_bound" else children[::-1]
-        for child in ordered:
-            tree.push(bound, depth + 1, next_id, child)
+        up, down = (lb_up, ub, state, root), (lb, ub_dn, state, root)
+        for child in ((up, down) if x[j] >= 0.5 else (down, up)):
+            heapq.heappush(tree, (bound, next_id, depth + 1, child))
             next_id += 1
 
     wall = time.monotonic() - t0
     if root is not None:
         root_seconds[root] += t0 + wall - clock
-    open_bound = tree.min_bound()
+    open_bound = tree[0][0] if tree else math.inf
 
     if limit_hit:
         status = "limit"
@@ -409,12 +349,6 @@ def solve_mip(
     else:
         status = "infeasible"
         best_bound_int = math.inf
-
-    if opts.trace_path is not None:
-        with open(opts.trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "depth", "bound", "action", "incumbent"])
-            writer.writerows(trace_rows)
 
     best_solution = None
     if incumbent_x is not None:

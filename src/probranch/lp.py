@@ -10,9 +10,7 @@ distinct instances are safe.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -70,21 +68,11 @@ def solve_simplex(
     instance: MipInstance,
     extra_cuts: list[LinearCut] = (),
     max_iters: int = 20000,
-    debug_path: str | Path | None = None,
 ) -> LpSolution:
     """Solve the LP relaxation with the bounded revised simplex."""
     c, a, senses, b, lb, ub = relaxation_arrays(instance, extra_cuts)
     negate = instance.sense == "maximize"
-    res = _simplex.solve_bounded_lp(
-        -c if negate else c, a, senses, b, lb, ub,
-        max_iters=max_iters, debug=debug_path is not None,
-    )
-    if debug_path is not None and res.iterates is not None:
-        with open(debug_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective"])
-            for it, obj in res.iterates:
-                writer.writerow([it, -obj if negate else obj])
+    res = _simplex.solve_bounded_lp(-c if negate else c, a, senses, b, lb, ub, max_iters=max_iters)
     obj = res.objective
     duals = res.duals
     if negate:

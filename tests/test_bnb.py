@@ -1,8 +1,9 @@
-import csv
+import heapq
 
 import numpy as np
 import pytest
 
+from probranch import _simplex, bnb
 from probranch.bnb import (
     SolveOptions,
     TooManyBinariesError,
@@ -41,8 +42,7 @@ class TestSolveMip:
         assert rep.objective == pytest.approx(0.0, abs=1e-12)
         assert np.all(rep.best_solution.values == 0.0)
 
-    @pytest.mark.parametrize("order", ["best_bound", "depth_first"])
-    def test_root_boxes_search_their_union_as_one_tree(self, order):
+    def test_root_boxes_search_their_union_as_one_tree(self):
         for _, inst in small_families(2):
             bf = brute_force(inst)
             lb, ub = inst.bounds_arrays()
@@ -50,7 +50,7 @@ class TestSolveMip:
             down, up = ub.copy(), lb.copy()
             down[j], up[j] = 0.0, 1.0
             boxes = [(lb, down), (up, ub)]
-            rep = solve_mip(inst, options=SolveOptions(node_order=order, **EXACT), roots=boxes)
+            rep = solve_mip(inst, options=SolveOptions(**EXACT), roots=boxes)
             assert rep.status == "optimal"
             assert rep.objective == pytest.approx(bf.objective, abs=1e-9)
             assert len(rep.root_nodes) == len(rep.root_seconds) == 2
@@ -105,21 +105,37 @@ class TestSolveMip:
         assert first.nodes == second.nodes
         assert first.objective == second.objective
 
-    def test_monotone_global_bound_in_best_bound_order(self, tmp_path):
-        # with best-bound node order, the popped node's bound is the global
-        # lower bound; it may never exceed the final optimum
-        _, inst = gen_scp(9, 13, 0.3, 1, seed=13).instances[0]
-        trace = tmp_path / "trace.csv"
-        rep = solve_mip(inst, options=SolveOptions(trace_path=trace, **EXACT))
-        assert rep.status == "optimal"
-        with open(trace) as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows
-        for row in rows:
-            if row["action"].startswith("branched") or row["action"] == "integral":
-                assert float(row["bound"]) <= rep.objective + 1e-9
-            if row["action"] == "integral" and row["incumbent"]:
-                assert float(row["bound"]) <= float(row["incumbent"]) + 1e-9
+    def test_monotone_global_bound_in_best_bound_order(self, monkeypatch):
+        # best-bound pops the least open bound, which is the global lower
+        # bound: the popped bounds never decrease, and a popped node whose
+        # LP is solved has a bound at most the optimum (both in the
+        # solver's internal minimize sense)
+        events = []  # popped bounds, and None for each node LP
+        heappop, solve_lp = heapq.heappop, _simplex.solve_bounded_lp
+
+        def pop(heap):
+            item = heappop(heap)
+            events.append(item[0])
+            return item
+
+        def lp(*args, **kwargs):
+            events.append(None)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(bnb.heapq, "heappop", pop)
+        monkeypatch.setattr(_simplex, "solve_bounded_lp", lp)
+        fams = (gen_mkp(3, 12, 4, seed=23), gen_ca(8, 14, 4, seed=15))
+        for _, inst in (pair for fam in fams for pair in fam.instances):
+            events.clear()
+            rep = solve_mip(inst, options=SolveOptions(**EXACT))
+            assert rep.status == "optimal"
+            assert rep.nodes > 1
+            opt = -rep.objective if inst.sense == "maximize" else rep.objective
+            pops = [e for e in events if e is not None]
+            assert pops == sorted(pops)
+            solved = [e for e, nxt in zip(events, events[1:]) if e is not None and nxt is None]
+            assert len(solved) == rep.nodes
+            assert all(bound <= opt + 1e-9 for bound in solved)
 
     def test_incumbent_log_strictly_improves(self):
         _, inst = gen_ca(8, 14, 1, seed=15).instances[0]
@@ -147,14 +163,6 @@ class TestSolveMip:
             SolveOptions(time_limit=0).validate()
         with pytest.raises(ValueError):
             SolveOptions(rel_gap=-1).validate()
-        with pytest.raises(ValueError):
-            SolveOptions(node_order="breadth").validate()
-
-    def test_depth_first_matches_best_bound_objective(self):
-        _, inst = gen_mkp(3, 12, 1, seed=23).instances[0]
-        a = solve_mip(inst, options=SolveOptions(node_order="best_bound", **EXACT))
-        b = solve_mip(inst, options=SolveOptions(node_order="depth_first", **EXACT))
-        assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
 
 class TestBruteForce:

@@ -37,10 +37,9 @@ def hand_knapsack() -> MipInstance:
     )
 
 
-@pytest.mark.parametrize("order", ["best_bound", "depth_first"])
-def test_fixing_fires_on_a_hand_built_instance(order):
+def test_fixing_fires_on_a_hand_built_instance():
     inst = hand_knapsack()
-    rep = solve_mip(inst, options=SolveOptions(node_order=order, **EXACT))
+    rep = solve_mip(inst, options=SolveOptions(**EXACT))
     assert rep.fixed > 0
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(brute_force(inst).objective, abs=1e-9)
