@@ -12,7 +12,6 @@ from .model import (
     FEASIBILITY_TOL,
     INTEGRALITY_TOL,
     InvariantViolationError,
-    LinearCut,
     LinearRow,
     MalformedDocumentError,
     MipInstance,
@@ -41,7 +40,6 @@ from .predict import (
 )
 from .branching import (
     AccuracyStats,
-    BranchPartition,
     Calibration,
     CardinalityHyperplane,
     GeneralizationInputs,
@@ -53,7 +51,7 @@ from .branching import (
     data_free_calibration,
     generalization_thresholds,
     hoeffding_tail,
-    make_partition,
+    partition_regions,
     partition_solve,
     round_prediction,
     select_tau,

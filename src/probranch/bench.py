@@ -32,6 +32,7 @@ from .predict import logistic_predict, logistic_train, predictor
 
 DEFAULT_SHIFT = 10.0
 DEFAULT_TIME_LIMIT = 10.0  # desk-scale per-solve budget, overridable
+CALIB_FRACTION = 0.2  # share of the solved training slice held out to calibrate
 
 
 def sgm(times, shift: float = DEFAULT_SHIFT) -> float:
@@ -84,7 +85,6 @@ class BenchConfig:
     time_limit: float = DEFAULT_TIME_LIMIT
     train_count: int | None = None  # None: everything not in the test split
     test_count: int = 20
-    calib_fraction: float = 0.2
     seed: int = 0
 
     def validate(self) -> None:
@@ -96,8 +96,6 @@ class BenchConfig:
             raise ValueError("delta must be in (0, 1)")
         if self.test_count < 1:
             raise ValueError("test_count must be >= 1")
-        if not 0 < self.calib_fraction < 1:
-            raise ValueError("calib_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -162,7 +160,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         usable = solve_labels(train, config.time_limit)
         if len(usable) < 5:
             raise ValueError("not enough solved training instances for the logistic model")
-        n_fit = max(2, int(round(len(usable) * (1.0 - config.calib_fraction))))
+        n_fit = max(2, int(round(len(usable) * (1.0 - CALIB_FRACTION))))
         n_fit = min(n_fit, len(usable) - 1)
         fit, val = usable[:n_fit], usable[n_fit:]
         model = logistic_train([(xi, y) for xi, _, y in fit])

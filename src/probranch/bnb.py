@@ -1,7 +1,7 @@
 """LP-based branch and bound for binary MILP, plus exact test oracles.
 
-The solver accepts injected cuts, node/time limits and root boxes, so
-a branching disjunction is searched as one tree.
+The solver accepts node/time limits and root boxes, so a branching
+disjunction is searched as one tree.
 Branching is most-fractional with ties broken toward the lowest index;
 node selection is best-bound, ties going to the node created first.  A
 rounding heuristic runs at every node so the incumbent log is dense
@@ -35,7 +35,6 @@ from . import _simplex
 from .model import (
     FEASIBILITY_TOL,
     INTEGRALITY_TOL,
-    LinearCut,
     MipInstance,
     Solution,
 )
@@ -160,11 +159,10 @@ def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
 
 def solve_mip(
     instance: MipInstance,
-    extra_cuts: list[LinearCut] = (),
     options: SolveOptions | None = None,
     roots: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> SolveReport:
-    """Branch-and-bound solve of instance plus cuts, honouring options.
+    """Branch-and-bound solve of the instance, honouring options.
 
     ``roots`` lists (lb, ub) boxes over all variables, one root node
     each (default: the instance's own bounds); the solve searches their
@@ -185,10 +183,9 @@ def solve_mip(
 
     from .lp import relaxation_arrays  # local import to avoid a cycle
 
-    c_user, a, senses, b, lb0, ub0 = relaxation_arrays(instance, list(extra_cuts))
+    c_user, a, senses, b, lb0, ub0 = relaxation_arrays(instance)
     negate = instance.sense == "maximize"
     c = -c_user if negate else c_user
-    n_rows_inst = len(instance.rows)
 
     boxes = [(lb0, ub0)] if roots is None else [
         (np.array(lo, dtype=float), np.array(hi, dtype=float)) for lo, hi in roots]
@@ -230,8 +227,7 @@ def solve_mip(
     # the same LP optimum the simplex would return, orders of magnitude
     # faster on the large validator instances.
     knapsack_mode = (
-        not extra_cuts
-        and instance.num_continuous == 0
+        instance.num_continuous == 0
         and len(senses) == 1
         and senses[0] == "<="
         and np.all(a[0] > 0)
@@ -375,7 +371,6 @@ def solve_mip(
 
 def brute_force(
     instance: MipInstance,
-    extra_cuts: list[LinearCut] = (),
     max_binary: int = 24,
 ) -> Solution:
     """Exact optimum by exhaustive enumeration over binary assignments.
@@ -391,7 +386,7 @@ def brute_force(
 
     from .lp import relaxation_arrays
 
-    c, a, senses, b, lb, ub = relaxation_arrays(instance, list(extra_cuts))
+    c, a, senses, b, lb, ub = relaxation_arrays(instance)
     negate = instance.sense == "maximize"
 
     if d == 0:

@@ -17,6 +17,7 @@ exactness; searching the cut region alone is the heuristic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import SolveOptions, SolveReport, solve_mip
-from .model import FORMAT_VERSION, LinearCut, LinearRow, MipInstance
+from .model import FORMAT_VERSION, LinearRow, MipInstance
 from .predict import Prediction
 
 # Threshold grid used for calibration curves; thresholds must exceed 0.5
@@ -296,18 +297,13 @@ def calibrate(
     return cal
 
 
-def data_free_calibration(
-    tau: float = 0.9, delta: float = 1e-8, slack_fraction: float = 0.0
-) -> Calibration:
+def data_free_calibration(tau: float = 0.9, delta: float = 1e-8) -> Calibration:
     """Calibration for LP-root predictions, where no variance is measurable.
 
-    The Chebyshev margin sigma|S|/sqrt(delta) is replaced by a plain
-    slack_fraction * |S| (default 0: the tightened intercepts carry the
-    slack on their own).
+    sigma is 0, so the Chebyshev margin vanishes: the tightened
+    intercepts carry the slack on their own.
     """
-    return Calibration(
-        tau_star=tau, sigma=slack_fraction * math.sqrt(delta), delta=delta, stats=None
-    )
+    return Calibration(tau_star=tau, sigma=0.0, delta=delta, stats=None)
 
 
 def cut_settings(
@@ -327,11 +323,10 @@ def cut_settings(
     file has none.  Otherwise delta defaults to 1e-8 for a data-free
     predictor (``lp-root-*``) and to 0.05 for any other; with ``pairs`` the
     calibration is ``calibrate(pairs, delta, tau)``, and without them
-    tau defaults to 0.9 and sigma is 0 (``data_free_calibration`` for a
-    data-free predictor).  Cuts are tightened by default only for a
-    data-free predictor without a calibration or pairs.  A user
-    ``sigma`` replaces the calibrated one and drops the accuracy stats,
-    whose variance no longer bounds it.
+    tau defaults to 0.9 and sigma is 0.  Cuts are tightened by default
+    only for a data-free predictor without a calibration or pairs.  A
+    user ``sigma`` replaces the calibrated one and drops the accuracy
+    stats, whose variance no longer bounds it.
     """
     data_free = cal is None and pairs is None and predictor.startswith("lp-root")
     if cal is not None:
@@ -346,8 +341,6 @@ def cut_settings(
         delta = (1e-8 if data_free else 0.05) if delta is None else delta
         if pairs is not None and (tau is None or sigma is None):
             cal = calibrate(pairs, delta, tau)
-        elif data_free:
-            cal = data_free_calibration(0.9 if tau is None else tau, delta)
         else:
             cal = Calibration(0.9 if tau is None else tau, 0.0, delta)
     if sigma is not None:
@@ -421,14 +414,6 @@ class CardinalityHyperplane:
     zeta: float
     rhs_int: int
 
-    def to_cut(self, label: str = "") -> LinearCut:
-        return LinearCut(
-            coeffs=[(int(j), 1.0) for j in self.indices],
-            sense=self.sense,
-            rhs=float(self.rhs_int),
-            label=label or f"card{self.sense}{self.rhs_int}",
-        )
-
 
 def _make_hyperplane(indices: np.ndarray, sense: str, zeta: float) -> CardinalityHyperplane:
     if sense == ">=":
@@ -476,85 +461,32 @@ def build_hyperplanes(
     return cut_up, cut_down
 
 
-@dataclass
-class PartitionRegion:
-    label: str
-    cuts: list[LinearCut]
-    infeasible_by_construction: bool = False
-
-
-@dataclass
-class BranchPartition:
-    """Disjoint regions covering all 0/1 assignments of the cut variables."""
-
-    regions: list[PartitionRegion]
-
-    def satisfied_regions(self, assignment: np.ndarray) -> list[int]:
-        """Indices of regions whose cut-set the 0/1 assignment satisfies."""
-        hits = []
-        for i, region in enumerate(self.regions):
-            ok = True
-            for cut in region.cuts:
-                lhs = sum(v * assignment[j] for j, v in cut.coeffs)
-                if cut.sense == ">=" and lhs < cut.rhs - 1e-9:
-                    ok = False
-                elif cut.sense == "<=" and lhs > cut.rhs + 1e-9:
-                    ok = False
-            if ok:
-                hits.append(i)
-        return hits
-
-
-def _complement(h: CardinalityHyperplane) -> tuple[LinearCut, bool]:
-    """Integer complement of a cardinality cut, with a trivially-empty flag."""
-    if h.sense == ">=":
-        rhs = h.rhs_int - 1
-        cut = LinearCut(
-            coeffs=[(int(j), 1.0) for j in h.indices],
-            sense="<=",
-            rhs=float(rhs),
-            label=f"card<= {rhs} (flip)",
-        )
-        return cut, rhs < 0
-    rhs = h.rhs_int + 1
-    cut = LinearCut(
-        coeffs=[(int(j), 1.0) for j in h.indices],
-        sense=">=",
-        rhs=float(rhs),
-        label=f"card>={rhs} (flip)",
-    )
-    return cut, rhs > len(h.indices)
-
-
-def make_partition(
+def partition_regions(
     cut_up: CardinalityHyperplane | None, cut_down: CardinalityHyperplane | None
-) -> BranchPartition:
-    """Four (or fewer, in degenerate cases) regions from the two cuts.
+) -> list[tuple[str, list[tuple[int, int]]]]:
+    """The partition's regions as (label, one count interval per hyperplane).
 
-    The complement of a >=r cut is <=r-1 and vice versa, so for every 0/1
-    assignment exactly one region's cut-set holds.  Complements with an
-    out-of-range rhs are kept but flagged trivially infeasible.
+    A >= r cut keeps t_S in [r, |S|] and flips to its integer complement
+    [0, r-1]; a <= r cut keeps [0, r] and flips to [r+1, |S|].  The
+    regions are keep/flip over each hyperplane that exists, in the order
+    keep_keep, keep_flip, flip_keep, flip_flip (keep, flip for one
+    hyperplane; all for none), so every 0/1 point lies in exactly one.
+    A region with an empty interval is left out.
     """
-    regions: list[PartitionRegion] = []
-    if cut_up is not None and cut_down is not None:
-        flip_up, dead_up = _complement(cut_up)
-        flip_down, dead_down = _complement(cut_down)
-        keep_up = cut_up.to_cut("card_up")
-        keep_down = cut_down.to_cut("card_down")
-        regions.append(PartitionRegion("keep_keep", [keep_up, keep_down]))
-        regions.append(PartitionRegion("keep_flip", [keep_up, flip_down], dead_down))
-        regions.append(PartitionRegion("flip_keep", [flip_up, keep_down], dead_up))
-        regions.append(
-            PartitionRegion("flip_flip", [flip_up, flip_down], dead_up or dead_down)
-        )
-    elif cut_up is not None or cut_down is not None:
-        h = cut_up if cut_up is not None else cut_down
-        flip, dead = _complement(h)
-        regions.append(PartitionRegion("keep", [h.to_cut()]))
-        regions.append(PartitionRegion("flip", [flip], dead))
-    else:
-        regions.append(PartitionRegion("all", []))
-    return BranchPartition(regions=regions)
+    sides = []
+    for h in (cut_up, cut_down):
+        if h is None:
+            continue
+        r, size = h.rhs_int, len(h.indices)
+        if h.sense == ">=":
+            sides.append((("keep", (r, size)), ("flip", (0, r - 1))))
+        else:
+            sides.append((("keep", (0, r)), ("flip", (r + 1, size))))
+    return [
+        ("_".join(label for label, _ in choice) or "all", [box for _, box in choice])
+        for choice in itertools.product(*sides)
+        if all(lo <= hi for _, (lo, hi) in choice)
+    ]
 
 
 @dataclass
@@ -589,12 +521,11 @@ def partition_solve(
 
     One continuous count column t_S = sum_{j in S} y_j is appended per
     hyperplane, with an equality row and bounds [0, |S|], so each region
-    is a box on these columns: a >= r cut is [r, |S|], a <= r cut
-    [0, r].  Exact mode roots the tree at every region not empty by
-    construction; the regions cover every 0/1 point, so the shared
-    incumbent is the plain optimum.  Heuristic mode roots it at the
-    first region alone and reports "feasible".  The count columns are
-    stripped from the returned solution.
+    is a box on these columns (``partition_regions``).  Exact mode roots
+    the tree at every non-empty region; the regions cover every 0/1
+    point, so the shared incumbent is the plain optimum.  Heuristic mode
+    roots it at the first region alone and reports "feasible".  The
+    count columns are stripped from the returned solution.
     """
     if mode not in ("heuristic", "exact"):
         raise ValueError(f"bad mode {mode!r}")
@@ -618,15 +549,14 @@ def partition_solve(
         continuous_bounds=instance.continuous_bounds
         + [(0.0, float(len(h.indices))) for h in planes],
     )
-    regions = [r for r in make_partition(cut_up, cut_down).regions
-               if not r.infeasible_by_construction]
+    regions = partition_regions(cut_up, cut_down)
     if mode == "heuristic":
         regions = regions[:1]
     boxes = []
-    for region in regions:
+    for _, counts in regions:
         lb, ub = counted.bounds_arrays()
-        for k, cut in enumerate(region.cuts):  # one cut per hyperplane, in order
-            (lb if cut.sense == ">=" else ub)[n + k] = cut.rhs
+        for k, (lo, hi) in enumerate(counts):
+            lb[n + k], ub[n + k] = lo, hi
         boxes.append((lb, ub))
     rep = solve_mip(counted, options=options, roots=boxes)
 
@@ -637,9 +567,9 @@ def partition_solve(
                            status="optimal" if status == "optimal" else "feasible")
     return PartitionReport(
         best=replace(rep, best_solution=solution, status=status),
-        regions=[RegionRecord(r.label, nodes, secs)
-                 for r, nodes, secs in zip(regions, rep.root_nodes, rep.root_seconds)],
-        best_region=None if rep.best_root is None else regions[rep.best_root].label,
+        regions=[RegionRecord(label, nodes, secs)
+                 for (label, _), nodes, secs in zip(regions, rep.root_nodes, rep.root_seconds)],
+        best_region=None if rep.best_root is None else regions[rep.best_root][0],
         hyperplanes=(cut_up, cut_down),
         mode=mode,
     )

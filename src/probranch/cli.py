@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True)
     c.add_argument("--model", required=True)
     c.add_argument("--train-count", type=int, default=None)
-    c.add_argument("--calib-fraction", type=float, default=0.2)
+    c.add_argument("--calib-fraction", type=float, default=bench_mod.CALIB_FRACTION)
     c.add_argument("--delta", type=float, default=0.05)
     c.add_argument("--time-limit", type=float, default=bench_mod.DEFAULT_TIME_LIMIT)
     _add_common(c)

@@ -1,11 +1,10 @@
 """LP relaxation backends: revised simplex, interior point, and the
 closed-form knapsack relaxation.
 
-Both backends consume a MipInstance (binaries relaxed to [0, 1]) plus an
-optional list of extra cuts, and report objectives in the instance's own
-sense.  Maximization is handled by negating the objective at this
-boundary.  Each solve call owns its workspace, so concurrent solves on
-distinct instances are safe.
+Both backends consume a MipInstance (binaries relaxed to [0, 1]) and
+report objectives in the instance's own sense.  Maximization is handled
+by negating the objective at this boundary.  Each solve call owns its
+workspace, so concurrent solves on distinct instances are safe.
 """
 
 from __future__ import annotations
@@ -15,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interior, _simplex
-from .model import LinearCut, MipInstance
-
-BACKEND_SIMPLEX = "simplex"
-BACKEND_IPM = "ipm"
+from .model import MipInstance
 
 
 class NumericalFailure(RuntimeError):
@@ -30,47 +26,28 @@ class LpSolution:
     """Relaxation solution: primal values, one dual per row, and status.
 
     Duals are reported in the instance's sense (negated internally for
-    maximization) and cover the instance rows followed by any extra cuts.
+    maximization), one per instance row.
     """
 
     primal: np.ndarray
     dual: np.ndarray
     objective: float
     status: str  # optimal | infeasible | unbounded | iteration_limit
-    backend: str
 
 
 def relaxation_arrays(
-    instance: MipInstance, extra_cuts: list[LinearCut] = ()
+    instance: MipInstance,
 ) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray, np.ndarray, np.ndarray]:
     """Dense (c, A, senses, b, lb, ub) of the LP relaxation, user sense."""
-    n = instance.num_vars
     c = instance.objective_vector()
     a, senses, b = instance.constraint_arrays()
-    if extra_cuts:
-        extra = np.zeros((len(extra_cuts), n))
-        erhs = np.zeros(len(extra_cuts))
-        for i, cut in enumerate(extra_cuts):
-            cut.validate()
-            for j, v in cut.coeffs:
-                if not 0 <= j < n:
-                    raise ValueError(f"cut {cut.label!r}: index {j} out of range")
-                extra[i, j] = v
-            erhs[i] = cut.rhs
-            senses.append(cut.sense)
-        a = np.vstack([a, extra]) if a.size else extra
-        b = np.concatenate([b, erhs])
     lb, ub = instance.bounds_arrays()
     return c, a, senses, b, lb, ub
 
 
-def solve_simplex(
-    instance: MipInstance,
-    extra_cuts: list[LinearCut] = (),
-    max_iters: int = 20000,
-) -> LpSolution:
+def solve_simplex(instance: MipInstance, max_iters: int = 20000) -> LpSolution:
     """Solve the LP relaxation with the bounded revised simplex."""
-    c, a, senses, b, lb, ub = relaxation_arrays(instance, extra_cuts)
+    c, a, senses, b, lb, ub = relaxation_arrays(instance)
     negate = instance.sense == "maximize"
     res = _simplex.solve_bounded_lp(-c if negate else c, a, senses, b, lb, ub, max_iters=max_iters)
     obj = res.objective
@@ -83,7 +60,6 @@ def solve_simplex(
         dual=duals,
         objective=obj if res.status == _simplex.STATUS_OPTIMAL else np.nan,
         status=res.status,
-        backend=BACKEND_SIMPLEX,
     )
 
 
@@ -146,18 +122,13 @@ def _to_standard_form(c, a, senses, b, lb, ub):
     return c_s, a_s, b_s, recover
 
 
-def solve_ipm(
-    instance: MipInstance,
-    extra_cuts: list[LinearCut] = (),
-    max_iters: int = 100,
-    tol: float = 1e-8,
-) -> LpSolution:
+def solve_ipm(instance: MipInstance, max_iters: int = 100, tol: float = 1e-8) -> LpSolution:
     """Solve the LP relaxation with the predictor-corrector interior point.
 
     Unlike the simplex, the returned point lies in the relative interior
     of the optimal face, so degenerate coordinates come back fractional.
     """
-    c, a, senses, b, lb, ub = relaxation_arrays(instance, extra_cuts)
+    c, a, senses, b, lb, ub = relaxation_arrays(instance)
     negate = instance.sense == "maximize"
     c_min = -c if negate else c
     c_s, a_s, b_s, recover = _to_standard_form(c_min, a, senses, b, lb, ub)
@@ -176,7 +147,6 @@ def solve_ipm(
         dual=duals,
         objective=obj if res.status == _interior.STATUS_OPTIMAL else np.nan,
         status=res.status,
-        backend=BACKEND_IPM,
     )
 
 

@@ -1,6 +1,6 @@
 """Problem and solution data model shared by every other module.
 
-Instances, solutions and cuts are plain dataclasses holding sparse
+Instances and solutions are plain dataclasses holding sparse
 coefficient lists.  They are treated as immutable after construction and
 may be shared read-only across concurrently running solver workers.
 """
@@ -49,24 +49,6 @@ class LinearRow:
     coeffs: list[tuple[int, float]]
     sense: str
     rhs: float
-
-
-@dataclass
-class LinearCut:
-    """A standalone linear inequality attachable to any instance."""
-
-    coeffs: list[tuple[int, float]]
-    sense: str  # "<=" or ">="
-    rhs: float
-    label: str = ""
-
-    def validate(self) -> None:
-        if not self.coeffs:
-            raise InvariantViolationError("cut has no coefficients")
-        if self.sense not in ("<=", ">="):
-            raise InvariantViolationError(f"bad cut sense {self.sense!r}")
-        if not math.isfinite(self.rhs):
-            raise InvariantViolationError("cut rhs must be finite")
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Independent test oracles: exhaustive and DP-based exact solvers.
+"""Independent test oracles: exhaustive and DP-based exact solvers, and
+the partition's regions written as cut rows.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -6,10 +7,14 @@ checks are meaningful.  Everything works straight off MipInstance data.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
+
+from probranch.branching import partition_regions
+from probranch.model import LinearRow
 
 
 def enumerate_lp_vertices(c, a, senses, b, lb, ub):
@@ -294,3 +299,61 @@ def highs_optimum(instance) -> float:
         return math.nan
     assert res.status == 0, res.message
     return sign * float(res.fun)
+
+
+def with_rows(instance, rows):
+    """The instance with rows appended to its own, for the oracles."""
+    return dataclasses.replace(instance, rows=instance.rows + list(rows))
+
+
+def region_rows(cut_up, cut_down):
+    """(label, rows) per non-empty region of the partition, as cardinality rows.
+
+    keep is a hyperplane's own row and flip its integer complement: <= r-1
+    for a >= r cut, >= r+1 for a <= r cut.  A complement whose right-hand
+    side lies outside [0, |S|] holds at no 0/1 point, so its regions are
+    dropped.  Labels follow the up hyperplane first.
+    """
+    sides = []
+    for h in (cut_up, cut_down):
+        if h is None:
+            continue
+        coeffs = [(int(j), 1.0) for j in h.indices]
+        keep = LinearRow(coeffs, h.sense, float(h.rhs_int))
+        if h.sense == ">=":
+            flip = LinearRow(coeffs, "<=", float(h.rhs_int - 1))
+        else:
+            flip = LinearRow(coeffs, ">=", float(h.rhs_int + 1))
+        side = [("keep", keep)]
+        if 0 <= flip.rhs <= len(h.indices):
+            side.append(("flip", flip))
+        sides.append(side)
+    if not sides:
+        return [("all", [])]
+    if len(sides) == 1:
+        return [(label, [row]) for label, row in sides[0]]
+    return [(f"{a}_{b}", [row_a, row_b]) for a, row_a in sides[0] for b, row_b in sides[1]]
+
+
+def _row_holds(row, y, tol=1e-9):
+    lhs = sum(v * y[j] for j, v in row.coeffs)
+    if row.sense == "<=":
+        return lhs <= row.rhs + tol
+    if row.sense == ">=":
+        return lhs >= row.rhs - tol
+    return abs(lhs - row.rhs) <= tol
+
+
+def holding_regions(cut_up, cut_down, y):
+    """Labels of the partition_regions count boxes that hold the 0/1 point y.
+
+    Asserts they are the labels whose region_rows all hold at y.
+    """
+    planes = [h for h in (cut_up, cut_down) if h is not None]
+    counts = [float(np.sum(y[h.indices])) for h in planes]
+    boxed = [label for label, box in partition_regions(cut_up, cut_down)
+             if all(lo <= t <= hi for t, (lo, hi) in zip(counts, box))]
+    rowed = [label for label, rows in region_rows(cut_up, cut_down)
+             if all(_row_holds(row, y) for row in rows)]
+    assert boxed == rowed, (boxed, rowed)
+    return boxed

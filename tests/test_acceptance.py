@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from oracles import set_cover_dp, set_packing_dp
+from oracles import holding_regions, set_cover_dp, set_packing_dp
 from probranch.bench import (
     BenchConfig,
     run_benchmark,
@@ -29,7 +29,6 @@ from probranch.branching import (
     Calibration,
     build_hyperplanes,
     data_free_calibration,
-    make_partition,
     partition_solve,
 )
 from probranch.generators import gen_ca, gen_mkp, gen_scp, write_family
@@ -189,9 +188,8 @@ def test_criterion_6_partition_coverage():
         sigma = float(rng.uniform(0.0, 0.3))
         delta = float(rng.uniform(0.01, 0.9))
         cut_up, cut_down = build_hyperplanes(p, tau, sigma, delta)
-        part = make_partition(cut_up, cut_down)
         y = rng.integers(0, 2, n).astype(float)
-        assert len(part.satisfied_regions(y)) == 1
+        assert len(holding_regions(cut_up, cut_down, y)) == 1
     report("criterion 6 (partition coverage, 10^4 draws)", started)
 
 

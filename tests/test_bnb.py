@@ -3,6 +3,7 @@ import heapq
 import numpy as np
 import pytest
 
+from oracles import with_rows
 from probranch import _simplex, bnb
 from probranch.bnb import (
     SolveOptions,
@@ -11,7 +12,7 @@ from probranch.bnb import (
     dp_knapsack,
     solve_mip,
 )
-from probranch.model import LinearCut, LinearRow, MipInstance, check_feasible
+from probranch.model import LinearRow, MipInstance, check_feasible
 from probranch.generators import gen_ca, gen_knapsack_uniform, gen_mkp, gen_scp
 from probranch.lp import relaxation_arrays
 
@@ -35,8 +36,8 @@ class TestSolveMip:
 
     def test_zero_fixing_cut_solves_at_root(self):
         _, inst = gen_mkp(2, 8, 1, seed=5).instances[0]
-        cut = LinearCut(coeffs=[(j, 1.0) for j in range(8)], sense="<=", rhs=0.0)
-        rep = solve_mip(inst, [cut], options=SolveOptions(**EXACT))
+        cut = LinearRow([(j, 1.0) for j in range(8)], "<=", 0.0)
+        rep = solve_mip(with_rows(inst, [cut]), options=SolveOptions(**EXACT))
         assert rep.status == "optimal"
         assert rep.nodes == 1
         assert rep.objective == pytest.approx(0.0, abs=1e-12)
@@ -197,12 +198,6 @@ class TestBruteForce:
         _, inst = gen_mkp(1, 25, 1, seed=37).instances[0]
         with pytest.raises(TooManyBinariesError):
             brute_force(inst)
-
-    def test_respects_extra_cuts(self):
-        _, inst = gen_mkp(2, 8, 1, seed=41).instances[0]
-        cut = LinearCut(coeffs=[(j, 1.0) for j in range(8)], sense="<=", rhs=0.0)
-        sol = brute_force(inst, [cut])
-        assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDpKnapsack:

@@ -8,15 +8,13 @@ heuristic solves with fixing to independent oracles on seeded random
 tight multi-knapsacks and auctions, with and without continuous columns.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from oracles import binary_enumeration, highs_optimum, set_packing_dp
+from oracles import binary_enumeration, highs_optimum, region_rows, set_packing_dp, with_rows
 from probranch import _simplex, bnb
 from probranch.bnb import SolveOptions, brute_force, solve_mip
-from probranch.branching import Calibration, build_hyperplanes, make_partition, partition_solve
+from probranch.branching import Calibration, build_hyperplanes, partition_solve
 from probranch.generators import gen_ca
 from probranch.lp import relaxation_arrays
 from probranch.model import MAXIMIZE, LinearRow, MipInstance, check_feasible
@@ -69,12 +67,6 @@ def test_fixing_rule_follows_the_parent_reduced_costs():
     assert again == 0
 
 
-def with_rows(inst: MipInstance, cuts) -> MipInstance:
-    """inst with the cuts appended as ordinary rows, for the oracles."""
-    extra = [LinearRow(list(cut.coeffs), cut.sense, cut.rhs) for cut in cuts]
-    return dataclasses.replace(inst, rows=inst.rows + extra)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_fixing_solves_match_oracles_on_random_instances(seed):
     rng = np.random.default_rng([seed, 8])
@@ -110,8 +102,8 @@ def test_fixing_solves_match_oracles_on_random_instances(seed):
     assert check_feasible(inst, exact.best.best_solution.values)[0]
 
     heuristic = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="heuristic")
-    first = make_partition(*build_hyperplanes(pred, cal.tau_star, cal.sigma, cal.delta))
-    first_opt = highs_optimum(with_rows(inst, first.regions[0].cuts))
+    _, first = region_rows(*build_hyperplanes(pred, cal.tau_star, cal.sigma, cal.delta))[0]
+    first_opt = highs_optimum(with_rows(inst, first))
     if np.isnan(first_opt):
         assert heuristic.best.status == "infeasible"
     else:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import enumerate_lp_vertices
+from oracles import enumerate_lp_vertices, with_rows
 from probranch import _simplex
 from probranch._simplex import solve_bounded_lp
 from probranch.lp import NumericalFailure, fractional_knapsack, solve_ipm, solve_simplex
-from probranch.model import LinearCut, LinearRow, MipInstance
+from probranch.model import LinearRow, MipInstance
 
 
 def box_lp(c, a, b, sense="minimize", n_cont=0, cont_bounds=()):
@@ -108,8 +108,8 @@ class TestSimplex:
     def test_extra_cuts_are_respected(self):
         inst = box_lp(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([2.0]),
                       sense="maximize")
-        cut = LinearCut(coeffs=[(0, 1.0), (1, 1.0)], sense="<=", rhs=0.5)
-        sol = solve_simplex(inst, [cut])
+        cut = LinearRow([(0, 1.0), (1, 1.0)], "<=", 0.5)
+        sol = solve_simplex(with_rows(inst, [cut]))
         assert sol.objective == pytest.approx(0.5, abs=1e-9)
         assert len(sol.dual) == 2  # instance row plus the cut
 
@@ -174,13 +174,9 @@ class TestInteriorPoint:
     def test_extra_cuts_match_simplex(self):
         rng = np.random.default_rng(13)
         inst = random_feasible_lp(rng)
-        cut = LinearCut(
-            coeffs=[(j, 1.0) for j in range(inst.num_vars)],
-            sense="<=",
-            rhs=inst.num_vars / 3.0,
-        )
-        s = solve_simplex(inst, [cut])
-        i = solve_ipm(inst, [cut])
+        cut = LinearRow([(j, 1.0) for j in range(inst.num_vars)], "<=", inst.num_vars / 3.0)
+        s = solve_simplex(with_rows(inst, [cut]))
+        i = solve_ipm(with_rows(inst, [cut]))
         assert i.status == "optimal"
         assert i.objective == pytest.approx(s.objective, abs=1e-6)
 

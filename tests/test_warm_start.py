@@ -19,8 +19,10 @@ from oracles import (
     binary_enumeration,
     highs_optimum,
     reference_roundings,
+    region_rows,
     set_cover_dp,
     set_packing_dp,
+    with_rows,
 )
 from probranch import _simplex, bnb, branching
 from probranch.bnb import SolveOptions, solve_mip
@@ -28,7 +30,6 @@ from probranch.branching import (
     Calibration,
     build_hyperplanes,
     data_free_calibration,
-    make_partition,
     partition_solve,
 )
 from probranch.generators import gen_ca, gen_scp
@@ -114,10 +115,9 @@ def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch, family, with_cuts)
         if with_cuts:
             pred = lp_root_predict(inst)
             cuts = build_hyperplanes(pred, tau=0.9, sigma=0.0, delta=0.05, mode="tightened")
-            regions = [r.cuts for r in make_partition(*cuts).regions
-                       if not r.infeasible_by_construction]
-        for region_cuts in regions:
-            solve_mip(inst, region_cuts, SolveOptions(**EXACT))
+            regions = [rows for _, rows in region_rows(*cuts)]
+        for rows in regions:
+            solve_mip(with_rows(inst, rows), SolveOptions(**EXACT))
 
     assert len(warm_solves) >= 30
     statuses = set()
@@ -149,10 +149,9 @@ def test_carried_reduced_costs_match_the_final_basis(monkeypatch, family, with_c
         if with_cuts:
             pred = lp_root_predict(inst)
             cuts = build_hyperplanes(pred, tau=0.9, sigma=0.0, delta=0.05, mode="tightened")
-            regions = [r.cuts for r in make_partition(*cuts).regions
-                       if not r.infeasible_by_construction]
-        for region_cuts in regions:
-            solve_mip(inst, region_cuts, SolveOptions(**EXACT))
+            regions = [rows for _, rows in region_rows(*cuts)]
+        for rows in regions:
+            solve_mip(with_rows(inst, rows), SolveOptions(**EXACT))
 
     assert len(states) >= 30
     for c, state in states:
@@ -169,9 +168,9 @@ def counted_partition(monkeypatch, inst):
     """The instance with count columns and the region boxes partition_solve builds."""
     seen = {}
 
-    def capture(instance, extra_cuts=(), options=None, roots=None):
+    def capture(instance, options=None, roots=None):
         seen.update(instance=instance, roots=roots)
-        return solve_mip(instance, extra_cuts, options, roots)
+        return solve_mip(instance, options, roots)
 
     monkeypatch.setattr(branching, "solve_mip", capture)
     pred = lp_root_predict(inst)
@@ -300,7 +299,7 @@ def test_partition_solve_matches_oracles_on_random_instances(seed):
                                 tightened=tightened)
     cuts = build_hyperplanes(pred, cal.tau_star, cal.sigma, cal.delta,
                              mode="tightened" if tightened else "plain")
-    first = solve_mip(inst, make_partition(*cuts).regions[0].cuts, SolveOptions(**EXACT))
+    first = solve_mip(with_rows(inst, region_rows(*cuts)[0][1]), SolveOptions(**EXACT))
     assert heuristic.best.nodes == heuristic.regions[0].nodes
     if first.best_solution is None:
         assert heuristic.best.best_solution is None
@@ -318,17 +317,17 @@ def test_partition_solve_matches_oracles_on_random_instances(seed):
 def test_partition_solve_is_one_tree(monkeypatch, mode):
     calls = []
 
-    def counted(instance, extra_cuts=(), options=None, roots=None):
+    def counted(instance, options=None, roots=None):
         calls.append(len(roots))
-        return solve_mip(instance, extra_cuts, options, roots)
+        return solve_mip(instance, options, roots)
 
     monkeypatch.setattr(branching, "solve_mip", counted)
     inst = tight_mkp(4, 14, 2)
     pred = lp_root_predict(inst)
     cal = Calibration(tau_star=0.75, sigma=0.0, delta=0.05)
     rep = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode=mode)
-    live = [r.label for r in make_partition(*build_hyperplanes(
-        pred, cal.tau_star, cal.sigma, cal.delta)).regions if not r.infeasible_by_construction]
+    live = [label for label, _ in region_rows(*build_hyperplanes(
+        pred, cal.tau_star, cal.sigma, cal.delta))]
     assert calls == [len(rep.regions)]
     assert [r.label for r in rep.regions] == (live if mode == "exact" else live[:1])
     assert rep.best.nodes == sum(r.nodes for r in rep.regions)
