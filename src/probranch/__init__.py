@@ -2,10 +2,9 @@
 
 The package bundles a problem/solution data model, dense LP backends
 (bounded revised simplex and a predictor-corrector interior point), an
-LP-based branch-and-bound solver with exact oracles, per-variable
-probability predictors, the cardinality-hyperplane branching machinery,
-seeded instance generators, and a benchmark/validation harness with a
-CLI front end.
+LP-based branch-and-bound solver, per-variable probability predictors,
+the cardinality-hyperplane branching machinery, seeded instance
+generators, and a benchmark/validation harness with a CLI front end.
 """
 
 from .model import (
@@ -21,14 +20,7 @@ from .model import (
     serialize,
 )
 from .lp import LpSolution, fractional_knapsack, solve_ipm, solve_simplex
-from .bnb import (
-    SolveOptions,
-    SolveReport,
-    TooManyBinariesError,
-    brute_force,
-    dp_knapsack,
-    solve_mip,
-)
+from .bnb import SolveOptions, SolveReport, solve_mip
 from .predict import (
     LogisticModel,
     Prediction,
@@ -42,15 +34,11 @@ from .branching import (
     AccuracyStats,
     Calibration,
     CardinalityHyperplane,
-    GeneralizationInputs,
     NoFeasibleThresholdError,
     PartitionReport,
     accuracy_curves,
     build_hyperplanes,
     calibrate,
-    data_free_calibration,
-    generalization_thresholds,
-    hoeffding_tail,
     partition_regions,
     partition_solve,
     round_prediction,

@@ -1,4 +1,4 @@
-"""LP-based branch and bound for binary MILP, plus exact test oracles.
+"""LP-based branch and bound for binary MILP.
 
 The solver accepts node/time limits and root boxes, so a branching
 disjunction is searched as one tree.
@@ -32,12 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _simplex
-from .model import (
-    FEASIBILITY_TOL,
-    INTEGRALITY_TOL,
-    MipInstance,
-    Solution,
-)
+from .lp import relaxation_arrays
+from .model import INTEGRALITY_TOL, MipInstance, Solution
 
 
 # A rounded point is accepted only if it meets every row this closely.
@@ -50,10 +46,6 @@ ROUNDED_ROW_TOL = 1e-9
 # to the cutoff's magnitude, so round-off in d cannot fix a binary whose
 # other value is still within the gap.
 FIXING_TOL = 1e-9
-
-
-class TooManyBinariesError(ValueError):
-    """brute_force refuses instances beyond its enumeration cap."""
 
 
 @dataclass
@@ -180,8 +172,6 @@ def solve_mip(
     t0 = time.monotonic()
     deadline = None if math.isinf(opts.time_limit) else t0 + opts.time_limit
     n_bin = instance.num_binary
-
-    from .lp import relaxation_arrays  # local import to avoid a cycle
 
     c_user, a, senses, b, lb0, ub0 = relaxation_arrays(instance)
     negate = instance.sense == "maximize"
@@ -367,120 +357,3 @@ def solve_mip(
         best_root=best_root,
         fixed=fixed,
     )
-
-
-def brute_force(
-    instance: MipInstance,
-    max_binary: int = 24,
-) -> Solution:
-    """Exact optimum by exhaustive enumeration over binary assignments.
-
-    Pure-binary instances are enumerated in vectorized chunks; mixed
-    instances solve the LP over the continuous variables for every
-    binary assignment.  Refuses more than ``max_binary`` binaries.
-    """
-    n = instance.num_binary
-    d = instance.num_continuous
-    if n > max_binary:
-        raise TooManyBinariesError(f"{n} binaries exceed the cap of {max_binary}")
-
-    from .lp import relaxation_arrays
-
-    c, a, senses, b, lb, ub = relaxation_arrays(instance)
-    negate = instance.sense == "maximize"
-
-    if d == 0:
-        best_val = -math.inf if negate else math.inf
-        best_x = None
-        total = 1 << n
-        chunk = min(total, 1 << 16)
-        le = np.array([s == "<=" for s in senses])
-        ge = np.array([s == ">=" for s in senses])
-        eq = np.array([s == "=" for s in senses])
-        shifts = np.arange(n, dtype=np.uint64)
-        for lo in range(0, total, chunk):
-            codes = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-            ys = ((codes[:, None] >> shifts) & np.uint64(1)).astype(float)
-            lhs = ys @ a.T
-            ok = np.ones(len(codes), dtype=bool)
-            if le.any():
-                ok &= np.all(lhs[:, le] <= b[le] + FEASIBILITY_TOL, axis=1)
-            if ge.any():
-                ok &= np.all(lhs[:, ge] >= b[ge] - FEASIBILITY_TOL, axis=1)
-            if eq.any():
-                ok &= np.all(np.abs(lhs[:, eq] - b[eq]) <= FEASIBILITY_TOL, axis=1)
-            if not ok.any():
-                continue
-            vals = ys[ok] @ c
-            if negate:
-                k = int(np.argmax(vals))
-                if vals[k] > best_val:
-                    best_val, best_x = float(vals[k]), ys[ok][k]
-            else:
-                k = int(np.argmin(vals))
-                if vals[k] < best_val:
-                    best_val, best_x = float(vals[k]), ys[ok][k]
-        if best_x is None:
-            return Solution(values=np.zeros(0), objective=math.nan, status="infeasible")
-        return Solution(values=best_x, objective=best_val, status="optimal")
-
-    # mixed case: one continuous LP per binary assignment
-    c_min = -c if negate else c
-    best_val = math.inf
-    best_x = None
-    for code in range(1 << n):
-        ybin = np.array([(code >> j) & 1 for j in range(n)], dtype=float)
-        lb_f = lb.copy()
-        ub_f = ub.copy()
-        lb_f[:n] = ybin
-        ub_f[:n] = ybin
-        res = _simplex.solve_bounded_lp(c_min, a, senses, b, lb_f, ub_f)
-        if res.status != _simplex.STATUS_OPTIMAL:
-            continue
-        if res.objective < best_val:
-            best_val = res.objective
-            best_x = res.x.copy()
-            best_x[:n] = ybin
-    if best_x is None:
-        return Solution(values=np.zeros(0), objective=math.nan, status="infeasible")
-    obj = -best_val if negate else best_val
-    return Solution(values=best_x, objective=obj, status="optimal")
-
-
-def dp_knapsack(
-    weights, values, capacity: int, max_cells: int = 50_000_000
-) -> tuple[int, list[int]]:
-    """Exact 0/1 knapsack over integer data by dynamic programming.
-
-    Returns (optimal value, selected item indices).  The table has
-    n * (capacity + 1) cells; anything beyond ``max_cells`` raises a
-    capacity overflow error.
-    """
-    w = [int(v) for v in weights]
-    c = [int(v) for v in values]
-    if any(int(x) != float(x) for x in list(weights) + list(values)):
-        raise ValueError("dp_knapsack needs integer weights and values")
-    if len(w) != len(c):
-        raise ValueError("weights and values must have equal length")
-    if any(v < 0 for v in w) or capacity < 0:
-        raise ValueError("weights and capacity must be non-negative")
-    n = len(w)
-    if n * (capacity + 1) > max_cells:
-        raise OverflowError("capacity overflow: DP table exceeds the memory cap")
-    dp = np.zeros(capacity + 1, dtype=np.int64)
-    take = np.zeros((n, capacity + 1), dtype=bool)
-    for i in range(n):
-        if w[i] > capacity:
-            continue
-        cand = dp[: capacity + 1 - w[i]] + c[i]
-        improved = cand > dp[w[i] :]
-        take[i, w[i] :] = improved
-        dp[w[i] :] = np.where(improved, cand, dp[w[i] :])
-    chosen = []
-    cap = capacity
-    for i in range(n - 1, -1, -1):
-        if cap >= w[i] and take[i, cap]:
-            chosen.append(i)
-            cap -= w[i]
-    chosen.reverse()
-    return int(dp[capacity]), chosen

@@ -297,15 +297,6 @@ def calibrate(
     return cal
 
 
-def data_free_calibration(tau: float = 0.9, delta: float = 1e-8) -> Calibration:
-    """Calibration for LP-root predictions, where no variance is measurable.
-
-    sigma is 0, so the Chebyshev margin vanishes: the tightened
-    intercepts carry the slack on their own.
-    """
-    return Calibration(tau_star=tau, sigma=0.0, delta=delta, stats=None)
-
-
 def cut_settings(
     predictor: str,
     cal: Calibration | None = None,
@@ -572,113 +563,4 @@ def partition_solve(
         best_region=None if rep.best_root is None else regions[rep.best_root][0],
         hyperplanes=(cut_up, cut_down),
         mode=mode,
-    )
-
-
-def hoeffding_tail(set_size: int, gamma: float) -> float:
-    """exp(-2 gamma^2 / set_size): the pooled-sum deviation probability."""
-    if set_size < 1:
-        raise ValueError("set_size must be >= 1")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    return math.exp(-2.0 * gamma * gamma / set_size)
-
-
-@dataclass
-class GeneralizationInputs:
-    """Per-variable success-mass lower bounds with their confidence terms.
-
-    delta_values maps a variable index to Delta_j in (0, 1], the certified
-    probability mass of a correct prediction at confidence delta.  When
-    the raw learning-theory inputs (erm_error, vc_dim, sample_count) are
-    kept, the stored values must match their recomputation.
-    """
-
-    delta_values: dict[int, float]
-    delta: float
-    gamma: float
-    erm_error: dict[int, float] | None = None
-    vc_dim: dict[int, float] | None = None
-    sample_count: int | None = None
-
-    def validate(self) -> None:
-        if not 0 <= self.delta < 1:
-            raise ValueError("delta must be in [0, 1)")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        for j, v in self.delta_values.items():
-            if not 0 < v <= 1:
-                raise ValueError(f"delta value for variable {j} must be in (0, 1]")
-        if self.erm_error is not None and self.vc_dim is not None and self.sample_count:
-            for j in self.delta_values:
-                expect = delta_from_raw(
-                    self.erm_error[j], self.vc_dim[j], self.sample_count, self.delta
-                )
-                if abs(expect - self.delta_values[j]) > 1e-12:
-                    raise ValueError(
-                        f"stored delta value for variable {j} does not match raw inputs"
-                    )
-
-    @classmethod
-    def from_raw(
-        cls,
-        erm_error: dict[int, float],
-        vc_dim: dict[int, float],
-        sample_count: int,
-        delta: float,
-        gamma: float,
-    ) -> "GeneralizationInputs":
-        values = {
-            j: delta_from_raw(erm_error[j], vc_dim[j], sample_count, delta)
-            for j in erm_error
-        }
-        out = cls(
-            delta_values=values,
-            delta=delta,
-            gamma=gamma,
-            erm_error=erm_error,
-            vc_dim=vc_dim,
-            sample_count=sample_count,
-        )
-        out.validate()
-        return out
-
-
-def delta_from_raw(erm_error: float, vc_dim: float, sample_count: int, delta: float) -> float:
-    """Certified success mass 1 - e - sqrt([vc(log(2m/vc)+1) + log(4/delta)]/m)."""
-    m = sample_count
-    inner = vc_dim * (math.log(2.0 * m / vc_dim) + 1.0) + math.log(4.0 / delta)
-    return 1.0 - erm_error - math.sqrt(inner / m)
-
-
-@dataclass
-class GeneralizationThresholds:
-    lower_on_up_sum: float
-    upper_on_down_sum: float
-    tail_up: float
-    tail_down: float
-
-
-def generalization_thresholds(
-    g: GeneralizationInputs, up: np.ndarray, down: np.ndarray
-) -> GeneralizationThresholds:
-    """Certified cardinality thresholds for the rounded sets.
-
-    The sum over the up set is at least (1-delta) * sum Delta_j - gamma
-    except with the Hoeffding tail probability; the down-set sum is at
-    most |L| - (1-delta) * sum Delta_j + gamma symmetrically.
-    """
-    g.validate()
-    try:
-        sum_up = sum(g.delta_values[int(j)] for j in up)
-        sum_down = sum(g.delta_values[int(j)] for j in down)
-    except KeyError as exc:
-        raise ValueError(f"missing delta value for variable {exc.args[0]}") from exc
-    lower = (1.0 - g.delta) * sum_up - g.gamma
-    upper = len(down) - (1.0 - g.delta) * sum_down + g.gamma
-    return GeneralizationThresholds(
-        lower_on_up_sum=lower,
-        upper_on_down_sum=upper,
-        tail_up=hoeffding_tail(max(len(up), 1), g.gamma),
-        tail_down=hoeffding_tail(max(len(down), 1), g.gamma),
     )

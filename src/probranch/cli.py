@@ -33,7 +33,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
 
 
@@ -52,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--bids", type=int, default=30, help="ca bids")
     g.add_argument("--gamma", type=float, default=0.3, help="knapsack capacity fraction")
     g.add_argument("--count", type=int, default=20, help="family size")
+    g.add_argument("--seed", type=int, default=0)
     _add_common(g)
 
     t = sub.add_parser("train", help="train the per-variable logistic models")
@@ -113,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--gamma", type=float, default=0.3)
     v.add_argument("--n-list", type=str, default="100,200,400")
     v.add_argument("--kr-trials", type=int, default=50)
+    v.add_argument("--seed", type=int, default=0)
     _add_common(v)
 
     return parser
@@ -165,6 +166,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if not 0 < args.calib_fraction <= 1:
+        print("error: --calib-fraction must be in (0, 1]", file=sys.stderr)
+        return 1
     family = read_family(args.family)
     model = predict.load_model(args.model)
     train = _train_slice(family, args.train_count)
@@ -248,7 +252,6 @@ def _cmd_bench(args) -> int:
         time_limit=args.time_limit,
         train_count=args.train_count,
         test_count=args.test_count,
-        seed=args.seed,
     )
     report = bench_mod.run_benchmark(config)
     prefix = Path(args.out or "bench_report")

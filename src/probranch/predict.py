@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lp
 from .model import FORMAT_VERSION, MalformedDocumentError, MipInstance
 
 SOURCE_LOGISTIC = "logistic"
@@ -182,8 +183,6 @@ def logistic_predict(model: LogisticModel, xi: np.ndarray) -> Prediction:
 
 def lp_root_predict(instance: MipInstance, backend: str = "simplex") -> Prediction:
     """Use the LP root relaxation values of the binaries as probabilities."""
-    from . import lp  # deferred to avoid an import cycle
-
     if backend == "simplex":
         sol = lp.solve_simplex(instance)
         source = SOURCE_LP_SIMPLEX

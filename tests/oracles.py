@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from probranch.branching import partition_regions
-from probranch.model import LinearRow
+from probranch.model import LinearRow, Solution
 
 
 def enumerate_lp_vertices(c, a, senses, b, lb, ub):
@@ -238,31 +238,42 @@ def reference_roundings(a, senses, b, n_bin, x, lb, ub, tol=1e-9):
 def binary_enumeration(instance, tol=1e-9):
     """Exact optimum of a pure-binary instance by enumerating every 0/1 point.
 
-    Rows must hold within ``tol``.  Returns nan when no point is
-    feasible.  Meant for n <= 20.
+    Points go in chunks of 2^16, bit j of the counter being y_j, with one
+    product against the row matrix per chunk: the 16 low bits run through
+    every chunk alike, so only the high columns change.  Rows must hold
+    within ``tol``.  Returns a Solution: the first best point in counter
+    order with status optimal, or status infeasible with a nan objective.
+    Meant for n <= 24.
     """
     n = instance.num_binary
-    assert instance.num_continuous == 0 and n <= 20
-    points = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    ok = np.ones(len(points), dtype=bool)
-    for row in instance.rows:
-        lhs = np.zeros(len(points))
+    assert instance.num_continuous == 0 and n <= 24
+    a = np.zeros((len(instance.rows), n))
+    for r, row in enumerate(instance.rows):
         for j, v in row.coeffs:
-            lhs += v * points[:, j]
-        if row.sense == "<=":
-            ok &= lhs <= row.rhs + tol
-        elif row.sense == ">=":
-            ok &= lhs >= row.rhs - tol
-        else:
-            ok &= np.abs(lhs - row.rhs) <= tol
-    if not ok.any():
-        return math.nan
-    values = np.zeros(len(points))
+            a[r, j] = v
+    rhs = np.array([row.rhs for row in instance.rows])
+    only_ge = np.array([row.sense == ">=" for row in instance.rows], dtype=bool)
+    only_le = np.array([row.sense == "<=" for row in instance.rows], dtype=bool)
+    c = np.zeros(n)
     for j, v in instance.objective:
-        values += v * points[:, j]
-    if instance.sense == "maximize":
-        return float(values[ok].max())
-    return float(values[ok].min())
+        c[j] = v
+    sign = -1.0 if instance.sense == "maximize" else 1.0
+    best, best_y = math.inf, None
+    size = min(1 << n, 1 << 16)
+    y = ((np.arange(size)[:, None] >> np.arange(n)) & 1).astype(float)
+    for lo in range(0, 1 << n, size):
+        y[:, 16:] = (lo >> np.arange(16, n)) & 1
+        gap = y @ a.T - rhs
+        ok = ((gap <= tol) | only_ge).all(axis=1) & ((gap >= -tol) | only_le).all(axis=1)
+        if not ok.any():
+            continue
+        vals = sign * (y[ok] @ c)
+        k = int(np.argmin(vals))
+        if vals[k] < best:
+            best, best_y = float(vals[k]), y[ok][k]
+    if best_y is None:
+        return Solution(values=np.zeros(0), objective=math.nan, status="infeasible")
+    return Solution(values=best_y, objective=sign * best, status="optimal")
 
 
 def highs_optimum(instance) -> float:

@@ -5,7 +5,8 @@ Criterion 1 checks solver exactness across families and predictor
 sources against independent oracles: exhaustive enumeration for the
 multi-knapsack families and exact mask DPs for set covering / packing
 (2^30 enumeration does not fit the runtime budget; the DP oracles are
-cross-validated against brute force in the unit suite).
+checked against exhaustive enumeration by
+tests/test_generators.py::test_mask_dps_match_binary_enumeration).
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from oracles import holding_regions, set_cover_dp, set_packing_dp
+from oracles import binary_enumeration, holding_regions, set_cover_dp, set_packing_dp
 from probranch.bench import (
     BenchConfig,
     run_benchmark,
@@ -24,11 +25,10 @@ from probranch.bench import (
     verify_knapsack_rounding,
     verify_lemma,
 )
-from probranch.bnb import SolveOptions, brute_force, solve_mip
+from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import (
     Calibration,
     build_hyperplanes,
-    data_free_calibration,
     partition_solve,
 )
 from probranch.generators import gen_ca, gen_mkp, gen_scp, write_family
@@ -93,7 +93,7 @@ def test_criterion_1_exactness_across_families_and_sources(tmp_path):
                 pred = load_prediction(path, inst.num_binary)
             part = partition_solve(inst, pred, cal, options=opts, mode="exact")
             if oracle_kind == "brute":
-                expected = brute_force(inst).objective
+                expected = binary_enumeration(inst).objective
             elif oracle_kind == "cover_dp":
                 expected = set_cover_dp(inst)
             else:
@@ -213,7 +213,6 @@ def test_criterion_7_benchmark_pipeline_smoke(mkp_5x20_family):
                 mode="heuristic",
                 train_count=200,
                 test_count=20,
-                seed=3,
             )
         )
     assert rep.failed == 0
@@ -221,7 +220,7 @@ def test_criterion_7_benchmark_pipeline_smoke(mkp_5x20_family):
     assert math.isfinite(rep.speedup) and rep.speedup > 0
     good = 0
     for row, (_, inst) in zip(rep.rows, family.instances[-20:]):
-        true_opt = brute_force(inst).objective
+        true_opt = binary_enumeration(inst).objective
         if abs(row.objective - true_opt) <= 0.01 * abs(true_opt) + 1e-9:
             good += 1
     assert good >= 18, f"only {good}/20 first-region optima within 1%"
@@ -232,13 +231,13 @@ def test_criterion_7_benchmark_pipeline_smoke(mkp_5x20_family):
 def test_criterion_8_data_free_exactness(mkp_5x20_family):
     started = time.time()
     _, family = mkp_5x20_family
-    cal = data_free_calibration(tau=0.9, delta=1e-8)
+    cal = Calibration(0.9, 0.0, 1e-8)
     opts = SolveOptions(**EXACT)
     for _, inst in family.instances[-20:]:
         pred = lp_root_predict(inst, backend="ipm")
         part = partition_solve(inst, pred, cal, options=opts, mode="exact",
                                tightened=True)
-        expected = brute_force(inst).objective
+        expected = binary_enumeration(inst).objective
         assert part.best.status == "optimal"
         assert abs(part.best.objective - expected) <= 1e-9
     report("criterion 8 (data-free exact mode on 20 instances)", started)

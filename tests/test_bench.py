@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
+from oracles import binary_enumeration
 from probranch.bench import (
     BenchConfig,
     report_emit,
@@ -149,7 +150,6 @@ class TestRunBenchmark:
     def test_perfect_file_predictions_fix_the_optimum(self, tmp_path):
         # with p equal to the true optimum and tau=1, the tightened cuts fix
         # every variable, so the cut run reaches the optimum immediately
-        from probranch.bnb import brute_force
         from probranch.predict import Prediction, save_prediction
         from probranch.generators import gen_mkp
 
@@ -160,7 +160,7 @@ class TestRunBenchmark:
         pred_dir.mkdir()
         optima = {}
         for _, inst in family.instances:
-            sol = brute_force(inst)
+            sol = binary_enumeration(inst)
             optima[inst.name] = sol.objective
             save_prediction(
                 Prediction(np.round(sol.values), "external"),

@@ -3,15 +3,9 @@ import heapq
 import numpy as np
 import pytest
 
-from oracles import with_rows
+from oracles import binary_enumeration, with_rows
 from probranch import _simplex, bnb
-from probranch.bnb import (
-    SolveOptions,
-    TooManyBinariesError,
-    brute_force,
-    dp_knapsack,
-    solve_mip,
-)
+from probranch.bnb import SolveOptions, solve_mip
 from probranch.model import LinearRow, MipInstance, check_feasible
 from probranch.generators import gen_ca, gen_knapsack_uniform, gen_mkp, gen_scp
 from probranch.lp import relaxation_arrays
@@ -30,7 +24,7 @@ class TestSolveMip:
     def test_sixteen_variable_knapsack_matches_brute_force(self):
         _, inst = gen_mkp(1, 16, 1, seed=3).instances[0]
         rep = solve_mip(inst, options=SolveOptions(**EXACT))
-        bf = brute_force(inst)
+        bf = binary_enumeration(inst)
         assert rep.status == "optimal"
         assert rep.objective == pytest.approx(bf.objective, abs=1e-9)
 
@@ -45,7 +39,7 @@ class TestSolveMip:
 
     def test_root_boxes_search_their_union_as_one_tree(self):
         for _, inst in small_families(2):
-            bf = brute_force(inst)
+            bf = binary_enumeration(inst)
             lb, ub = inst.bounds_arrays()
             j = int(np.argmax(bf.values[: inst.num_binary]))
             down, up = ub.copy(), lb.copy()
@@ -72,7 +66,7 @@ class TestSolveMip:
             ):
                 for _, inst in fam.instances:
                     rep = solve_mip(inst, options=SolveOptions(**EXACT))
-                    bf = brute_force(inst)
+                    bf = binary_enumeration(inst)
                     assert rep.status == "optimal" == bf.status
                     assert rep.objective == pytest.approx(bf.objective, abs=1e-9)
                     values = rep.best_solution.values
@@ -159,82 +153,16 @@ class TestSolveMip:
         rep = solve_mip(inst, options=SolveOptions(node_limit=1, **EXACT))
         assert rep.status == "limit"
 
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SolveOptions(time_limit=0).validate()
-        with pytest.raises(ValueError):
-            SolveOptions(rel_gap=-1).validate()
-
-
-class TestBruteForce:
-    def test_one_binary_mixed_instance(self):
-        # max 3*y + x s.t. x <= 2 - 2*y, 0 <= x <= 5: y=1 -> 3, y=0 -> 2
-        inst = MipInstance(
-            "mixed", "maximize", 1, 1,
-            objective=[(0, 3.0), (1, 1.0)],
-            rows=[LinearRow([(0, 2.0), (1, 1.0)], "<=", 2.0)],
-            continuous_bounds=[(0.0, 5.0)],
-        )
-        inst.validate()
-        sol = brute_force(inst)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(3.0, abs=1e-9)
-        assert sol.values[0] == 1.0
-
     def test_infeasible_instance(self):
         inst = MipInstance(
             "bad", "minimize", 2, 0, [(0, 1.0)],
             [LinearRow([(0, 1.0), (1, 1.0)], ">=", 3.0)],
         )
-        assert brute_force(inst).status == "infeasible"
+        assert binary_enumeration(inst).status == "infeasible"
+        assert solve_mip(inst, options=SolveOptions(**EXACT)).status == "infeasible"
 
-    def test_mutual_check_with_solver(self):
-        for _, inst in gen_mkp(3, 12, 3, seed=31).instances:
-            bf = brute_force(inst)
-            rep = solve_mip(inst, options=SolveOptions(**EXACT))
-            assert bf.objective == pytest.approx(rep.objective, abs=1e-9)
-
-    def test_cap_enforced(self):
-        _, inst = gen_mkp(1, 25, 1, seed=37).instances[0]
-        with pytest.raises(TooManyBinariesError):
-            brute_force(inst)
-
-
-class TestDpKnapsack:
-    def test_worked_example(self):
-        value, chosen = dp_knapsack([2, 3, 4], [3, 4, 5], 5)
-        assert value == 7
-        assert chosen == [0, 1]
-
-    def test_zero_capacity(self):
-        value, chosen = dp_knapsack([1, 2], [10, 20], 0)
-        assert value == 0 and chosen == []
-
-    def test_single_heavy_item(self):
-        value, chosen = dp_knapsack([10], [100], 9)
-        assert value == 0 and chosen == []
-
-    def test_against_enumeration(self):
-        rng = np.random.default_rng(43)
-        for _ in range(20):
-            n = int(rng.integers(1, 10))
-            w = rng.integers(1, 12, n).tolist()
-            v = rng.integers(0, 30, n).tolist()
-            cap = int(rng.integers(0, 25))
-            best = 0
-            for code in range(1 << n):
-                tw = sum(w[j] for j in range(n) if code >> j & 1)
-                if tw <= cap:
-                    best = max(best, sum(v[j] for j in range(n) if code >> j & 1))
-            value, chosen = dp_knapsack(w, v, cap)
-            assert value == best
-            assert sum(w[j] for j in chosen) <= cap
-            assert sum(v[j] for j in chosen) == value
-
-    def test_non_integer_rejected(self):
+    def test_options_validation(self):
         with pytest.raises(ValueError):
-            dp_knapsack([1.5], [2], 3)
-
-    def test_memory_cap(self):
-        with pytest.raises(OverflowError):
-            dp_knapsack([1] * 10, [1] * 10, 10**8)
+            SolveOptions(time_limit=0).validate()
+        with pytest.raises(ValueError):
+            SolveOptions(rel_gap=-1).validate()

@@ -4,21 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import holding_regions
-from probranch.bnb import SolveOptions, brute_force
+from oracles import binary_enumeration, holding_regions
+from probranch.bnb import SolveOptions
 from probranch.branching import (
     AccuracyStats,
     Calibration,
     DEFAULT_TAU_GRID,
-    GeneralizationInputs,
     NoFeasibleThresholdError,
     accuracy_curves,
     build_hyperplanes,
     calibrate,
-    data_free_calibration,
-    delta_from_raw,
-    generalization_thresholds,
-    hoeffding_tail,
     load_calibration,
     partition_regions,
     partition_solve,
@@ -278,9 +273,9 @@ class TestPartition:
 class TestPartitionSolve:
     def test_exact_mode_matches_brute_force_and_names_the_regions(self):
         _, inst = gen_mkp(3, 12, 1, seed=61).instances[0]
-        bf = brute_force(inst)
+        bf = binary_enumeration(inst)
         pred = lp_root_predict(inst, backend="simplex")
-        cal = data_free_calibration(tau=0.9, delta=1e-8)
+        cal = Calibration(0.9, 0.0, 1e-8)
         rep = partition_solve(inst, pred, cal, options=SolveOptions(**EXACT),
                               mode="exact", tightened=True)
         assert rep.best.status == "optimal"
@@ -292,7 +287,7 @@ class TestPartitionSolve:
 
     def test_perfect_prediction_heuristic(self):
         _, inst = gen_ca(7, 12, 1, seed=63).instances[0]
-        bf = brute_force(inst)
+        bf = binary_enumeration(inst)
         pred = Prediction(np.round(bf.values), source="external")
         cal = Calibration(tau_star=1.0, sigma=0.0, delta=0.05)
         rep = partition_solve(inst, pred, cal, options=SolveOptions(**EXACT),
@@ -304,7 +299,7 @@ class TestPartitionSolve:
     def test_adversarial_prediction_still_exact(self):
         for seed in (65, 66, 67):
             _, inst = gen_scp(7, 11, 0.35, 1, seed=seed).instances[0]
-            bf = brute_force(inst)
+            bf = binary_enumeration(inst)
             adversarial = np.clip(1.0 - np.round(bf.values) * 0.96 - 0.02, 0.0, 1.0)
             pred = Prediction(adversarial, source="external")
             cal = Calibration(tau_star=0.9, sigma=0.0, delta=0.05)
@@ -317,7 +312,7 @@ class TestPartitionSolve:
                 gen_ca(6, 10, 2, seed=73)]
         for fam in fams:
             for _, inst in fam.instances:
-                bf = brute_force(inst)
+                bf = binary_enumeration(inst)
                 for backend in ("simplex", "ipm"):
                     pred = lp_root_predict(inst, backend=backend)
                     cal = Calibration(tau_star=0.9, sigma=0.01, delta=0.05)
@@ -365,63 +360,6 @@ class TestPartitionSolve:
         cal = Calibration(tau_star=0.9, sigma=0.0, delta=0.05)
         with pytest.raises(ValueError):
             partition_solve(inst, pred, cal, mode="fastest")
-
-
-class TestEvaluators:
-    def test_hoeffding_tail_values(self):
-        assert hoeffding_tail(100, 10) == pytest.approx(math.exp(-2.0))
-        assert hoeffding_tail(7, 0) == 1.0
-        assert hoeffding_tail(50, 5) == pytest.approx(math.exp(-1.0))
-
-    def test_hoeffding_tail_validation(self):
-        with pytest.raises(ValueError):
-            hoeffding_tail(0, 1.0)
-        with pytest.raises(ValueError):
-            hoeffding_tail(5, -1.0)
-
-    def test_thresholds_full_fixing(self):
-        g = GeneralizationInputs(
-            delta_values={j: 1.0 for j in range(8)}, delta=0.0, gamma=0.0
-        )
-        out = generalization_thresholds(g, np.arange(5), np.arange(5, 8))
-        assert out.lower_on_up_sum == pytest.approx(5.0)
-        assert out.upper_on_down_sum == pytest.approx(0.0)
-
-    def test_thresholds_arithmetic(self):
-        g = GeneralizationInputs(
-            delta_values={j: 0.9 for j in range(10)}, delta=0.1, gamma=1.0
-        )
-        out = generalization_thresholds(g, np.arange(10), np.array([], dtype=int))
-        assert out.lower_on_up_sum == pytest.approx(0.9 * 0.9 * 10 - 1.0)
-        assert out.tail_up == pytest.approx(hoeffding_tail(10, 1.0))
-
-    def test_missing_delta_value(self):
-        g = GeneralizationInputs(delta_values={0: 0.9}, delta=0.1, gamma=0.0)
-        with pytest.raises(ValueError, match="missing"):
-            generalization_thresholds(g, np.array([0, 1]), np.array([], dtype=int))
-
-    def test_delta_from_raw_matches_hand_arithmetic(self):
-        e, vc, m, delta = 0.03, 4.0, 500, 0.1
-        expect = 1 - e - math.sqrt(
-            (vc * (math.log(2 * m / vc) + 1) + math.log(4 / delta)) / m
-        )
-        assert delta_from_raw(e, vc, m, delta) == pytest.approx(expect, abs=1e-15)
-        g = GeneralizationInputs.from_raw(
-            erm_error={0: e}, vc_dim={0: vc}, sample_count=m, delta=delta, gamma=0.5
-        )
-        assert g.delta_values[0] == pytest.approx(expect, abs=1e-12)
-
-    def test_raw_consistency_enforced(self):
-        g = GeneralizationInputs(
-            delta_values={0: 0.5},
-            delta=0.1,
-            gamma=0.0,
-            erm_error={0: 0.03},
-            vc_dim={0: 4.0},
-            sample_count=500,
-        )
-        with pytest.raises(ValueError):
-            g.validate()
 
 
 class TestCalibration:
@@ -491,9 +429,3 @@ class TestCalibration:
         cal = Calibration(tau_star=0.95, sigma=0.01, delta=0.05, stats=stats)
         with pytest.raises(ValueError):
             cal.validate()
-
-    def test_data_free_defaults(self):
-        default = data_free_calibration()
-        assert default.sigma == 0.0
-        assert default.delta == pytest.approx(1e-8)
-        assert default.tau_star == pytest.approx(0.9)

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import binary_enumeration
 from probranch import cli
 from probranch.bench import LemmaReport
-from probranch.bnb import brute_force, solve_mip
+from probranch.bnb import solve_mip
 from probranch.branching import Calibration, accuracy_curves, save_calibration, sigma_from_stats
 from probranch.generators import InstanceFamily, gen_mkp, write_family
 from probranch.model import LinearRow, MipInstance, deserialize
@@ -70,6 +71,18 @@ def test_train_calibrate_solve_pipeline(tmp_path):
     assert doc["status"] == "optimal"
     assert doc["mode"] == "exact"
     assert len(doc["regions"]) >= 1
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2"])
+def test_calibrate_rejects_a_fraction_outside_zero_one(tmp_path, capsys, family_dir, fraction):
+    model, calib = tmp_path / "model.json", tmp_path / "calib.json"
+    assert cli.main(["train", "--family", str(family_dir), "--train-count", "12",
+                     "--out", str(model)]) == 0
+    assert cli.main(["calibrate", "--family", str(family_dir), "--model", str(model),
+                     "--train-count", "12", "--calib-fraction", fraction,
+                     "--out", str(calib)]) == 1
+    assert "--calib-fraction" in capsys.readouterr().err
+    assert not calib.exists()
 
 
 def test_calibrate_falls_back_on_a_label_constant_family(tmp_path):
@@ -209,7 +222,7 @@ def test_solve_with_prediction_directory(tmp_path, family_dir):
     ]) == 0
     doc = json.loads(out.read_text())
     assert doc["status"] == "optimal"
-    assert doc["objective"] == pytest.approx(brute_force(inst).objective, abs=1e-9)
+    assert doc["objective"] == pytest.approx(binary_enumeration(inst).objective, abs=1e-9)
     assert doc["best_region"] in [r["label"] for r in doc["regions"]]
     assert sum(r["nodes"] for r in doc["regions"]) == doc["nodes"]
 
@@ -261,21 +274,21 @@ def test_cached_parser_gives_each_call_its_own_namespace(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_cmd_solve", record)
     monkeypatch.setattr(cli, "_cmd_verify", record)
-    assert cli.main(["solve", "--instance", "a.json", "--mode", "plain", "--tightened",
-                     "--seed", "5"]) == 0
+    assert cli.main(["solve", "--instance", "a.json", "--mode", "plain", "--tightened"]) == 0
     assert cli.main(["solve", "--mode", "nonsense"]) == 1
     assert "usage:" in capsys.readouterr().err
-    assert cli.main(["verify", "--check", "hoeffding", "--trials", "10"]) == 0
+    assert cli.main(["solve", "--instance", "a.json", "--seed", "5"]) == 1  # solve seeds nothing
+    assert cli.main(["verify", "--check", "hoeffding", "--trials", "10", "--seed", "5"]) == 0
     assert cli.main(["solve", "--instance", "b.json"]) == 0
     assert cli.build_parser() is cli.build_parser()
 
     first, second, third = seen
     assert (first["command"], first["instance"], first["mode"]) == ("solve", "a.json", "plain")
-    assert first["tightened"] is True and first["seed"] == 5
+    assert first["tightened"] is True and "seed" not in first
     assert (second["command"], second["check"], second["trials"]) == ("verify", "hoeffding", 10)
-    assert second["seed"] == 0 and "instance" not in second and "mode" not in second
+    assert second["seed"] == 5 and "instance" not in second and "mode" not in second
     assert (third["command"], third["instance"], third["mode"]) == ("solve", "b.json", "exact")
-    assert third["tightened"] is False and third["seed"] == 0
+    assert third["tightened"] is False and "seed" not in third
 
 
 def test_runtime_error_exits_one(tmp_path):

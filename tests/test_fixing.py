@@ -13,7 +13,7 @@ import pytest
 
 from oracles import binary_enumeration, highs_optimum, region_rows, set_packing_dp, with_rows
 from probranch import _simplex, bnb
-from probranch.bnb import SolveOptions, brute_force, solve_mip
+from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import Calibration, build_hyperplanes, partition_solve
 from probranch.generators import gen_ca
 from probranch.lp import relaxation_arrays
@@ -40,7 +40,7 @@ def test_fixing_fires_on_a_hand_built_instance():
     rep = solve_mip(inst, options=SolveOptions(**EXACT))
     assert rep.fixed > 0
     assert rep.status == "optimal"
-    assert rep.objective == pytest.approx(brute_force(inst).objective, abs=1e-9)
+    assert rep.objective == pytest.approx(binary_enumeration(inst).objective, abs=1e-9)
     assert check_feasible(inst, rep.best_solution.values)[0]
 
 
@@ -72,7 +72,7 @@ def test_fixing_solves_match_oracles_on_random_instances(seed):
     rng = np.random.default_rng([seed, 8])
     if seed % 2:
         inst = tight_mkp(int(rng.integers(2, 6)), int(rng.integers(12, 17)), 100 + seed)
-        expected = binary_enumeration(inst)
+        expected = binary_enumeration(inst).objective
     else:
         items, bids = int(rng.integers(12, 17)), int(rng.integers(60, 101))
         inst = gen_ca(items, bids, 1, seed=100 + seed).instances[0][1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from probranch.bnb import brute_force
+from oracles import binary_enumeration, set_cover_dp, set_packing_dp
 from probranch.generators import (
     InstanceFamily,
     fixed_signature,
@@ -172,11 +172,21 @@ FAMILIES = {
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_family_has_nonzero_optima_and_varied_labels(kind):
     insts = FAMILIES[kind]()
-    sols = [brute_force(inst) for inst in insts]
+    sols = [binary_enumeration(inst) for inst in insts]
     assert all(sol.status == "optimal" for sol in sols)
     assert any(sol.objective != 0.0 for sol in sols)
     labels = {tuple(np.rint(sol.values[: inst.num_binary])) for sol, inst in zip(sols, insts)}
     assert len(labels) > 1
+
+
+def test_mask_dps_match_binary_enumeration():
+    # the acceptance suite trusts the mask DPs where 2^30 points are too many
+    for s in range(1, 6):
+        for dp, fam in ((set_cover_dp, gen_scp(10, 16, 0.3, 4, seed=s)),
+                        (set_packing_dp, gen_ca(8, 16, 4, seed=s))):
+            for _, inst in fam.instances:
+                expected = binary_enumeration(inst).objective
+                assert dp(inst) == pytest.approx(expected, abs=1e-9), (dp.__name__, s, inst.name)
 
 
 def test_stream_rng_streams_are_independent():

@@ -29,7 +29,6 @@ from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import (
     Calibration,
     build_hyperplanes,
-    data_free_calibration,
     partition_solve,
 )
 from probranch.generators import gen_ca, gen_scp
@@ -260,7 +259,7 @@ def test_partition_solve_matches_oracles_on_random_instances(seed):
     kind = ("mkp", "scp", "ca")[seed % 3]
     if kind == "mkp":
         inst = tight_mkp(int(rng.integers(2, 6)), int(rng.integers(8, 15)), seed)
-        expected = binary_enumeration(inst)
+        expected = binary_enumeration(inst).objective
     elif kind == "scp":
         m, n = int(rng.integers(12, 19)), int(rng.integers(30, 61))
         inst = gen_scp(m, n, float(rng.uniform(0.2, 0.3)), 1, seed=seed).instances[0][1]
@@ -340,7 +339,7 @@ def test_time_limit_covers_the_whole_exact_solve():
     pred = lp_root_predict(inst)
     limit = 0.2
     start = time.perf_counter()
-    rep = partition_solve(inst, pred, data_free_calibration(), SolveOptions(time_limit=limit),
+    rep = partition_solve(inst, pred, Calibration(0.9, 0.0, 1e-8), SolveOptions(time_limit=limit),
                           mode="exact", tightened=True)
     elapsed = time.perf_counter() - start
     assert rep.best.status == "limit"
