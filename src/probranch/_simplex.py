@@ -22,6 +22,15 @@ basic bounds are updated at each pivot and flip, not gathered again.
 On an iteration limit or a non-finite value the solve falls back to a
 cold one.
 
+While the basis is dual feasible, the objective c.x of the dual's basic
+solution is a lower bound on the LP.  Given a finite ``cutoff``, a warm
+solve tracks it (the nonbasic part updated on each flip and pivot) and
+stops with STATUS_CUTOFF as soon as it reaches the cutoff while rows
+are still infeasible.  The same argument bounds a branch-and-bound
+child from its parent's final tableau before the child's LP is set up:
+``_Workspace.first_step_gains`` runs the dual's first bound-flipping
+ratio test on the branched row.
+
 A ``deadline`` (a ``time.monotonic()`` instant) stops either method
 between iterations with STATUS_TIME_LIMIT; that stop never falls back
 to a cold solve.
@@ -36,6 +45,7 @@ method Bland's lowest-index rule engages permanently after
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -55,6 +65,11 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_TIME_LIMIT = "time_limit"
+STATUS_CUTOFF = "cutoff"
+
+# A warm solve stops with STATUS_CUTOFF once its dual bound clears the
+# cutoff by this much, relative to the cutoff's magnitude.
+CUTOFF_TOL = 1e-9
 
 
 @dataclass
@@ -202,6 +217,9 @@ class _Workspace:
             viol = np.where(up, -d, 0.0) + np.where(down, d, 0.0)
             if not viol.any():
                 self.d = d
+                self.h = np.where(at_lb, -1.0, np.where(at_ub, 1.0, 0.0)) * movable
+                self.free = movable & (self.h == 0.0)
+                self.span = self.ub - self.lb
                 return STATUS_OPTIMAL
             if use_bland:
                 j = int(np.nonzero(viol > 0)[0][0])
@@ -253,7 +271,7 @@ class _Workspace:
             self.pivot(p, j, w)
         return STATUS_ITERATION_LIMIT
 
-    def dual(self, c, max_iters, deadline=None):
+    def dual(self, c, max_iters, deadline=None, cutoff=math.inf):
         """Bounded dual simplex from a dual feasible basis until x_B is in bounds.
 
         The reduced costs start from a copy of the carried ``d``, which
@@ -266,10 +284,15 @@ class _Workspace:
         column where that stops enters.  x_B and the basic bounds live
         in the loop and x_B is written back to ``x`` on every return.
         Returns STATUS_OPTIMAL when the basis is primal feasible and its
-        reduced costs dual feasible (and keeps them as ``d``),
-        STATUS_INFEASIBLE when the leaving row stays infeasible with
-        every eligible column at its helpful bound, STATUS_TIME_LIMIT
-        once ``deadline`` has passed, or STATUS_ITERATION_LIMIT.
+        reduced costs dual feasible (and keeps them as ``d``, with the
+        nonbasic signs ``h``, ``free`` and ``span`` the first-step bound
+        reads), STATUS_INFEASIBLE when the leaving row stays infeasible
+        with every eligible column at its helpful bound, STATUS_CUTOFF
+        when rows are still infeasible but the objective c.x of the
+        basic solution, a lower bound on the LP while the basis is dual
+        feasible, has reached a finite ``cutoff`` (plus CUTOFF_TOL
+        relative), STATUS_TIME_LIMIT once ``deadline`` has passed, or
+        STATUS_ITERATION_LIMIT.
         """
         x, A, basis = self.x, self.A, self.basis
         d = self.d.copy()
@@ -287,6 +310,13 @@ class _Workspace:
         any_free = np.count_nonzero(free)
         xb, lb_b, ub_b = x[basis], self.lb[basis], self.ub[basis]
         binv = self.binv
+        track = math.isfinite(cutoff)
+        if track:
+            # c.x in two parts: the basic costs against x_B, and the
+            # nonbasic part, updated on every flip and pivot
+            stop_at = cutoff + CUTOFF_TOL * max(1.0, abs(cutoff))
+            c_b = c[basis]
+            c_n = float(c @ np.where(self.is_basic, 0.0, x))
         status = STATUS_ITERATION_LIMIT
         while self.iterations < max_iters:
             if deadline is not None and time.monotonic() > deadline:
@@ -297,6 +327,9 @@ class _Workspace:
             bad = (infeas > _FEAS_TOL).nonzero()[0]
             if not len(bad):
                 status = STATUS_OPTIMAL
+                break
+            if track and c_n + c_b @ xb >= stop_at:
+                status = STATUS_CUTOFF
                 break
             bland = self.degenerate >= BLAND_AFTER
             if len(bad) == 1:
@@ -347,6 +380,8 @@ class _Workspace:
                 delta = np.where(h[flips] > 0, -span[flips], span[flips])
                 x[flips] += delta
                 xb -= binv @ (A[:, flips] @ delta)
+                if track:
+                    c_n += float(c[flips] @ delta)
                 h[flips] = np.sign(delta)
                 free[flips] = False
             w = binv @ A[:, q]
@@ -355,6 +390,9 @@ class _Workspace:
             step = (xb[r] - bound) / w[r]
             xb -= step * w
             xb[r] = x[q] + step
+            if track:
+                c_n += c[leaving] * bound - c[q] * x[q]
+                c_b[r] = c[q]
             x[leaving] = bound
             lb_b[r], ub_b[r] = self.lb[q], self.ub[q]
             d -= (d[q] / alpha[q]) * alpha
@@ -371,8 +409,51 @@ class _Workspace:
             if dual_infeasible:
                 # round-off left a dual infeasibility
                 return self.minimize(c, max_iters, deadline=deadline)
-            self.d = d
+            self.d, self.h, self.free, self.span = d, h, free, span
         return status
+
+    def first_step_gains(self, j: int, targets) -> list[float]:
+        """Lower bounds on the rise of the optimum when basic x_j must reach each target.
+
+        The state is optimal; a child that moves one bound of x_j past
+        its value differs from it in row r of x_j alone, and this basis
+        is dual feasible for the child.  The dual's first bound-flipping
+        ratio test on that row (Driebeek's penalty) moves the eligible
+        nonbasic columns in |d_k|/|alpha_k| order, each through its
+        span, until x_j reaches the target; the cost of that move is a
+        valid lower bound on the child's LP minus this one.  It is
+        infinite when the eligible columns cannot close the gap, which
+        is the dual's infeasibility test, and 0 when the gap is within
+        the feasibility tolerance or x_j is not basic.
+        """
+        if not self.is_basic[j]:
+            return [0.0] * len(targets)
+        r = int((self.basis == j).argmax())
+        alpha = self.binv[r] @ self.A
+        ha = self.h * alpha
+        moves_any = self.free & (np.abs(alpha) > _PIVOT_TOL)
+        gains = []
+        for target in targets:
+            gap = abs(target - self.x[j])
+            if gap <= _FEAS_TOL:
+                gains.append(0.0)
+                continue
+            # as in ``dual``: x_j rises to the target or falls to it
+            eligible = (ha > _PIVOT_TOL if target > self.x[j] else ha < -_PIVOT_TOL) | moves_any
+            cols = eligible.nonzero()[0]
+            mag = np.abs(alpha[cols])
+            ratios = np.abs(self.d[cols]) / mag
+            order = np.argsort(ratios, kind="stable")
+            reach = (mag * self.span[cols])[order].cumsum()
+            left = gap - reach
+            k = int((left <= _FEAS_TOL).argmax()) if len(cols) else 0
+            if not len(cols) or left[k] > _FEAS_TOL:
+                gains.append(math.inf)
+                continue
+            whole = order[:k]  # columns moved through their whole span
+            gains.append(float(np.abs(self.d[cols[whole]]) @ self.span[cols[whole]])
+                         + ratios[order[k]] * (gap - (reach[k - 1] if k else 0.0)))
+        return gains
 
 
 def _result(ws: _Workspace, status: str, c_full: np.ndarray, duals: bool = True) -> SimplexResult:
@@ -400,6 +481,7 @@ def solve_bounded_lp(
     max_iters: int = 20000,
     warm: _Workspace | None = None,
     deadline: float | None = None,
+    cutoff: float = math.inf,
 ) -> SimplexResult:
     """Minimize c.x subject to rows (a, senses, b) and bounds lb <= x <= ub.
 
@@ -410,7 +492,9 @@ def solve_bounded_lp(
     ``warm`` is never modified, so one state can seed several solves.
     A warm solve that needs no fallback computes no row multipliers:
     its ``duals`` is None.  Past ``deadline`` (a ``time.monotonic()``
-    instant) the solve stops with STATUS_TIME_LIMIT, warm or cold.
+    instant) the solve stops with STATUS_TIME_LIMIT, warm or cold.  A
+    warm solve whose dual bound reaches a finite ``cutoff`` stops with
+    STATUS_CUTOFF; its ``objective`` is that bound.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -427,7 +511,7 @@ def solve_bounded_lp(
         c_full = np.zeros(warm.A.shape[1])
         c_full[:n] = c
         ws = warm.child(lb, ub)
-        status = ws.dual(c_full, max_iters, deadline)
+        status = ws.dual(c_full, max_iters, deadline, cutoff)
         if status == STATUS_TIME_LIMIT or (
                 status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all()):
             return _result(ws, status, c_full, duals=False)

@@ -18,6 +18,27 @@ descendant inherit the fixed box, and ``SolveReport.fixed`` counts the
 fixings.  Root boxes and the closed-form knapsack relaxation carry no
 reduced costs and are not fixed.
 
+First-step bounds: when a node branches on x_j, its final tableau row
+of x_j bounds each child's LP from below before that LP is set up
+(``_simplex._Workspace.first_step_gains``, the dual's first
+bound-flipping ratio test); the child's heap entry carries that bound,
+while its heap key stays the parent's bound.
+
+A popped node closes at the first of these that applies, and
+``SolveReport.closed`` counts each way (CLOSED_BY):
+  1. its parent's bound reaches the cutoff: dropped, not counted;
+  2. its first-step bound reaches the cutoff (infinite when the child
+     is infeasible): closed with no fixing and no LP;
+  3. reduced-cost fixing tightens its box, then its LP is solved; a
+     node below a root stops its dual simplex as soon as the dual bound
+     reaches the cutoff (``STATUS_CUTOFF``), and it closes when the LP
+     is infeasible or its bound reaches the cutoff;
+  4. an integral (or integral after rounding) LP point is accepted;
+  5. otherwise it branches.
+A root LP gets no cutoff: a root that warm-starts from another root's
+basis under its own box may start dual infeasible, and then its dual
+objective bounds nothing.
+
 A single solve is single-threaded; concurrent solves on distinct
 instances are safe.  Incumbent timestamps come from a monotonic clock.
 """
@@ -47,6 +68,11 @@ ROUNDED_ROW_TOL = 1e-9
 # other value is still within the gap.
 FIXING_TOL = 1e-9
 
+# The ways a node closes: by its first-step bound before any LP, by an LP
+# bound (or a stopped LP) at the cutoff, by an infeasible LP, by an
+# integral or rounded LP point that was accepted, or by branching.
+CLOSED_BY = ("first_step", "cutoff", "infeasible", "integral", "branched")
+
 
 @dataclass
 class SolveOptions:
@@ -74,6 +100,8 @@ class SolveReport:
     root_seconds: list[float] = field(default_factory=list)  # per root box
     best_root: int | None = None  # the root whose subtree found best_solution
     fixed: int = 0  # binaries fixed by reduced-cost fixing, over all nodes
+    # nodes by the way each closed, one count per CLOSED_BY key
+    closed: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CLOSED_BY, 0))
 
     @property
     def objective(self) -> float:
@@ -192,6 +220,7 @@ def solve_mip(
     incumbent_log: list[tuple[float, float]] = []
     nodes = 0
     fixed = 0
+    closed = dict.fromkeys(CLOSED_BY, 0)
     next_id = 0
     limit_hit = False
 
@@ -241,10 +270,11 @@ def solve_mip(
             x[free[k]] = (cap - (reach[k - 1] if k else 0.0)) / kn_w[free[k]]
         return _simplex.STATUS_OPTIMAL, x, float(c @ x)
 
-    # open nodes (bound, node_id, depth, node): a heap, ties to the older node
+    # open nodes (parent bound, node_id, depth, (lb, ub, parent state, root,
+    # own bound)): a heap by the parent's bound, ties to the older node
     tree = []
     for k, (lo, hi) in enumerate(boxes):
-        heapq.heappush(tree, (-math.inf, next_id, 0, (lo.copy(), hi.copy(), None, k)))
+        heapq.heappush(tree, (-math.inf, next_id, 0, (lo.copy(), hi.copy(), None, k, -math.inf)))
         next_id += 1
 
     clock = t0
@@ -256,39 +286,48 @@ def solve_mip(
         if nodes >= opts.node_limit or now - t0 > opts.time_limit:
             limit_hit = True
             break
-        parent_bound, node_id, depth, (lb, ub, warm, root) = heapq.heappop(tree)
+        parent_bound, node_id, depth, node = heapq.heappop(tree)
         if parent_bound >= prune_at:
+            continue
+        lb, ub, warm, root, own_bound = node
+        nodes += 1
+        root_nodes[root] += 1
+        if own_bound >= prune_at + _simplex.CUTOFF_TOL * max(1.0, abs(prune_at)):
+            closed["first_step"] += 1
             continue
         if warm is not None and prune_at < math.inf:
             lb, ub, k = _fix_by_reduced_costs(
                 warm, lb, ub, n_bin, prune_at - parent_bound, FIXING_TOL * max(1.0, abs(prune_at)))
             fixed += k
 
-        nodes += 1
-        root_nodes[root] += 1
         if knapsack_mode:
             lp_status, x, bound = knapsack_relaxation(lb, ub)
             state = None
         else:
+            # a root may start dual infeasible under its own box, so
+            # only a node below one stops its LP at the cutoff
             res = _simplex.solve_bounded_lp(
                 c, a, senses, b, lb, ub, warm=root_state if warm is None else warm,
-                deadline=deadline)
+                deadline=deadline, cutoff=prune_at if depth else math.inf)
             lp_status, x, bound = res.status, res.x, res.objective
             state = res.state
             if depth == 0 and root_state is None:
                 root_state = state
         if lp_status == _simplex.STATUS_INFEASIBLE:
+            closed["infeasible"] += 1
             continue
         if lp_status == _simplex.STATUS_UNBOUNDED:
             raise RuntimeError("LP relaxation is unbounded; MILP statuses cannot express this")
         if lp_status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
             limit_hit = True
-            heapq.heappush(tree, (parent_bound, node_id, depth, (lb, ub, warm, root)))  # still open
-            break
-        if bound >= prune_at:
+            heapq.heappush(tree, (parent_bound, node_id, depth, (lb, ub, warm, root, own_bound)))
+            break  # the node stays open, counted but not closed
+        if lp_status == _simplex.STATUS_CUTOFF or bound >= prune_at:
+            closed["cutoff"] += 1
             continue
         if n_bin == 0:
             accept(x, bound)
+            closed["integral"] += 1
             continue
         # fixed binaries are integral by their bounds and never branched on
         frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(x[:n_bin] - np.rint(x[:n_bin])), 0.0)
@@ -302,21 +341,27 @@ def solve_mip(
             xi = x.copy()
             xi[:n_bin] = np.rint(xi[:n_bin])
             accept(xi, float(c @ xi))
+            closed["integral"] += 1
             continue
         cand, ok = roundings(x, lb, ub)  # nearest, floor, ceil
         if fmax <= INTEGRALITY_TOL and ok[0]:
             accept(cand[0], float(c @ cand[0]))
+            closed["integral"] += 1
             continue
 
         # rounding heuristic: each rounding that stays feasible is kept
         for i in ok.nonzero()[0]:
             accept(cand[i], float(c @ cand[i]))
 
+        closed["branched"] += 1
+        gain_dn, gain_up = ((0.0, 0.0) if state is None
+                            else state.first_step_gains(j, (0.0, 1.0)))
         lb_up = lb.copy()
         lb_up[j] = 1.0
         ub_dn = ub.copy()
         ub_dn[j] = 0.0
-        up, down = (lb_up, ub, state, root), (lb, ub_dn, state, root)
+        up = (lb_up, ub, state, root, bound + gain_up)
+        down = (lb, ub_dn, state, root, bound + gain_dn)
         for child in ((up, down) if x[j] >= 0.5 else (down, up)):
             heapq.heappush(tree, (bound, next_id, depth + 1, child))
             next_id += 1
@@ -356,4 +401,5 @@ def solve_mip(
         root_seconds=root_seconds,
         best_root=best_root,
         fixed=fixed,
+        closed=closed,
     )

@@ -198,6 +198,7 @@ def _cmd_solve(args) -> int:
             "best_bound": rep.best_bound,
             "nodes": rep.nodes,
             "fixed": rep.fixed,
+            "closed": rep.closed,
             "wall_time": rep.wall_time,
         }
     else:
@@ -226,6 +227,7 @@ def _cmd_solve(args) -> int:
             "best_bound": rep.best_bound,
             "nodes": rep.nodes,
             "fixed": rep.fixed,
+            "closed": rep.closed,
             "wall_time": rep.wall_time,
             "regions": [
                 {"label": r.label, "nodes": r.nodes, "seconds": r.seconds}

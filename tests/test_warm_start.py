@@ -1,9 +1,10 @@
 """Warm-started node LPs in branch and bound.
 
 Every node below the root reoptimizes its parent's final basis with the
-bounded dual simplex, starting from the parent's carried reduced costs.
-These tests hold each such LP to a cold solve of the same node and its
-carried reduced costs to ones computed afresh, the partition tree
+bounded dual simplex, starting from the parent's carried reduced costs,
+and stops once its dual bound reaches the cutoff.  These tests hold each
+such LP to a cold solve of the same node, its carried reduced costs to
+ones computed afresh, each child's first-step bound to its LP optimum, the partition tree
 (exact and heuristic mode) to independent oracles on randomized
 instances, the refactorization interval to whole dives, and the batched
 rounding pass to the per-rounder loop it replaced.
@@ -105,7 +106,8 @@ def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch, family, with_cuts)
     def recording(c, a, senses, b, lb, ub, **kwargs):
         res = cold(c, a, senses, b, lb, ub, **kwargs)
         if kwargs.get("warm") is not None:
-            warm_solves.append((c, a, senses, b, lb.copy(), ub.copy(), kwargs["warm"], res))
+            warm_solves.append((c, a, senses, b, lb.copy(), ub.copy(), kwargs["warm"],
+                                kwargs.get("cutoff", math.inf), res))
         return res
 
     monkeypatch.setattr(_simplex, "solve_bounded_lp", recording)
@@ -120,10 +122,15 @@ def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch, family, with_cuts)
 
     assert len(warm_solves) >= 30
     statuses = set()
-    for c, a, senses, b, lb, ub, warm, res in warm_solves:
+    for c, a, senses, b, lb, ub, warm, cutoff, res in warm_solves:
         ref = cold(c, a, senses, b, lb, ub)
-        assert res.status == ref.status
         statuses.add(res.status)
+        if res.status == _simplex.STATUS_CUTOFF:
+            # stopped at the cutoff: the node LP cannot beat it
+            assert ref.status == _simplex.STATUS_INFEASIBLE or (
+                ref.objective >= cutoff - 1e-9 * max(1.0, abs(cutoff)))
+            continue
+        assert res.status == ref.status
         if ref.status == _simplex.STATUS_OPTIMAL:
             assert res.objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-9)
             assert res.state.A is warm.A  # reoptimized in place, no cold fallback
@@ -161,6 +168,95 @@ def test_carried_reduced_costs_match_the_final_basis(monkeypatch, family, with_c
         c_full[: len(c)] = c
         fresh = c_full - state.duals(c_full) @ state.A
         assert np.abs(state.d - fresh).max() <= 1e-9 * max(1.0, np.abs(c).max())
+
+
+def lp_optimum(c, a, senses, b, lb, ub):
+    """HiGHS's optimum of min c.x over the rows and the box, or None if infeasible."""
+    from scipy.optimize import linprog
+
+    sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
+    eq = np.array([s == "=" for s in senses], dtype=bool)
+    res = linprog(c, A_ub=(sign[:, None] * a)[~eq], b_ub=(sign * b)[~eq],
+                  A_eq=a[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
+                  bounds=list(zip(lb, ub)), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.fun if res.status == 0 else None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_first_step_bounds_never_exceed_the_child_lp(monkeypatch, seed):
+    rng = np.random.default_rng([seed, 12])
+    kind = ("mkp", "ca", "scp")[seed % 3]
+    if kind == "mkp":
+        insts = [tight_mkp(int(rng.integers(3, 6)), int(rng.integers(12, 18)), seed)]
+    elif kind == "ca":
+        insts = [inst for _, inst in gen_ca(20, 60, 2, seed=seed).instances]
+    else:  # most set covers solve at the root, so take several
+        insts = [inst for _, inst in gen_scp(20, 60, 0.25, 6, seed=seed).instances]
+    if seed // 3 % 2:
+        insts = [with_continuous(inst, rng) for inst in insts]
+    lp_rows = []
+    branchings = []
+    solve, gains_of = _simplex.solve_bounded_lp, _simplex._Workspace.first_step_gains
+
+    def recording_lp(c, a, senses, b, lb, ub, **kwargs):
+        lp_rows[:] = [(c, a, senses, b)]
+        return solve(c, a, senses, b, lb, ub, **kwargs)
+
+    def recording_gains(state, j, targets):
+        gains = gains_of(state, j, targets)
+        branchings.append((lp_rows[0], state.lb[: state.n].copy(), state.ub[: state.n].copy(),
+                           float(lp_rows[0][0] @ state.x[: state.n]), j, targets, gains))
+        return gains
+
+    monkeypatch.setattr(_simplex, "solve_bounded_lp", recording_lp)
+    monkeypatch.setattr(_simplex._Workspace, "first_step_gains", recording_gains)
+    for inst in insts:
+        if seed // 6:
+            partition_solve(inst, lp_root_predict(inst), Calibration(0.75, 0.0, 0.05),
+                            SolveOptions(**EXACT), mode="exact")
+        else:
+            solve_mip(inst, SolveOptions(**EXACT))
+
+    assert branchings
+    for (c, a, senses, b), lb, ub, parent, j, targets, gains in branchings:
+        for target, gain in zip(targets, gains):
+            assert gain >= 0.0
+            child_lb, child_ub = lb.copy(), ub.copy()
+            child_lb[j] = child_ub[j] = target  # a binary's child fixes it
+            opt = lp_optimum(c, a, senses, b, child_lb, child_ub)
+            if opt is not None:
+                assert parent + gain <= opt + 1e-9 * max(1.0, abs(opt))
+
+
+@pytest.mark.parametrize("mode", ["plain", "exact"])
+def test_no_root_lp_gets_a_cutoff(monkeypatch, mode):
+    cutoffs, boxes = [], []
+    solve = _simplex.solve_bounded_lp
+
+    def recording(c, a, senses, b, lb, ub, **kwargs):
+        cutoffs.append(kwargs.get("cutoff", math.inf))
+        return solve(c, a, senses, b, lb, ub, **kwargs)
+
+    def counted(instance, options=None, roots=None):
+        boxes.append(len(roots))
+        return solve_mip(instance, options, roots)
+
+    monkeypatch.setattr(_simplex, "solve_bounded_lp", recording)
+    monkeypatch.setattr(branching, "solve_mip", counted)
+    inst = tight_mkp(5, 15, 1)
+    if mode == "plain":
+        solve_mip(inst, SolveOptions(**EXACT))
+        boxes.append(1)
+    else:
+        partition_solve(inst, lp_root_predict(inst), Calibration(0.75, 0.0, 0.05),
+                        SolveOptions(**EXACT), mode="exact")
+    # every root is popped before any child (its key is -inf); the first
+    # call is lp_root_predict's own root LP in exact mode
+    first = 1 if mode == "exact" else 0
+    assert boxes[0] >= (3 if mode == "exact" else 1)
+    assert all(math.isinf(cut) for cut in cutoffs[: first + boxes[0]])
+    assert any(math.isfinite(cut) for cut in cutoffs[first + boxes[0]:])
 
 
 def counted_partition(monkeypatch, inst):
