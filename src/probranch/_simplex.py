@@ -1,10 +1,18 @@
 """Bounded-variable revised simplex on dense arrays (minimization).
 
-A cold solve is a two-phase primal method: the start puts every
+A cold solve of a boxed LP (every structural bound finite: binaries,
+count columns, bounded continuous columns) needs no phase 1.  Each
+column starts at the bound its cost prefers (its upper bound where
+c_j < 0, else its lower), the slack basis is then dual feasible with
+d = c, and the bounded dual simplex below restores primal feasibility;
+an optimal return recomputes d = c - (c_B B^-1) A from the final basis.
+Any other cold solve is a two-phase primal method: the start puts every
 variable at its lower bound (its upper bound, or 0, when that is
 infinite), artificial variables absorb the rows this leaves infeasible,
 phase 1 drives their sum to zero and phase 2 optimizes the real
 objective.  After phase 1 the artificial columns stay pinned to [0, 0].
+The two-phase method also runs when the dual start of a boxed LP hits
+the iteration limit or a non-finite value.
 
 A warm solve reoptimizes from the final state of an earlier optimal
 solve of the same rows after its variable bounds changed, as a
@@ -99,7 +107,17 @@ class _Workspace:
     copies everything a solve writes and shares the extended matrix.
     """
 
-    def __init__(self, a, senses, b, lb, ub):
+    def __init__(self, a, senses, b, lb, ub, c=None):
+        """The slack basis over the rows.
+
+        Without costs, for the primal method: each column starts at a
+        finite bound, and artificial columns absorb the rows the slacks
+        cannot.  With costs c, for the dual method (every bound finite):
+        each column starts at the bound its cost prefers, ub where
+        c_j < 0 and lb otherwise, the slacks take whatever values the
+        rows leave, out of bounds or not, and no artificial column is
+        added; that basis is dual feasible with d = c.
+        """
         m, n = a.shape
         self.m, self.n = m, n
         sl_lo = np.empty(m)
@@ -107,9 +125,12 @@ class _Workspace:
         for r, s in enumerate(senses):
             sl_lo[r], sl_hi[r] = _slack_bounds(s)
 
-        x_struct = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+        if c is None:
+            x_struct = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+        else:
+            x_struct = np.where(c < 0, ub, lb)
         resid = b - a @ x_struct
-        slack_vals = np.clip(resid, sl_lo, sl_hi)
+        slack_vals = resid if c is not None else np.clip(resid, sl_lo, sl_hi)
         art_resid = resid - slack_vals
         art_rows = np.nonzero(np.abs(art_resid) > _FEAS_TOL)[0]
         k = len(art_rows)
@@ -493,8 +514,9 @@ def solve_bounded_lp(
     A warm solve that needs no fallback computes no row multipliers:
     its ``duals`` is None.  Past ``deadline`` (a ``time.monotonic()``
     instant) the solve stops with STATUS_TIME_LIMIT, warm or cold.  A
-    warm solve whose dual bound reaches a finite ``cutoff`` stops with
-    STATUS_CUTOFF; its ``objective`` is that bound.
+    dual simplex solve (warm, or cold on a boxed LP) whose bound reaches
+    a finite ``cutoff`` stops with STATUS_CUTOFF; its ``objective`` is
+    that bound.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -515,6 +537,21 @@ def solve_bounded_lp(
         if status == STATUS_TIME_LIMIT or (
                 status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all()):
             return _result(ws, status, c_full, duals=False)
+        spent = ws.iterations
+
+    if np.isfinite(lb).all() and np.isfinite(ub).all():
+        # boxed: the dual simplex from the dual feasible slack basis
+        ws = _Workspace(a, senses, b, lb, ub, c)
+        ws.iterations = spent
+        c_full = np.concatenate([c, np.zeros(m)])
+        ws.d = c_full.copy()
+        status = ws.dual(c_full, max_iters + spent, deadline, cutoff)
+        if status == STATUS_TIME_LIMIT or (
+                status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all()):
+            if status == STATUS_OPTIMAL:
+                # the reduced costs a primal solve of this basis would keep
+                ws.d = c_full - ws.duals(c_full) @ ws.A
+            return _result(ws, status, c_full)
         spent = ws.iterations
 
     ws = _Workspace(a, senses, b, lb, ub)

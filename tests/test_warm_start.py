@@ -470,6 +470,34 @@ def test_cold_solve_keeps_its_final_reduced_costs():
     assert np.array_equal(state.d, c_full - state.duals(c_full) @ state.A)
 
 
+def test_boxed_cold_lp_skips_phase_one_and_unboxed_keeps_it(monkeypatch):
+    primal = []
+    minimize = _simplex._Workspace.minimize
+
+    def counted(ws, *args, **kwargs):
+        primal.append(len(ws.artificial))
+        return minimize(ws, *args, **kwargs)
+
+    monkeypatch.setattr(_simplex._Workspace, "minimize", counted)
+    # set covers: every >= row is violated at the slack basis, so a
+    # primal start needs an artificial column per row
+    for _, inst in gen_scp(20, 60, 0.25, 3, seed=6).instances:
+        c, a, senses, b, lb, ub = relaxation_arrays(inst)
+        res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
+        assert res.status == _simplex.STATUS_OPTIMAL and not primal
+        assert res.state.A.shape == (len(b), len(c) + len(b))  # no artificial column
+        assert res.objective == pytest.approx(lp_optimum(c, a, senses, b, lb, ub), rel=1e-9)
+
+        # one column without an upper bound: the two-phase primal solves it
+        ub = ub.copy()
+        ub[0] = np.inf
+        res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
+        assert res.status == _simplex.STATUS_OPTIMAL
+        assert primal and primal[0] == len(b)  # phase 1 over one artificial per row
+        assert res.objective == pytest.approx(lp_optimum(c, a, senses, b, lb, ub), rel=1e-9)
+        primal.clear()
+
+
 def test_deadline_stops_a_large_lp_between_iterations():
     inst = tight_mkp(60, 400, 1)
     c, a, senses, b, lb, ub = relaxation_arrays(inst)
