@@ -29,6 +29,7 @@ from .model import deserialize, serialize
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are errors, not validation failures
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

@@ -132,6 +132,8 @@ def logistic_train(
     live = np.flatnonzero(~const)
     w, b, y, f = weights[live], intercepts[live], labels[:, live], loss[live]
     for it in range(max_iters):
+        if not live.size:
+            break
         gw, gb = logistic_gradient(w, b, xs, y, reg)
         gnorm2 = np.einsum("ij,ij->i", gw, gw) + gb * gb
         # every model still searching tries the same step, 1.0 halved each round
@@ -151,8 +153,6 @@ def logistic_train(
             done = live[~moved]
             weights[done], intercepts[done], iterations[done] = w[~moved], b[~moved], it
             live, w, b, y, f = live[moved], w[moved], b[moved], y[:, moved], f[moved]
-            if not live.size:
-                break
         loss[live] = f
         history.append(loss.copy())
     # the models still live stopped at the cap

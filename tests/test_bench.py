@@ -237,6 +237,18 @@ class TestVerifyLemma:
         assert rep.bound == pytest.approx(20 * math.exp(-5.0))
         assert rep.empirical <= rep.bound
 
+    def test_offset_bin_counts_match_the_per_row_count(self):
+        from probranch.bench import _row_bincounts
+
+        rng = stream_rng(5, 0)
+        n_bins = 20
+        idx = np.minimum((rng.uniform(0.0, 1.0, size=(300, 400)) / 0.05).astype(int), n_bins - 1)
+        per_row = np.apply_along_axis(np.bincount, 1, idx, minlength=n_bins)
+        assert np.array_equal(_row_bincounts(idx, n_bins), per_row)
+        # a bin no draw of any row fell into still gets its column
+        assert np.array_equal(_row_bincounts(np.zeros((3, 2), dtype=int), 4),
+                              [[2, 0, 0, 0]] * 3)
+
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             verify_lemma("hoeffding", {"n": 10, "p": 0.5, "t": 1}, 100, seed=1)

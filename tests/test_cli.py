@@ -265,6 +265,13 @@ def test_usage_error_exits_one():
     assert cli.main(["solve"]) == 1  # missing required --instance
 
 
+def test_usage_error_names_the_wrong_argument(capsys):
+    assert cli.main(["solve", "--instance", "x.json", "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: probranch")
+    assert "probranch: error: unrecognized arguments: --seed 3" in err
+
+
 def test_cached_parser_gives_each_call_its_own_namespace(monkeypatch, capsys):
     seen = []
 

@@ -60,6 +60,26 @@ class TestLogisticTrain:
         p = logistic_predict(model, np.array([100.0])).probabilities[0]
         assert p > 0.999
 
+    def test_all_constant_labels_take_no_gradient_step(self, monkeypatch):
+        from probranch import predict
+
+        calls = []
+        gradient = predict.logistic_gradient
+
+        def counted(*args):
+            calls.append(1)
+            return gradient(*args)
+
+        monkeypatch.setattr(predict, "logistic_gradient", counted)
+        dataset = [(np.array([float(i), 1.0 - i]), np.array([1.0, 0.0, 1.0])) for i in range(5)]
+        model = logistic_train(dataset, max_iters=500)
+        assert not calls
+        assert model.iterations == [0, 0, 0]
+        assert [len(trace) for trace in model.loss_trace] == [1, 1, 1]
+        assert np.array_equal(model.weights, np.zeros((3, 2)))
+        p = logistic_predict(model, np.array([2.0, 3.0])).probabilities
+        assert p[0] > 0.999 and p[1] < 0.001 and p[2] > 0.999
+
     def test_fifty_fifty_uninformative_features(self):
         # constant features carry zero information, so symmetry pins 0.5
         dataset = [
