@@ -449,31 +449,39 @@ class _Workspace:
         """
         if not self.is_basic[j]:
             return [0.0] * len(targets)
-        r = int((self.basis == j).argmax())
-        alpha = self.binv[r] @ self.A
+        xj = self.x[j]
+        alpha = self.binv[(self.basis == j).argmax()] @ self.A
         ha = self.h * alpha
-        moves_any = self.free & (np.abs(alpha) > _PIVOT_TOL)
+        moves_any = self.free & (np.abs(alpha) > _PIVOT_TOL) if self.free.any() else None
         gains = []
         for target in targets:
-            gap = abs(target - self.x[j])
+            gap = abs(target - xj)
             if gap <= _FEAS_TOL:
                 gains.append(0.0)
                 continue
             # as in ``dual``: x_j rises to the target or falls to it
-            eligible = (ha > _PIVOT_TOL if target > self.x[j] else ha < -_PIVOT_TOL) | moves_any
+            eligible = ha > _PIVOT_TOL if target > xj else ha < -_PIVOT_TOL
+            if moves_any is not None:
+                eligible |= moves_any
             cols = eligible.nonzero()[0]
+            if not len(cols):
+                gains.append(math.inf)
+                continue
             mag = np.abs(alpha[cols])
             ratios = np.abs(self.d[cols]) / mag
+            reach = mag * self.span[cols]
+            i = ratios.argmin()
+            if gap - reach[i] <= _FEAS_TOL:  # the cheapest column closes the gap alone
+                gains.append(float(ratios[i] * gap))
+                continue
             order = np.argsort(ratios, kind="stable")
-            reach = (mag * self.span[cols])[order].cumsum()
-            left = gap - reach
-            k = int((left <= _FEAS_TOL).argmax()) if len(cols) else 0
-            if not len(cols) or left[k] > _FEAS_TOL:
+            left = gap - reach[order].cumsum()
+            k = int((left <= _FEAS_TOL).argmax())
+            if left[k] > _FEAS_TOL:
                 gains.append(math.inf)
                 continue
             whole = order[:k]  # columns moved through their whole span
-            gains.append(float(np.abs(self.d[cols[whole]]) @ self.span[cols[whole]])
-                         + ratios[order[k]] * (gap - (reach[k - 1] if k else 0.0)))
+            gains.append(float(ratios[whole] @ reach[whole] + ratios[order[k]] * left[k - 1]))
         return gains
 
 
