@@ -485,6 +485,12 @@ class _Workspace:
         return gains
 
 
+def _settled(ws: _Workspace, status: str) -> bool:
+    """Whether a dual solve's status stands, or the solve falls back to the two-phase primal."""
+    return status == STATUS_TIME_LIMIT or (
+        status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all())
+
+
 def _result(ws: _Workspace, status: str, c_full: np.ndarray, duals: bool = True) -> SimplexResult:
     """The result of a finished solve of objective c_full over ``ws``."""
     x = ws.x[: ws.n].copy()
@@ -542,8 +548,7 @@ def solve_bounded_lp(
         c_full[:n] = c
         ws = warm.child(lb, ub)
         status = ws.dual(c_full, max_iters, deadline, cutoff)
-        if status == STATUS_TIME_LIMIT or (
-                status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all()):
+        if _settled(ws, status):
             return _result(ws, status, c_full, duals=False)
         spent = ws.iterations
 
@@ -554,8 +559,7 @@ def solve_bounded_lp(
         c_full = np.concatenate([c, np.zeros(m)])
         ws.d = c_full.copy()
         status = ws.dual(c_full, max_iters + spent, deadline, cutoff)
-        if status == STATUS_TIME_LIMIT or (
-                status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all()):
+        if _settled(ws, status):
             if status == STATUS_OPTIMAL:
                 # the reduced costs a primal solve of this basis would keep
                 ws.d = c_full - ws.duals(c_full) @ ws.A

@@ -100,7 +100,8 @@ class SolveReport:
     root_seconds: list[float] = field(default_factory=list)  # per root box
     best_root: int | None = None  # the root whose subtree found best_solution
     fixed: int = 0  # binaries fixed by reduced-cost fixing, over all nodes
-    # nodes by the way each closed, one count per CLOSED_BY key
+    # nodes by the way each closed, one count per CLOSED_BY key; they sum
+    # to nodes, less the one node a limit stopped inside its LP
     closed: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CLOSED_BY, 0))
 
     @property
