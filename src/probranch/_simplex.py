@@ -31,8 +31,8 @@ On an iteration limit or a non-finite value the solve falls back to a
 cold one.
 
 While the basis is dual feasible, the objective c.x of the dual's basic
-solution is a lower bound on the LP.  Given a finite ``cutoff``, a warm
-solve tracks it (the nonbasic part updated on each flip and pivot) and
+solution is a lower bound on the LP.  Given a finite ``cutoff``, the
+dual tracks it (the nonbasic part updated on each flip and pivot) and
 stops with STATUS_CUTOFF as soon as it reaches the cutoff while rows
 are still infeasible.  The same argument bounds a branch-and-bound
 child from its parent's final tableau before the child's LP is set up:
@@ -75,8 +75,9 @@ STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_CUTOFF = "cutoff"
 
-# A warm solve stops with STATUS_CUTOFF once its dual bound clears the
-# cutoff by this much, relative to the cutoff's magnitude.
+# A dual solve stops with STATUS_CUTOFF once its bound clears the cutoff
+# by this much, relative to the cutoff's magnitude, so round-off in the
+# tracked objective cannot stop an LP whose optimum lies below it.
 CUTOFF_TOL = 1e-9
 
 

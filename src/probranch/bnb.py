@@ -27,8 +27,9 @@ while its heap key stays the parent's bound.
 A popped node closes at the first of these that applies, and
 ``SolveReport.closed`` counts each way (CLOSED_BY):
   1. its parent's bound reaches the cutoff: dropped, not counted;
-  2. its first-step bound reaches the cutoff (infinite when the child
-     is infeasible): closed with no fixing and no LP;
+  2. its first-step bound reaches the cutoff plus the dual's
+     ``_simplex.CUTOFF_TOL`` relative (the bound is infinite when the
+     child is infeasible): closed with no fixing and no LP;
   3. reduced-cost fixing tightens its box, then its LP is solved; a
      node below a root stops its dual simplex as soon as the dual bound
      reaches the cutoff (``STATUS_CUTOFF``), and it closes when the LP
@@ -68,9 +69,7 @@ ROUNDED_ROW_TOL = 1e-9
 # other value is still within the gap.
 FIXING_TOL = 1e-9
 
-# The ways a node closes: by its first-step bound before any LP, by an LP
-# bound (or a stopped LP) at the cutoff, by an infeasible LP, by an
-# integral or rounded LP point that was accepted, or by branching.
+# The ways a counted node closes, in the order the module docstring gives.
 CLOSED_BY = ("first_step", "cutoff", "infeasible", "integral", "branched")
 
 
