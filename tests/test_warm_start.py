@@ -4,10 +4,12 @@ Every node below the root reoptimizes its parent's final basis with the
 bounded dual simplex, starting from the parent's carried reduced costs,
 and stops once its dual bound reaches the cutoff.  These tests hold each
 such LP to a cold solve of the same node, its carried reduced costs to
-ones computed afresh, each child's first-step bound to its LP optimum, the partition tree
-(exact and heuristic mode) to independent oracles on randomized
-instances, the refactorization interval to whole dives, and the batched
-rounding pass to the per-rounder loop it replaced.
+ones computed afresh, each child's first-step bound to its LP optimum
+(HiGHS), the roots to solves without a cutoff, the boxed cold solve to
+its phase-1-free path, the partition tree (exact and heuristic mode) to
+independent oracles on randomized instances, the refactorization
+interval to whole dives, and the batched rounding pass to the
+per-rounder loop it replaced.
 """
 
 import math
