@@ -28,7 +28,10 @@ when every eligible column at its helpful bound still leaves the row
 infeasible, the LP is infeasible.  Within the dual loop x_B, d and the
 basic bounds are updated at each pivot and flip, not gathered again.
 On an iteration limit or a non-finite value the solve falls back to a
-cold one.
+cold one.  A partition root warm-started from another root's basis
+under its own count box can start dual infeasible (a nonbasic column
+moved onto the bound its reduced cost does not prefer); once the dual
+loop reaches a primal feasible basis, the primal simplex finishes.
 
 While the basis is dual feasible, the objective c.x of the dual's basic
 solution is a lower bound on the LP.  Given a finite ``cutoff``, the
@@ -429,7 +432,8 @@ class _Workspace:
             dual_infeasible = np.count_nonzero(h * d > _DUAL_TOL) or (
                 any_free and np.count_nonzero(np.abs(d[free]) > _DUAL_TOL))
             if dual_infeasible:
-                # round-off left a dual infeasibility
+                # a dual infeasible start (a root warm-started under
+                # another count box) or round-off: the primal finishes
                 return self.minimize(c, max_iters, deadline=deadline)
             self.d, self.h, self.free, self.span = d, h, free, span
         return status

@@ -24,15 +24,14 @@ import numpy as np
 from scipy import stats as spstats
 
 from .bnb import SolveOptions, solve_mip
-from .branching import cut_settings, partition_solve
+from .branching import calibrate, cut_settings, partition_solve
 from .generators import gen_knapsack_uniform, read_family, stream_rng
 from .lp import fractional_knapsack
-from .model import MipInstance
 from .predict import logistic_predict, logistic_train, predictor
 
 DEFAULT_SHIFT = 10.0
 DEFAULT_TIME_LIMIT = 10.0  # desk-scale per-solve budget, overridable
-CALIB_FRACTION = 0.2  # share of the solved training slice held out to calibrate
+CALIB_FRACTION = 0.2  # share of a training slice held out to calibrate
 
 
 def sgm(times, shift: float = DEFAULT_SHIFT) -> float:
@@ -124,16 +123,37 @@ class BenchReport:
     config: dict = field(default_factory=dict)
 
 
-def solve_labels(instances, time_limit) -> list[tuple[np.ndarray, MipInstance, np.ndarray]]:
-    """Training labels: ``(features, instance, y)`` for every ``(features,
-    instance)`` pair whose solve finds a solution within ``time_limit``,
-    with y the solution's rounded binary part."""
+def solve_labels(instances, time_limit) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Training labels: ``(features, y)`` for every ``(features, instance)``
+    pair whose solve finds a solution within ``time_limit``, with y the
+    solution's rounded binary part."""
     labeled = []
     for xi, inst in instances:
         rep = solve_mip(inst, options=SolveOptions(time_limit=time_limit))
         if rep.best_solution is not None:
-            labeled.append((xi, inst, np.round(rep.best_solution.binary_part(inst))))
+            labeled.append((xi, np.round(rep.best_solution.binary_part(inst))))
     return labeled
+
+
+def calibration_split(instances: list) -> tuple[list, list]:
+    """Split a training slice, before any solve, into a fit part and the
+    held-out last ``max(2, round(n * CALIB_FRACTION))`` instances."""
+    cut = max(0, len(instances) - max(2, round(len(instances) * CALIB_FRACTION)))
+    return instances[:cut], instances[cut:]
+
+
+def fit_model(fit, time_limit=DEFAULT_TIME_LIMIT, reg=1e-4, max_iters=500, tol=1e-6):
+    """The logistic model fitted on the solved labels of ``fit``, and their count."""
+    labeled = solve_labels(fit, time_limit)
+    if len(labeled) < 2:
+        raise ValueError("not enough solved training instances for the logistic model")
+    return logistic_train(labeled, reg=reg, max_iters=max_iters, tol=tol), len(labeled)
+
+
+def calibrate_model(model, val, delta=0.05, time_limit=DEFAULT_TIME_LIMIT):
+    """Solve the held-out labels of ``val`` and calibrate the model's predictions on them."""
+    pairs = [(logistic_predict(model, xi), y) for xi, y in solve_labels(val, time_limit)]
+    return calibrate(pairs, delta)
 
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
@@ -158,18 +178,13 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         raise ValueError("empty training split")
     train = family.instances[: min(n_train, total - config.test_count)]
 
-    model = pairs = None
+    model = cal = None
     if config.mode != "plain" and config.predictor == "logistic":
-        usable = solve_labels(train, config.time_limit)
-        if len(usable) < 5:
-            raise ValueError("not enough solved training instances for the logistic model")
-        n_fit = max(2, int(round(len(usable) * (1.0 - CALIB_FRACTION))))
-        n_fit = min(n_fit, len(usable) - 1)
-        fit, val = usable[:n_fit], usable[n_fit:]
-        model = logistic_train([(xi, y) for xi, _, y in fit])
-        pairs = [(logistic_predict(model, xi), y) for xi, _, y in val]
+        fit, val = calibration_split(train)
+        model, _ = fit_model(fit, config.time_limit)
+        cal = calibrate_model(model, val, time_limit=config.time_limit)
     cal, tightened = cut_settings(
-        config.predictor, pairs=pairs, tau=config.tau, delta=config.delta,
+        config.predictor, cal, tau=config.tau, delta=config.delta,
         sigma=config.sigma, tightened=config.tightened,
     )
     if config.mode == "plain":

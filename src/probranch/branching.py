@@ -300,7 +300,6 @@ def calibrate(
 def cut_settings(
     predictor: str,
     cal: Calibration | None = None,
-    pairs: list[tuple[Prediction | np.ndarray, np.ndarray]] | None = None,
     tau: float | None = None,
     delta: float | None = None,
     sigma: float | None = None,
@@ -308,18 +307,17 @@ def cut_settings(
 ) -> tuple[Calibration, bool]:
     """The calibration and the tightened flag a partition solve runs with.
 
-    A given ``cal`` (a calibration file) supplies tau and delta unless
-    ``tau`` or ``delta`` is given; a new ``tau`` takes its sigma from the
-    file's stats (``calibration_at``), or keeps the file's sigma when the
-    file has none.  Otherwise delta defaults to 1e-8 for a data-free
-    predictor (``lp-root-*``) and to 0.05 for any other; with ``pairs`` the
-    calibration is ``calibrate(pairs, delta, tau)``, and without them
-    tau defaults to 0.9 and sigma is 0.  Cuts are tightened by default
-    only for a data-free predictor without a calibration or pairs.  A
-    user ``sigma`` replaces the calibrated one and drops the accuracy
-    stats, whose variance no longer bounds it.
+    A given ``cal`` (a calibration file, or ``bench``'s own calibration)
+    supplies tau and delta unless ``tau`` or ``delta`` is given; a new
+    ``tau`` takes its sigma from the calibration's stats
+    (``calibration_at``), or keeps its sigma when it has none.
+    Otherwise tau defaults to 0.9, sigma is 0, and delta defaults to
+    1e-8 for a data-free predictor (``lp-root-*``) and to 0.05 for any
+    other.  Cuts are tightened by default only for a data-free predictor
+    without a calibration.  A user ``sigma`` replaces the calibrated one
+    and drops the accuracy stats, whose variance no longer bounds it.
     """
-    data_free = cal is None and pairs is None and predictor.startswith("lp-root")
+    data_free = cal is None and predictor.startswith("lp-root")
     if cal is not None:
         delta = cal.delta if delta is None else delta
         if tau is None or tau == cal.tau_star:
@@ -330,10 +328,7 @@ def cut_settings(
             cal = Calibration(tau, cal.sigma, delta)
     else:
         delta = (1e-8 if data_free else 0.05) if delta is None else delta
-        if pairs is not None and (tau is None or sigma is None):
-            cal = calibrate(pairs, delta, tau)
-        else:
-            cal = Calibration(0.9 if tau is None else tau, 0.0, delta)
+        cal = Calibration(0.9 if tau is None else tau, 0.0, delta)
     if sigma is not None:
         cal = Calibration(cal.tau_star, sigma, cal.delta)
     return cal, data_free if tightened is None else tightened

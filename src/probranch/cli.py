@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True)
     c.add_argument("--model", required=True)
     c.add_argument("--train-count", type=int, default=None)
-    c.add_argument("--calib-fraction", type=float, default=bench_mod.CALIB_FRACTION)
     c.add_argument("--delta", type=float, default=0.05)
     c.add_argument("--time-limit", type=float, default=bench_mod.DEFAULT_TIME_LIMIT)
     _add_common(c)
@@ -147,39 +146,26 @@ def _train_slice(family, train_count):
 
 def _cmd_train(args) -> int:
     family = read_family(args.family)
-    train = _train_slice(family, args.train_count)
-    labeled = [(xi, y) for xi, _, y in bench_mod.solve_labels(train, args.time_limit)]
-    if len(labeled) < 2:
-        print("error: not enough solvable training instances", file=sys.stderr)
-        return 1
-    model = predict.logistic_train(
-        labeled, reg=args.reg, max_iters=args.max_iters, tol=args.tol
+    fit, _ = bench_mod.calibration_split(_train_slice(family, args.train_count))
+    model, n_labeled = bench_mod.fit_model(
+        fit, args.time_limit, reg=args.reg, max_iters=args.max_iters, tol=args.tol
     )
     out = Path(args.out or "model.json")
     predict.save_model(model, out)
     fitted = [k for k in model.iterations if k > 0]
     at_cap = fitted.count(args.max_iters)
     print(
-        f"trained {model.num_vars} per-variable models on {len(labeled)} instances "
+        f"trained {model.num_vars} per-variable models on {n_labeled} instances "
         f"({len(fitted)} fitted, {at_cap} at --max-iters) -> {out}"
     )
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    if not 0 < args.calib_fraction <= 1:
-        print("error: --calib-fraction must be in (0, 1]", file=sys.stderr)
-        return 1
     family = read_family(args.family)
     model = predict.load_model(args.model)
-    train = _train_slice(family, args.train_count)
-    n_val = max(2, int(round(len(train) * args.calib_fraction)))
-    val = train[len(train) - n_val :]
-    pairs = [
-        (predict.logistic_predict(model, xi), y)
-        for xi, _, y in bench_mod.solve_labels(val, args.time_limit)
-    ]
-    cal = branching.calibrate(pairs, delta=args.delta)
+    _, val = bench_mod.calibration_split(_train_slice(family, args.train_count))
+    cal = bench_mod.calibrate_model(model, val, args.delta, args.time_limit)
     out = Path(args.out or "calibration.json")
     branching.save_calibration(cal, out)
     print(f"tau*={cal.tau_star} sigma={cal.sigma:.6g} delta={cal.delta} -> {out}")

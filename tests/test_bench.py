@@ -9,6 +9,8 @@ from scipy import stats as spstats
 from oracles import binary_enumeration
 from probranch.bench import (
     BenchConfig,
+    calibration_split,
+    fit_model,
     report_emit,
     run_benchmark,
     sgm,
@@ -17,7 +19,13 @@ from probranch.bench import (
     verify_lemma,
 )
 from probranch.bnb import SolveOptions, solve_mip
-from probranch.generators import gen_knapsack_uniform, gen_scp, stream_rng, write_family
+from probranch.generators import (
+    gen_knapsack_uniform,
+    gen_scp,
+    read_family,
+    stream_rng,
+    write_family,
+)
 from probranch.lp import fractional_knapsack
 
 
@@ -78,6 +86,22 @@ def scp_family_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fam") / "scp"
     write_family(gen_scp(8, 12, 0.3, 30, seed=81), path)
     return path
+
+
+class TestCalibrationSplit:
+    def test_holds_out_the_last_fifth_and_at_least_two(self):
+        for n in range(41):
+            items = [f"instance_{i}" for i in range(n)]
+            fit, val = calibration_split(items)
+            assert fit + val == items  # disjoint, covering, in order
+            assert len(val) == min(n, max(2, round(0.2 * n)))
+
+    def test_fit_needs_two_solved_instances(self, scp_family_dir):
+        instances = read_family(scp_family_dir).instances
+        with pytest.raises(ValueError, match="not enough solved"):
+            fit_model(instances[:1])
+        model, n_labeled = fit_model(instances[:2])
+        assert n_labeled == 2 and model.num_vars == instances[0][1].num_binary
 
 
 class TestRunBenchmark:

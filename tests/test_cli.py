@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import binary_enumeration
-from probranch import cli
+from probranch import bench, cli
 from probranch.bench import LemmaReport
 from probranch.bnb import solve_mip
 from probranch.branching import Calibration, accuracy_curves, save_calibration, sigma_from_stats
 from probranch.generators import InstanceFamily, gen_mkp, write_family
 from probranch.model import LinearRow, MipInstance, deserialize
-from probranch.predict import lp_root_predict, save_prediction
+from probranch.predict import load_model, lp_root_predict, save_prediction
 
 
 @pytest.fixture(scope="module")
@@ -73,16 +73,52 @@ def test_train_calibrate_solve_pipeline(tmp_path):
     assert len(doc["regions"]) >= 1
 
 
-@pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2"])
-def test_calibrate_rejects_a_fraction_outside_zero_one(tmp_path, capsys, family_dir, fraction):
-    model, calib = tmp_path / "model.json", tmp_path / "calib.json"
-    assert cli.main(["train", "--family", str(family_dir), "--train-count", "12",
-                     "--out", str(model)]) == 0
-    assert cli.main(["calibrate", "--family", str(family_dir), "--model", str(model),
-                     "--train-count", "12", "--calib-fraction", fraction,
+def test_calib_fraction_is_a_usage_error(tmp_path, capsys, family_dir):
+    # the held-out share is fixed (bench.CALIB_FRACTION), as in bench
+    calib = tmp_path / "calib.json"
+    assert cli.main(["calibrate", "--family", str(family_dir), "--model", str(tmp_path / "m.json"),
+                     "--train-count", "12", "--calib-fraction", "0.5",
                      "--out", str(calib)]) == 1
     assert "--calib-fraction" in capsys.readouterr().err
     assert not calib.exists()
+
+
+def test_cli_and_bench_fit_and_calibrate_alike(tmp_path, monkeypatch):
+    # the CI walkthrough family: train and calibrate, then bench on the
+    # same 12 training instances, fit on 10 and calibrated on the last 2
+    family = tmp_path / "ca"
+    assert cli.main([
+        "generate", "--kind", "ca", "--items", "8", "--bids", "16",
+        "--count", "16", "--seed", "1", "--out", str(family),
+    ]) == 0
+    model, calib = tmp_path / "model.json", tmp_path / "calib.json"
+    common = ["--family", str(family), "--train-count", "12"]
+    assert cli.main(["train", *common, "--out", str(model)]) == 0
+    assert cli.main(["calibrate", *common, "--model", str(model), "--out", str(calib)]) == 0
+
+    fitted = []
+    fit_model = bench.fit_model
+
+    def spy(*args, **kwargs):
+        fitted.append(fit_model(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(bench, "fit_model", spy)
+    prefix = tmp_path / "bench"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["bench", "--family", str(family), "--predictor", "logistic",
+                         "--test-count", "4", "--out", str(prefix)]) == 0
+    config = json.loads(prefix.with_suffix(".json").read_text())["config"]
+    assert config["train_count"] == 12
+
+    (bench_model, _), = fitted
+    cli_model = load_model(model)
+    for name in ("weights", "intercepts", "feature_mean", "feature_std"):
+        assert np.array_equal(getattr(cli_model, name), getattr(bench_model, name)), name
+    cal = json.loads(calib.read_text())
+    assert (config["tau"], config["sigma"], config["delta"]) == (
+        cal["tau_star"], cal["sigma"], cal["delta"])
 
 
 def test_calibrate_falls_back_on_a_label_constant_family(tmp_path):
@@ -172,12 +208,12 @@ def test_train_reports_models_stopped_at_the_cap(tmp_path, capsys, max_iters, re
     family = tmp_path / "ca"
     assert cli.main([
         "generate", "--kind", "ca", "--items", "8", "--bids", "16",
-        "--count", "10", "--seed", "1", "--out", str(family),
+        "--count", "12", "--seed", "1", "--out", str(family),
     ]) == 0
     model = tmp_path / "model.json"
     capsys.readouterr()
-    assert cli.main([
-        "train", "--family", str(family), "--train-count", "10",
+    assert cli.main([  # fits on the first 10, holding the last 2 out
+        "train", "--family", str(family), "--train-count", "12",
         "--max-iters", str(max_iters), "--reg", str(reg), "--out", str(model),
     ]) == 0
     iterations = json.loads(model.read_text())["iterations"]

@@ -6,7 +6,13 @@ import pytest
 from oracles import enumerate_lp_vertices, with_rows
 from probranch import _simplex
 from probranch._simplex import solve_bounded_lp
-from probranch.lp import NumericalFailure, fractional_knapsack, solve_ipm, solve_simplex
+from probranch.lp import (
+    NumericalFailure,
+    fractional_knapsack,
+    relaxation_arrays,
+    solve_ipm,
+    solve_simplex,
+)
 from probranch.model import LinearRow, MipInstance
 
 
@@ -113,30 +119,32 @@ class TestSimplex:
         assert sol.objective == pytest.approx(0.5, abs=1e-9)
         assert len(sol.dual) == 2  # instance row plus the cut
 
-    def test_iterates_respect_weak_duality(self, monkeypatch):
-        # phase-2 iterates are primal feasible, so their objectives never
-        # drop below the optimum (the best attainable dual bound); each
-        # primal iteration prices through ``duals``, which sees the iterate
-        objs = []
-        duals = _simplex._Workspace.duals
-
-        def spy(ws, c):
-            if np.array_equal(c[: ws.n], cost):  # phase 1 costs the artificials only
-                objs.append(float(c @ ws.x))
-            return duals(ws, c)
-
-        monkeypatch.setattr(_simplex._Workspace, "duals", spy)
+    def test_iterates_respect_weak_duality(self):
+        # a boxed cold LP runs the dual simplex, whose objective c.x is a
+        # lower bound that rises towards the optimum; a cutoff below the
+        # optimum stops it with that bound, and a higher cutoff stops it
+        # no earlier
         rng = np.random.default_rng(5)
+        stops = 0
         for _ in range(10):
-            inst = random_feasible_lp(rng)
-            cost = inst.objective_vector()
-            objs.clear()
-            sol = solve_simplex(inst)
-            assert sol.status == "optimal"
-            assert objs, "no phase-2 iterate was observed"
-            for prev, cur in zip(objs, objs[1:]):
-                assert cur <= prev + 1e-7
-            assert min(objs) >= sol.objective - 1e-7
+            # 12 x 30: large enough that the dual takes several pivots
+            a, b = rng.normal(size=(12, 30)), np.abs(rng.normal(size=12)) + 0.5
+            c, a, senses, b, lb, ub = relaxation_arrays(box_lp(rng.normal(size=30), a, b))
+            opt = solve_bounded_lp(c, a, senses, b, lb, ub)
+            assert opt.status == _simplex.STATUS_OPTIMAL
+            start = float(np.minimum(c * lb, c * ub).sum())  # the slack basis's bound
+            iterations = []
+            for cutoff in start + (opt.objective - start) * np.linspace(-0.1, 0.95, 12):
+                res = solve_bounded_lp(c, a, senses, b, lb, ub, cutoff=cutoff)
+                if res.status == _simplex.STATUS_CUTOFF:
+                    assert cutoff <= res.objective <= opt.objective + 1e-7
+                    stops += res.iterations > 1
+                else:
+                    assert res.status == _simplex.STATUS_OPTIMAL
+                iterations.append(res.iterations)
+            assert iterations == sorted(iterations)
+            assert iterations[-1] <= opt.iterations
+        assert stops, "no cutoff stopped the dual simplex after its first iteration"
 
 
 class TestInteriorPoint:

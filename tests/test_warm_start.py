@@ -500,7 +500,18 @@ def test_boxed_cold_lp_skips_phase_one_and_unboxed_keeps_it(monkeypatch):
         primal.clear()
 
 
-def test_deadline_stops_a_large_lp_between_iterations():
+class SteppedClock:
+    """A stand-in for the ``time`` module whose clock advances 1 s per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_deadline_stops_a_large_lp_between_iterations(monkeypatch):
     inst = tight_mkp(60, 400, 1)
     c, a, senses, b, lb, ub = relaxation_arrays(inst)
     start = time.perf_counter()
@@ -508,18 +519,24 @@ def test_deadline_stops_a_large_lp_between_iterations():
     full_s = time.perf_counter() - start
     assert full.status == _simplex.STATUS_OPTIMAL and full.iterations > 100
 
-    start = time.perf_counter()
-    cut = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub, deadline=time.monotonic() + 1e-3)
-    assert time.perf_counter() - start < full_s / 4
-    assert cut.status == _simplex.STATUS_TIME_LIMIT and cut.state is None
-    assert 0 < cut.iterations < full.iterations
+    with monkeypatch.context() as patch:
+        # the simplex loops read the clock once per iteration, so a
+        # deadline 5.5 s away passes at the sixth check
+        clock = SteppedClock()
+        patch.setattr(_simplex, "time", clock)
+        start = time.perf_counter()
+        cut = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub, deadline=clock.now + 5.5)
+        assert time.perf_counter() - start < full_s / 4
+        assert cut.status == _simplex.STATUS_TIME_LIMIT and cut.state is None
+        assert 0 < cut.iterations < full.iterations
+        assert cut.iterations == 5
 
-    # a warm solve past its deadline stops without a cold fallback
-    ub_dn = ub.copy()
-    ub_dn[int(np.argmax(np.abs(full.x - np.round(full.x))))] = 0.0
-    warm = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub_dn, warm=full.state,
-                                     deadline=time.monotonic() - 1.0)
-    assert warm.status == _simplex.STATUS_TIME_LIMIT and warm.iterations == 0
+        # a warm solve past its deadline stops without a cold fallback
+        ub_dn = ub.copy()
+        ub_dn[int(np.argmax(np.abs(full.x - np.round(full.x))))] = 0.0
+        warm = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub_dn, warm=full.state,
+                                         deadline=clock.now - 1.0)
+        assert warm.status == _simplex.STATUS_TIME_LIMIT and warm.iterations == 0
 
     # branch and bound hands its deadline to the root LP, which stops early
     budget = 0.2 * full_s
