@@ -73,11 +73,15 @@ def test_train_calibrate_solve_pipeline(tmp_path):
     assert len(doc["regions"]) >= 1
 
 
-def test_calib_fraction_is_a_usage_error(tmp_path, capsys, family_dir):
-    # the held-out share is fixed (bench.CALIB_FRACTION), as in bench
-    calib = tmp_path / "calib.json"
-    assert cli.main(["calibrate", "--family", str(family_dir), "--model", str(tmp_path / "m.json"),
-                     "--train-count", "12", "--calib-fraction", "0.5",
+@pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2"])
+def test_calibrate_rejects_a_fraction_outside_zero_one(tmp_path, capsys, family_dir, fraction):
+    # the held-out share is fixed (bench.CALIB_FRACTION), as in bench, so
+    # --calib-fraction is a usage error whatever its value
+    model, calib = tmp_path / "model.json", tmp_path / "calib.json"
+    assert cli.main(["train", "--family", str(family_dir), "--train-count", "12",
+                     "--out", str(model)]) == 0
+    assert cli.main(["calibrate", "--family", str(family_dir), "--model", str(model),
+                     "--train-count", "12", "--calib-fraction", fraction,
                      "--out", str(calib)]) == 1
     assert "--calib-fraction" in capsys.readouterr().err
     assert not calib.exists()
