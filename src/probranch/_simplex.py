@@ -47,7 +47,7 @@ between iterations with STATUS_TIME_LIMIT; that stop never falls back
 to a cold solve.
 
 The basis inverse is kept explicitly and updated in product form each
-pivot; a dense LU refactorization refreshes it every ``REFACTOR_EVERY``
+pivot; numpy's LAPACK inverse refreshes it every ``REFACTOR_EVERY``
 pivots.  The pivot count travels with the state, so the refresh also
 holds along a dive of warm solves.  Primal pricing is Dantzig; in either
 method Bland's lowest-index rule engages permanently after
@@ -61,7 +61,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 REFACTOR_EVERY = 50
 BLAND_AFTER = 1000
@@ -193,9 +192,10 @@ class _Workspace:
         self.x[self.basis] = self.binv @ (self.b - self.A @ x_n)
 
     def refactorize(self) -> None:
-        bmat = self.A[:, self.basis]
-        lu, piv = lu_factor(bmat)
-        self.binv = lu_solve((lu, piv), np.eye(self.m))
+        try:
+            self.binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError:  # exactly singular: a numerical failure
+            self.binv = np.full((self.m, self.m), np.nan)
         self.pivots = 0
         self.basic_values()
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as spstats
 
 from .bnb import SolveOptions, solve_mip
 from .branching import calibrate, cut_settings, partition_solve
@@ -147,11 +146,16 @@ def fit_model(fit, time_limit=DEFAULT_TIME_LIMIT, reg=1e-4, max_iters=500, tol=1
     labeled = solve_labels(fit, time_limit)
     if len(labeled) < 2:
         raise ValueError("not enough solved training instances for the logistic model")
-    return logistic_train(labeled, reg=reg, max_iters=max_iters, tol=tol), len(labeled)
+    model = logistic_train(labeled, reg=reg, max_iters=max_iters, tol=tol)
+    model.fitted_on = [inst.name for _, inst in fit]
+    return model, len(labeled)
 
 
 def calibrate_model(model, val, delta=0.05, time_limit=DEFAULT_TIME_LIMIT):
-    """Solve the held-out labels of ``val`` and calibrate the model's predictions on them."""
+    """Solve the held-out labels of ``val`` and calibrate the model's predictions
+    on them; a ``ValueError`` when ``val`` holds an instance the model was fitted on."""
+    if seen := [inst.name for _, inst in val if inst.name in model.fitted_on]:
+        raise ValueError(f"held-out instances {', '.join(seen)} are in the model's fit part")
     pairs = [(logistic_predict(model, xi), y) for xi, y in solve_labels(val, time_limit)]
     return calibrate(pairs, delta)
 
@@ -359,6 +363,7 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
     the analytic bound by more than three binomial standard errors.
     These are proven bounds, so a failure indicates a bug, not bad luck.
     """
+    from scipy import stats as spstats  # here: no other command loads scipy
     if trials < 10_000:
         raise ValueError("need at least 10^4 trials")
     rng = stream_rng(seed, 0)

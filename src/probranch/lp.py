@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _interior, _simplex
+from . import _simplex
 from .model import MipInstance
 
 
@@ -48,17 +48,12 @@ def relaxation_arrays(
 def solve_simplex(instance: MipInstance, max_iters: int = 20000) -> LpSolution:
     """Solve the LP relaxation with the bounded revised simplex."""
     c, a, senses, b, lb, ub = relaxation_arrays(instance)
-    negate = instance.sense == "maximize"
-    res = _simplex.solve_bounded_lp(-c if negate else c, a, senses, b, lb, ub, max_iters=max_iters)
-    obj = res.objective
-    duals = res.duals
-    if negate:
-        obj = -obj
-        duals = -duals
+    sign = -1.0 if instance.sense == "maximize" else 1.0
+    res = _simplex.solve_bounded_lp(sign * c, a, senses, b, lb, ub, max_iters=max_iters)
     return LpSolution(
         primal=res.x,
-        dual=duals,
-        objective=obj if res.status == _simplex.STATUS_OPTIMAL else np.nan,
+        dual=sign * res.duals,
+        objective=sign * res.objective if res.status == _simplex.STATUS_OPTIMAL else np.nan,
         status=res.status,
     )
 
@@ -128,24 +123,21 @@ def solve_ipm(instance: MipInstance, max_iters: int = 100, tol: float = 1e-8) ->
     Unlike the simplex, the returned point lies in the relative interior
     of the optimal face, so degenerate coordinates come back fractional.
     """
+    from . import _interior  # here, not at the top: it loads scipy.linalg
+
     c, a, senses, b, lb, ub = relaxation_arrays(instance)
-    negate = instance.sense == "maximize"
-    c_min = -c if negate else c
-    c_s, a_s, b_s, recover = _to_standard_form(c_min, a, senses, b, lb, ub)
+    sign = -1.0 if instance.sense == "maximize" else 1.0
+    c_s, a_s, b_s, recover = _to_standard_form(sign * c, a, senses, b, lb, ub)
     res = _interior.solve_standard_form(c_s, a_s, b_s, max_iters=max_iters, tol=tol)
     if res.status == _interior.STATUS_NUMERICAL:
         raise NumericalFailure("interior-point iteration produced non-finite steps")
     x = recover(res.x)
     m = a.shape[0]
     duals = res.y[:m] if res.y.size >= m else np.zeros(m)
-    obj = float(c_min @ x)
-    if negate:
-        obj = -obj
-        duals = -duals
     return LpSolution(
         primal=x,
-        dual=duals,
-        objective=obj if res.status == _interior.STATUS_OPTIMAL else np.nan,
+        dual=sign * duals,
+        objective=float(c @ x) if res.status == _interior.STATUS_OPTIMAL else np.nan,
         status=res.status,
     )
 

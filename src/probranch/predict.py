@@ -55,6 +55,7 @@ class LogisticModel:
     regularization: float
     iterations: list[int] = field(default_factory=list)
     loss_trace: list[list[float]] = field(default_factory=list)
+    fitted_on: list[str] = field(default_factory=list)  # names of the fit part's instances
 
     @property
     def num_vars(self) -> int:
@@ -283,6 +284,7 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
         "feature_std": model.feature_std.tolist(),
         "regularization": model.regularization,
         "iterations": model.iterations,
+        "fitted_on": model.fitted_on,
     }
     Path(path).write_text(json.dumps(doc))
 
@@ -300,4 +302,5 @@ def load_model(path: str | Path) -> LogisticModel:
         feature_std=np.asarray(doc["feature_std"], dtype=float),
         regularization=float(doc["regularization"]),
         iterations=list(doc.get("iterations", [])),
+        fitted_on=list(doc.get("fitted_on", [])),
     )

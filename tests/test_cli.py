@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +127,32 @@ def test_cli_and_bench_fit_and_calibrate_alike(tmp_path, monkeypatch):
     cal = json.loads(calib.read_text())
     assert (config["tau"], config["sigma"], config["delta"]) == (
         cal["tau_star"], cal["sigma"], cal["delta"])
+
+
+def test_calibrate_rejects_held_out_instances_the_model_was_fitted_on(tmp_path, capsys):
+    # the CI walkthrough family: train on 12 fits instances 0-9, so a
+    # calibrate on 10 would hold out 8 and 9
+    family = tmp_path / "ca"
+    assert cli.main(["generate", "--kind", "ca", "--items", "8", "--bids", "16",
+                     "--count", "16", "--seed", "1", "--out", str(family)]) == 0
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--family", str(family), "--train-count", "12",
+                     "--out", str(model)]) == 0
+    assert load_model(model).fitted_on == [f"ca_8x16_{k:03d}" for k in range(10)]
+    calib = tmp_path / "calib.json"
+    args = ["calibrate", "--family", str(family), "--model", str(model), "--out", str(calib)]
+    assert cli.main([*args, "--train-count", "10"]) == 1
+    assert ("held-out instances ca_8x16_008, ca_8x16_009 are in the model's fit part"
+            in capsys.readouterr().err)
+    assert not calib.exists()
+    assert cli.main([*args, "--train-count", "12"]) == 0
+    assert json.loads(calib.read_text())["tau_star"] == 0.94
+    # a model file without the field calibrates as before the field existed
+    doc = json.loads(model.read_text())
+    del doc["fitted_on"]
+    model.write_text(json.dumps(doc))
+    assert cli.main([*args, "--train-count", "10"]) == 0
+    assert json.loads(calib.read_text())["tau_star"] == 0.99
 
 
 def test_calibrate_falls_back_on_a_label_constant_family(tmp_path):
@@ -277,10 +307,81 @@ def test_bench_subcommand(tmp_path, family_dir):
     assert "speedup" in summary
 
 
-def test_verify_pass_exit_zero(tmp_path):
+def test_verify_pass_exit_zero(capsys):
     assert cli.main([
         "verify", "--check", "hoeffding", "--trials", "20000", "--seed", "4",
     ]) == 0
+    # the exact tail is scipy's binom.sf, imported when verify runs
+    assert capsys.readouterr().out == (
+        "hoeffding: empirical=0.0311 bound=0.1353 exact=0.02844 -> pass\n")
+
+
+# Runs CLI commands (a JSON list of argv lists) with scipy blocked: after
+# checking that importing the CLI loaded no scipy module, every later
+# scipy import raises ImportError.  Exits nonzero at the first failure.
+_WITHOUT_SCIPY = """
+import json, sys
+from probranch import cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "importing the CLI loaded scipy"
+sys.modules["scipy"] = None
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    if code:
+        sys.exit(f"exit {code}: {argv}")
+"""
+
+
+def run_python(code, *args, cwd=None):
+    """``python -c code *args`` in a fresh interpreter on this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=600,
+    )
+
+
+def run_without_scipy(commands, cwd):
+    return run_python(_WITHOUT_SCIPY, json.dumps(commands), cwd=cwd)
+
+
+def test_commands_other_than_verify_and_the_ipm_run_without_scipy(tmp_path):
+    family, model, calib, preds = (tmp_path / name for name in ("ca", "m.json", "c.json", "p"))
+    inst = str(family / "instance_0007.json")
+    common = ["--family", str(family), "--train-count", "6"]
+    proc = run_without_scipy([
+        ["generate", "--kind", "ca", "--items", "6", "--bids", "12", "--count", "8",
+         "--seed", "1", "--out", str(family)],
+        ["train", *common, "--out", str(model)],
+        ["calibrate", *common, "--model", str(model), "--out", str(calib)],
+        ["solve", "--instance", inst, "--mode", "plain"],
+        ["solve", "--instance", inst, "--predictor", "lp-root-simplex", "--mode", "exact"],
+        ["solve", "--instance", inst, "--predictor", "logistic", "--model", str(model),
+         "--calibration", str(calib), "--mode", "exact"],
+        ["bench", *common, "--predictor", "logistic", "--test-count", "2",
+         "--out", str(tmp_path / "bench")],
+    ], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    preds.mkdir()
+    instance = deserialize(Path(inst).read_bytes())
+    save_prediction(lp_root_predict(instance), preds / f"{instance.name}.pred.json")
+    proc = run_without_scipy(
+        [["solve", "--instance", inst, "--predictor", f"file:{preds}", "--mode", "exact"]],
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_ipm_predictor_loads_scipy_when_it_runs(family_dir):
+    inst = str(family_dir / "instance_0000.json")
+    code = ("import sys; from probranch import cli; sys.exit(cli.main(sys.argv[1:]) or "
+            "'scipy.linalg' not in sys.modules)")
+    proc = run_python(code, "solve", "--instance", inst, "--predictor", "lp-root-ipm",
+                      "--mode", "exact")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["status"], doc["nodes"]) == ("optimal", 4)
+    plain = solve_mip(deserialize(Path(inst).read_bytes()))
+    assert doc["objective"] == pytest.approx(plain.objective, abs=1e-9)
 
 
 def test_verify_knapsack_rounding():

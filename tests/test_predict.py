@@ -313,6 +313,16 @@ class TestLogisticPredict:
             logistic_predict(model, xi).probabilities
         )
 
+    def test_fit_part_names_round_trip_and_may_be_absent(self, tmp_path):
+        model = logistic_train(labelled_family(5, 8, 0.4, 10, seed=53))
+        model.fitted_on = ["a", "b"]
+        save_model(model, tmp_path / "m.json")
+        assert load_model(tmp_path / "m.json").fitted_on == ["a", "b"]
+        doc = json.loads((tmp_path / "m.json").read_text())
+        del doc["fitted_on"]  # a model file written before the field existed
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        assert load_model(tmp_path / "old.json").fitted_on == []
+
 
 class TestLpRootPredict:
     def test_knapsack_has_single_fractional_entry(self):

@@ -462,6 +462,42 @@ def test_numerical_failure_falls_back_to_a_cold_solve():
     assert res.iterations == ref.iterations + 1  # the failed warm pass is counted
 
 
+def test_singular_basis_refactorizes_to_nan():
+    a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])  # columns 0 and 1 are equal
+    ws = _simplex._Workspace(a, ["<=", "<="], np.ones(2), np.zeros(3), np.ones(3))
+    ws.is_basic[ws.basis] = False
+    ws.basis = np.array([0, 1])
+    ws.is_basic[ws.basis] = True
+    ws.refactorize()
+    assert not np.isfinite(ws.binv).any()
+    assert not np.isfinite(ws.x[ws.basis]).any()
+
+
+def test_singular_refactorization_falls_back_to_a_cold_solve(monkeypatch):
+    inst = tight_mkp(5, 15, 1)
+    c, a, senses, b, lb, ub = relaxation_arrays(inst)
+    c = -c
+    root = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
+    warm = root.state.child(lb, ub)
+    warm.pivots = _simplex.REFACTOR_EVERY - 1  # the warm pass's first pivot refactorizes
+    ub = ub.copy()
+    ub[int(np.argmax(np.abs(root.x - np.round(root.x))))] = 0.0
+    inv, raised = np.linalg.inv, []
+
+    def singular_once(m):
+        if not raised:
+            raised.append(m)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(m)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_once)
+    res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm)
+    assert raised
+    assert res.status == _simplex.STATUS_OPTIMAL
+    assert res.duals is not None  # only a cold solve computes row multipliers
+    assert res.objective == pytest.approx(lp_optimum(c, a, senses, b, lb, ub), rel=1e-9)
+
+
 def test_cold_solve_keeps_its_final_reduced_costs():
     inst = tight_mkp(5, 15, 1)
     c, a, senses, b, lb, ub = relaxation_arrays(inst)
