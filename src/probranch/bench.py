@@ -29,6 +29,7 @@ from .lp import fractional_knapsack
 from .predict import logistic_predict, logistic_train, predictor
 
 DEFAULT_SHIFT = 10.0
+NODE_SHIFT = 10.0  # nodes
 DEFAULT_TIME_LIMIT = 10.0  # desk-scale per-solve budget, overridable
 CALIB_FRACTION = 0.2  # share of a training slice held out to calibrate
 
@@ -120,6 +121,30 @@ class BenchReport:
     not_reached: int
     failed: int
     config: dict = field(default_factory=dict)
+    # node SGMs (shift NODE_SHIFT) over the rows in the time SGMs, and
+    # method nodes per plain node: below 1 the method's trees are smaller
+    sgm_nodes_method: float | None = None
+    sgm_nodes_original: float | None = None
+    node_ratio: float | None = None
+
+
+def paired_sgms(rows: list[BenchRow]) -> dict:
+    """The report's SGM fields over the rows whose plain run reached the target.
+
+    Times take the paper's 10 s shift, node counts a shift of NODE_SHIFT
+    nodes; speedup is original over method time, node_ratio method over
+    original nodes.  Every field is None when no row is paired.
+    """
+    paired = [r for r in rows if r.t_original is not None]
+    if not paired:
+        return dict.fromkeys(("sgm_method", "sgm_original", "speedup", "sgm_nodes_method",
+                              "sgm_nodes_original", "node_ratio"))
+    t_m, t_o = sgm([r.t_method for r in paired]), sgm([r.t_original for r in paired])
+    n_m = sgm([r.nodes_method for r in paired], shift=NODE_SHIFT)
+    n_o = sgm([r.nodes_plain for r in paired], shift=NODE_SHIFT)
+    return dict(sgm_method=t_m, sgm_original=t_o, speedup=t_o / t_m if t_m > 0 else None,
+                sgm_nodes_method=n_m, sgm_nodes_original=n_o,
+                node_ratio=n_m / n_o if n_o > 0 else None)
 
 
 def solve_labels(instances, time_limit) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -200,7 +225,6 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     rows: list[BenchRow] = []
     failed = 0
     not_reached = 0
-    method_times, original_times = [], []
     for _, inst in test:
         plain_rep = solve_mip(inst, options=opts)
         if config.mode == "plain":
@@ -247,9 +271,6 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         )
         if t_orig is None:
             not_reached += 1
-        else:
-            method_times.append(t_method)
-            original_times.append(t_orig)
 
     if not_reached:
         warnings.warn(
@@ -257,16 +278,9 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             "excluded from the SGM pairs",
             stacklevel=2,
         )
-    sgm_method = sgm(method_times) if method_times else None
-    sgm_original = sgm(original_times) if original_times else None
-    speedup = None
-    if sgm_method is not None and sgm_original is not None and sgm_method > 0:
-        speedup = sgm_original / sgm_method
     return BenchReport(
         rows=rows,
-        sgm_method=sgm_method,
-        sgm_original=sgm_original,
-        speedup=speedup,
+        **paired_sgms(rows),
         not_reached=not_reached,
         failed=failed,
         config={
@@ -320,6 +334,9 @@ def report_emit(report: BenchReport, path_prefix: str | Path) -> tuple[Path, Pat
         "speedup": report.speedup,
         "sgm_method": report.sgm_method,
         "sgm_original": report.sgm_original,
+        "sgm_nodes_method": report.sgm_nodes_method,
+        "sgm_nodes_original": report.sgm_nodes_original,
+        "node_ratio": report.node_ratio,
         "not_reached": report.not_reached,
         "failed": report.failed,
         "rows": len(report.rows),

@@ -15,8 +15,10 @@ d_j > prune_at - parent bound gets ub_j = lb_j, and one at its upper
 bound with -d_j above that gap gets lb_j = ub_j: moving it would cost
 more than the incumbent leaves to gain.  The node LP and every
 descendant inherit the fixed box, and ``SolveReport.fixed`` counts the
-fixings.  Root boxes and the closed-form knapsack relaxation carry no
-reduced costs and are not fixed.
+fixings; root boxes have no parent and are not fixed.  The closed-form
+knapsack relaxation's reduced costs are d = c + lambda w, with lambda
+the capacity row's multiplier (``_Knapsack``), so the same rule fixes
+its nodes.
 
 First-step bounds: when a node branches on x_j, its final tableau row
 of x_j bounds each child's LP from below before that LP is set up
@@ -49,6 +51,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +180,50 @@ def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
     return lb, ub, int(np.count_nonzero(down) + np.count_nonzero(up))
 
 
+# a knapsack node's LP state, read by _fix_by_reduced_costs as a simplex state is
+_KnapsackState = namedtuple("_KnapsackState", "d x lb ub is_basic")
+
+
+class _Knapsack:
+    """Closed-form LP relaxation of a pure single-row knapsack, min c.x s.t. w.x <= cap.
+
+    Free items are taken by best ratio c_j / w_j until the residual
+    capacity binds: the same LP optimum the simplex would return, orders
+    of magnitude faster on the large validator instances.  The first
+    item that does not fit whole, the critical item k, is basic, and the
+    capacity row's multiplier is lambda = -c_k / w_k (0 when every free
+    improving item fits), so the reduced costs are d = c + lambda w.
+    lambda > 0 only when k fills the capacity exactly, so for every 0/1
+    point x of the box with w.x <= cap the Lagrangian gives
+    c.x >= c.x + lambda (w.x - cap) = bound + d.(x - x*).
+    """
+
+    def __init__(self, c: np.ndarray, w: np.ndarray, cap: float):
+        self.c, self.w, self.cap = c, w, cap
+        order = np.argsort(c / w, kind="stable")
+        self.order = order[c[order] < 0]  # the items that can improve the objective
+
+    def __call__(self, lb: np.ndarray, ub: np.ndarray):
+        """(status, x, bound, state) of the LP over the box [lb, ub]."""
+        c, w, order = self.c, self.w, self.order
+        x = lb.copy()
+        cap = self.cap - float(w @ x)
+        if cap < -ROUNDED_ROW_TOL:  # the items fixed to 1 overfill it
+            return _simplex.STATUS_INFEASIBLE, None, math.inf, None
+        free = order[lb[order] < ub[order]]
+        reach = np.cumsum(w[free])
+        k = int(np.searchsorted(reach, cap, side="right"))  # items that fit whole
+        x[free[:k]] = 1.0
+        is_basic = np.zeros(len(x), dtype=bool)
+        lam = 0.0
+        if k < len(free):
+            j = free[k]
+            x[j] = (cap - (reach[k - 1] if k else 0.0)) / w[j]
+            is_basic[j] = True
+            lam = -c[j] / w[j]
+        return _simplex.STATUS_OPTIMAL, x, float(c @ x), _KnapsackState(c + lam * w, x, lb, ub, is_basic)
+
+
 def solve_mip(
     instance: MipInstance,
     options: SolveOptions | None = None,
@@ -241,34 +288,10 @@ def solve_mip(
 
     roundings = _Roundings(a, senses, b, n_bin)
 
-    # Pure single-row knapsacks admit a closed-form node relaxation: take
-    # free items by best ratio until the residual capacity binds.  This is
-    # the same LP optimum the simplex would return, orders of magnitude
-    # faster on the large validator instances.
-    knapsack_mode = (
-        instance.num_continuous == 0
-        and len(senses) == 1
-        and senses[0] == "<="
-        and np.all(a[0] > 0)
-    )
-    if knapsack_mode:
-        kn_w = a[0]
-        kn_order = np.argsort(c / kn_w, kind="stable")
-        kn_order = kn_order[c[kn_order] < 0]  # the items that can improve the objective
-
-    def knapsack_relaxation(lb: np.ndarray, ub: np.ndarray):
-        """Returns (status, x, bound) for the node's knapsack LP."""
-        x = lb.copy()
-        cap = b[0] - float(kn_w @ x)
-        if cap < -ROUNDED_ROW_TOL:  # the items fixed to 1 overfill it
-            return _simplex.STATUS_INFEASIBLE, None, math.inf
-        free = kn_order[lb[kn_order] < ub[kn_order]]
-        reach = np.cumsum(kn_w[free])
-        k = int(np.searchsorted(reach, cap, side="right"))  # items that fit whole
-        x[free[:k]] = 1.0
-        if k < len(free):
-            x[free[k]] = (cap - (reach[k - 1] if k else 0.0)) / kn_w[free[k]]
-        return _simplex.STATUS_OPTIMAL, x, float(c @ x)
+    # pure single-row knapsacks have a closed-form node relaxation
+    knapsack = None
+    if instance.num_continuous == 0 and senses == ["<="] and np.all(a[0] > 0):
+        knapsack = _Knapsack(c, a[0], float(b[0]))
 
     # open nodes (parent bound, node_id, depth, (lb, ub, parent state, root,
     # own bound)): a heap by the parent's bound, ties to the older node
@@ -300,9 +323,8 @@ def solve_mip(
                 warm, lb, ub, n_bin, prune_at - parent_bound, FIXING_TOL * max(1.0, abs(prune_at)))
             fixed += k
 
-        if knapsack_mode:
-            lp_status, x, bound = knapsack_relaxation(lb, ub)
-            state = None
+        if knapsack is not None:
+            lp_status, x, bound, state = knapsack(lb, ub)
         else:
             # a root may start dual infeasible under its own box, so
             # only a node below one stops its LP at the cutoff
@@ -354,7 +376,8 @@ def solve_mip(
             accept(cand[i], float(c @ cand[i]))
 
         closed["branched"] += 1
-        gain_dn, gain_up = ((0.0, 0.0) if state is None
+        # a knapsack child's closed-form LP costs about what its bound would
+        gain_dn, gain_up = ((0.0, 0.0) if knapsack is not None
                             else state.first_step_gains(j, (0.0, 1.0)))
         lb_up = lb.copy()
         lb_up[j] = 1.0

@@ -248,6 +248,8 @@ def _cmd_bench(args) -> int:
     print(
         f"rows={len(report.rows)} sgm_method={report.sgm_method} "
         f"sgm_original={report.sgm_original} speedup={report.speedup} "
+        f"sgm_nodes_method={report.sgm_nodes_method} "
+        f"sgm_nodes_original={report.sgm_nodes_original} node_ratio={report.node_ratio} "
         f"not_reached={report.not_reached} failed={report.failed}"
     )
     print(f"wrote {csv_path} and {json_path}")

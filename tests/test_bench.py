@@ -9,8 +9,11 @@ from scipy import stats as spstats
 from oracles import binary_enumeration
 from probranch.bench import (
     BenchConfig,
+    BenchReport,
+    BenchRow,
     calibration_split,
     fit_model,
+    paired_sgms,
     report_emit,
     run_benchmark,
     sgm,
@@ -109,7 +112,7 @@ class TestRunBenchmark:
         report = run_benchmark(
             BenchConfig(family_dir=scp_family_dir, mode="plain", test_count=5)
         )
-        assert report.speedup == 1.0
+        assert report.speedup == 1.0 and report.node_ratio == 1.0
         assert report.not_reached == 0
 
     def test_logistic_heuristic_pipeline(self, scp_family_dir):
@@ -210,8 +213,6 @@ class TestRunBenchmark:
 
 class TestReportEmit:
     def test_header_only_for_empty_rows(self, tmp_path):
-        from probranch.bench import BenchReport
-
         report = BenchReport(
             rows=[], sgm_method=None, sgm_original=None, speedup=None,
             not_reached=0, failed=0,
@@ -220,6 +221,27 @@ class TestReportEmit:
         with open(csv_path) as fh:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("instance,")
+
+    def test_node_sgms_over_the_paired_rows(self, tmp_path):
+        def row(name, t_orig, nodes_method, nodes_plain, status="optimal"):
+            return BenchRow(name, 1.0, 1.0, t_orig, nodes_method, nodes_plain, status, "optimal")
+
+        rows = [
+            row("a", 2.0, 0, 90),
+            row("b", 2.0, 90, 90),
+            row("unreached", None, 5000, 7),  # in no SGM
+            BenchRow("failed", math.nan, math.nan, None, 3, 3000, "limit", "optimal"),
+        ]
+        report = BenchReport(rows=rows, **paired_sgms(rows), not_reached=1, failed=1)
+        # shift 10 nodes: sqrt((0 + 10) (90 + 10)) - 10
+        assert report.sgm_nodes_method == pytest.approx(math.sqrt(1000.0) - 10.0, abs=1e-12)
+        assert report.sgm_nodes_original == 90.0
+        assert report.node_ratio == pytest.approx((math.sqrt(1000.0) - 10.0) / 90.0, abs=1e-12)
+        assert (report.sgm_method, report.sgm_original, report.speedup) == (1.0, 2.0, 2.0)
+        summary = json.loads(report_emit(report, tmp_path / "hand")[1].read_text())
+        for key in ("sgm_nodes_method", "sgm_nodes_original", "node_ratio"):
+            assert summary[key] == getattr(report, key)
+        assert set(paired_sgms(rows[2:]).values()) == {None}
 
     def test_summary_round_trip_and_stability(self, tmp_path, scp_family_dir):
         report = run_benchmark(

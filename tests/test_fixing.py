@@ -6,6 +6,9 @@ tests hold the fixing rule to its definition on a hand-made LP state,
 show it firing on a hand-built instance, and hold plain, exact and
 heuristic solves with fixing to independent oracles on seeded random
 tight multi-knapsacks and auctions, with and without continuous columns.
+The closed-form knapsack relaxation's state (d = c + lambda w) is held
+to the bound it claims at every point of a node box, and knapsack solves
+to exhaustive enumeration.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from oracles import binary_enumeration, highs_optimum, region_rows, set_packing_
 from probranch import _simplex, bnb
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import Calibration, build_hyperplanes, partition_solve
-from probranch.generators import gen_ca
+from probranch.generators import gen_ca, gen_knapsack_uniform
 from probranch.lp import relaxation_arrays
 from probranch.model import MAXIMIZE, LinearRow, MipInstance, check_feasible
 from probranch.predict import Prediction, lp_root_predict
@@ -114,3 +117,100 @@ def test_fixing_solves_match_oracles_on_random_instances(seed):
     # the root's rounding finds an incumbent on these instances, so every
     # plain tree that grows past its root fixes binaries
     assert plain.nodes == 1 or plain.fixed > 0
+
+
+def knapsack(w, f, cap) -> MipInstance:
+    """max (f w).y s.t. w.y <= cap: a uniform knapsack under its own capacity."""
+    return MipInstance(
+        "knapsack", "maximize", len(w), 0,
+        objective=[(j, float(f[j] * w[j])) for j in range(len(w))],
+        rows=[LinearRow([(j, float(x)) for j, x in enumerate(w)], "<=", float(cap))],
+    )
+
+
+def knapsack_case(seed: int):
+    """(instance, root box or None, rows the box stands for) for one fuzz seed.
+
+    Case seed % 4: the generator's knapsack; every item fits (lambda = 0);
+    integer weights and capacity, so many node LPs fill it exactly with
+    whole items; ratios tied in threes.  Odd seed // 4 adds a root box that
+    fixes items to 1 and to 0.
+    """
+    rng = np.random.default_rng([seed, 15])
+    n = int(rng.integers(8, 17))
+    uk = gen_knapsack_uniform(n, 0.3, 120_000 + seed)
+    w, f = uk.weights, uk.ratios
+    case = seed % 4
+    if case == 0:
+        inst = uk.instance
+    elif case == 1:
+        inst = knapsack(w, f, w.sum())
+    elif case == 2:
+        w = rng.integers(1, 6, n).astype(float)
+        inst = knapsack(w, f, np.floor(0.3 * w.sum()))
+    else:
+        inst = knapsack(w, np.repeat(rng.random(n // 3 + 1), 3)[:n], 0.3 * n)
+    if (seed // 4) % 2 == 0:
+        return inst, None, []
+    lo, hi = np.zeros(n), np.ones(n)
+    ones, zeros = np.split(rng.permutation(n)[:4], 2)
+    lo[ones], hi[zeros] = 1.0, 0.0
+    rows = ([LinearRow([(int(j), 1.0)], ">=", 1.0) for j in ones]
+            + [LinearRow([(int(j), 1.0)], "<=", 0.0) for j in zeros])
+    return inst, [(lo, hi)], rows
+
+
+def test_knapsack_fixing_matches_enumeration():
+    fired = 0
+    for seed in range(40):
+        inst, roots, rows = knapsack_case(seed)
+        rep = solve_mip(inst, options=SolveOptions(**EXACT), roots=roots)
+        expected = binary_enumeration(with_rows(inst, rows))
+        if expected.status == "infeasible":
+            assert rep.status == "infeasible", seed
+            continue
+        assert rep.status == "optimal", seed
+        assert rep.objective == pytest.approx(expected.objective, rel=0, abs=1e-9), seed
+        assert check_feasible(with_rows(inst, rows), rep.best_solution.values)[0], seed
+        fired += rep.fixed > 0
+    assert fired >= 5
+
+
+@pytest.mark.parametrize("case", ["fractional", "all_fit", "exact_fill", "tied"])
+def test_knapsack_state_bounds_every_point_of_the_box(case):
+    rng = np.random.default_rng([len(case), 15])
+    n = 12
+    w, f = rng.uniform(0.1, 1.0, n), rng.random(n)
+    cap = 0.3 * n
+    if case == "all_fit":
+        cap = w.sum()
+    elif case == "exact_fill":
+        w = rng.integers(1, 6, n).astype(float)
+        cap = np.cumsum(w[np.argsort(-f, kind="stable")])[4]
+    elif case == "tied":
+        f = np.repeat(rng.random(4), 3)
+    c = -f * w  # the solver minimizes
+    kn = bnb._Knapsack(c, w, float(cap))
+    lb, ub = np.zeros(n), np.ones(n)
+    lb[0], ub[1] = 1.0, 0.0  # a node box, after its own fixings
+    status, x, bound, state = kn(lb, ub)
+    assert status == _simplex.STATUS_OPTIMAL
+    critical = np.flatnonzero(state.is_basic)
+    assert len(critical) == (0 if case == "all_fit" else 1)
+    if case == "exact_fill":
+        assert x[critical[0]] == 0.0 and w @ x == cap
+    pts = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    pts = pts[(pts >= lb).all(axis=1) & (pts <= ub).all(axis=1) & (pts @ w <= cap)]
+    assert len(pts) > 1
+    assert (pts @ c >= bound + (pts - x) @ state.d - 1e-9).all()
+    # the fixing rule reads it as: moving a nonbasic binary costs at least |d_j|
+    free = ~state.is_basic & (lb < ub)
+    assert (pts @ c >= bound + np.abs(pts - x)[:, free] @ np.abs(state.d[free]) - 1e-9).all()
+
+    # with a negative gap every free nonbasic binary with d_j != 0 is fixed,
+    # but never the critical item, and the caller's box is left as it was
+    lb_before, ub_before = lb.copy(), ub.copy()
+    new_lb, new_ub, count = bnb._fix_by_reduced_costs(state, lb, ub, n, -1.0, 0.0)
+    assert count > 0
+    assert np.array_equal(lb, lb_before) and np.array_equal(ub, ub_before)
+    assert (new_lb[critical] == lb[critical]).all() and (new_ub[critical] == ub[critical]).all()
