@@ -454,7 +454,8 @@ class KnapsackRoundingRow:
     n: int
     trials: int
     margin: float  # 4 sqrt(2) n^(3/4)
-    vacuous: bool  # margin >= n makes both inequalities trivial
+    vacuous_up: bool  # margin >= |U| on every trial: the up inequality is trivial
+    vacuous_down: bool  # margin >= |L| on every trial: the down inequality is trivial
     violations_up: int
     violations_down: int
     mispicks: list[int]  # per-trial |U \ U*|
@@ -486,14 +487,16 @@ def verify_knapsack_rounding(
     Per trial: draw the instance, read the rounded sets off the greedy
     LP solution, solve exactly, and check that the up-set keeps at least
     |U| - 4 sqrt(2) n^(3/4) ones and the down-set gains at most that
-    margin.  The margin exceeds n itself for n <= 1024, which the report
-    flags as vacuous.
+    margin.  A side is flagged vacuous when the margin covers its whole
+    set (|U| for up, |L| for down) on every trial, so that it cannot
+    fail; the margin exceeds n itself for n <= 1024.
     """
     master = stream_rng(seed, 0)
     rows = []
     for n in n_list:
         margin = 4.0 * math.sqrt(2.0) * n**0.75
         vio_up = vio_down = 0
+        vacuous_up = vacuous_down = True
         mispicks = []
         for _ in range(trials):
             sub_seed = int(master.integers(0, 2**62))
@@ -503,6 +506,8 @@ def verify_knapsack_rounding(
             )
             up = np.nonzero(y_lp == 1.0)[0]
             down = np.nonzero(y_lp == 0.0)[0]
+            vacuous_up &= margin >= len(up)
+            vacuous_down &= margin >= len(down)
             rep = solve_mip(
                 uk.instance, options=SolveOptions(rel_gap=0.0, abs_gap=1e-9)
             )
@@ -519,7 +524,8 @@ def verify_knapsack_rounding(
                 n=n,
                 trials=trials,
                 margin=margin,
-                vacuous=margin >= n,
+                vacuous_up=vacuous_up,
+                vacuous_down=vacuous_down,
                 violations_up=vio_up,
                 violations_down=vio_down,
                 mispicks=mispicks,

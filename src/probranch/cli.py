@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--family", required=True)
     t.add_argument("--train-count", type=int, default=None)
     t.add_argument("--reg", type=float, default=1e-4)
-    t.add_argument("--max-iters", type=int, default=500)
+    t.add_argument("--max-iters", type=int, default=500,
+                   help="Newton steps per model at most")
     t.add_argument("--tol", type=float, default=1e-6)
     t.add_argument("--time-limit", type=float, default=bench_mod.DEFAULT_TIME_LIMIT)
     _add_common(t)
@@ -273,10 +274,13 @@ def _cmd_verify(args) -> int:
             for row in rep.rows:
                 ok = row.violations_up == 0 and row.violations_down == 0
                 failures += 0 if ok else 1
+                vacuity = {(True, True): " (vacuous)", (True, False): " (vacuous up)",
+                           (False, True): " (vacuous down)"}.get(
+                    (row.vacuous_up, row.vacuous_down), "")
                 lines.append(
                     f"knapsack-rounding n={row.n}: violations="
                     f"{row.violations_up}+{row.violations_down} margin={row.margin:.1f}"
-                    f"{' (vacuous)' if row.vacuous else ''} "
+                    f"{vacuity} "
                     f"median|U\\U*|={row.median_mispick} -> {'pass' if ok else 'FAIL'}"
                 )
             continue

@@ -5,13 +5,14 @@ of a family, the LP root relaxation (simplex or interior point), and
 external prediction files.  All produce a Prediction whose entries live
 in [0, 1].
 
-The logistic models of all variables are fitted together: one batched
-gradient descent moves a (variables, features) weight matrix, while each
-model keeps its own line search, stopping rule and iteration count.
+The logistic models of all variables are fitted together by batched
+damped Newton steps in the row space of the standardized features, while
+each model keeps its own line search, stopping rule and iteration count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -92,6 +93,25 @@ def logistic_gradient(w: np.ndarray, b, x: np.ndarray, y: np.ndarray, reg: float
     return gw, (float(gb) if np.ndim(w) == 1 else gb)
 
 
+def _newton_directions(hess: np.ndarray, grad: np.ndarray, gnorm2: np.ndarray):
+    """Each model's Newton direction H^-1 g and decrement g^T H^-1 g.
+
+    A model whose Hessian is singular, or whose direction is not finite
+    or not a descent direction, takes its gradient g and ||g||^2 instead.
+    """
+    try:
+        direction = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # some Hessian is exactly singular: solve one by one
+        direction = np.full_like(grad, np.nan)
+        for j in range(len(grad)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                direction[j] = np.linalg.solve(hess[j], grad[j])
+    decrement = np.einsum("ij,ij->i", grad, direction)
+    ascent = ~(np.isfinite(decrement) & (decrement > 0.0))
+    direction[ascent], decrement[ascent] = grad[ascent], gnorm2[ascent]
+    return direction, decrement
+
+
 def logistic_train(
     dataset: list[tuple[np.ndarray, np.ndarray]],
     reg: float = 1e-4,
@@ -102,12 +122,19 @@ def logistic_train(
 
     Features are standardized with the training-set mean/std.  Variables
     whose labels are constant across the dataset short-circuit to an
-    intercept-only model.  The others are fitted together in one batched
-    full-batch gradient descent from zero weights: each model takes its
-    own backtracking (Armijo) step and stops on its own, when its
-    gradient norm reaches ``tol``, after ``max_iters`` steps, or when no
-    productive step is left, and a stopped model never moves again.
-    Training is deterministic.
+    intercept-only model.  The others are fitted together by damped
+    Newton steps from zero weights.  The penalized optimum lies in the
+    row space of the standardized features (stationarity gives
+    w = -Xs^T r / (n reg)), so with the thin SVD Xs = U S V^T each model
+    fits coefficients c on Xs V, over the r <= n directions with a
+    non-negligible singular value, and w = V c: an exact
+    reparametrization in which one step solves one (r+1)-square system
+    per model.  A model whose Newton direction is not finite or not a
+    descent direction takes its gradient for that step.  Each model
+    takes its own backtracking (Armijo) step on its Newton decrement and
+    stops on its own, when its gradient norm reaches ``tol``, after
+    ``max_iters`` steps, or when no productive step is left, and a
+    stopped model never moves again.  Training is deterministic.
     """
     if len(dataset) < 2:
         raise ValueError("need at least two training samples")
@@ -119,6 +146,11 @@ def logistic_train(
     std = x.std(axis=0)
     std[std == 0] = 1.0
     xs = (x - mean) / std
+    _, sv, vt = np.linalg.svd(xs, full_matrices=False)
+    v = vt[sv > sv.max(initial=0.0) * max(xs.shape) * np.finfo(float).eps].T
+    z = xs @ v  # (n, r): the samples in the row-space coordinates
+    design = np.column_stack([z, np.ones(len(z))])  # the intercept is the last coordinate
+    penalty = np.append(np.full(v.shape[1], reg), 0.0)
 
     n_vars = labels.shape[1]
     const = np.all(labels == labels[0], axis=0)
@@ -129,35 +161,44 @@ def logistic_train(
     loss = logistic_loss(weights, intercepts, xs, labels, reg)
     history = [loss.copy()]
     iterations = np.zeros(n_vars, dtype=int)
-    # the models still descending, and their own compact copies of w, b, y and loss
+    # the models still descending, their (c, b) rows, labels and losses
     live = np.flatnonzero(~const)
-    w, b, y, f = weights[live], intercepts[live], labels[:, live], loss[live]
+    theta, y, f = np.zeros((live.size, design.shape[1])), labels[:, live], loss[live]
     for it in range(max_iters):
         if not live.size:
             break
-        gw, gb = logistic_gradient(w, b, xs, y, reg)
-        gnorm2 = np.einsum("ij,ij->i", gw, gw) + gb * gb
+        c, b = theta[:, :-1], theta[:, -1]
+        grad = np.column_stack(logistic_gradient(c, b, z, y, reg))
+        logit = z @ c.T + b  # (n, k)
+        # p (1 - p) as sigma(z) sigma(-z), which keeps its precision where p rounds to 1
+        curv = _sigmoid(logit) * _sigmoid(-logit)
+        hess = np.einsum("si,sk,sj->kij", design, curv, design) / len(z) + np.diag(penalty)
+        gnorm2 = np.einsum("ij,ij->i", grad, grad)
+        direction, decrement = _newton_directions(hess, grad, gnorm2)
         # every model still searching tries the same step, 1.0 halved each round
         moved = np.zeros(live.size, dtype=bool)
         search = np.flatnonzero(np.sqrt(gnorm2) > tol)
         step = 1.0
         while search.size and step > 1e-12:
-            w2 = w[search] - step * gw[search]
-            b2 = b[search] - step * gb[search]
-            trial = logistic_loss(w2, b2, xs, y[:, search], reg)
-            ok = trial <= f[search] - 1e-4 * step * gnorm2[search]
+            trial_theta = theta[search] - step * direction[search]
+            trial = logistic_loss(
+                trial_theta[:, :-1], trial_theta[:, -1], z, y[:, search], reg
+            )
+            ok = trial <= f[search] - 1e-4 * step * decrement[search]
             hit = search[ok]
-            w[hit], b[hit], f[hit], moved[hit] = w2[ok], b2[ok], trial[ok], True
+            theta[hit], f[hit], moved[hit] = trial_theta[ok], trial[ok], True
             search = search[~ok]
             step *= 0.5
         if not moved.all():  # a model that took no step has stopped for good
             done = live[~moved]
-            weights[done], intercepts[done], iterations[done] = w[~moved], b[~moved], it
-            live, w, b, y, f = live[moved], w[moved], b[moved], y[:, moved], f[moved]
+            weights[done] = theta[~moved, :-1] @ v.T
+            intercepts[done], iterations[done] = theta[~moved, -1], it
+            live, theta, y, f = live[moved], theta[moved], y[:, moved], f[moved]
         loss[live] = f
         history.append(loss.copy())
     # the models still live stopped at the cap
-    weights[live], intercepts[live], iterations[live] = w, b, max_iters
+    weights[live] = theta[:, :-1] @ v.T
+    intercepts[live], iterations[live] = theta[:, -1], max_iters
     history = np.asarray(history)
     return LogisticModel(
         weights=weights,

@@ -157,50 +157,30 @@ def reference_logistic_probabilities(x, y, reg, iters=20000, lr=0.5):
     return 1.0 / (1.0 + np.exp(-(x @ w + b)))
 
 
-def reference_logistic_fit(x, y, reg, max_iters, tol):
-    """One logistic model fitted alone, as a loop: the batched fit's reference.
+def reference_logistic_optimum(x, y, reg):
+    """One logistic model's penalized optimum (w, b), found alone by scipy.
 
-    Full-batch gradient descent from zero weights with a backtracking
-    (Armijo) line search: step 1.0 halved down to 1e-12, sufficient
-    decrease 1e-4.  Stops when the gradient norm reaches ``tol``, after
-    ``max_iters`` steps, or when no productive step is left.  Returns
-    (w, b, iterations, loss trace).
+    Minimizes the mean logistic loss plus (reg/2)*||w||^2 over every
+    feature of ``x`` with scipy's BFGS run to a tight gradient tolerance:
+    no row-space reduction, no batching and no Newton step.
     """
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    xa = np.column_stack([x, np.ones(len(x))])
+    pen = np.append(np.full(x.shape[1], reg), 0.0)
 
-    def loss_at(w, b):
-        z = x @ w + b
-        return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * reg * (w @ w))
+    def loss_and_grad(theta):
+        z = xa @ theta
+        r = expit(z) - y
+        loss = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * theta @ (pen * theta)
+        return loss, xa.T @ r / len(y) + pen * theta
 
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    loss = loss_at(w, b)
-    trace = [loss]
-    it = 0
-    while it < max_iters:
-        z = x @ w + b
-        e = np.exp(-np.abs(z))
-        r = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - y
-        gw = x.T @ r / len(y) + reg * w
-        gb = float(np.mean(r))
-        gnorm2 = float(gw @ gw) + gb * gb
-        if math.sqrt(gnorm2) <= tol:
-            break
-        step = 1.0
-        while step > 1e-12:
-            w2 = w - step * gw
-            b2 = b - step * gb
-            new_loss = loss_at(w2, b2)
-            if new_loss <= loss - 1e-4 * step * gnorm2:
-                break
-            step *= 0.5
-        else:
-            break  # no productive step remains
-        w, b, loss = w2, b2, new_loss
-        trace.append(loss)
-        it += 1
-    return w, b, it, trace
+    res = minimize(loss_and_grad, np.zeros(xa.shape[1]), jac=True, method="BFGS",
+                   options={"gtol": 1e-12, "maxiter": 100_000})
+    return res.x[:-1], float(res.x[-1])
 
 
 def reference_roundings(a, senses, b, n_bin, x, lb, ub, tol=1e-9):

@@ -322,7 +322,7 @@ class TestVerifyKnapsackRounding:
         rep = verify_knapsack_rounding([60], 0.3, trials=4, seed=9)
         row = rep.rows[0]
         assert row.violations_up == 0 and row.violations_down == 0
-        assert row.vacuous  # 4*sqrt(2)*60^0.75 > 60
+        assert row.vacuous_up and row.vacuous_down  # 4*sqrt(2)*60^0.75 > 60 >= |U|, |L|
         assert len(row.mispicks) == 4
         assert rep.total_violations == 0
 
@@ -332,16 +332,30 @@ class TestVerifyKnapsackRounding:
         seed, trials, n, gamma = 10, 3, 50, 0.3
         rep = verify_knapsack_rounding([n], gamma, trials=trials, seed=seed)
         master = stream_rng(seed, 0)
+        sizes = []
         for t in range(trials):
             sub_seed = int(master.integers(0, 2**62))
             uk = gen_knapsack_uniform(n, gamma, seed=sub_seed)
             y_lp, _, _ = fractional_knapsack(uk.weights, uk.ratios, gamma * n)
             up = set(np.nonzero(y_lp == 1.0)[0].tolist())
+            sizes.append((len(up), int(np.sum(y_lp == 0.0))))
             sol = solve_mip(uk.instance, options=SolveOptions(rel_gap=0.0))
             chosen = set(
                 np.nonzero(np.round(sol.best_solution.values[:n]) == 1.0)[0].tolist()
             )
             assert rep.rows[0].mispicks[t] == len(up - chosen)
+        margin = rep.rows[0].margin
+        assert rep.rows[0].vacuous_up == all(margin >= u for u, _ in sizes)
+        assert rep.rows[0].vacuous_down == all(margin >= d for _, d in sizes)
+
+    def test_both_sides_vacuous_below_n_at_2048(self):
+        # the margin 4*sqrt(2)*2048^0.75 ~ 1722 is below n, yet it covers
+        # both |U| (about 1230) and |L| (about 816), so neither side can fail
+        rep = verify_knapsack_rounding([2048], 0.3, trials=1, seed=12)
+        row = rep.rows[0]
+        assert row.margin < row.n
+        assert row.vacuous_up and row.vacuous_down
+        assert row.violations_up == row.violations_down == 0
 
     def test_median_property(self):
         rep = verify_knapsack_rounding([40], 0.3, trials=5, seed=11)

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from oracles import reference_logistic_fit, reference_logistic_probabilities
+from oracles import reference_logistic_optimum, reference_logistic_probabilities
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.generators import gen_knapsack_uniform, gen_scp
 from probranch.model import LinearRow, MipInstance, MalformedDocumentError
 from probranch.predict import (
     LogisticModel,
     Prediction,
+    _newton_directions,
+    _sigmoid,
     load_model,
     load_prediction,
     logistic_gradient,
@@ -171,12 +173,19 @@ class TestLogisticTrain:
         assert accuracy(held) >= accuracy(fit) - 0.10
 
 
-def fit_against_loop(x, labels, reg=1e-4, max_iters=500, tol=1e-6):
-    """Train the batch and check every column against a loop fitting it alone."""
+def fit_against_optimum(x, labels, reg=1e-4, max_iters=500, tol=1e-6):
+    """Train the batch and check every fitted column at its own optimum.
+
+    The reference fits each column alone in the full feature space with
+    scipy; the two must agree within 1e-6 in probability on the training
+    rows, the batch's gradient must meet ``tol``, and its weights must
+    lie in the row space of the standardized features.
+    """
     model = logistic_train(list(zip(x, labels)), reg=reg, max_iters=max_iters, tol=tol)
     std = x.std(axis=0)
     std[std == 0] = 1.0
     xs = (x - x.mean(axis=0)) / std
+    row_space = np.linalg.pinv(xs) @ xs  # the orthogonal projector onto it
     for j in range(labels.shape[1]):
         trace = model.loss_trace[j]
         assert len(trace) == model.iterations[j] + 1
@@ -184,17 +193,22 @@ def fit_against_loop(x, labels, reg=1e-4, max_iters=500, tol=1e-6):
         if np.all(labels[:, j] == labels[0, j]):
             assert model.iterations[j] == 0 and not model.weights[j].any()
             continue
-        w, b, it, ref_trace = reference_logistic_fit(xs, labels[:, j], reg, max_iters, tol)
-        assert model.iterations[j] == it
-        assert len(trace) == len(ref_trace)
-        assert np.max(np.abs(model.weights[j] - w)) <= 1e-12
-        assert abs(model.intercepts[j] - b) <= 1e-12
-        assert np.max(np.abs(np.array(trace) - ref_trace)) <= 1e-12
+        assert model.iterations[j] < max_iters
+        gw, gb = logistic_gradient(model.weights[j], model.intercepts[j], xs, labels[:, j], reg)
+        assert np.hypot(np.linalg.norm(gw), gb) <= tol
+        assert trace[-1] == pytest.approx(
+            logistic_loss(model.weights[j], model.intercepts[j], xs, labels[:, j], reg),
+            rel=1e-12,
+        )
+        w, b = reference_logistic_optimum(xs, labels[:, j], reg)
+        p = _sigmoid(xs @ model.weights[j] + model.intercepts[j])
+        assert np.max(np.abs(p - _sigmoid(xs @ w + b))) <= 1e-6
+        np.testing.assert_allclose(row_space @ model.weights[j], model.weights[j], atol=1e-12)
     return model
 
 
 class TestBatchedFit:
-    """The batched fit agrees with fitting each column alone."""
+    """Every column of the batched Newton fit reaches its own optimum."""
 
     def separable(self, seed=0):
         # 10 samples of 60 features, as in a pipeline-ca training set
@@ -203,15 +217,16 @@ class TestBatchedFit:
         labels[0], labels[1] = 1.0, 0.0  # no column is constant
         return rng.normal(100.0, 50.0, size=(10, 60)), labels
 
-    def test_separable_columns_all_stop_at_the_cap(self):
-        model = fit_against_loop(*self.separable())
-        assert model.iterations == [500] * 15
+    def test_separable_columns_converge_within_30_steps(self):
+        # a deterministic guard of the speed-up: each column takes about 11 Newton steps
+        model = fit_against_optimum(*self.separable())
+        assert max(model.iterations) <= 30
 
     def test_constant_and_fitted_columns_mixed(self):
         x, labels = self.separable(seed=1)
         labels[:, [0, 7]] = 0.0
         labels[:, 4] = 1.0
-        model = fit_against_loop(x, labels)
+        model = fit_against_optimum(x, labels)
         assert [j for j, k in enumerate(model.iterations) if k == 0] == [0, 4, 7]
 
     def test_columns_meeting_tol_at_different_times(self):
@@ -219,38 +234,55 @@ class TestBatchedFit:
         half = rng.normal(size=(20, 3))
         x = np.vstack([half, -half])
         labels = (rng.random((40, 5)) > 0.5).astype(float)
-        labels[:, 0] = x[:, 0] > 0  # separable: runs to the cap
+        labels[:, 0] = x[:, 0] > 0  # separable
         labels[:, 3] = np.tile(rng.random(20) > 0.3, 2)  # mirrored: only the intercept moves
         labels[:, 4] = np.tile(np.repeat([1.0, 0.0], 10), 2)  # balanced and mirrored
-        model = fit_against_loop(x, labels, reg=1e-3)
+        model = fit_against_optimum(x, labels, reg=1e-3)
         its = model.iterations
-        assert its[0] == 500 and its[4] == 0
-        assert all(0 < k < 500 for k in its[1:4])
-        assert len(set(its)) == 5
+        assert its[4] == 0  # the gradient vanishes at zero weights
+        assert all(k > 0 for k in its[:4])
+        assert len(set(its)) > 2
+        assert np.max(np.abs(model.weights[3])) <= 1e-12  # mirrored: the weights stay at zero
 
-    def test_column_whose_line_search_runs_out(self):
-        # with a huge penalty no step of at least 1e-12 decreases the loss
-        # of a column whose weight gradient is non-zero; the intercept-only
-        # column (its weight gradient is exactly zero) keeps descending
+    def test_huge_penalty_stops(self):
+        # the middle column's loss falls only along steps of about 1/reg,
+        # far below any gradient step of at least 1e-12; the Newton step
+        # scales by the Hessian and reaches the optimum w = -0.5 / (reg + 1/4)
+        # on these +-1 features at once
         x = np.tile([[-1.0], [1.0]], (4, 1))
         stuck = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
         free = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
         labels = np.column_stack([free, stuck, np.ones(8)])
-        reg = 1e14
-        model = fit_against_loop(x, labels, reg=reg)
-        assert 0 < model.iterations[0] < 500
-        assert model.iterations[1] == 0
-        gw, gb = logistic_gradient(np.zeros(1), 0.0, x, stuck, reg)
-        assert np.hypot(gw[0], gb) > 1e-6  # it stopped for want of a step, not at tol
-        # a smaller penalty admits a first step of about 1e-8, far below 1.0
-        model = fit_against_loop(x, labels, reg=1e8, max_iters=1)
-        assert model.iterations == [1, 1, 0]
+        for reg in (1e8, 1e14):
+            model = fit_against_optimum(x, labels, reg=reg)
+            assert model.iterations[1] == 1 and model.iterations[2] == 0
+            assert model.weights[1, 0] == pytest.approx(-0.5 / (reg + 0.25), rel=1e-9)
+            assert abs(model.weights[0, 0]) <= 1e-12  # the free column moves its intercept only
 
     def test_three_iterations(self):
+        # three steps, and one, stop every fitted column at the cap
         x, labels = self.separable(seed=2)
         labels[:, 2] = 1.0
-        model = fit_against_loop(x, labels, max_iters=3)
-        assert sorted(set(model.iterations)) == [0, 3]
+        for max_iters in (3, 1):
+            model = logistic_train(list(zip(x, labels)), max_iters=max_iters)
+            assert sorted(set(model.iterations)) == [0, max_iters]
+            assert [len(t) for t in model.loss_trace] == [k + 1 for k in model.iterations]
+            for trace in model.loss_trace:
+                assert all(b < a for a, b in zip(trace, trace[1:]))
+
+    def test_singular_or_ascent_newton_direction_takes_the_gradient(self):
+        grad = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+        gnorm2 = np.einsum("ij,ij->i", grad, grad)
+        hess = np.array([
+            [[2.0, 0.0], [0.0, 4.0]],  # positive definite: the Newton direction
+            [[1.0, 0.0], [0.0, 0.0]],  # a vanished intercept entry: singular
+            [[-1.0, 0.0], [0.0, -1.0]],  # negative definite: an ascent direction
+        ])
+        direction, decrement = _newton_directions(hess, grad, gnorm2)
+        np.testing.assert_allclose(direction[0], [0.5, 0.5])
+        assert decrement[0] == pytest.approx(1.5)
+        np.testing.assert_array_equal(direction[1:], grad[1:])
+        np.testing.assert_array_equal(decrement[1:], gnorm2[1:])
 
     def test_stacked_loss_and_gradient_match_rows(self):
         rng = np.random.default_rng(7)
