@@ -15,10 +15,11 @@ The two-phase method also runs when the dual start of a boxed LP hits
 the iteration limit or a non-finite value.
 
 A warm solve reoptimizes from the final state of an earlier optimal
-solve of the same rows after its variable bounds changed, as a
-branch-and-bound child differs from its parent by one bound.  Reduced
-costs do not depend on the bounds, so the basis stays dual feasible,
-only x_B is recomputed, and the reduced costs d an optimal solve ends
+solve of the same rows under a box within that solve's box, as a
+branch-and-bound child's box lies within its parent's.  Reduced costs
+do not depend on the bounds, and each nonbasic column moves onto the
+same side of the tighter box, so the basis stays dual feasible, only
+x_B is recomputed, and the reduced costs d an optimal solve ends
 with are carried in its state and start its children's solves.  A
 bounded dual simplex then restores primal feasibility: the most
 infeasible basic variable leaves (infeasibility measured against the
@@ -28,10 +29,8 @@ when every eligible column at its helpful bound still leaves the row
 infeasible, the LP is infeasible.  Within the dual loop x_B, d and the
 basic bounds are updated at each pivot and flip, not gathered again.
 On an iteration limit or a non-finite value the solve falls back to a
-cold one.  A partition root warm-started from another root's basis
-under its own count box can start dual infeasible (a nonbasic column
-moved onto the bound its reduced cost does not prefer); once the dual
-loop reaches a primal feasible basis, the primal simplex finishes.
+cold one.  If round-off leaves the final reduced costs dual infeasible,
+the primal simplex finishes.
 
 While the basis is dual feasible, the objective c.x of the dual's basic
 solution is a lower bound on the LP.  Given a finite ``cutoff``, the
@@ -432,8 +431,7 @@ class _Workspace:
             dual_infeasible = np.count_nonzero(h * d > _DUAL_TOL) or (
                 any_free and np.count_nonzero(np.abs(d[free]) > _DUAL_TOL))
             if dual_infeasible:
-                # a dual infeasible start (a root warm-started under
-                # another count box) or round-off: the primal finishes
+                # round-off left a reduced cost of the wrong sign: the primal finishes
                 return self.minimize(c, max_iters, deadline=deadline)
             self.d, self.h, self.free, self.span = d, h, free, span
         return status

@@ -7,18 +7,17 @@ node selection is best-bound, ties going to the node created first.  A
 rounding heuristic runs at every node so the incumbent log is dense
 enough for time-to-target measurements.
 
-Reduced-cost fixing: a node below a root starts from its parent's
-optimal LP state, whose reduced costs d bound every point of the
-parent's box, c.x >= parent bound + sum_j d_j (x_j - x*_j).  Before the
-node LP is solved, a free binary nonbasic at its lower bound with
-d_j > prune_at - parent bound gets ub_j = lb_j, and one at its upper
-bound with -d_j above that gap gets lb_j = ub_j: moving it would cost
-more than the incumbent leaves to gain.  The node LP and every
+Reduced-cost fixing: a node starts from its parent's optimal LP state
+(a root box's parent is the hull), whose reduced costs d bound every
+point of the parent's box, c.x >= parent bound + sum_j d_j (x_j - x*_j).
+Before the node LP is solved, a free binary nonbasic at its lower bound
+with d_j > prune_at - parent bound gets ub_j = lb_j, and one at its
+upper bound with -d_j above that gap gets lb_j = ub_j: moving it would
+cost more than the incumbent leaves to gain.  The node LP and every
 descendant inherit the fixed box, and ``SolveReport.fixed`` counts the
-fixings; root boxes have no parent and are not fixed.  The closed-form
-knapsack relaxation's reduced costs are d = c + lambda w, with lambda
-the capacity row's multiplier (``_Knapsack``), so the same rule fixes
-its nodes.
+fixings.  The closed-form knapsack relaxation's reduced costs are
+d = c + lambda w, with lambda the capacity row's multiplier
+(``_Knapsack``), so the same rule fixes its nodes.
 
 First-step bounds: when a node branches on x_j, its final tableau row
 of x_j bounds each child's LP from below before that LP is set up
@@ -32,15 +31,15 @@ A popped node closes at the first of these that applies, and
   2. its first-step bound reaches the cutoff plus the dual's
      ``_simplex.CUTOFF_TOL`` relative (the bound is infinite when the
      child is infeasible): closed with no fixing and no LP;
-  3. reduced-cost fixing tightens its box, then its LP is solved; a
-     node below a root stops its dual simplex as soon as the dual bound
-     reaches the cutoff (``STATUS_CUTOFF``), and it closes when the LP
-     is infeasible or its bound reaches the cutoff;
+  3. reduced-cost fixing tightens its box, then its LP is solved; the
+     dual simplex stops as soon as its bound reaches the cutoff
+     (``STATUS_CUTOFF``), and the node closes when the LP is infeasible
+     or its bound reaches the cutoff;
   4. an integral (or integral after rounding) LP point is accepted;
   5. otherwise it branches.
-A root LP gets no cutoff: a root that warm-starts from another root's
-basis under its own box may start dual infeasible, and then its dual
-objective bounds nothing.
+Root boxes are children of the hull, the LP over the least box holding
+them all, solved first and not a node.  An infeasible hull ends the
+solve as "infeasible" with no node, one past the time limit as "limit".
 
 A single solve is single-threaded; concurrent solves on distinct
 instances are safe.  Incumbent timestamps come from a monotonic clock.
@@ -233,9 +232,9 @@ def solve_mip(
 
     ``roots`` lists (lb, ub) boxes over all variables, one root node
     each (default: the instance's own bounds); the solve searches their
-    union.  The subtrees share the incumbent, the limits and the
-    incumbent log, and the report counts nodes and seconds per root.  A
-    root LP reoptimizes the first optimal root LP's final basis.
+    union.  Each box is a child of the hull.  The subtrees share the
+    incumbent, the limits and the incumbent log; the report counts
+    nodes and seconds per root.
 
     The report is in the instance's own sense.  Limits are statuses:
     hitting the node or time limit yields status "limit" with the best
@@ -260,7 +259,6 @@ def solve_mip(
     root_seconds = [0.0] * len(boxes)
     root = None  # root box of the node being processed
     best_root = None
-    root_state = None  # final LP state of the first optimal root LP
 
     incumbent_val = math.inf
     incumbent_x: np.ndarray | None = None
@@ -268,7 +266,6 @@ def solve_mip(
     nodes = 0
     fixed = 0
     closed = dict.fromkeys(CLOSED_BY, 0)
-    next_id = 0
     limit_hit = False
 
     # a node whose bound reaches prune_at cannot beat the incumbent by the gap
@@ -293,12 +290,27 @@ def solve_mip(
     if instance.num_continuous == 0 and senses == ["<="] and np.all(a[0] > 0):
         knapsack = _Knapsack(c, a[0], float(b[0]))
 
-    # open nodes (parent bound, node_id, depth, (lb, ub, parent state, root,
-    # own bound)): a heap by the parent's bound, ties to the older node
-    tree = []
-    for k, (lo, hi) in enumerate(boxes):
-        heapq.heappush(tree, (-math.inf, next_id, 0, (lo.copy(), hi.copy(), None, k, -math.inf)))
-        next_id += 1
+    def node_lp(lb, ub, warm):
+        """(status, x, bound, state) of the LP over the box, from a parent's state."""
+        if knapsack is not None:
+            return knapsack(lb, ub)
+        res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm,
+                                        deadline=deadline, cutoff=prune_at)
+        return res.status, res.x, res.objective, res.state
+
+    # the hull bounds every root box and is dual feasible under each
+    key, hull = -math.inf, None
+    if roots:
+        lp_status, _, bound, state = node_lp(np.min([lo for lo, _ in boxes], axis=0),
+                                             np.max([hi for _, hi in boxes], axis=0), None)
+        if lp_status == _simplex.STATUS_INFEASIBLE:
+            boxes = []
+        elif lp_status == _simplex.STATUS_OPTIMAL:
+            key, hull = bound, state
+    # open nodes (parent bound, node_id, (lb, ub, parent state, root, own
+    # bound)): a heap by the parent's bound, ties to the older node
+    tree = [(key, k, (lo, hi, hull, k, -math.inf)) for k, (lo, hi) in enumerate(boxes)]
+    next_id = len(tree)
 
     clock = t0
     while tree:
@@ -309,7 +321,7 @@ def solve_mip(
         if nodes >= opts.node_limit or now - t0 > opts.time_limit:
             limit_hit = True
             break
-        parent_bound, node_id, depth, node = heapq.heappop(tree)
+        parent_bound, node_id, node = heapq.heappop(tree)
         if parent_bound >= prune_at:
             continue
         lb, ub, warm, root, own_bound = node
@@ -323,18 +335,7 @@ def solve_mip(
                 warm, lb, ub, n_bin, prune_at - parent_bound, FIXING_TOL * max(1.0, abs(prune_at)))
             fixed += k
 
-        if knapsack is not None:
-            lp_status, x, bound, state = knapsack(lb, ub)
-        else:
-            # a root may start dual infeasible under its own box, so
-            # only a node below one stops its LP at the cutoff
-            res = _simplex.solve_bounded_lp(
-                c, a, senses, b, lb, ub, warm=root_state if warm is None else warm,
-                deadline=deadline, cutoff=prune_at if depth else math.inf)
-            lp_status, x, bound = res.status, res.x, res.objective
-            state = res.state
-            if depth == 0 and root_state is None:
-                root_state = state
+        lp_status, x, bound, state = node_lp(lb, ub, warm)
         if lp_status == _simplex.STATUS_INFEASIBLE:
             closed["infeasible"] += 1
             continue
@@ -342,7 +343,7 @@ def solve_mip(
             raise RuntimeError("LP relaxation is unbounded; MILP statuses cannot express this")
         if lp_status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
             limit_hit = True
-            heapq.heappush(tree, (parent_bound, node_id, depth, (lb, ub, warm, root, own_bound)))
+            heapq.heappush(tree, (parent_bound, node_id, (lb, ub, warm, root, own_bound)))
             break  # the node stays open, counted but not closed
         if lp_status == _simplex.STATUS_CUTOFF or bound >= prune_at:
             closed["cutoff"] += 1
@@ -386,7 +387,7 @@ def solve_mip(
         up = (lb_up, ub, state, root, bound + gain_up)
         down = (lb, ub_dn, state, root, bound + gain_dn)
         for child in ((up, down) if x[j] >= 0.5 else (down, up)):
-            heapq.heappush(tree, (bound, next_id, depth + 1, child))
+            heapq.heappush(tree, (bound, next_id, child))
             next_id += 1
 
     wall = time.monotonic() - t0

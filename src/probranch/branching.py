@@ -10,8 +10,8 @@ cardinality hyperplanes
 whose intercepts carry a Chebyshev-style slack sigma|S|/sqrt(delta), and
 partition the feasible region by the two cuts and their integer
 complements.  The partition is a branching disjunction: each region is
-a box on one count column per hyperplane, and the regions are the roots
-of a single branch-and-bound tree.  Searching all of them preserves
+a box on one count column per hyperplane, a child of the root LP of a
+single branch-and-bound tree.  Searching all of them preserves
 exactness; searching the cut region alone is the heuristic.
 """
 

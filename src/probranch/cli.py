@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--delta", type=float, default=None)
     s.add_argument("--sigma", type=float, default=None)
     s.add_argument("--mode", choices=["heuristic", "exact", "plain"], default="exact")
-    s.add_argument("--tightened", action="store_true")
+    s.add_argument("--tightened", action="store_true", default=None)
     s.add_argument("--time-limit", type=float, default=bench_mod.DEFAULT_TIME_LIMIT)
     _add_common(s)
 
@@ -194,7 +194,7 @@ def _cmd_solve(args) -> int:
             args.predictor,
             branching.load_calibration(args.calibration) if args.calibration else None,
             tau=args.tau, delta=args.delta, sigma=args.sigma,
-            tightened=args.tightened or None,  # the flag can only ask for tightened cuts
+            tightened=args.tightened,
         )
         model = predict.load_model(args.model) if args.model else None
         part = branching.partition_solve(

@@ -184,7 +184,8 @@ def logistic_train(
             trial = logistic_loss(
                 trial_theta[:, :-1], trial_theta[:, -1], z, y[:, search], reg
             )
-            ok = trial <= f[search] - 1e-4 * step * decrement[search]
+            # a tie is no step, though the Armijo term may round away against f
+            ok = (trial <= f[search] - 1e-4 * step * decrement[search]) & (trial < f[search])
             hit = search[ok]
             theta[hit], f[hit], moved[hit] = trial_theta[ok], trial[ok], True
             search = search[~ok]

@@ -379,7 +379,7 @@ def test_the_ipm_predictor_loads_scipy_when_it_runs(family_dir):
                       "--mode", "exact")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert (doc["status"], doc["nodes"]) == ("optimal", 4)
+    assert (doc["status"], doc["nodes"]) == ("optimal", 1)
     plain = solve_mip(deserialize(Path(inst).read_bytes()))
     assert doc["objective"] == pytest.approx(plain.objective, abs=1e-9)
 
@@ -458,7 +458,7 @@ def test_cached_parser_gives_each_call_its_own_namespace(monkeypatch, capsys):
     assert (second["command"], second["check"], second["trials"]) == ("verify", "hoeffding", 10)
     assert second["seed"] == 5 and "instance" not in second and "mode" not in second
     assert (third["command"], third["instance"], third["mode"]) == ("solve", "b.json", "exact")
-    assert third["tightened"] is False and "seed" not in third
+    assert third["tightened"] is None and "seed" not in third  # unset: the predictor decides
 
 
 def test_runtime_error_exits_one(tmp_path):

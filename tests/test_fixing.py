@@ -1,14 +1,15 @@
 """Reduced-cost fixing in branch and bound.
 
-A node below a root fixes every free binary whose parent's reduced cost
-already exceeds the gap between the cutoff and the parent's bound.  These
-tests hold the fixing rule to its definition on a hand-made LP state,
-show it firing on a hand-built instance, and hold plain, exact and
-heuristic solves with fixing to independent oracles on seeded random
-tight multi-knapsacks and auctions, with and without continuous columns.
+A node fixes every free binary whose parent's reduced cost already
+exceeds the gap between the cutoff and the parent's bound; a root box's
+parent is the LP over the instance's own box.  These tests hold the
+fixing rule to its definition on a hand-made LP state, show it firing on
+a hand-built instance, and hold plain, exact and heuristic solves with
+fixing to independent oracles on seeded random tight multi-knapsacks and
+auctions, with and without continuous columns.
 The closed-form knapsack relaxation's state (d = c + lambda w) is held
-to the bound it claims at every point of a node box, and knapsack solves
-to exhaustive enumeration.
+to the bound it claims at every point of a node box, and knapsack solves,
+with root boxes fixed from that LP, to exhaustive enumeration.
 """
 
 import numpy as np
@@ -173,6 +174,39 @@ def test_knapsack_fixing_matches_enumeration():
         assert rep.objective == pytest.approx(expected.objective, rel=0, abs=1e-9), seed
         assert check_feasible(with_rows(inst, rows), rep.best_solution.values)[0], seed
         fired += rep.fixed > 0
+    assert fired >= 5
+
+
+def box_rows(lo, hi) -> list[LinearRow]:
+    """The rows that fix the binaries a root box fixes."""
+    return ([LinearRow([(int(j), 1.0)], ">=", 1.0) for j in np.flatnonzero(lo == 1.0)]
+            + [LinearRow([(int(j), 1.0)], "<=", 0.0) for j in np.flatnonzero(hi == 0.0)])
+
+
+@pytest.mark.parametrize("lp", ["knapsack", "simplex"])
+def test_root_boxes_are_fixed_from_the_hull(lp):
+    fired = 0
+    for seed in range(40):
+        inst, roots, _ = knapsack_case(seed)
+        if roots is None:
+            continue
+        (lo, hi), = roots
+        boxes = [(lo, hi), (1.0 - hi, 1.0 - lo)]  # and its mirror, each item fixed the other way
+        if lp == "simplex":  # a redundant second row leaves the closed form
+            n = inst.num_binary
+            inst = with_rows(inst, [LinearRow([(j, 1.0) for j in range(n)], "<=", float(n))])
+        # the roots are the first two nodes, so a fixing here is a root's
+        roots_only = solve_mip(inst, options=SolveOptions(node_limit=2, **EXACT), roots=boxes)
+        assert roots_only.root_nodes == [1, 1], seed
+        fired += roots_only.fixed > 0
+
+        rep = solve_mip(inst, options=SolveOptions(**EXACT), roots=boxes)
+        found = [binary_enumeration(with_rows(inst, box_rows(*box))) for box in boxes]
+        found = [f.objective for f in found if f.status == "optimal"]
+        assert rep.status == "optimal", seed
+        assert rep.objective == pytest.approx(max(found), rel=0, abs=1e-9), seed
+        box_lb, box_ub = boxes[rep.best_root]
+        assert np.all((box_lb <= rep.best_solution.values) & (rep.best_solution.values <= box_ub))
     assert fired >= 5
 
 

@@ -222,6 +222,16 @@ class TestBatchedFit:
         model = fit_against_optimum(*self.separable())
         assert max(model.iterations) <= 30
 
+    @pytest.mark.parametrize("tol", [1e-13, 0.0])
+    def test_a_step_that_only_ties_the_loss_stops_the_model(self, tol):
+        # below what rounding allows, the Armijo test's right-hand side
+        # rounds to the loss itself; a trial that ties it is no step, so
+        # every column stops for want of one instead of at the cap
+        model = logistic_train(list(zip(*self.separable())), tol=tol)
+        assert max(model.iterations) < 500
+        for trace in model.loss_trace:
+            assert all(b < a for a, b in zip(trace, trace[1:]))
+
     def test_constant_and_fitted_columns_mixed(self):
         x, labels = self.separable(seed=1)
         labels[:, [0, 7]] = 0.0

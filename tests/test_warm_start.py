@@ -1,15 +1,17 @@
 """Warm-started node LPs in branch and bound.
 
-Every node below the root reoptimizes its parent's final basis with the
-bounded dual simplex, starting from the parent's carried reduced costs,
-and stops once its dual bound reaches the cutoff.  These tests hold each
-such LP to a cold solve of the same node, its carried reduced costs to
-ones computed afresh, each child's first-step bound to its LP optimum
-(HiGHS), the roots to solves without a cutoff, the boxed cold solve to
-its phase-1-free path, the partition tree (exact and heuristic mode) to
-independent oracles on randomized instances, the refactorization
-interval to whole dives, and the batched rounding pass to the
-per-rounder loop it replaced.
+Every LP after the first, a partition's region roots included,
+reoptimizes its parent's final basis with the bounded dual simplex,
+starting from the parent's carried reduced costs, and stops once its
+dual bound reaches the cutoff.  These tests hold each such LP to a cold
+solve of the same node, its carried reduced costs to ones computed
+afresh, each child's first-step bound to its LP optimum (HiGHS), every
+LP after the hull to a warm start and the cutoff, the partition solves
+to no primal cleanup, the hull's infeasible and time-limit ends to
+statuses with no node, the boxed cold solve to its phase-1-free path,
+the partition tree (exact and heuristic mode) to independent oracles on
+randomized instances, the refactorization interval to whole dives, and
+the batched rounding pass to the per-rounder loop it replaced.
 """
 
 import math
@@ -231,34 +233,148 @@ def test_first_step_bounds_never_exceed_the_child_lp(monkeypatch, seed):
                 assert parent + gain <= opt + 1e-9 * max(1.0, abs(opt))
 
 
-@pytest.mark.parametrize("mode", ["plain", "exact"])
-def test_no_root_lp_gets_a_cutoff(monkeypatch, mode):
-    cutoffs, boxes = [], []
+@pytest.mark.parametrize("mode", ["plain", "exact", "heuristic"])
+def test_every_lp_after_the_hull_is_warm_and_gets_the_cutoff(monkeypatch, mode):
+    calls = []
     solve = _simplex.solve_bounded_lp
 
     def recording(c, a, senses, b, lb, ub, **kwargs):
-        cutoffs.append(kwargs.get("cutoff", math.inf))
-        return solve(c, a, senses, b, lb, ub, **kwargs)
+        res = solve(c, a, senses, b, lb, ub, **kwargs)
+        calls.append((kwargs.get("warm"), kwargs.get("cutoff", math.inf), res,
+                      lb.copy(), ub.copy()))
+        return res
 
-    def counted(instance, options=None, roots=None):
-        boxes.append(len(roots))
-        return solve_mip(instance, options, roots)
+    inst = tight_mkp(5, 15, 1)
+    pred = lp_root_predict(inst)
+    monkeypatch.setattr(_simplex, "solve_bounded_lp", recording)
+    if mode == "plain":
+        rep = solve_mip(inst, SolveOptions(**EXACT))
+    else:
+        part = partition_solve(inst, pred, Calibration(0.75, 0.0, 0.05), SolveOptions(**EXACT),
+                               mode=mode)
+        rep = part.best
+        assert len(part.regions) >= (3 if mode == "exact" else 1)
+    # the first LP is cold, over a box that holds every later one: the
+    # hull of the regions, or the plain root
+    (warm, cutoff, hull, hull_lb, hull_ub), *rest = calls
+    assert warm is None and math.isinf(cutoff) and hull.status == _simplex.STATUS_OPTIMAL
+    assert len(rest) >= 10
+    for warm, _, _, lb, ub in rest:
+        assert warm is not None and (hull_lb <= lb).all() and (ub <= hull_ub).all()
+    if mode != "plain":  # each region root is a child of the hull, popped before any other
+        assert all(warm is hull.state for warm, *_ in rest[: len(part.regions)])
+    if mode == "heuristic":  # the hull of one region is its root's own LP: one pass, no pivot
+        _, _, root, root_lb, root_ub = rest[0]
+        assert (root_lb == hull_lb).all() and (root_ub == hull_ub).all()
+        assert root.iterations == 1 and root.objective == pytest.approx(hull.objective, rel=1e-12)
+    # each LP gets the cutoff of the incumbent it starts under, none until
+    # the first; the first root LP rounds to one, so every LP after it,
+    # the next region root included, gets its cutoff
+    cutoffs = [cutoff for _, cutoff, *_ in rest]
+    first = next(k for k, cutoff in enumerate(cutoffs) if math.isfinite(cutoff))
+    assert first == (0 if mode == "plain" else 1)
+    assert all(b <= a for a, b in zip(cutoffs[first:], cutoffs[first + 1:]))
+    # the instance maximizes, so the solver's incumbent is -objective
+    assert set(cutoffs[first:]) <= {-obj - EXACT["abs_gap"] for _, obj in rep.incumbent_log}
+
+
+def test_no_primal_cleanup_in_partition_solves(monkeypatch):
+    # the dual simplex ends dual feasible on every region root and node
+    # below it, so no solve needs the primal to finish
+    dual, minimize = _simplex._Workspace.dual, _simplex._Workspace.minimize
+    inside, cleanups = [], []
+
+    def in_dual(ws, *args, **kwargs):
+        inside.append(ws)
+        try:
+            return dual(ws, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(ws, *args, **kwargs):
+        if inside:
+            cleanups.append(ws)
+        return minimize(ws, *args, **kwargs)
+
+    monkeypatch.setattr(_simplex._Workspace, "dual", in_dual)
+    monkeypatch.setattr(_simplex._Workspace, "minimize", counted)
+    solved = 0
+    for _, inst in gen_ca(20, 60, 6, seed=1).instances:
+        plain = solve_mip(inst, SolveOptions(**EXACT))
+        for backend in ("ipm", "simplex"):
+            # the CLI's data-free cuts for lp-root-ipm and lp-root-simplex
+            cal, tightened = branching.cut_settings("lp-root-" + backend)
+            rep = partition_solve(inst, lp_root_predict(inst, backend=backend), cal,
+                                  SolveOptions(**EXACT), mode="exact", tightened=tightened)
+            assert rep.best.objective == pytest.approx(plain.objective, rel=0, abs=1e-9)
+            solved += rep.best.nodes
+    assert solved >= 100 and not cleanups
+
+
+def test_exact_mode_takes_plain_nodes_when_the_hull_is_integral():
+    # these set covers solve at the root: the first region root reoptimizes
+    # the hull's integral optimum and the others close at its bound
+    for _, inst in gen_scp(8, 12, 0.3, 4, seed=3).instances:
+        plain = solve_mip(inst, SolveOptions(**EXACT))
+        pred = lp_root_predict(inst)
+        cal, tightened = branching.cut_settings("lp-root-simplex")
+        exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact",
+                                tightened=tightened)
+        assert plain.nodes == exact.best.nodes == 1
+        assert len(exact.regions) > 1
+        assert exact.best.objective == plain.objective
+
+
+def infeasible_mkp() -> MipInstance:
+    """A tight multi-knapsack with one more row that no point of its box meets."""
+    inst = tight_mkp(5, 15, 1)
+    return with_rows(inst, [LinearRow([(j, 1.0) for j in range(inst.num_binary)], ">=", 16.0)])
+
+
+def halves(inst: MipInstance) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Two root boxes, x_0 = 0 and x_0 = 1."""
+    lb, ub = inst.bounds_arrays()
+    down, up = ub.copy(), lb.copy()
+    down[0], up[0] = 0.0, 1.0
+    return [(lb, down), (up, ub)]
+
+
+def recorded_lps(monkeypatch) -> list:
+    """(status, iterations) of every LP solved from here on, in order."""
+    lps = []
+    solve = _simplex.solve_bounded_lp
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        lps.append((res.status, res.iterations))
+        return res
 
     monkeypatch.setattr(_simplex, "solve_bounded_lp", recording)
-    monkeypatch.setattr(branching, "solve_mip", counted)
-    inst = tight_mkp(5, 15, 1)
-    if mode == "plain":
-        solve_mip(inst, SolveOptions(**EXACT))
-        boxes.append(1)
-    else:
-        partition_solve(inst, lp_root_predict(inst), Calibration(0.75, 0.0, 0.05),
-                        SolveOptions(**EXACT), mode="exact")
-    # every root is popped before any child (its key is -inf); the first
-    # call is lp_root_predict's own root LP in exact mode
-    first = 1 if mode == "exact" else 0
-    assert boxes[0] >= (3 if mode == "exact" else 1)
-    assert all(math.isinf(cut) for cut in cutoffs[: first + boxes[0]])
-    assert any(math.isfinite(cut) for cut in cutoffs[first + boxes[0]:])
+    return lps
+
+
+def test_an_infeasible_hull_ends_the_solve_with_no_node(monkeypatch):
+    lps = recorded_lps(monkeypatch)
+    inst = infeasible_mkp()
+    rep = solve_mip(inst, SolveOptions(**EXACT), roots=halves(inst))
+    assert [status for status, _ in lps] == [_simplex.STATUS_INFEASIBLE]
+    assert (rep.status, rep.nodes, rep.root_nodes, rep.best_root) == ("infeasible", 0, [0, 0], None)
+    assert rep.best_solution is None and not any(rep.closed.values())
+
+
+def test_a_hull_past_the_time_limit_ends_the_solve_as_limit(monkeypatch):
+    # the simplex reads the clock once per iteration and the solve once
+    # per node, so a limit 3.5 s away stops the hull after three iterations
+    clock = SteppedClock()
+    monkeypatch.setattr(_simplex, "time", clock)
+    monkeypatch.setattr(bnb, "time", clock)
+    lps = recorded_lps(monkeypatch)
+    inst = tight_mkp(10, 40, 1)
+    rep = solve_mip(inst, SolveOptions(time_limit=3.5, **EXACT), roots=halves(inst))
+    assert lps == [(_simplex.STATUS_TIME_LIMIT, 3)]
+    assert (rep.status, rep.nodes, rep.root_nodes) == ("limit", 0, [0, 0])
+    assert rep.best_solution is None
+    assert rep.best_bound == math.inf  # the instance maximizes, and nothing bounds it
 
 
 def counted_partition(monkeypatch, inst):
