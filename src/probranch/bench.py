@@ -362,15 +362,17 @@ def _binom_stderr(p_hat: float, trials: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
 
 
-def _row_bincounts(idx: np.ndarray, n_bins: int) -> np.ndarray:
-    """Counts of the values 0..n_bins-1 in each row of idx, as a (rows, n_bins) array.
+def _overfull_trials(rng, n: int, pvals: np.ndarray, cap: float, trials: int) -> int:
+    """Of ``trials`` multinomial(n, pvals) draws, how many have a count above cap.
 
-    Row k's values are offset by n_bins * k, so one ``np.bincount``
-    counts every row at once.
+    Draws batches of at most 10**6 counts, each freed before the next is drawn.
     """
-    rows = idx.shape[0]
-    offset = idx + n_bins * np.arange(rows)[:, None]
-    return np.bincount(offset.ravel(), minlength=rows * n_bins).reshape(rows, n_bins)
+    take = max(1, 10**6 // len(pvals))
+    hits = 0
+    for done in range(0, trials, take):
+        top = rng.multinomial(n, pvals, size=min(take, trials - done)).max(axis=1)
+        hits += int(np.count_nonzero(top > cap))
+    return hits
 
 
 def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaReport:
@@ -379,6 +381,11 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
     Simulates the tail event frequency and passes iff it does not exceed
     the analytic bound by more than three binomial standard errors.
     These are proven bounds, so a failure indicates a bug, not bad luck.
+
+    Each trial draws: ``hoeffding`` and ``bernstein`` one Bin(n, p) sum;
+    ``chebyshev`` one uniform on [lo, hi]; ``uniform_bins`` the counts
+    of n uniforms on [0, 1] in the bins [k delta, (k+1) delta), as one
+    multinomial draw, and checks whether some count exceeds 2 n delta.
     """
     from scipy import stats as spstats  # here: no other command loads scipy
     if trials < 10_000:
@@ -419,17 +426,9 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
             raise ValueError("bad params for the bin bound")
         n_bins = math.ceil(1.0 / delta)
         cap = 2.0 * n * delta
-        hits = 0
-        batch = max(1, 10**6 // max(n, 1))
-        done = 0
-        while done < trials:
-            take = min(batch, trials - done)
-            u = rng.uniform(0.0, 1.0, size=(take, n))
-            idx = np.minimum((u / delta).astype(int), n_bins - 1)
-            counts = _row_bincounts(idx, n_bins)
-            hits += int(np.sum(np.any(counts > cap, axis=1)))
-            done += take
-        empirical = hits / trials
+        # bin k is [k delta, (k+1) delta) cut off at 1: width min(delta, 1 - k delta)
+        pvals = np.clip(1.0 - delta * np.arange(n_bins), 0.0, delta)
+        empirical = _overfull_trials(rng, n, pvals, cap, trials) / trials
         bound = n_bins * math.exp(-n * delta / 4.0)
         # union of exact per-bin binomial tails P(Bin(n, delta) > 2n delta)
         exact = min(1.0, n_bins * float(spstats.binom.sf(math.floor(cap), n, delta)))

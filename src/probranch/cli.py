@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     v.add_argument("--trials", type=int, default=100_000)
-    v.add_argument("--n", type=int, default=100)
+    v.add_argument("--n", type=int, default=100,
+                   help="Bernoulli terms per sum; uniform-bins uses max(n, 400) points")
     v.add_argument("--p", type=float, default=0.5)
     v.add_argument("--t", type=float, default=10.0)
     v.add_argument("--delta", type=float, default=0.05)

@@ -1,5 +1,5 @@
-"""Independent test oracles: exhaustive and DP-based exact solvers, and
-the partition's regions written as cut rows.
+"""Independent test oracles: exhaustive and DP-based exact solvers, the
+partition's regions written as cut rows, and an exact multinomial tail.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -348,3 +348,24 @@ def holding_regions(cut_up, cut_down, y):
              if all(_row_holds(row, y) for row in rows)]
     assert boxed == rowed, (boxed, rowed)
     return boxed
+
+
+def multinomial_max_tail(n, pvals, cap) -> float:
+    """P(max count > cap) for the counts of a multinomial(n, pvals), exactly.
+
+    Bin by bin, with r points left for bins k..last, bin k's count is
+    Bin(r, p_k / (p_k + ... + p_last)) and the last bin takes the rest.
+    ``fit[r]`` is the chance that r points left put at most ``cap`` into
+    each of the bins still to come.  No sampling and no scipy.
+    """
+    pvals = [float(p) for p in pvals if p > 0]  # an empty bin's count is 0
+    top = math.floor(cap)
+    fit = [1.0 if r <= top else 0.0 for r in range(n + 1)]  # the last bin
+    rest = pvals[-1]
+    for p in reversed(pvals[:-1]):
+        rest += p
+        q = p / rest
+        fit = [sum(math.comb(r, c) * q**c * (1.0 - q) ** (r - c) * fit[r - c]
+                   for c in range(min(r, top) + 1))
+               for r in range(n + 1)]
+    return 1.0 - fit[n]

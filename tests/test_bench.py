@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from oracles import binary_enumeration
+from oracles import binary_enumeration, multinomial_max_tail
 from probranch.bench import (
     BenchConfig,
     BenchReport,
     BenchRow,
+    _overfull_trials,
     calibration_split,
     fit_model,
     paired_sgms,
@@ -283,17 +284,36 @@ class TestVerifyLemma:
         assert rep.bound == pytest.approx(20 * math.exp(-5.0))
         assert rep.empirical <= rep.bound
 
-    def test_offset_bin_counts_match_the_per_row_count(self):
-        from probranch.bench import _row_bincounts
+    @pytest.mark.parametrize("n, delta, widths, tail", [
+        (60, 0.1, [0.1] * 10, 0.0565),
+        (10, 0.3, [0.3, 0.3, 0.3, 0.1], 0.0318),  # the last bin is 0.1 wide
+    ])
+    def test_uniform_bins_matches_the_exact_multinomial_tail(self, n, delta, widths, tail):
+        trials = 100_000
+        exact = multinomial_max_tail(n, widths, 2 * n * delta)
+        assert exact == pytest.approx(tail, abs=5e-5)
+        rep = verify_lemma("uniform_bins", {"n": n, "delta": delta}, trials, seed=11)
+        se = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(rep.empirical - exact) <= 4 * se, (rep.empirical, exact, se)
 
-        rng = stream_rng(5, 0)
-        n_bins = 20
-        idx = np.minimum((rng.uniform(0.0, 1.0, size=(300, 400)) / 0.05).astype(int), n_bins - 1)
-        per_row = np.apply_along_axis(np.bincount, 1, idx, minlength=n_bins)
-        assert np.array_equal(_row_bincounts(idx, n_bins), per_row)
-        # a bin no draw of any row fell into still gets its column
-        assert np.array_equal(_row_bincounts(np.zeros((3, 2), dtype=int), 4),
-                              [[2, 0, 0, 0]] * 3)
+    @pytest.mark.parametrize("n_bins, trials, sizes", [
+        (1000, 2_500, [1000, 1000, 500]),  # delta = 0.001
+        (20, 123_456, [50_000, 50_000, 23_456]),  # delta = 0.05
+    ])
+    def test_overfull_trials_draws_every_trial_in_bounded_batches(self, n_bins, trials, sizes):
+        drawn = []
+
+        class Recorder:
+            def multinomial(self, n, pvals, size):
+                drawn.append(size)
+                counts = np.zeros((size, len(pvals)), dtype=np.int64)
+                counts[:, 0] = n  # every row overfull, so hits counts the rows
+                return counts
+
+        pvals = np.full(n_bins, 1.0 / n_bins)
+        assert _overfull_trials(Recorder(), 40, pvals, 39.5, trials) == trials
+        assert drawn == sizes
+        assert max(drawn) * n_bins <= 10**6
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
