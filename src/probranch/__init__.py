@@ -19,7 +19,7 @@ from .model import (
     deserialize,
     serialize,
 )
-from .lp import LpSolution, fractional_knapsack, solve_ipm, solve_simplex
+from .lp import LpSolution, solve_ipm, solve_simplex
 from .bnb import SolveOptions, SolveReport, solve_mip
 from .predict import (
     LogisticModel,

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import SolveOptions, SolveReport, solve_mip
-from .model import FORMAT_VERSION, LinearRow, MipInstance
+from .model import FORMAT_VERSION, LinearRow, MipInstance, read_document
 from .predict import Prediction
 
 # Threshold grid used for calibration curves; thresholds must exceed 0.5
@@ -195,16 +195,11 @@ def select_tau(stats: AccuracyStats) -> float:
 
 
 def sigma_from_stats(stats: AccuracyStats, tau: float) -> float:
-    """Variance-bound sigma at tau: sqrt of the larger accuracy variance."""
+    """Variance-bound sigma at grid tau: sqrt of the larger accuracy
+    variance over the sides with a valid instance, 0 when neither has one."""
     i = stats.index_of(tau)
-    cands = []
-    if stats.num_valid_l[i]:
-        cands.append(stats.var_alpha_l[i])
-    if stats.num_valid_u[i]:
-        cands.append(stats.var_alpha_u[i])
-    if not cands:
-        raise ValueError(f"no valid instances at tau={tau}")
-    return float(math.sqrt(max(cands)))
+    sides = ((stats.var_alpha_l, stats.num_valid_l), (stats.var_alpha_u, stats.num_valid_u))
+    return float(math.sqrt(max((var[i] for var, num_valid in sides if num_valid[i]), default=0.0)))
 
 
 @dataclass
@@ -223,17 +218,9 @@ class Calibration:
             raise ValueError("sigma must be non-negative")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.stats is not None:
-            i = self.stats.index_of(self.tau_star)
-            worst = max(
-                (v for v, nv in (
-                    (self.stats.var_alpha_l[i], self.stats.num_valid_l[i]),
-                    (self.stats.var_alpha_u[i], self.stats.num_valid_u[i]),
-                ) if nv),
-                default=0.0,
-            )
-            if self.sigma**2 < worst - 1e-12:
-                raise ValueError("sigma^2 is below the accuracy variance at tau_star")
+        worst = 0.0 if self.stats is None else sigma_from_stats(self.stats, self.tau_star) ** 2
+        if self.sigma**2 < worst - 1e-12:
+            raise ValueError("sigma^2 is below the accuracy variance at tau_star")
 
 
 def calibration_at(stats: AccuracyStats, tau: float, delta: float) -> Calibration:
@@ -249,19 +236,13 @@ def calibration_at(stats: AccuracyStats, tau: float, delta: float) -> Calibratio
             f"tau={tau} is not on the calibration grid ({grid[0]:g}, {grid[1]:g}, ..., "
             f"{grid[-1]:g}), so no variance gives its sigma; choose a grid tau "
             "or give sigma yourself (--sigma)")
-    try:
-        sigma = sigma_from_stats(stats, tau)
-    except ValueError:  # no valid instance at tau
-        sigma = 0.0
-    cal = Calibration(tau_star=tau, sigma=sigma, delta=delta)
+    cal = Calibration(tau_star=tau, sigma=sigma_from_stats(stats, tau), delta=delta)
     cal.validate()
     return cal
 
 
 def calibrate(
-    pairs: list[tuple[Prediction | np.ndarray, np.ndarray]],
-    delta: float = 0.05,
-    tau: float | None = None,
+    pairs: list[tuple[Prediction | np.ndarray, np.ndarray]], delta: float = 0.05
 ) -> Calibration:
     """Pick tau* from accuracy curves and bound sigma by the variance there.
 
@@ -270,12 +251,8 @@ def calibrate(
     grid threshold where one rounded set is empty on every instance and
     the other curve reaches it, with a warning; when there is none
     either, tau* = 0.9 and sigma = 0, with a warning.
-    A given ``tau`` is used as is (``calibration_at``: it must be a grid
-    point).
     """
     stats = accuracy_curves(pairs)
-    if tau is not None:
-        return calibration_at(stats, tau, delta)
     try:
         tau = select_tau(stats)
     except NoFeasibleThresholdError:
@@ -380,7 +357,7 @@ def save_calibration(cal: Calibration, path: str | Path) -> None:
 
 
 def load_calibration(path: str | Path) -> Calibration:
-    doc = json.loads(Path(path).read_text())
+    doc = read_document(Path(path).read_bytes())
     cal = Calibration(
         tau_star=float(doc["tau_star"]),
         sigma=float(doc["sigma"]),

@@ -23,6 +23,7 @@ from .model import (
     MipInstance,
     check_feasible,
     deserialize,
+    read_document,
     serialize,
 )
 
@@ -249,7 +250,11 @@ def gen_ca(num_items: int, num_bids: int, num_instances: int, seed: int) -> Inst
 
 @dataclass
 class UniformKnapsack:
-    """A uniform random knapsack with the (weights, ratios) used to build it."""
+    """A uniform random knapsack with the (weights, ratios) used to build it.
+
+    ``weights`` and ``ratios`` serve the tests, which replay the greedy
+    LP solution from them; the program reads only ``instance``.
+    """
 
     instance: MipInstance
     weights: np.ndarray  # a_i ~ U(0, 1)
@@ -259,8 +264,7 @@ class UniformKnapsack:
 def gen_knapsack_uniform(n: int, gamma: float, seed: int) -> UniformKnapsack:
     """Knapsack max (f*a).y s.t. a.y <= gamma*n with uniform a, f.
 
-    gamma must lie in (0, 1/2); the returned wrapper keeps (a, f) so
-    validators can replay the greedy LP solution without re-deriving them.
+    gamma must lie in (0, 1/2); the returned wrapper keeps (a, f).
     """
     if not 0 < gamma < 0.5:
         raise ValueError("gamma must be in (0, 1/2)")
@@ -314,7 +318,7 @@ def write_family(family: InstanceFamily, out_dir: str | Path) -> Path:
 
 def read_family(path: str | Path) -> InstanceFamily:
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
+    manifest = read_document((root / "manifest.json").read_bytes())
     template = deserialize((root / manifest["template"]).read_bytes())
     instances = []
     for fname in manifest["instances"]:

@@ -1,5 +1,4 @@
-"""LP relaxation backends: revised simplex, interior point, and the
-closed-form knapsack relaxation.
+"""LP relaxation backends: revised simplex and interior point.
 
 Both backends consume a MipInstance (binaries relaxed to [0, 1]) and
 report objectives in the instance's own sense.  Maximization is handled
@@ -140,37 +139,3 @@ def solve_ipm(instance: MipInstance, max_iters: int = 100, tol: float = 1e-8) ->
         objective=float(c @ x) if res.status == _interior.STATUS_OPTIMAL else np.nan,
         status=res.status,
     )
-
-
-def fractional_knapsack(
-    a: np.ndarray, f: np.ndarray, b: float
-) -> tuple[np.ndarray, float, int | None]:
-    """Closed-form solution of max (f*a).y s.t. a.y <= b, 0 <= y <= 1.
-
-    Items are taken in order of decreasing ratio f (stable by original
-    index on ties) until the capacity binds; at most one item is left
-    fractional.  Returns (y, lambda_star, split_index) where lambda_star
-    is the ratio of the split item, the optimal dual of the capacity row,
-    and split_index its original index (None when the capacity is slack).
-    """
-    a = np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if np.any(a <= 0):
-        raise ValueError("all weights must be positive")
-    if b <= 0:
-        raise ValueError("capacity must be positive")
-    if a.sum() <= b:
-        return np.ones(len(a)), 0.0, None
-    order = np.argsort(-f, kind="stable")
-    y = np.zeros(len(a))
-    remaining = float(b)
-    for idx in order:
-        w = a[idx]
-        if w <= remaining:
-            y[idx] = 1.0
-            remaining -= w
-        else:
-            y[idx] = remaining / w
-            return y, float(f[idx]), int(idx)
-    # unreachable given sum(a) > b, kept for float round-off safety
-    return y, 0.0, None

@@ -200,10 +200,33 @@ def serialize(instance: MipInstance) -> bytes:
     return json.dumps(doc, allow_nan=False).encode("utf-8")
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
+class _Document(dict):
+    """A decoded JSON object whose missing fields raise MalformedDocumentError."""
+
+    def __missing__(self, key):
         raise MalformedDocumentError(f"missing field {key!r}")
-    return doc[key]
+
+
+def read_document(data: bytes) -> dict:
+    """Parse one on-disk JSON document and check its format version.
+
+    Every loader reads through here.  Bytes that are not UTF-8 or not
+    JSON (position-carrying), a top level that is not an object, and a
+    ``format_version`` other than FORMAT_VERSION raise
+    MalformedDocumentError, and so does indexing a missing field of any
+    object in the returned document.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_Document)
+    except UnicodeDecodeError as exc:
+        raise MalformedDocumentError(f"not utf-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedDocumentError(str(exc), position=exc.pos) from exc
+    if not isinstance(doc, dict):
+        raise MalformedDocumentError("top level is not an object")
+    if doc["format_version"] != FORMAT_VERSION:
+        raise MalformedDocumentError(f"unsupported format_version {doc['format_version']!r}")
+    return doc
 
 
 def deserialize(data: bytes) -> MipInstance:
@@ -213,17 +236,7 @@ def deserialize(data: bytes) -> MipInstance:
     parse/schema problems and InvariantViolationError when the decoded
     instance breaks a model invariant.
     """
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MalformedDocumentError(f"not utf-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(str(exc), position=exc.pos) from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocumentError("top level is not an object")
-    version = _require(doc, "format_version")
-    if version != FORMAT_VERSION:
-        raise MalformedDocumentError(f"unsupported format_version {version!r}")
+    doc = read_document(data)
     try:
         rows = [
             LinearRow(
@@ -231,24 +244,24 @@ def deserialize(data: bytes) -> MipInstance:
                 sense=row["sense"],
                 rhs=float(row["rhs"]),
             )
-            for row in _require(doc, "rows")
+            for row in doc["rows"]
         ]
         instance = MipInstance(
-            name=str(_require(doc, "name")),
-            sense=_require(doc, "sense"),
-            num_binary=int(_require(doc, "num_binary")),
-            num_continuous=int(_require(doc, "num_continuous")),
-            objective=[(int(j), float(v)) for j, v in _require(doc, "objective")],
+            name=str(doc["name"]),
+            sense=doc["sense"],
+            num_binary=int(doc["num_binary"]),
+            num_continuous=int(doc["num_continuous"]),
+            objective=[(int(j), float(v)) for j, v in doc["objective"]],
             rows=rows,
             continuous_bounds=[
                 (_decode_bound(lo), _decode_bound(hi))
-                for lo, hi in _require(doc, "continuous_bounds")
+                for lo, hi in doc["continuous_bounds"]
             ],
-            param_tag=[float(v) for v in _require(doc, "param_tag")],
+            param_tag=[float(v) for v in doc["param_tag"]],
         )
     except MalformedDocumentError:
         raise
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad document structure: {exc}") from exc
     instance.validate()
     return instance

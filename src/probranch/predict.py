@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lp
-from .model import FORMAT_VERSION, MalformedDocumentError, MipInstance
+from .model import FORMAT_VERSION, MalformedDocumentError, MipInstance, read_document
 
 SOURCE_LOGISTIC = "logistic"
 SOURCE_LP_SIMPLEX = "lp_root_simplex"
@@ -283,22 +283,13 @@ def load_prediction(path: str | Path, n: int) -> Prediction:
     probabilities are clamped into [0, 1] with a warning rather than
     rejected.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(str(exc), position=exc.pos) from exc
-    if not isinstance(doc, dict) or "predictions" not in doc:
-        raise MalformedDocumentError("prediction file lacks a 'predictions' array")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise MalformedDocumentError(
-            f"unsupported format_version {doc.get('format_version')!r}"
-        )
+    doc = read_document(Path(path).read_bytes())
     p = np.full(n, np.nan)
     for entry in doc["predictions"]:
         try:
             idx = int(entry["index"])
             val = float(entry["probability"])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise MalformedDocumentError(f"bad prediction entry {entry!r}") from exc
         if not 0 <= idx < n:
             raise ValueError(f"prediction index {idx} out of range for n={n}")
@@ -332,11 +323,7 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogisticModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise MalformedDocumentError(
-            f"unsupported format_version {doc.get('format_version')!r}"
-        )
+    doc = read_document(Path(path).read_bytes())
     return LogisticModel(
         weights=np.asarray(doc["weights"], dtype=float),
         intercepts=np.asarray(doc["intercepts"], dtype=float),

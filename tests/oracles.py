@@ -1,5 +1,6 @@
 """Independent test oracles: exhaustive and DP-based exact solvers, the
-partition's regions written as cut rows, and an exact multinomial tail.
+partition's regions written as cut rows, an exact multinomial tail, and
+the greedy closed-form knapsack LP.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -369,3 +370,32 @@ def multinomial_max_tail(n, pvals, cap) -> float:
                    for c in range(min(r, top) + 1))
                for r in range(n + 1)]
     return 1.0 - fit[n]
+
+
+def greedy_knapsack(a, f, b):
+    """Closed-form solution of max (f*a).y s.t. a.y <= b, 0 <= y <= 1.
+
+    Items are taken in order of decreasing ratio f (stable by original
+    index on ties) until the capacity binds; at most one item is left
+    fractional.  Returns (y, lambda_star, split_index) where lambda_star
+    is the ratio of the split item, the optimal dual of the capacity row,
+    and split_index its original index (None when the capacity is slack).
+    """
+    a = np.asarray(a, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if np.any(a <= 0):
+        raise ValueError("all weights must be positive")
+    if b <= 0:
+        raise ValueError("capacity must be positive")
+    if a.sum() <= b:
+        return np.ones(len(a)), 0.0, None
+    y = np.zeros(len(a))
+    remaining = float(b)
+    for idx in np.argsort(-f, kind="stable"):
+        if a[idx] <= remaining:
+            y[idx] = 1.0
+            remaining -= a[idx]
+        else:
+            y[idx] = remaining / a[idx]
+            return y, float(f[idx]), int(idx)
+    return y, 0.0, None  # round-off: the items summed to more than b, yet all fit

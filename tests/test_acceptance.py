@@ -172,9 +172,14 @@ def test_criterion_5_data_free_knapsack_bounds():
         assert all(m <= row.margin for m in row.mispicks)
         assert not math.isnan(row.median_mispick)
         details.append(f"n={row.n} median|U\\U*|={row.median_mispick:g}")
+    # 4*sqrt(2)*16384^(3/4) = 8192 is below |U| (about 9800): the up side can fail
+    (row,) = verify_knapsack_rounding([16384], gamma=0.3, trials=3, seed=45).rows
+    assert not row.vacuous_up
+    assert row.violations_up == 0 and row.violations_down == 0
+    details.append(f"n={row.n} max|U\\U*|={row.max_mispick}")
     elapsed = time.time() - started
     assert elapsed <= 300.0, f"criterion 5 exceeded its budget: {elapsed:.1f}s"
-    report("criterion 5 (data-free knapsack bounds, 150 trials)", started,
+    report("criterion 5 (data-free knapsack bounds, 153 trials)", started,
            "; ".join(details))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from oracles import binary_enumeration, multinomial_max_tail
+from oracles import binary_enumeration, greedy_knapsack, multinomial_max_tail
 from probranch.bench import (
     BenchConfig,
     BenchReport,
@@ -30,7 +30,6 @@ from probranch.generators import (
     stream_rng,
     write_family,
 )
-from probranch.lp import fractional_knapsack
 
 
 class TestSgm:
@@ -356,7 +355,7 @@ class TestVerifyKnapsackRounding:
         for t in range(trials):
             sub_seed = int(master.integers(0, 2**62))
             uk = gen_knapsack_uniform(n, gamma, seed=sub_seed)
-            y_lp, _, _ = fractional_knapsack(uk.weights, uk.ratios, gamma * n)
+            y_lp, _, _ = greedy_knapsack(uk.weights, uk.ratios, gamma * n)
             up = set(np.nonzero(y_lp == 1.0)[0].tolist())
             sizes.append((len(up), int(np.sum(y_lp == 0.0))))
             sol = solve_mip(uk.instance, options=SolveOptions(rel_gap=0.0))

@@ -14,6 +14,7 @@ from probranch.branching import (
     accuracy_curves,
     build_hyperplanes,
     calibrate,
+    calibration_at,
     load_calibration,
     partition_regions,
     partition_solve,
@@ -404,15 +405,15 @@ class TestCalibration:
         stats = accuracy_curves(pairs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cal = calibrate(pairs, delta=0.05, tau=0.9)
+            cal = calibration_at(stats, 0.9, 0.05)
             # no instance has a non-empty set at 0.99
-            empty = calibrate(pairs, delta=0.05, tau=0.99)
+            empty = calibration_at(stats, 0.99, 0.05)
         assert cal.tau_star == 0.9 and cal.stats is None
         assert cal.sigma == pytest.approx(sigma_from_stats(stats, 0.9)) == pytest.approx(0.25)
         assert (empty.tau_star, empty.sigma) == (0.99, 0.0)
         # 0.935 is off the grid: no variance measures its sigma
         with pytest.raises(ValueError, match=r"not on the calibration grid \(0.51, 0.52, .*--sigma"):
-            calibrate(pairs, delta=0.05, tau=0.935)
+            calibration_at(stats, 0.935, 0.05)
 
     def test_save_load_round_trip(self, tmp_path):
         stats = flat_stats(0.95, 0.95, var_l=0.0004, var_u=0.0001)

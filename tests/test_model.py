@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from probranch import cli
+from probranch.branching import Calibration, load_calibration, save_calibration
 from probranch.model import (
+    FORMAT_VERSION,
     InvariantViolationError,
     LinearRow,
     MalformedDocumentError,
@@ -13,7 +16,22 @@ from probranch.model import (
     deserialize,
     serialize,
 )
-from probranch.generators import gen_ca, gen_knapsack_uniform, gen_mkp, gen_scp
+from probranch.generators import (
+    gen_ca,
+    gen_knapsack_uniform,
+    gen_mkp,
+    gen_scp,
+    read_family,
+    write_family,
+)
+from probranch.predict import (
+    LogisticModel,
+    Prediction,
+    load_model,
+    load_prediction,
+    save_model,
+    save_prediction,
+)
 
 
 def simple_instance():
@@ -101,6 +119,62 @@ class TestSerialization:
         del doc["rows"]
         with pytest.raises(MalformedDocumentError):
             deserialize(json.dumps(doc).encode())
+
+
+def write_document(kind, root):
+    """One valid document of ``kind`` under ``root``, written by its own writer.
+
+    Returns its path, the loader that reads it, one of its required
+    fields, and the CLI arguments whose command reads it through that
+    loader.
+    """
+    inst_path = root / "pair.json"
+    inst_path.write_bytes(serialize(simple_instance()))
+    exact = ["solve", "--instance", str(inst_path), "--mode", "exact"]
+    if kind == "instance":
+        return (inst_path, lambda p: deserialize(p.read_bytes()), "rows",
+                ["solve", "--instance", str(inst_path), "--mode", "plain"])
+    if kind == "prediction":
+        path = root / "preds" / "pair.pred.json"
+        path.parent.mkdir()
+        save_prediction(Prediction(np.array([0.2, 0.9]), source="external"), path)
+        return (path, lambda p: load_prediction(p, 2), "predictions",
+                exact + ["--predictor", f"file:{path.parent}"])
+    if kind == "model":
+        path = root / "model.json"
+        save_model(LogisticModel(np.zeros((2, 1)), np.zeros(2), np.zeros(1), np.ones(1), 1e-4),
+                   path)
+        return path, load_model, "weights", exact + ["--predictor", "logistic", "--model", str(path)]
+    if kind == "calibration":
+        path = root / "calib.json"
+        save_calibration(Calibration(tau_star=0.9, sigma=0.0, delta=0.05), path)
+        return path, load_calibration, "tau_star", exact + ["--calibration", str(path)]
+    family = write_family(gen_mkp(2, 4, 3, seed=1), root / "family")
+    return (family / "manifest.json", lambda p: read_family(p.parent), "instances",
+            ["train", "--family", str(family), "--out", str(root / "model_out.json")])
+
+
+@pytest.mark.parametrize("kind", ["instance", "prediction", "model", "calibration", "manifest"])
+def test_every_loader_rejects_a_malformed_document(tmp_path, capsys, kind):
+    path, load, field, argv = write_document(kind, tmp_path)
+    valid = path.read_bytes()
+    load(path)
+    doc = json.loads(valid)
+    assert doc["format_version"] == FORMAT_VERSION
+    wrong_version = dict(doc, format_version=99)
+    missing = {k: v for k, v in doc.items() if k != field}
+    for data, message in (
+        (valid[:-1], "Expecting"),
+        (json.dumps(wrong_version).encode(), "unsupported format_version 99"),
+        (json.dumps(missing).encode(), f"missing field '{field}'"),
+    ):
+        path.write_bytes(data)
+        with pytest.raises(MalformedDocumentError, match=message):
+            load(path)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "model_out.json").exists()
 
 
 class TestValidation:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from oracles import reference_logistic_optimum, reference_logistic_probabilities
+from oracles import greedy_knapsack, reference_logistic_optimum, reference_logistic_probabilities
 from probranch.bnb import SolveOptions, solve_mip
+from probranch.branching import round_prediction
 from probranch.generators import gen_knapsack_uniform, gen_scp
 from probranch.model import LinearRow, MipInstance, MalformedDocumentError
 from probranch.predict import (
@@ -401,6 +402,18 @@ class TestLpRootPredict:
         )
         with pytest.raises(ValueError):
             lp_root_predict(inst)
+
+    @pytest.mark.parametrize("n", [20, 100, 2048])
+    def test_rounded_at_one_gives_the_greedy_sets(self, n):
+        # the sets verify's knapsack-rounding check reads: the items the
+        # LP root takes whole (U) and leaves out (L)
+        for seed in range(10):
+            uk = gen_knapsack_uniform(n, 0.3, seed=seed)
+            y, _, _ = greedy_knapsack(uk.weights, uk.ratios, 0.3 * n)
+            up, down, rest = round_prediction(lp_root_predict(uk.instance), 1.0)
+            assert np.array_equal(up, np.nonzero(y == 1.0)[0])
+            assert np.array_equal(down, np.nonzero(y == 0.0)[0])
+            assert len(rest) == 1
 
     def test_source_tags(self):
         uk = gen_knapsack_uniform(10, 0.3, seed=57)
