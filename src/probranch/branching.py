@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import SolveOptions, SolveReport, solve_mip
-from .model import FORMAT_VERSION, LinearRow, MipInstance, read_document
+from .model import FORMAT_VERSION, LinearRow, MipInstance, decode
 from .predict import Prediction
 
 # Threshold grid used for calibration curves; thresholds must exceed 0.5
@@ -357,13 +357,12 @@ def save_calibration(cal: Calibration, path: str | Path) -> None:
 
 
 def load_calibration(path: str | Path) -> Calibration:
-    doc = read_document(Path(path).read_bytes())
-    cal = Calibration(
+    cal = decode(Path(path).read_bytes(), lambda doc: Calibration(
         tau_star=float(doc["tau_star"]),
         sigma=float(doc["sigma"]),
         delta=float(doc["delta"]),
         stats=None if doc.get("stats") is None else _stats_from_doc(doc["stats"]),
-    )
+    ))
     cal.validate()
     return cal
 

@@ -23,7 +23,7 @@ from .model import (
     MipInstance,
     check_feasible,
     deserialize,
-    read_document,
+    decode,
     serialize,
 )
 
@@ -250,21 +250,19 @@ def gen_ca(num_items: int, num_bids: int, num_instances: int, seed: int) -> Inst
 
 @dataclass
 class UniformKnapsack:
-    """A uniform random knapsack with the (weights, ratios) used to build it.
+    """A uniform random knapsack: weights a_i ~ U(0, 1), ratios f_i ~ U[0, 1].
 
-    ``weights`` and ``ratios`` serve the tests, which replay the greedy
-    LP solution from them; the program reads only ``instance``.
+    The instance's objective is c_i = f_i * a_i, so a and f are its row
+    and its objective divided by that row.
     """
 
     instance: MipInstance
-    weights: np.ndarray  # a_i ~ U(0, 1)
-    ratios: np.ndarray  # f_i ~ U[0, 1]; objective c_i = f_i * a_i
 
 
 def gen_knapsack_uniform(n: int, gamma: float, seed: int) -> UniformKnapsack:
     """Knapsack max (f*a).y s.t. a.y <= gamma*n with uniform a, f.
 
-    gamma must lie in (0, 1/2); the returned wrapper keeps (a, f).
+    gamma must lie in (0, 1/2).
     """
     if not 0 < gamma < 0.5:
         raise ValueError("gamma must be in (0, 1/2)")
@@ -287,7 +285,7 @@ def gen_knapsack_uniform(n: int, gamma: float, seed: int) -> UniformKnapsack:
     )
     inst.validate()
     _assert_lp_feasible(inst, np.zeros(n))
-    return UniformKnapsack(instance=inst, weights=a, ratios=f)
+    return UniformKnapsack(instance=inst)
 
 
 # On-disk family layout: a directory with manifest.json plus one
@@ -318,17 +316,17 @@ def write_family(family: InstanceFamily, out_dir: str | Path) -> Path:
 
 def read_family(path: str | Path) -> InstanceFamily:
     root = Path(path)
-    manifest = read_document((root / "manifest.json").read_bytes())
-    template = deserialize((root / manifest["template"]).read_bytes())
-    instances = []
-    for fname in manifest["instances"]:
-        inst = deserialize((root / fname).read_bytes())
-        instances.append((np.array(inst.param_tag), inst))
-    return InstanceFamily(
-        template=template,
-        varying_field=manifest["varying_field"],
-        instances=instances,
-        seed=manifest["seed"],
-        kind=manifest.get("kind", ""),
-        params=manifest.get("params", {}),
-    )
+
+    def build(manifest):
+        template = deserialize((root / manifest["template"]).read_bytes())
+        instances = [deserialize((root / fname).read_bytes()) for fname in manifest["instances"]]
+        return InstanceFamily(
+            template=template,
+            varying_field=manifest["varying_field"],
+            instances=[(np.array(inst.param_tag), inst) for inst in instances],
+            seed=manifest["seed"],
+            kind=manifest.get("kind", ""),
+            params=manifest.get("params", {}),
+        )
+
+    return decode((root / "manifest.json").read_bytes(), build)

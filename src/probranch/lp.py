@@ -1,4 +1,5 @@
-"""LP relaxation backends: revised simplex and interior point.
+"""LP relaxation backends: revised simplex, interior point, and the
+closed-form knapsack relaxation.
 
 Both backends consume a MipInstance (binaries relaxed to [0, 1]) and
 report objectives in the instance's own sense.  Maximization is handled
@@ -139,3 +140,38 @@ def solve_ipm(instance: MipInstance, max_iters: int = 100, tol: float = 1e-8) ->
         objective=float(c @ x) if res.status == _interior.STATUS_OPTIMAL else np.nan,
         status=res.status,
     )
+
+
+def fractional_knapsack(
+    a: np.ndarray, f: np.ndarray, b: float
+) -> tuple[np.ndarray, float, int | None]:
+    """Closed-form solution of max (f*a).y s.t. a.y <= b, 0 <= y <= 1.
+
+    Items are taken in order of decreasing ratio f (stable by original
+    index on ties) until the capacity binds; at most one item is left
+    fractional.  Returns (y, lambda_star, split_index) where lambda_star
+    is the ratio of the split item, the optimal dual of the capacity row,
+    and split_index its original index (None when the capacity is slack).
+
+    No command calls it: ``verify`` reads its knapsack sets off
+    ``lp_root_predict``.  It is the tests' reference for that predictor,
+    and ``perfbench/tracing.py`` still names it as a tracing target.
+    """
+    a = np.asarray(a, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if np.any(a <= 0):
+        raise ValueError("all weights must be positive")
+    if b <= 0:
+        raise ValueError("capacity must be positive")
+    if a.sum() <= b:
+        return np.ones(len(a)), 0.0, None
+    y = np.zeros(len(a))
+    remaining = float(b)
+    for idx in np.argsort(-f, kind="stable"):
+        if a[idx] <= remaining:
+            y[idx] = 1.0
+            remaining -= a[idx]
+        else:
+            y[idx] = remaining / a[idx]
+            return y, float(f[idx]), int(idx)
+    return y, 0.0, None  # round-off: the items summed to more than b, yet all fit

@@ -10,10 +10,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 
 FORMAT_VERSION = 1
+
+T = TypeVar("T")
 
 FEASIBILITY_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
@@ -229,6 +232,44 @@ def read_document(data: bytes) -> dict:
     return doc
 
 
+def decode(data: bytes, build: Callable[[dict], T]) -> T:
+    """Read one document and build an object from its checked fields.
+
+    A TypeError or ValueError that ``build`` raises on a wrongly typed
+    field becomes MalformedDocumentError, like every other fault in the
+    document; an InvariantViolationError passes through.
+    """
+    doc = read_document(data)
+    try:
+        return build(doc)
+    except (MalformedDocumentError, InvariantViolationError):
+        raise
+    except (TypeError, ValueError) as exc:
+        raise MalformedDocumentError(f"bad document structure: {exc}") from exc
+
+
+def _instance_from_doc(doc: dict) -> MipInstance:
+    return MipInstance(
+        name=str(doc["name"]),
+        sense=doc["sense"],
+        num_binary=int(doc["num_binary"]),
+        num_continuous=int(doc["num_continuous"]),
+        objective=[(int(j), float(v)) for j, v in doc["objective"]],
+        rows=[
+            LinearRow(
+                coeffs=[(int(j), float(v)) for j, v in row["coeffs"]],
+                sense=row["sense"],
+                rhs=float(row["rhs"]),
+            )
+            for row in doc["rows"]
+        ],
+        continuous_bounds=[
+            (_decode_bound(lo), _decode_bound(hi)) for lo, hi in doc["continuous_bounds"]
+        ],
+        param_tag=[float(v) for v in doc["param_tag"]],
+    )
+
+
 def deserialize(data: bytes) -> MipInstance:
     """Parse bytes produced by :func:`serialize` back into an instance.
 
@@ -236,33 +277,7 @@ def deserialize(data: bytes) -> MipInstance:
     parse/schema problems and InvariantViolationError when the decoded
     instance breaks a model invariant.
     """
-    doc = read_document(data)
-    try:
-        rows = [
-            LinearRow(
-                coeffs=[(int(j), float(v)) for j, v in row["coeffs"]],
-                sense=row["sense"],
-                rhs=float(row["rhs"]),
-            )
-            for row in doc["rows"]
-        ]
-        instance = MipInstance(
-            name=str(doc["name"]),
-            sense=doc["sense"],
-            num_binary=int(doc["num_binary"]),
-            num_continuous=int(doc["num_continuous"]),
-            objective=[(int(j), float(v)) for j, v in doc["objective"]],
-            rows=rows,
-            continuous_bounds=[
-                (_decode_bound(lo), _decode_bound(hi))
-                for lo, hi in doc["continuous_bounds"]
-            ],
-            param_tag=[float(v) for v in doc["param_tag"]],
-        )
-    except MalformedDocumentError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise MalformedDocumentError(f"bad document structure: {exc}") from exc
+    instance = decode(data, _instance_from_doc)
     instance.validate()
     return instance
 

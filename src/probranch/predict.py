@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lp
-from .model import FORMAT_VERSION, MalformedDocumentError, MipInstance, read_document
+from .model import FORMAT_VERSION, MipInstance, decode
 
 SOURCE_LOGISTIC = "logistic"
 SOURCE_LP_SIMPLEX = "lp_root_simplex"
@@ -283,14 +283,11 @@ def load_prediction(path: str | Path, n: int) -> Prediction:
     probabilities are clamped into [0, 1] with a warning rather than
     rejected.
     """
-    doc = read_document(Path(path).read_bytes())
+    entries = decode(Path(path).read_bytes(), lambda doc: [
+        (int(entry["index"]), float(entry["probability"])) for entry in doc["predictions"]
+    ])
     p = np.full(n, np.nan)
-    for entry in doc["predictions"]:
-        try:
-            idx = int(entry["index"])
-            val = float(entry["probability"])
-        except (TypeError, ValueError) as exc:
-            raise MalformedDocumentError(f"bad prediction entry {entry!r}") from exc
+    for idx, val in entries:
         if not 0 <= idx < n:
             raise ValueError(f"prediction index {idx} out of range for n={n}")
         if not np.isnan(p[idx]):
@@ -323,8 +320,7 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogisticModel:
-    doc = read_document(Path(path).read_bytes())
-    return LogisticModel(
+    return decode(Path(path).read_bytes(), lambda doc: LogisticModel(
         weights=np.asarray(doc["weights"], dtype=float),
         intercepts=np.asarray(doc["intercepts"], dtype=float),
         feature_mean=np.asarray(doc["feature_mean"], dtype=float),
@@ -332,4 +328,4 @@ def load_model(path: str | Path) -> LogisticModel:
         regularization=float(doc["regularization"]),
         iterations=list(doc.get("iterations", [])),
         fitted_on=list(doc.get("fitted_on", [])),
-    )
+    ))

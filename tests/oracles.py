@@ -372,30 +372,7 @@ def multinomial_max_tail(n, pvals, cap) -> float:
     return 1.0 - fit[n]
 
 
-def greedy_knapsack(a, f, b):
-    """Closed-form solution of max (f*a).y s.t. a.y <= b, 0 <= y <= 1.
-
-    Items are taken in order of decreasing ratio f (stable by original
-    index on ties) until the capacity binds; at most one item is left
-    fractional.  Returns (y, lambda_star, split_index) where lambda_star
-    is the ratio of the split item, the optimal dual of the capacity row,
-    and split_index its original index (None when the capacity is slack).
-    """
-    a = np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if np.any(a <= 0):
-        raise ValueError("all weights must be positive")
-    if b <= 0:
-        raise ValueError("capacity must be positive")
-    if a.sum() <= b:
-        return np.ones(len(a)), 0.0, None
-    y = np.zeros(len(a))
-    remaining = float(b)
-    for idx in np.argsort(-f, kind="stable"):
-        if a[idx] <= remaining:
-            y[idx] = 1.0
-            remaining -= a[idx]
-        else:
-            y[idx] = remaining / a[idx]
-            return y, float(f[idx]), int(idx)
-    return y, 0.0, None  # round-off: the items summed to more than b, yet all fit
+def knapsack_arrays(instance):
+    """(a, f, b) of a one-row knapsack: weights, value ratios f = c / a, capacity."""
+    (a,), _, (b,) = instance.constraint_arrays()
+    return a, instance.objective_vector() / a, float(b)

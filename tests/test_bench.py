@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from oracles import binary_enumeration, greedy_knapsack, multinomial_max_tail
+from oracles import binary_enumeration, knapsack_arrays, multinomial_max_tail
 from probranch.bench import (
     BenchConfig,
     BenchReport,
@@ -23,6 +23,7 @@ from probranch.bench import (
     verify_lemma,
 )
 from probranch.bnb import SolveOptions, solve_mip
+from probranch.lp import fractional_knapsack
 from probranch.generators import (
     gen_knapsack_uniform,
     gen_scp,
@@ -355,7 +356,7 @@ class TestVerifyKnapsackRounding:
         for t in range(trials):
             sub_seed = int(master.integers(0, 2**62))
             uk = gen_knapsack_uniform(n, gamma, seed=sub_seed)
-            y_lp, _, _ = greedy_knapsack(uk.weights, uk.ratios, gamma * n)
+            y_lp, _, _ = fractional_knapsack(*knapsack_arrays(uk.instance))
             up = set(np.nonzero(y_lp == 1.0)[0].tolist())
             sizes.append((len(up), int(np.sum(y_lp == 0.0))))
             sol = solve_mip(uk.instance, options=SolveOptions(rel_gap=0.0))

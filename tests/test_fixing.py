@@ -15,7 +15,9 @@ with root boxes fixed from that LP, to exhaustive enumeration.
 import numpy as np
 import pytest
 
-from oracles import binary_enumeration, highs_optimum, region_rows, set_packing_dp, with_rows
+from oracles import (
+    binary_enumeration, highs_optimum, knapsack_arrays, region_rows, set_packing_dp, with_rows,
+)
 from probranch import _simplex, bnb
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import Calibration, build_hyperplanes, partition_solve
@@ -140,7 +142,7 @@ def knapsack_case(seed: int):
     rng = np.random.default_rng([seed, 15])
     n = int(rng.integers(8, 17))
     uk = gen_knapsack_uniform(n, 0.3, 120_000 + seed)
-    w, f = uk.weights, uk.ratios
+    w, f, _ = knapsack_arrays(uk.instance)
     case = seed % 4
     if case == 0:
         inst = uk.instance

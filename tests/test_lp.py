@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import enumerate_lp_vertices, greedy_knapsack, with_rows
+from oracles import enumerate_lp_vertices, with_rows
 from probranch import _simplex
 from probranch._simplex import solve_bounded_lp
 from probranch.lp import (
     NumericalFailure,
+    fractional_knapsack,
     relaxation_arrays,
     solve_ipm,
     solve_simplex,
@@ -202,10 +203,8 @@ class TestInteriorPoint:
 
 
 class TestFractionalKnapsack:
-    """The greedy oracle that the knapsack-rounding tests compare with."""
-
     def test_three_item_example(self):
-        y, lam, k = greedy_knapsack(
+        y, lam, k = fractional_knapsack(
             np.array([0.5, 0.5, 0.5]), np.array([0.9, 0.6, 0.3]), 0.75
         )
         assert y == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
@@ -213,25 +212,25 @@ class TestFractionalKnapsack:
         assert k == 1
 
     def test_slack_capacity_returns_all_ones(self):
-        y, lam, k = greedy_knapsack(np.array([0.2, 0.3]), np.array([0.5, 0.1]), 1.0)
+        y, lam, k = fractional_knapsack(np.array([0.2, 0.3]), np.array([0.5, 0.1]), 1.0)
         assert np.all(y == 1.0) and lam == 0.0 and k is None
 
     def test_single_item_half_capacity(self):
-        y, lam, k = greedy_knapsack(np.array([2.0]), np.array([0.7]), 1.0)
+        y, lam, k = fractional_knapsack(np.array([2.0]), np.array([0.7]), 1.0)
         assert y == pytest.approx([0.5])
         assert lam == pytest.approx(0.7)
         assert k == 0
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
-            greedy_knapsack(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 0.5)
+            fractional_knapsack(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 0.5)
 
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ValueError):
-            greedy_knapsack(np.array([1.0]), np.array([0.5]), 0.0)
+            fractional_knapsack(np.array([1.0]), np.array([0.5]), 0.0)
 
     def test_tie_breaks_by_original_index(self):
-        y, lam, k = greedy_knapsack(
+        y, lam, k = fractional_knapsack(
             np.array([1.0, 1.0, 1.0]), np.array([0.5, 0.5, 0.5]), 1.5
         )
         assert y == pytest.approx([1.0, 0.5, 0.0])
@@ -244,7 +243,7 @@ class TestFractionalKnapsack:
             a = rng.uniform(0.05, 1.0, n)
             f = rng.uniform(0.0, 1.0, n)
             b = float(rng.uniform(0.1, 0.9) * a.sum())
-            y, lam, k = greedy_knapsack(a, f, b)
+            y, lam, k = fractional_knapsack(a, f, b)
             assert np.sum((y > 1e-12) & (y < 1 - 1e-12)) <= 1
             assert float(a @ y) == pytest.approx(min(b, a.sum()), abs=1e-10)
             res = solve_bounded_lp(

@@ -163,10 +163,12 @@ def test_every_loader_rejects_a_malformed_document(tmp_path, capsys, kind):
     assert doc["format_version"] == FORMAT_VERSION
     wrong_version = dict(doc, format_version=99)
     missing = {k: v for k, v in doc.items() if k != field}
+    mistyped = dict(doc, **{field: [["abc"]]})
     for data, message in (
         (valid[:-1], "Expecting"),
         (json.dumps(wrong_version).encode(), "unsupported format_version 99"),
         (json.dumps(missing).encode(), f"missing field '{field}'"),
+        (json.dumps(mistyped).encode(), "bad document structure"),
     ):
         path.write_bytes(data)
         with pytest.raises(MalformedDocumentError, match=message):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import greedy_knapsack, reference_logistic_optimum, reference_logistic_probabilities
+from oracles import knapsack_arrays, reference_logistic_optimum, reference_logistic_probabilities
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import round_prediction
 from probranch.generators import gen_knapsack_uniform, gen_scp
+from probranch.lp import fractional_knapsack
 from probranch.model import LinearRow, MipInstance, MalformedDocumentError
 from probranch.predict import (
     LogisticModel,
@@ -409,7 +410,7 @@ class TestLpRootPredict:
         # LP root takes whole (U) and leaves out (L)
         for seed in range(10):
             uk = gen_knapsack_uniform(n, 0.3, seed=seed)
-            y, _, _ = greedy_knapsack(uk.weights, uk.ratios, 0.3 * n)
+            y, _, _ = fractional_knapsack(*knapsack_arrays(uk.instance))
             up, down, rest = round_prediction(lp_root_predict(uk.instance), 1.0)
             assert np.array_equal(up, np.nonzero(y == 1.0)[0])
             assert np.array_equal(down, np.nonzero(y == 0.0)[0])
