@@ -39,7 +39,7 @@ stops with STATUS_CUTOFF as soon as it reaches the cutoff while rows
 are still infeasible.  The same argument bounds a branch-and-bound
 child from its parent's final tableau before the child's LP is set up:
 ``_Workspace.first_step_gains`` runs the dual's first bound-flipping
-ratio test on the branched row.
+ratio test on the row of each branching candidate.
 
 A ``deadline`` (a ``time.monotonic()`` instant) stops either method
 between iterations with STATUS_TIME_LIMIT; that stop never falls back
@@ -436,55 +436,58 @@ class _Workspace:
             self.d, self.h, self.free, self.span = d, h, free, span
         return status
 
-    def first_step_gains(self, j: int, targets) -> list[float]:
+    def first_step_gains(self, cols, targets) -> np.ndarray:
         """Lower bounds on the rise of the optimum when basic x_j must reach each target.
 
-        The state is optimal; a child that moves one bound of x_j past
-        its value differs from it in row r of x_j alone, and this basis
-        is dual feasible for the child.  The dual's first bound-flipping
+        One row per column j of ``cols``, one entry per target.  The
+        state is optimal; a child that moves one bound of x_j past its
+        value differs from it in row r of x_j alone, and this basis is
+        dual feasible for the child.  The dual's first bound-flipping
         ratio test on that row (Driebeek's penalty) moves the eligible
         nonbasic columns in |d_k|/|alpha_k| order, each through its
         span, until x_j reaches the target; the cost of that move is a
         valid lower bound on the child's LP minus this one.  It is
         infinite when the eligible columns cannot close the gap, which
         is the dual's infeasibility test, and 0 when the gap is within
-        the feasibility tolerance or x_j is not basic.
+        the feasibility tolerance or x_j is not basic.  The tableau rows
+        of all the columns come from one product with B^-1.
         """
-        if not self.is_basic[j]:
-            return [0.0] * len(targets)
-        xj = self.x[j]
-        alpha = self.binv[(self.basis == j).argmax()] @ self.A
-        ha = self.h * alpha
-        moves_any = self.free & (np.abs(alpha) > _PIVOT_TOL) if self.free.any() else None
-        gains = []
-        for target in targets:
-            gap = abs(target - xj)
-            if gap <= _FEAS_TOL:
-                gains.append(0.0)
-                continue
-            # as in ``dual``: x_j rises to the target or falls to it
-            eligible = ha > _PIVOT_TOL if target > xj else ha < -_PIVOT_TOL
-            if moves_any is not None:
-                eligible |= moves_any
-            cols = eligible.nonzero()[0]
-            if not len(cols):
-                gains.append(math.inf)
-                continue
-            mag = np.abs(alpha[cols])
-            ratios = np.abs(self.d[cols]) / mag
-            reach = mag * self.span[cols]
-            i = ratios.argmin()
-            if gap - reach[i] <= _FEAS_TOL:  # the cheapest column closes the gap alone
-                gains.append(float(ratios[i] * gap))
-                continue
-            order = np.argsort(ratios, kind="stable")
-            left = gap - reach[order].cumsum()
-            k = int((left <= _FEAS_TOL).argmax())
-            if left[k] > _FEAS_TOL:
-                gains.append(math.inf)
-                continue
-            whole = order[:k]  # columns moved through their whole span
-            gains.append(float(ratios[whole] @ reach[whole] + ratios[order[k]] * left[k - 1]))
+        cols = np.asarray(cols)
+        gains = np.zeros((len(cols), len(targets)))
+        basic = np.nonzero(self.is_basic[cols])[0]
+        rows = (self.basis == cols[basic, None]).argmax(axis=1)
+        any_free = self.free.any()
+        for i, alpha in zip(basic, self.binv[rows] @ self.A):
+            xj = self.x[cols[i]]
+            ha = self.h * alpha
+            moves_any = self.free & (np.abs(alpha) > _PIVOT_TOL) if any_free else None
+            for t, target in enumerate(targets):
+                gap = abs(target - xj)
+                if gap <= _FEAS_TOL:
+                    continue
+                # as in ``dual``: x_j rises to the target or falls to it
+                eligible = ha > _PIVOT_TOL if target > xj else ha < -_PIVOT_TOL
+                if moves_any is not None:
+                    eligible |= moves_any
+                movers = eligible.nonzero()[0]
+                if not len(movers):
+                    gains[i, t] = math.inf
+                    continue
+                mag = np.abs(alpha[movers])
+                ratios = np.abs(self.d[movers]) / mag
+                reach = mag * self.span[movers]
+                k = ratios.argmin()
+                if gap - reach[k] <= _FEAS_TOL:  # the cheapest column closes the gap alone
+                    gains[i, t] = ratios[k] * gap
+                    continue
+                order = np.argsort(ratios, kind="stable")
+                left = gap - reach[order].cumsum()
+                k = int((left <= _FEAS_TOL).argmax())
+                if left[k] > _FEAS_TOL:
+                    gains[i, t] = math.inf
+                    continue
+                whole = order[:k]  # columns moved through their whole span
+                gains[i, t] = ratios[whole] @ reach[whole] + ratios[order[k]] * left[k - 1]
         return gains
 
 

@@ -2,10 +2,18 @@
 
 The solver accepts node/time limits and root boxes, so a branching
 disjunction is searched as one tree.
-Branching is most-fractional with ties broken toward the lowest index;
-node selection is best-bound, ties going to the node created first.  A
-rounding heuristic runs at every node so the incumbent log is dense
-enough for time-to-target measurements.
+Branching scores the BRANCH_CANDIDATES = 3 most fractional free
+binaries (ties to the lowest index) by max(g_dn, eps) * max(g_up, eps),
+eps = SCORE_EPS = 1e-6, where g_dn and g_up are the first-step gains
+(below) of their down and up children, and branches on the best score,
+ties to the more fractional: the product rule of Achterberg, Koch &
+Martin (2005) on Driebeek's penalties.  Only binaries fractional beyond
+INTEGRALITY_TOL are candidates; a near-integral node with none branches
+on its most fractional binary, and a knapsack node, whose closed-form
+LP leaves one item fractional, on that item.  Node selection is
+best-bound, ties going to the node created first.  A rounding heuristic
+runs at every node so the incumbent log is dense enough for
+time-to-target measurements.
 
 Reduced-cost fixing: a node starts from its parent's optimal LP state
 (a root box's parent is the hull), whose reduced costs d bound every
@@ -23,7 +31,8 @@ First-step bounds: when a node branches on x_j, its final tableau row
 of x_j bounds each child's LP from below before that LP is set up
 (``_simplex._Workspace.first_step_gains``, the dual's first
 bound-flipping ratio test); the child's heap entry carries that bound,
-while its heap key stays the parent's bound.
+while its heap key stays the parent's bound.  The branched binary's
+gains are the ones its score was computed from.
 
 A popped node closes at the first of these that applies, and
 ``SolveReport.closed`` counts each way (CLOSED_BY):
@@ -70,6 +79,11 @@ ROUNDED_ROW_TOL = 1e-9
 # to the cutoff's magnitude, so round-off in d cannot fix a binary whose
 # other value is still within the gap.
 FIXING_TOL = 1e-9
+
+# Branching scores this many of the most fractional free binaries, each
+# by the product of its children's first-step gains, floored at SCORE_EPS.
+BRANCH_CANDIDATES = 3
+SCORE_EPS = 1e-6
 
 # The ways a counted node closes, in the order the module docstring gives.
 CLOSED_BY = ("first_step", "cutoff", "infeasible", "integral", "branched")
@@ -377,9 +391,18 @@ def solve_mip(
             accept(cand[i], float(c @ cand[i]))
 
         closed["branched"] += 1
-        # a knapsack child's closed-form LP costs about what its bound would
-        gain_dn, gain_up = ((0.0, 0.0) if knapsack is not None
-                            else state.first_step_gains(j, (0.0, 1.0)))
+        # a knapsack child's closed-form LP costs about what its bound
+        # would, and its LP point has one fractional item to branch on
+        gain_dn = gain_up = 0.0
+        if knapsack is None:
+            # the most fractional free binaries beyond INTEGRALITY_TOL; a
+            # near-integral node has none and keeps its most fractional
+            cands = np.argsort(-frac, kind="stable")[:BRANCH_CANDIDATES]
+            cands = cands[: max(1, np.count_nonzero(frac[cands] > INTEGRALITY_TOL))]
+            gains = state.first_step_gains(cands, (0.0, 1.0))
+            best = int(np.maximum(gains, SCORE_EPS).prod(axis=1).argmax())
+            j = int(cands[best])
+            gain_dn, gain_up = gains[best].tolist()
         lb_up = lb.copy()
         lb_up[j] = 1.0
         ub_dn = ub.copy()

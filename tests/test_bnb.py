@@ -167,3 +167,140 @@ class TestSolveMip:
             SolveOptions(time_limit=0).validate()
         with pytest.raises(ValueError):
             SolveOptions(rel_gap=-1).validate()
+
+
+class TestBranchingRule:
+    """Which binary a node branches on: the rule in ``bnb``'s module docstring."""
+
+    @staticmethod
+    def record(monkeypatch, gains_of=None):
+        """Each branching's node (binary x, box), scored columns, gains and children's boxes.
+
+        Only a node whose LP is a simplex's calls ``first_step_gains``; the
+        children pushed after a call are that node's.
+        """
+        calls = []
+        gains_of = gains_of or _simplex._Workspace.first_step_gains
+        push = heapq.heappush
+
+        def recording_gains(state, cols, targets):
+            gains = gains_of(state, cols, targets)
+            n = state.n
+            calls.append(dict(x=state.x[:n].copy(), lb=state.lb[:n].copy(), ub=state.ub[:n].copy(),
+                              cols=[int(j) for j in cols], gains=np.array(gains), children=[]))
+            return gains
+
+        def recording_push(heap, item):
+            if calls:
+                calls[-1]["children"].append(item[2])
+            push(heap, item)
+
+        monkeypatch.setattr(_simplex._Workspace, "first_step_gains", recording_gains)
+        monkeypatch.setattr(bnb.heapq, "heappush", recording_push)
+        return calls
+
+    @staticmethod
+    def branched_on(lb, ub, children) -> int:
+        """The one variable whose bounds both children change from the node's box."""
+        moved = [np.nonzero((lo != lb) | (hi != ub))[0].tolist() for lo, hi, *_ in children]
+        assert len(children) == 2 and moved[0] == moved[1] and len(moved[0]) == 1, moved
+        return moved[0][0]
+
+    @staticmethod
+    def most_fractional(call, n_bin):
+        x = call["x"][:n_bin]
+        frac = np.where(call["lb"][:n_bin] < call["ub"][:n_bin], np.abs(x - np.rint(x)), 0.0)
+        return frac, np.argsort(-frac, kind="stable")
+
+    def test_branches_on_the_best_product_of_first_step_gains(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        _, inst = gen_mkp(3, 14, 2, seed=23).instances[1]
+        rep = solve_mip(inst, SolveOptions(**EXACT))
+        assert rep.status == "optimal"
+        assert rep.objective == pytest.approx(binary_enumeration(inst).objective, abs=1e-9)
+        assert len(calls) == rep.closed["branched"]
+        c = relaxation_arrays(inst)[0]
+        picks = []  # per branching: the product's choice and the sum's
+        for call in calls:
+            frac, order = self.most_fractional(call, inst.num_binary)
+            assert call["cols"] == [j for j in order[:3] if frac[j] > 1e-6]
+            gains = call["gains"]
+            best = int(np.maximum(gains, 1e-6).prod(axis=1).argmax())
+            j = self.branched_on(call["lb"], call["ub"], call["children"])
+            assert j == call["cols"][best]
+            picks.append((best, int(gains.sum(axis=1).argmax())))
+            # the children carry the winner's own gains as their bounds
+            bound = -float(c @ call["x"])  # the solver minimizes -c.x
+            own = {lo[j]: child_bound for lo, _, _, _, child_bound in call["children"]}
+            assert own[0.0] == pytest.approx(bound + gains[best][0], rel=1e-12)
+            assert own[1.0] == pytest.approx(bound + gains[best][1], rel=1e-12)
+        # the rule moves the choice off the most fractional binary, and
+        # a product of the gains is not their sum
+        assert any(best != 0 for best, _ in picks)
+        assert any(best != by_sum for best, by_sum in picks)
+
+    def test_with_every_gain_zero_the_most_fractional_wins(self, monkeypatch):
+        # x1, x2, x3 form an odd cycle whose LP optimum is all 0.5: the
+        # candidates tie on fractionality and on score, so x1 wins
+        calls = self.record(monkeypatch, lambda state, cols, targets: np.zeros((len(cols), len(targets))))
+        pair = [(1, 2), (2, 3), (1, 3)]
+        cycle = MipInstance("cycle", "maximize", 4, 0, [(j, 1.0) for j in range(4)],
+                            [LinearRow([(i, 1.0), (k, 1.0)], "<=", 1.0) for i, k in pair])
+        assert solve_mip(cycle, SolveOptions(**EXACT)).objective == pytest.approx(2.0)
+        np.testing.assert_allclose(calls[0]["x"], [1.0, 0.5, 0.5, 0.5])
+        assert calls[0]["cols"] == [1, 2, 3]
+        assert self.branched_on(calls[0]["lb"], calls[0]["ub"], calls[0]["children"]) == 1
+        for _, inst in gen_mkp(3, 12, 2, seed=23).instances:
+            calls.clear()
+            rep = solve_mip(inst, SolveOptions(**EXACT))
+            assert rep.objective == pytest.approx(binary_enumeration(inst).objective, abs=1e-9)
+            assert len(calls) == rep.closed["branched"] > 1
+            for call in calls:
+                _, order = self.most_fractional(call, inst.num_binary)
+                assert self.branched_on(call["lb"], call["ub"], call["children"]) == order[0]
+
+    def test_a_near_integral_node_whose_nearest_rounding_fails_still_branches(self, monkeypatch):
+        # the LP point is (1, 1 - 4e-7): within INTEGRALITY_TOL, but its
+        # nearest rounding overfills the first row, so the node branches on
+        # the near-integral binary without scoring it against another
+        calls = self.record(monkeypatch)
+        inst = MipInstance("near", "maximize", 2, 0, [(0, 1.0), (1, 1.0)],
+                           [LinearRow([(0, 1.0), (1, 1.0)], "<=", 2.0 - 4e-7),
+                            LinearRow([(0, 1.0), (1, -1.0)], ">=", -1.0)])
+        rep = solve_mip(inst, SolveOptions(**EXACT))
+        assert rep.status == "optimal" and rep.objective == pytest.approx(1.0, abs=1e-12)
+        assert rep.closed["branched"] >= 1
+        root = calls[0]
+        frac, order = self.most_fractional(root, 2)
+        assert 0 < frac.max() <= 1e-6
+        assert root["cols"] == [int(order[0])]
+        assert self.branched_on(root["lb"], root["ub"], root["children"]) == order[0]
+
+    def test_a_knapsack_branches_on_its_one_fractional_item(self, monkeypatch):
+        nodes = []  # (lb, ub, x, children) of each knapsack node LP
+        knapsack_lp, push = bnb._Knapsack.__call__, heapq.heappush
+
+        def recording_lp(self, lb, ub):
+            res = knapsack_lp(self, lb, ub)
+            nodes.append((lb, ub, res[1], []))
+            return res
+
+        def recording_push(heap, item):
+            nodes[-1][3].append(item[2])
+            push(heap, item)
+
+        def no_gains(*args):
+            raise AssertionError("a knapsack node has no tableau to score")
+
+        monkeypatch.setattr(bnb._Knapsack, "__call__", recording_lp)
+        monkeypatch.setattr(bnb.heapq, "heappush", recording_push)
+        monkeypatch.setattr(_simplex._Workspace, "first_step_gains", no_gains)
+        _, inst = gen_mkp(1, 16, 1, seed=3).instances[0]
+        rep = solve_mip(inst, SolveOptions(**EXACT))
+        assert rep.objective == pytest.approx(binary_enumeration(inst).objective, abs=1e-9)
+        branched = [node for node in nodes if node[3]]
+        assert len(branched) == rep.closed["branched"] > 1
+        for lb, ub, x, children in branched:
+            fractional = np.nonzero(np.abs(x - np.rint(x)) > 1e-6)[0]
+            assert len(fractional) == 1
+            assert self.branched_on(lb, ub, children) == fractional[0]
