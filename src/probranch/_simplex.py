@@ -1,18 +1,13 @@
-"""Bounded-variable revised simplex on dense arrays (minimization).
+"""Bounded dual simplex on dense arrays (minimization).
 
-A cold solve of a boxed LP (every structural bound finite: binaries,
-count columns, bounded continuous columns) needs no phase 1.  Each
-column starts at the bound its cost prefers (its upper bound where
-c_j < 0, else its lower), the slack basis is then dual feasible with
-d = c, and the bounded dual simplex below restores primal feasibility;
-an optimal return recomputes d = c - (c_B B^-1) A from the final basis.
-Any other cold solve is a two-phase primal method: the start puts every
-variable at its lower bound (its upper bound, or 0, when that is
-infinite), artificial variables absorb the rows this leaves infeasible,
-phase 1 drives their sum to zero and phase 2 optimizes the real
-objective.  After phase 1 the artificial columns stay pinned to [0, 0].
-The two-phase method also runs when the dual start of a boxed LP hits
-the iteration limit or a non-finite value.
+Every LP it solves is boxed: each structural bound is finite (binaries,
+count columns, and continuous columns, whose bounds
+``MipInstance.validate`` requires to be finite).  So a cold solve needs
+no phase 1.  Each column starts at the bound its cost prefers (its
+upper bound where c_j < 0, else its lower), the slack basis is then
+dual feasible with d = c, and the bounded dual simplex below restores
+primal feasibility; an optimal return recomputes d = c - (c_B B^-1) A
+from the final basis.
 
 A warm solve reoptimizes from the final state of an earlier optimal
 solve of the same rows under a box within that solve's box, as a
@@ -28,9 +23,11 @@ ratio test over the movable nonbasic columns picks the entering one;
 when every eligible column at its helpful bound still leaves the row
 infeasible, the LP is infeasible.  Within the dual loop x_B, d and the
 basic bounds are updated at each pivot and flip, not gathered again.
-On an iteration limit or a non-finite value the solve falls back to a
-cold one.  If round-off leaves the final reduced costs dual infeasible,
-the primal simplex finishes.
+A warm solve that does not settle (an iteration limit, a non-finite
+value, or round-off leaving the final reduced costs dual infeasible)
+falls back to a cold one.  A cold solve returns STATUS_ITERATION_LIMIT
+at the iteration limit, and raises NumericalFailure when it ends with a
+non-finite value or dual infeasible reduced costs.
 
 While the basis is dual feasible, the objective c.x of the dual's basic
 solution is a lower bound on the LP.  Given a finite ``cutoff``, the
@@ -41,16 +38,16 @@ child from its parent's final tableau before the child's LP is set up:
 ``_Workspace.first_step_gains`` runs the dual's first bound-flipping
 ratio test on the row of each branching candidate.
 
-A ``deadline`` (a ``time.monotonic()`` instant) stops either method
-between iterations with STATUS_TIME_LIMIT; that stop never falls back
-to a cold solve.
+A ``deadline`` (a ``time.monotonic()`` instant) stops the dual between
+iterations with STATUS_TIME_LIMIT; that stop never falls back to a cold
+solve.
 
 The basis inverse is kept explicitly and updated in product form each
 pivot; numpy's LAPACK inverse refreshes it every ``REFACTOR_EVERY``
 pivots.  The pivot count travels with the state, so the refresh also
-holds along a dive of warm solves.  Primal pricing is Dantzig; in either
-method Bland's lowest-index rule engages permanently after
-``BLAND_AFTER`` degenerate pivots, which guarantees termination.
+holds along a dive of warm solves.  Bland's lowest-index rule engages
+permanently after ``BLAND_AFTER`` degenerate pivots, which guarantees
+termination.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ _DEGEN_TOL = 1e-12
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_CUTOFF = "cutoff"
@@ -82,8 +78,23 @@ STATUS_CUTOFF = "cutoff"
 CUTOFF_TOL = 1e-9
 
 
+class NumericalFailure(RuntimeError):
+    """An LP solve broke down numerically.
+
+    The interior-point iteration produced non-finite steps, or a cold
+    dual simplex ended with a non-finite value or dual infeasible
+    reduced costs.
+    """
+
+
 @dataclass
 class SimplexResult:
+    """The outcome of ``solve_bounded_lp``.
+
+    ``status`` is STATUS_OPTIMAL, STATUS_INFEASIBLE, STATUS_CUTOFF,
+    STATUS_ITERATION_LIMIT or STATUS_TIME_LIMIT.
+    """
+
     status: str
     x: np.ndarray  # structural variable values
     objective: float  # c . x for the minimized objective
@@ -103,22 +114,19 @@ def _slack_bounds(sense: str) -> tuple[float, float]:
 
 
 class _Workspace:
-    """Mutable solver state over the extended (structural+slack+artificial) system.
+    """Mutable solver state over the extended (structural+slack) system.
 
     The workspace a solve ends with is its warm-start state; ``child``
     copies everything a solve writes and shares the extended matrix.
     """
 
-    def __init__(self, a, senses, b, lb, ub, c=None):
-        """The slack basis over the rows.
+    def __init__(self, a, senses, b, lb, ub, c):
+        """The dual start for costs c: the slack basis over the rows.
 
-        Without costs, for the primal method: each column starts at a
-        finite bound, and artificial columns absorb the rows the slacks
-        cannot.  With costs c, for the dual method (every bound finite):
-        each column starts at the bound its cost prefers, ub where
-        c_j < 0 and lb otherwise, the slacks take whatever values the
-        rows leave, out of bounds or not, and no artificial column is
-        added; that basis is dual feasible with d = c.
+        Each column starts at the bound its cost prefers, ub where
+        c_j < 0 and lb otherwise, and the slacks take whatever values
+        the rows leave, out of bounds or not.  That basis is dual
+        feasible with d = c, zero on the slacks.
         """
         m, n = a.shape
         self.m, self.n = m, n
@@ -126,40 +134,21 @@ class _Workspace:
         sl_hi = np.empty(m)
         for r, s in enumerate(senses):
             sl_lo[r], sl_hi[r] = _slack_bounds(s)
-
-        if c is None:
-            x_struct = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-        else:
-            x_struct = np.where(c < 0, ub, lb)
-        resid = b - a @ x_struct
-        slack_vals = resid if c is not None else np.clip(resid, sl_lo, sl_hi)
-        art_resid = resid - slack_vals
-        art_rows = np.nonzero(np.abs(art_resid) > _FEAS_TOL)[0]
-        k = len(art_rows)
-
-        total = n + m + k
-        self.A = np.zeros((m, total))
-        self.A[:, :n] = a
-        self.A[:, n : n + m] = np.eye(m)
-        self.lb = np.concatenate([lb, sl_lo, np.zeros(k)])
-        self.ub = np.concatenate([ub, sl_hi, np.full(k, np.inf)])
-        self.x = np.concatenate([x_struct, slack_vals, np.abs(art_resid[art_rows])])
+        x_struct = np.where(c < 0, ub, lb)
+        self.A = np.hstack([a, np.eye(m)])
+        self.lb = np.concatenate([lb, sl_lo])
+        self.ub = np.concatenate([ub, sl_hi])
+        self.x = np.concatenate([x_struct, b - a @ x_struct])
         self.basis = np.arange(n, n + m)
-        for t, r in enumerate(art_rows):
-            col = n + m + t
-            self.A[r, col] = 1.0 if art_resid[r] > 0 else -1.0
-            self.basis[r] = col
-        self.artificial = np.arange(n + m, total)
         self.b = b
         self.binv = np.eye(m)
-        self.is_basic = np.zeros(total, dtype=bool)
+        self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
         self.pivots = 0  # since the last refactorization
         self.degenerate = 0
         self.iterations = 0
-        self.d = None  # reduced costs at the end of an optimal solve
-        if k and m:
-            self.refactorize()  # artificial columns carry -1 coefficients
+        # reduced costs: the start's, then those an optimal solve ends with
+        self.d = np.concatenate([c, np.zeros(m)])
 
     def child(self, lb: np.ndarray, ub: np.ndarray) -> _Workspace:
         """A copy of this state under new structural bounds, x_B recomputed.
@@ -170,7 +159,7 @@ class _Workspace:
         copied.
         """
         ws = _Workspace.__new__(_Workspace)
-        ws.m, ws.n, ws.A, ws.b, ws.artificial = self.m, self.n, self.A, self.b, self.artificial
+        ws.m, ws.n, ws.A, ws.b = self.m, self.n, self.A, self.b
         ws.basis = self.basis.copy()
         ws.binv = self.binv.copy()
         ws.is_basic = self.is_basic.copy()
@@ -214,103 +203,25 @@ class _Workspace:
         if self.pivots >= REFACTOR_EVERY:
             self.refactorize()
 
-    def _bound_state(self):
-        """(movable, at_lb, at_ub) masks over the extended variables."""
-        at_lb = np.abs(self.x - self.lb) <= 1e-9
-        at_ub = np.abs(self.x - self.ub) <= 1e-9
-        movable = ~self.is_basic & (self.ub - self.lb > _PIVOT_TOL)
-        return movable, at_lb, at_ub
-
-    def minimize(self, c, max_iters, deadline=None):
-        """Run primal simplex iterations on objective c.  Returns a status string.
-
-        An optimal return keeps the final reduced costs as ``d``.
-        """
-        use_bland = self.degenerate >= BLAND_AFTER
-        self.d = None
-        while self.iterations < max_iters:
-            if deadline is not None and time.monotonic() > deadline:
-                return STATUS_TIME_LIMIT
-            self.iterations += 1
-            y = self.duals(c)
-            d = c - y @ self.A
-            movable, at_lb, at_ub = self._bound_state()
-            free = movable & ~at_lb & ~at_ub
-            up = movable & (at_lb | free) & (d < -_DUAL_TOL)
-            down = movable & ((at_ub & ~at_lb) | free) & (d > _DUAL_TOL)
-            viol = np.where(up, -d, 0.0) + np.where(down, d, 0.0)
-            if not viol.any():
-                self.d = d
-                self.h = np.where(at_lb, -1.0, np.where(at_ub, 1.0, 0.0)) * movable
-                self.free = movable & (self.h == 0.0)
-                self.span = self.ub - self.lb
-                return STATUS_OPTIMAL
-            if use_bland:
-                j = int(np.nonzero(viol > 0)[0][0])
-            else:
-                j = int(np.argmax(viol))
-            sigma = 1.0 if up[j] else -1.0
-
-            w = self.binv @ self.A[:, j]
-            dxb = -sigma * w
-            xb = self.x[self.basis]
-            lb_b = self.lb[self.basis]
-            ub_b = self.ub[self.basis]
-            ratios = np.full(self.m, np.inf)
-            dec = dxb < -_PIVOT_TOL
-            inc = dxb > _PIVOT_TOL
-            with np.errstate(invalid="ignore"):
-                ratios[dec] = (xb[dec] - lb_b[dec]) / (-dxb[dec])
-                ratios[inc] = (ub_b[inc] - xb[inc]) / dxb[inc]
-            ratios[~np.isfinite(lb_b) & dec] = np.inf
-            ratios[~np.isfinite(ub_b) & inc] = np.inf
-            np.maximum(ratios, 0.0, out=ratios)
-
-            if sigma > 0:
-                t_flip = self.ub[j] - self.x[j]
-            else:
-                t_flip = self.x[j] - self.lb[j]
-            t_basic = float(ratios.min()) if self.m else np.inf
-            t_star = min(t_flip, t_basic)
-            if not np.isfinite(t_star):
-                return STATUS_UNBOUNDED
-
-            if t_star <= _DEGEN_TOL:
-                self.degenerate += 1
-                if self.degenerate >= BLAND_AFTER:
-                    use_bland = True
-
-            if t_flip <= t_basic + _DEGEN_TOL:
-                # bound flip: the entering variable crosses to its other bound
-                self.x[j] = self.ub[j] if sigma > 0 else self.lb[j]
-                self.x[self.basis] += t_flip * dxb
-                continue
-
-            cand = np.nonzero(ratios <= t_star + _DEGEN_TOL)[0]
-            p = int(cand[np.argmax(np.abs(dxb[cand]))])
-            leaving = self.basis[p]
-            self.x[j] += sigma * t_star
-            self.x[self.basis] += t_star * dxb
-            self.x[leaving] = lb_b[p] if dxb[p] < 0 else ub_b[p]
-            self.pivot(p, j, w)
-        return STATUS_ITERATION_LIMIT
-
     def dual(self, c, max_iters, deadline=None, cutoff=math.inf):
         """Bounded dual simplex from a dual feasible basis until x_B is in bounds.
 
         The reduced costs start from a copy of the carried ``d``, which
-        every optimal state has.  The leaving variable is the basic one
-        whose bound violation is largest against the norm of its row of
-        B^-1 (dual steepest edge), and it leaves at the bound it violates.  The ratio test walks the
+        the cold start and every optimal state have.  The leaving
+        variable is the basic one whose bound violation is largest
+        against the norm of its row of B^-1 (dual steepest edge), and it
+        leaves at the bound it violates.  The ratio test walks the
         breakpoints of the movable nonbasic columns in order and flips
         each boxed one to its other bound while the leaving row stays
         infeasible after the flip (the bound-flipping ratio test); the
         column where that stops enters.  x_B and the basic bounds live
         in the loop and x_B is written back to ``x`` on every return.
-        Returns STATUS_OPTIMAL when the basis is primal feasible and its
-        reduced costs dual feasible (and keeps them as ``d``, with the
-        nonbasic signs ``h``, ``free`` and ``span`` the first-step bound
-        reads), STATUS_INFEASIBLE when the leaving row stays infeasible
+        Returns STATUS_OPTIMAL when the basis is primal feasible; only
+        if its reduced costs are dual feasible too does it keep them as
+        ``d``, with the nonbasic signs ``h``, ``free`` and ``span`` the
+        first-step bound reads, so an optimal return that leaves ``d``
+        None means round-off left one of the wrong sign.  It returns
+        STATUS_INFEASIBLE when the leaving row stays infeasible
         with every eligible column at its helpful bound, STATUS_CUTOFF
         when rows are still infeasible but the objective c.x of the
         basic solution, a lower bound on the LP while the basis is dual
@@ -430,10 +341,8 @@ class _Workspace:
         if status == STATUS_OPTIMAL:
             dual_infeasible = np.count_nonzero(h * d > _DUAL_TOL) or (
                 any_free and np.count_nonzero(np.abs(d[free]) > _DUAL_TOL))
-            if dual_infeasible:
-                # round-off left a reduced cost of the wrong sign: the primal finishes
-                return self.minimize(c, max_iters, deadline=deadline)
-            self.d, self.h, self.free, self.span = d, h, free, span
+            if not dual_infeasible:
+                self.d, self.h, self.free, self.span = d, h, free, span
         return status
 
     def first_step_gains(self, cols, targets) -> np.ndarray:
@@ -492,9 +401,14 @@ class _Workspace:
 
 
 def _settled(ws: _Workspace, status: str) -> bool:
-    """Whether a dual solve's status stands, or the solve falls back to the two-phase primal."""
+    """Whether a dual solve's status stands, or a warm solve falls back to a cold one.
+
+    It stands at the deadline, and short of the iteration limit when
+    every value is finite and an optimal basis kept its reduced costs.
+    """
     return status == STATUS_TIME_LIMIT or (
-        status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all())
+        status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all()
+        and (status != STATUS_OPTIMAL or ws.d is not None))
 
 
 def _result(ws: _Workspace, status: str, c_full: np.ndarray, duals: bool = True) -> SimplexResult:
@@ -526,17 +440,18 @@ def solve_bounded_lp(
 ) -> SimplexResult:
     """Minimize c.x subject to rows (a, senses, b) and bounds lb <= x <= ub.
 
-    ``warm`` is the ``state`` of an optimal earlier solve of the same c,
-    a, senses and b under other bounds; the solve then reoptimizes from
-    its basis with the dual simplex and falls back to a cold solve on an
-    iteration limit or a numerical failure.  ``iterations`` counts both.
-    ``warm`` is never modified, so one state can seed several solves.
-    A warm solve that needs no fallback computes no row multipliers:
-    its ``duals`` is None.  Past ``deadline`` (a ``time.monotonic()``
-    instant) the solve stops with STATUS_TIME_LIMIT, warm or cold.  A
-    dual simplex solve (warm, or cold on a boxed LP) whose bound reaches
-    a finite ``cutoff`` stops with STATUS_CUTOFF; its ``objective`` is
-    that bound.
+    Every bound must be finite.  ``warm`` is the ``state`` of an optimal
+    earlier solve of the same c, a, senses and b under other bounds; the
+    solve then reoptimizes from its basis with the dual simplex and falls
+    back to a cold solve when that does not settle (``_settled``).
+    ``iterations`` counts both.  ``warm`` is never modified, so one state
+    can seed several solves.  A warm solve that needs no fallback
+    computes no row multipliers: its ``duals`` is None.  Past
+    ``deadline`` (a ``time.monotonic()`` instant) the solve stops with
+    STATUS_TIME_LIMIT, warm or cold.  A solve whose bound reaches a
+    finite ``cutoff`` stops with STATUS_CUTOFF; its ``objective`` is
+    that bound.  A cold solve that ends with a non-finite value or dual
+    infeasible reduced costs raises NumericalFailure.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -545,51 +460,28 @@ def solve_bounded_lp(
     ub = np.asarray(ub, dtype=float)
     m, n = a.shape
 
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+        raise ValueError("every bound of a bounded LP must be finite")
     if np.count_nonzero(lb > ub):
         return SimplexResult(STATUS_INFEASIBLE, np.full(n, np.nan), np.nan, np.zeros(m), 0)
 
+    c_full = np.concatenate([c, np.zeros(m)])
     spent = 0
     if warm is not None:
-        c_full = np.zeros(warm.A.shape[1])
-        c_full[:n] = c
         ws = warm.child(lb, ub)
         status = ws.dual(c_full, max_iters, deadline, cutoff)
         if _settled(ws, status):
             return _result(ws, status, c_full, duals=False)
         spent = ws.iterations
 
-    if np.isfinite(lb).all() and np.isfinite(ub).all():
-        # boxed: the dual simplex from the dual feasible slack basis
-        ws = _Workspace(a, senses, b, lb, ub, c)
-        ws.iterations = spent
-        c_full = np.concatenate([c, np.zeros(m)])
-        ws.d = c_full.copy()
-        status = ws.dual(c_full, max_iters + spent, deadline, cutoff)
-        if _settled(ws, status):
-            if status == STATUS_OPTIMAL:
-                # the reduced costs a primal solve of this basis would keep
-                ws.d = c_full - ws.duals(c_full) @ ws.A
-            return _result(ws, status, c_full)
-        spent = ws.iterations
-
-    ws = _Workspace(a, senses, b, lb, ub)
+    # the dual simplex from the dual feasible slack basis
+    ws = _Workspace(a, senses, b, lb, ub, c)
     ws.iterations = spent
-    c_full = np.zeros(ws.A.shape[1])
-
-    if len(ws.artificial):
-        c_full[ws.artificial] = 1.0
-        status = ws.minimize(c_full, max_iters + spent, deadline=deadline)
-        if status in (STATUS_ITERATION_LIMIT, STATUS_TIME_LIMIT):
-            return SimplexResult(
-                status, ws.x[:n].copy(), float(c @ ws.x[:n]), ws.duals(c_full), ws.iterations
-            )
-        if float(ws.x[ws.artificial].sum()) > _FEAS_TOL:
-            return _result(ws, STATUS_INFEASIBLE, c_full)
-        # pin artificials so they can never re-enter
-        ws.lb[ws.artificial] = 0.0
-        ws.ub[ws.artificial] = 0.0
-        c_full[ws.artificial] = 0.0
-
-    c_full[:n] = c
-    status = ws.minimize(c_full, max_iters + spent, deadline=deadline)
+    status = ws.dual(c_full, max_iters + spent, deadline, cutoff)
+    if status != STATUS_ITERATION_LIMIT and not _settled(ws, status):
+        raise NumericalFailure(
+            "the dual simplex ended with a non-finite value or dual infeasible reduced costs")
+    if status == STATUS_OPTIMAL:
+        # the reduced costs of the final basis, free of the loop's round-off
+        ws.d = c_full - ws.duals(c_full) @ ws.A
     return _result(ws, status, c_full)

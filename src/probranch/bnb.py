@@ -353,8 +353,6 @@ def solve_mip(
         if lp_status == _simplex.STATUS_INFEASIBLE:
             closed["infeasible"] += 1
             continue
-        if lp_status == _simplex.STATUS_UNBOUNDED:
-            raise RuntimeError("LP relaxation is unbounded; MILP statuses cannot express this")
         if lp_status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
             limit_hit = True
             heapq.heappush(tree, (parent_bound, node_id, (lb, ub, warm, root, own_bound)))

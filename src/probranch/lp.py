@@ -1,4 +1,4 @@
-"""LP relaxation backends: revised simplex, interior point, and the
+"""LP relaxation backends: bounded dual simplex, interior point, and the
 closed-form knapsack relaxation.
 
 Both backends consume a MipInstance (binaries relaxed to [0, 1]) and
@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _simplex
+from ._simplex import NumericalFailure
 from .model import MipInstance
-
-
-class NumericalFailure(RuntimeError):
-    """The interior-point iteration broke down numerically."""
 
 
 @dataclass
@@ -32,7 +29,7 @@ class LpSolution:
     primal: np.ndarray
     dual: np.ndarray
     objective: float
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    status: str  # optimal | infeasible | iteration_limit
 
 
 def relaxation_arrays(
@@ -46,7 +43,10 @@ def relaxation_arrays(
 
 
 def solve_simplex(instance: MipInstance, max_iters: int = 20000) -> LpSolution:
-    """Solve the LP relaxation with the bounded revised simplex."""
+    """Solve the LP relaxation with the bounded dual simplex.
+
+    Raises NumericalFailure when the simplex breaks down.
+    """
     c, a, senses, b, lb, ub = relaxation_arrays(instance)
     sign = -1.0 if instance.sense == "maximize" else 1.0
     res = _simplex.solve_bounded_lp(sign * c, a, senses, b, lb, ub, max_iters=max_iters)
@@ -59,60 +59,27 @@ def solve_simplex(instance: MipInstance, max_iters: int = 20000) -> LpSolution:
 
 
 def _to_standard_form(c, a, senses, b, lb, ub):
-    """Rewrite min c.x, rows, lb<=x<=ub as min c'.v, A'v=b', v>=0.
+    """Rewrite min c.x, rows, lb<=x<=ub (every bound finite) as min c'.v, A'v=b', v>=0.
 
-    Variable substitutions: x = v + lo for finite lower bounds (a slack
-    row v + w = hi - lo covers a finite upper), x = hi - v when only the
-    upper bound is finite, and x = v+ - v- for free variables.  The
-    returned ``recover`` maps a standard-form vector back to x; the first
-    len(senses) equality rows correspond to the original rows in order.
+    Each column becomes x = v + lb, with a range row v + w = ub - lb.
+    The columns of A' are v, then one slack per inequality row, then w.
+    The returned ``recover`` maps a standard-form vector back to x; the
+    first len(senses) equality rows correspond to the original rows in
+    order.
     """
     m, n = a.shape
-    cols: list[tuple[int, float]] = []  # (original var, scale)
-    const = np.zeros(n)
-    ub_rows: list[tuple[int, float]] = []  # (column, range) for v + w = range
-    for j in range(n):
-        lo, hi = lb[j], ub[j]
-        if np.isfinite(lo):
-            cols.append((j, 1.0))
-            const[j] = lo
-            if np.isfinite(hi):
-                ub_rows.append((len(cols) - 1, hi - lo))
-        elif np.isfinite(hi):
-            cols.append((j, -1.0))
-            const[j] = hi
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-
-    k = len(cols)
-    n_slack = sum(1 for s in senses if s != "=")
-    total = k + n_slack + len(ub_rows)
-    a_s = np.zeros((m + len(ub_rows), total))
-    c_s = np.zeros(total)
-    for idx, (j, sc) in enumerate(cols):
-        a_s[:m, idx] = sc * a[:, j]
-        c_s[idx] = sc * c[j]
-    si = k
-    for r, s in enumerate(senses):
-        if s == "<=":
-            a_s[r, si] = 1.0
-            si += 1
-        elif s == ">=":
-            a_s[r, si] = -1.0
-            si += 1
-    b_s = np.concatenate([b - a @ const, np.zeros(len(ub_rows))])
-    for t, (col, rng) in enumerate(ub_rows):
-        a_s[m + t, col] = 1.0
-        a_s[m + t, si] = 1.0
-        si += 1
-        b_s[m + t] = rng
+    slacked = [r for r, s in enumerate(senses) if s != "="]
+    k = len(slacked)
+    a_s = np.zeros((m + n, 2 * n + k))
+    a_s[:m, :n] = a
+    a_s[slacked, n + np.arange(k)] = [1.0 if senses[r] == "<=" else -1.0 for r in slacked]
+    a_s[m:, :n] = np.eye(n)
+    a_s[m:, n + k:] = np.eye(n)
+    c_s = np.concatenate([c, np.zeros(n + k)])
+    b_s = np.concatenate([b - a @ lb, ub - lb])
 
     def recover(v: np.ndarray) -> np.ndarray:
-        x = const.copy()
-        for idx, (j, sc) in enumerate(cols):
-            x[j] += sc * v[idx]
-        return x
+        return lb + v[:n]
 
     return c_s, a_s, b_s, recover
 

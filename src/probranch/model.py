@@ -25,9 +25,6 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 ROW_SENSES = ("<=", "=", ">=")
 
-_INF_TOKEN = "inf"
-_NEG_INF_TOKEN = "-inf"
-
 
 class MalformedDocumentError(ValueError):
     """An on-disk document could not be parsed or is schema-invalid.
@@ -59,9 +56,10 @@ class MipInstance:
     """A binary/continuous MILP with a parameter tag for its family.
 
     Variables 0..num_binary-1 are binary (implicitly bounded in [0, 1]);
-    the remaining num_continuous variables carry explicit bounds where
-    +-inf is allowed.  ``param_tag`` records the data vector that varies
-    across the instance family this problem belongs to.
+    the remaining num_continuous variables carry explicit bounds, which
+    must be finite: every LP relaxation is boxed.  ``param_tag`` records
+    the data vector that varies across the instance family this problem
+    belongs to.
     """
 
     name: str
@@ -97,8 +95,8 @@ class MipInstance:
                 "continuous_bounds length does not match num_continuous"
             )
         for k, (lo, hi) in enumerate(self.continuous_bounds):
-            if math.isnan(lo) or math.isnan(hi):
-                raise InvariantViolationError(f"continuous bound {k} is NaN")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvariantViolationError(f"continuous bound {k} is not finite: [{lo}, {hi}]")
             if lo > hi:
                 raise InvariantViolationError(f"continuous bound {k}: lower > upper")
         for v in self.param_tag:
@@ -160,29 +158,16 @@ def _check_sparse(coeffs: list[tuple[int, float]], n: int, where: str) -> None:
             raise InvariantViolationError(f"{where}: coefficient at {j} is not finite")
 
 
-def _encode_bound(v: float) -> float | str:
-    if v == math.inf:
-        return _INF_TOKEN
-    if v == -math.inf:
-        return _NEG_INF_TOKEN
-    return v
-
-
-def _decode_bound(v) -> float:
-    if v == _INF_TOKEN:
-        return math.inf
-    if v == _NEG_INF_TOKEN:
-        return -math.inf
+def _decode_bound(v, k: int) -> float:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
-    raise MalformedDocumentError(f"bad bound token {v!r}")
+    raise MalformedDocumentError(f"continuous bound {k}: {v!r} is not a number")
 
 
 def serialize(instance: MipInstance) -> bytes:
     """Serialize an instance to a JSON byte stream.
 
-    Reals round-trip bit-exactly (shortest round-trip decimal printing);
-    infinite continuous bounds are encoded as string sentinels.
+    Reals round-trip bit-exactly (shortest round-trip decimal printing).
     """
     doc = {
         "format_version": FORMAT_VERSION,
@@ -195,9 +180,7 @@ def serialize(instance: MipInstance) -> bytes:
             {"coeffs": [[j, v] for j, v in row.coeffs], "sense": row.sense, "rhs": row.rhs}
             for row in instance.rows
         ],
-        "continuous_bounds": [
-            [_encode_bound(lo), _encode_bound(hi)] for lo, hi in instance.continuous_bounds
-        ],
+        "continuous_bounds": [[lo, hi] for lo, hi in instance.continuous_bounds],
         "param_tag": list(instance.param_tag),
     }
     return json.dumps(doc, allow_nan=False).encode("utf-8")
@@ -264,7 +247,8 @@ def _instance_from_doc(doc: dict) -> MipInstance:
             for row in doc["rows"]
         ],
         continuous_bounds=[
-            (_decode_bound(lo), _decode_bound(hi)) for lo, hi in doc["continuous_bounds"]
+            (_decode_bound(lo, k), _decode_bound(hi, k))
+            for k, (lo, hi) in enumerate(doc["continuous_bounds"])
         ],
         param_tag=[float(v) for v in doc["param_tag"]],
     )

@@ -13,7 +13,7 @@ from probranch.lp import (
     solve_ipm,
     solve_simplex,
 )
-from probranch.model import LinearRow, MipInstance
+from probranch.model import InvariantViolationError, LinearRow, MipInstance
 
 
 def box_lp(c, a, b, sense="minimize", n_cont=0, cont_bounds=()):
@@ -74,18 +74,29 @@ class TestSimplex:
         assert sol.objective == pytest.approx(best, abs=1e-8)
 
     def test_unbounded_detected(self):
-        inst = MipInstance(
-            "unb", "minimize", 0, 1, [(0, -1.0)],
-            [LinearRow([(0, 1.0)], ">=", 0.0)],
-            continuous_bounds=[(0.0, math.inf)],
-        )
-        inst.validate()
-        assert solve_simplex(inst).status == "unbounded"
+        # every LP is boxed: validation rejects a column without a finite
+        # bound, and the simplex refuses one
+        for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            inst = MipInstance(
+                "unb", "minimize", 0, 1, [(0, -1.0)],
+                [LinearRow([(0, 1.0)], ">=", 0.0)],
+                continuous_bounds=[(lo, hi)],
+            )
+            with pytest.raises(InvariantViolationError, match="continuous bound 0 is not finite"):
+                inst.validate()
+            with pytest.raises(ValueError, match="finite"):
+                solve_simplex(inst)
 
     def test_iteration_limit_status(self):
         rng = np.random.default_rng(0)
         inst = random_feasible_lp(rng)
         assert solve_simplex(inst, max_iters=1).status == "iteration_limit"
+        # the limit ends the solve: no fallback spends more
+        c, a, senses, b, lb, ub = relaxation_arrays(inst)
+        for max_iters in (1, 2):
+            res = solve_bounded_lp(c, a, senses, b, lb, ub, max_iters=max_iters)
+            assert res.status == _simplex.STATUS_ITERATION_LIMIT
+            assert res.iterations == max_iters
 
     def test_equality_rows(self):
         # x0 + x1 = 1, minimize x0 -> (0, 1)
@@ -255,3 +266,4 @@ class TestFractionalKnapsack:
 
 def test_ipm_numerical_failure_is_an_exception():
     assert issubclass(NumericalFailure, RuntimeError)
+    assert NumericalFailure is _simplex.NumericalFailure  # one class for both backends

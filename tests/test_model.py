@@ -63,7 +63,8 @@ class TestSerialization:
         for _, inst in fam.instances:
             assert deserialize(serialize(inst)) == inst
 
-    def test_infinite_bound_sentinel(self):
+    def test_infinite_bound_is_rejected(self, tmp_path, capsys):
+        # every LP relaxation is boxed: a continuous bound must be a finite number
         inst = MipInstance(
             name="mixed",
             sense="minimize",
@@ -71,12 +72,27 @@ class TestSerialization:
             num_continuous=1,
             objective=[(1, 2.0)],
             rows=[LinearRow(coeffs=[(0, 1.0), (1, 1.0)], sense="<=", rhs=4.0)],
-            continuous_bounds=[(0.0, math.inf)],
+            continuous_bounds=[(0.0, 3.0)],
         )
-        inst.validate()
-        data = serialize(inst)
-        assert b'"inf"' in data
-        assert deserialize(data) == inst
+        path, out = tmp_path / "mixed.json", tmp_path / "solved.json"
+        path.write_bytes(serialize(inst))
+        doc = json.loads(path.read_bytes())
+        argv = ["solve", "--instance", str(path), "--mode", "plain", "--out", str(out)]
+        assert cli.main(argv) == 0 and out.exists()
+        out.unlink()
+        capsys.readouterr()
+        for bound, error in (('"inf"', MalformedDocumentError), ('"-inf"', MalformedDocumentError),
+                             ("Infinity", InvariantViolationError)):
+            doc["continuous_bounds"] = [[0.0, "BOUND"]]
+            path.write_text(json.dumps(doc).replace('"BOUND"', bound))
+            with pytest.raises(error, match="continuous bound 0"):
+                deserialize(path.read_bytes())
+            assert cli.main(argv) == 1
+            assert "continuous bound 0" in capsys.readouterr().err
+            assert not out.exists()
+        inst.continuous_bounds = [(0.0, math.inf)]
+        with pytest.raises(InvariantViolationError, match="continuous bound 0 is not finite"):
+            inst.validate()
 
     def test_round_trip_over_generator_seeds(self):
         for seed in range(5):

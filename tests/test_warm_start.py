@@ -7,11 +7,13 @@ dual bound reaches the cutoff.  These tests hold each such LP to a cold
 solve of the same node, its carried reduced costs to ones computed
 afresh, each child's first-step bound to its LP optimum (HiGHS), every
 LP after the hull to a warm start and the cutoff, the partition solves
-to no primal cleanup, the hull's infeasible and time-limit ends to
-statuses with no node, the boxed cold solve to its phase-1-free path,
-the partition tree (exact and heuristic mode) to independent oracles on
-randomized instances, the refactorization interval to whole dives, and
-the batched rounding pass to the per-rounder loop it replaced.
+to no cold fallback, the hull's infeasible and time-limit ends to
+statuses with no node, an unsettled warm solve to a cold one and a cold
+one that breaks down to NumericalFailure, the cold solve to its dual
+start from the slack basis, the partition tree (exact and heuristic
+mode) to independent oracles on randomized instances, the
+refactorization interval to whole dives, and the batched rounding pass
+to the per-rounder loop it replaced.
 """
 
 import math
@@ -22,6 +24,7 @@ import pytest
 
 from oracles import (
     binary_enumeration,
+    enumerate_lp_vertices,
     highs_optimum,
     reference_roundings,
     region_rows,
@@ -29,7 +32,7 @@ from oracles import (
     set_packing_dp,
     with_rows,
 )
-from probranch import _simplex, bnb, branching
+from probranch import _simplex, bnb, branching, cli
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import (
     Calibration,
@@ -38,7 +41,7 @@ from probranch.branching import (
 )
 from probranch.generators import gen_ca, gen_scp
 from probranch.lp import relaxation_arrays
-from probranch.model import MAXIMIZE, LinearRow, MipInstance, check_feasible
+from probranch.model import MAXIMIZE, LinearRow, MipInstance, check_feasible, serialize
 from probranch.predict import Prediction, lp_root_predict
 
 EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
@@ -283,26 +286,27 @@ def test_every_lp_after_the_hull_is_warm_and_gets_the_cutoff(monkeypatch, mode):
     assert set(cutoffs[first:]) <= {-obj - EXACT["abs_gap"] for _, obj in rep.incumbent_log}
 
 
-def test_no_primal_cleanup_in_partition_solves(monkeypatch):
-    # the dual simplex ends dual feasible on every region root and node
-    # below it, so no solve needs the primal to finish
-    dual, minimize = _simplex._Workspace.dual, _simplex._Workspace.minimize
-    inside, cleanups = [], []
+def test_no_warm_solve_in_partition_solves_falls_back_cold(monkeypatch):
+    # the warm dual settles on every region root and node below it, so
+    # no warm solve builds a cold workspace
+    init, solve = _simplex._Workspace.__init__, _simplex.solve_bounded_lp
+    warm_calls, inside, fallbacks = [], [], []
 
-    def in_dual(ws, *args, **kwargs):
-        inside.append(ws)
+    def in_solve(*args, warm=None, **kwargs):
+        inside.append(warm is not None)
+        warm_calls.append(warm is not None)
         try:
-            return dual(ws, *args, **kwargs)
+            return solve(*args, warm=warm, **kwargs)
         finally:
             inside.pop()
 
-    def counted(ws, *args, **kwargs):
-        if inside:
-            cleanups.append(ws)
-        return minimize(ws, *args, **kwargs)
+    def counted(ws, *args):
+        if inside and inside[-1]:
+            fallbacks.append(ws)
+        init(ws, *args)
 
-    monkeypatch.setattr(_simplex._Workspace, "dual", in_dual)
-    monkeypatch.setattr(_simplex._Workspace, "minimize", counted)
+    monkeypatch.setattr(_simplex, "solve_bounded_lp", in_solve)
+    monkeypatch.setattr(_simplex._Workspace, "__init__", counted)
     solved = 0
     for _, inst in gen_ca(20, 60, 6, seed=1).instances:
         plain = solve_mip(inst, SolveOptions(**EXACT))
@@ -313,7 +317,7 @@ def test_no_primal_cleanup_in_partition_solves(monkeypatch):
                                   SolveOptions(**EXACT), mode="exact", tightened=tightened)
             assert rep.best.objective == pytest.approx(plain.objective, rel=0, abs=1e-9)
             solved += rep.best.nodes
-    assert solved >= 100 and not cleanups
+    assert solved >= 100 and sum(warm_calls) >= 100 and not fallbacks
 
 
 def test_exact_mode_takes_plain_nodes_when_the_hull_is_integral():
@@ -585,7 +589,7 @@ def test_numerical_failure_falls_back_to_a_cold_solve():
 
 def test_singular_basis_refactorizes_to_nan():
     a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])  # columns 0 and 1 are equal
-    ws = _simplex._Workspace(a, ["<=", "<="], np.ones(2), np.zeros(3), np.ones(3))
+    ws = _simplex._Workspace(a, ["<=", "<="], np.ones(2), np.zeros(3), np.ones(3), np.zeros(3))
     ws.is_basic[ws.basis] = False
     ws.basis = np.array([0, 1])
     ws.is_basic[ws.basis] = True
@@ -629,32 +633,67 @@ def test_cold_solve_keeps_its_final_reduced_costs():
     assert np.array_equal(state.d, c_full - state.duals(c_full) @ state.A)
 
 
-def test_boxed_cold_lp_skips_phase_one_and_unboxed_keeps_it(monkeypatch):
-    primal = []
-    minimize = _simplex._Workspace.minimize
-
-    def counted(ws, *args, **kwargs):
-        primal.append(len(ws.artificial))
-        return minimize(ws, *args, **kwargs)
-
-    monkeypatch.setattr(_simplex._Workspace, "minimize", counted)
-    # set covers: every >= row is violated at the slack basis, so a
-    # primal start needs an artificial column per row
+def test_cold_lp_starts_from_the_dual_feasible_slack_basis():
+    # set covers: every >= row is violated at the slack basis, which the
+    # dual simplex leaves with no artificial column
     for _, inst in gen_scp(20, 60, 0.25, 3, seed=6).instances:
         c, a, senses, b, lb, ub = relaxation_arrays(inst)
         res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
-        assert res.status == _simplex.STATUS_OPTIMAL and not primal
-        assert res.state.A.shape == (len(b), len(c) + len(b))  # no artificial column
+        assert res.status == _simplex.STATUS_OPTIMAL
+        assert res.state.A.shape == (len(b), len(c) + len(b))
         assert res.objective == pytest.approx(lp_optimum(c, a, senses, b, lb, ub), rel=1e-9)
 
-        # one column without an upper bound: the two-phase primal solves it
-        ub = ub.copy()
-        ub[0] = np.inf
-        res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
-        assert res.status == _simplex.STATUS_OPTIMAL
-        assert primal and primal[0] == len(b)  # phase 1 over one artificial per row
-        assert res.objective == pytest.approx(lp_optimum(c, a, senses, b, lb, ub), rel=1e-9)
-        primal.clear()
+
+def test_a_warm_dual_left_dual_infeasible_falls_back_to_a_cold_solve(monkeypatch):
+    inst = tight_mkp(3, 10, 1)
+    c, a, senses, b, lb, ub = relaxation_arrays(inst)
+    c = -c
+    root = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
+    # the nonbasic column of largest reduced cost moves to its other bound,
+    # where that reduced cost has the wrong sign
+    nonbasic = np.nonzero(~root.state.is_basic[: len(c)])[0]
+    j = nonbasic[np.argmax(np.abs(root.state.d[nonbasic]))]
+    warm = root.state.child(lb, ub)
+    warm.x[j] = lb[j] + ub[j] - warm.x[j]
+    warm.basic_values()
+    dual, ends = _simplex._Workspace.dual, []
+
+    def recorded(ws, *args, **kwargs):
+        status = dual(ws, *args, **kwargs)
+        ends.append((status, ws.d is None, float(c @ ws.x[: len(c)]), ws.iterations))
+        return status
+
+    monkeypatch.setattr(_simplex._Workspace, "dual", recorded)
+    res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm)
+    best, _ = enumerate_lp_vertices(c, a, senses, b, lb, ub)
+    # the warm dual ends primal feasible above the optimum, its final
+    # reduced costs dual infeasible, and the cold solve finds the optimum
+    (warm_status, warm_unkept, warm_obj, warm_iters), (cold_status, cold_unkept, *_) = ends
+    assert warm_status == _simplex.STATUS_OPTIMAL and warm_unkept and warm_obj > best + 1.0
+    assert cold_status == _simplex.STATUS_OPTIMAL and not cold_unkept
+    assert res.status == _simplex.STATUS_OPTIMAL
+    assert res.duals is not None  # only a cold solve computes row multipliers
+    assert res.objective == pytest.approx(best, rel=1e-12)
+    assert res.iterations > warm_iters
+
+
+def test_a_cold_solve_that_breaks_down_raises_numerical_failure(monkeypatch, tmp_path, capsys):
+    inst = tight_mkp(5, 15, 1)
+    c, a, senses, b, lb, ub = relaxation_arrays(inst)
+
+    def singular(m):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(_simplex, "REFACTOR_EVERY", 1)  # every pivot refactorizes
+    with pytest.raises(_simplex.NumericalFailure):
+        _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub)
+    path, out = tmp_path / "mkp.json", tmp_path / "solved.json"
+    path.write_bytes(serialize(inst))
+    capsys.readouterr()
+    assert cli.main(["solve", "--instance", str(path), "--mode", "plain", "--out", str(out)]) == 1
+    assert "dual simplex" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class SteppedClock:
