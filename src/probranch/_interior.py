@@ -97,7 +97,10 @@ def solve_standard_form(
             return IpmResult(STATUS_INFEASIBLE, x, y, s, it - 1)
 
         d = x / s
-        mmat = (a * d) @ a.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            mmat = (a * d) @ a.T
+        if not np.isfinite(mmat).all():  # x / s overflowed the normal matrix
+            return IpmResult(STATUS_NUMERICAL, x, y, s, it)
         # a shift relative to the trace would swamp the small rows (bounds
         # beside knapsack rows near 1000) and stall the primal residual
         diag = np.diag_indices_from(mmat)

@@ -81,9 +81,9 @@ CUTOFF_TOL = 1e-9
 class NumericalFailure(RuntimeError):
     """An LP solve broke down numerically.
 
-    The interior-point iteration produced non-finite steps, or a cold
-    dual simplex ended with a non-finite value or dual infeasible
-    reduced costs.
+    The interior-point iteration produced a non-finite normal matrix or
+    step, or a cold dual simplex ended with a non-finite value or dual
+    infeasible reduced costs.
     """
 
 

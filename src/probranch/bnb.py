@@ -27,6 +27,18 @@ fixings.  The closed-form knapsack relaxation's reduced costs are
 d = c + lambda w, with lambda the capacity row's multiplier
 (``_Knapsack``), so the same rule fixes its nodes.
 
+Row propagation: after reduced-cost fixing, every row lhs.x <= rhs
+(``_Roundings``' rows: a >= row negated, an = row in both directions)
+bounds the node's box by its minimum activity L, each coefficient at
+the bound that makes it least (Savelsbergh 1994).  With s = rhs - L +
+tol, tol = PROPAGATION_TOL * max(1, |rhs|), a row with s < 0 holds
+nowhere in the box, which closes the node with no LP; a free binary
+with a_j > s is fixed to 0 and one with -a_j > s to 1.  Rounds repeat
+until none fixes a binary, and ``SolveReport.propagated`` counts the
+fixings.  A partition's count box on t_S reaches its members this way.
+Knapsack nodes skip it, so the closed-form knapsack trees stay a
+control that changes on the LP side leave unmoved.
+
 First-step bounds: when a node branches on x_j, its final tableau row
 of x_j bounds each child's LP from below before that LP is set up
 (``_simplex._Workspace.first_step_gains``, the dual's first
@@ -40,12 +52,13 @@ A popped node closes at the first of these that applies, and
   2. its first-step bound reaches the cutoff plus the dual's
      ``_simplex.CUTOFF_TOL`` relative (the bound is infinite when the
      child is infeasible): closed with no fixing and no LP;
-  3. reduced-cost fixing tightens its box, then its LP is solved; the
-     dual simplex stops as soon as its bound reaches the cutoff
-     (``STATUS_CUTOFF``), and the node closes when the LP is infeasible
-     or its bound reaches the cutoff;
-  4. an integral (or integral after rounding) LP point is accepted;
-  5. otherwise it branches.
+  3. reduced-cost fixing, then row propagation, tightens its box; a
+     row that holds nowhere in it closes the node with no LP;
+  4. its LP is solved; the dual simplex stops as soon as its bound
+     reaches the cutoff (``STATUS_CUTOFF``), and the node closes when
+     the LP is infeasible or its bound reaches the cutoff;
+  5. an integral (or integral after rounding) LP point is accepted;
+  6. otherwise it branches.
 Root boxes are children of the hull, the LP over the least box holding
 them all, solved first and not a node.  An infeasible hull ends the
 solve as "infeasible" with no node, one past the time limit as "limit".
@@ -80,13 +93,18 @@ ROUNDED_ROW_TOL = 1e-9
 # other value is still within the gap.
 FIXING_TOL = 1e-9
 
+# Propagation fixes a binary only when its coefficient exceeds the row's
+# slack by this much, relative to the row's rhs, so an item that fills
+# the slack exactly stays free and round-off cannot close a feasible node.
+PROPAGATION_TOL = 1e-9
+
 # Branching scores this many of the most fractional free binaries, each
 # by the product of its children's first-step gains, floored at SCORE_EPS.
 BRANCH_CANDIDATES = 3
 SCORE_EPS = 1e-6
 
 # The ways a counted node closes, in the order the module docstring gives.
-CLOSED_BY = ("first_step", "cutoff", "infeasible", "integral", "branched")
+CLOSED_BY = ("first_step", "propagated", "cutoff", "infeasible", "integral", "branched")
 
 
 @dataclass
@@ -115,6 +133,7 @@ class SolveReport:
     root_seconds: list[float] = field(default_factory=list)  # per root box
     best_root: int | None = None  # the root whose subtree found best_solution
     fixed: int = 0  # binaries fixed by reduced-cost fixing, over all nodes
+    propagated: int = 0  # binaries fixed by row propagation, over the nodes it left open
     # nodes by the way each closed, one count per CLOSED_BY key; they sum
     # to nodes, less the one node a limit stopped inside its LP
     closed: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CLOSED_BY, 0))
@@ -165,6 +184,59 @@ class _Roundings:
             pts[:, cols] = t
             box = ~(np.maximum(lb[cols] - t, t - ub[cols]) > ROUNDED_ROW_TOL).any(axis=1)
         return pts, box & (pts @ self.lhs.T - self.rhs <= ROUNDED_ROW_TOL).all(axis=1)
+
+
+class _Propagator:
+    """Activity-based propagation of the rows lhs.x <= rhs over a node's box.
+
+    Built on ``_Roundings``' rows; the module docstring gives the rule.
+    Each round takes every row's minimum activity in one product of the
+    rows' positive and negative parts with the box's lower and upper
+    bounds, and every fixing in one comparison of [a, -a] with the
+    slacks.
+    """
+
+    def __init__(self, lhs: np.ndarray, rhs: np.ndarray, n_bin: int):
+        self.n_bin = n_bin
+        a = lhs[:, :n_bin]
+        self.split = np.hstack([np.maximum(lhs, 0.0), np.minimum(lhs, 0.0)])
+        self.limit = rhs + PROPAGATION_TOL * np.maximum(1.0, np.abs(rhs))
+        # column j exceeding a row's slack fixes binary j to 0, column n_bin + j to 1
+        self.steps = np.hstack([a, -a])
+        # the most any binary can move a row: a row whose slack covers it fixes nothing
+        self.reach = np.abs(a).max(axis=1, initial=0.0)
+        # fixing x_j to 0 raises the minimum activity of the rows with
+        # a_ij < 0, fixing it to 1 that of the rows with a_ij > 0; other
+        # fixings leave every slack as it was
+        self.raises = np.vstack([(a < 0.0).any(axis=0), (a > 0.0).any(axis=0)])
+
+    def __call__(self, lb: np.ndarray, ub: np.ndarray):
+        """(lb, ub, count) with the binaries the rows rule out fixed, or
+        None when some row holds nowhere in the box.  Siblings share box
+        arrays, so the box is copied before it changes."""
+        n_bin, given = self.n_bin, None
+        while True:
+            slack = self.limit - self.split @ np.concatenate((lb, ub))
+            if slack.min(initial=0.0) < 0.0:
+                return None
+            if not (self.reach > slack).any():
+                break
+            fix = (self.steps > slack[:, None]).any(axis=0).reshape(2, n_bin)
+            fix &= lb[:n_bin] < ub[:n_bin]
+            if not fix.any():
+                break
+            if given is None:
+                given = lb, ub
+                lb, ub = lb.copy(), ub.copy()
+            # a binary both rules fix ends at its lower bound; the next round closes the node
+            np.copyto(ub[:n_bin], lb[:n_bin], where=fix[0])
+            np.copyto(lb[:n_bin], ub[:n_bin], where=fix[1])
+            if not (fix & self.raises).any():
+                break
+        if given is None:
+            return lb, ub, 0
+        free = np.count_nonzero(given[0][:n_bin] < given[1][:n_bin])
+        return lb, ub, int(free - np.count_nonzero(lb[:n_bin] < ub[:n_bin]))
 
 
 def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
@@ -278,7 +350,7 @@ def solve_mip(
     incumbent_x: np.ndarray | None = None
     incumbent_log: list[tuple[float, float]] = []
     nodes = 0
-    fixed = 0
+    fixed = propagated = 0
     closed = dict.fromkeys(CLOSED_BY, 0)
     limit_hit = False
 
@@ -300,9 +372,11 @@ def solve_mip(
     roundings = _Roundings(a, senses, b, n_bin)
 
     # pure single-row knapsacks have a closed-form node relaxation
-    knapsack = None
+    knapsack = propagate = None
     if instance.num_continuous == 0 and senses == ["<="] and np.all(a[0] > 0):
         knapsack = _Knapsack(c, a[0], float(b[0]))
+    else:
+        propagate = _Propagator(roundings.lhs, roundings.rhs, n_bin)
 
     def node_lp(lb, ub, warm):
         """(status, x, bound, state) of the LP over the box, from a parent's state."""
@@ -348,6 +422,13 @@ def solve_mip(
             lb, ub, k = _fix_by_reduced_costs(
                 warm, lb, ub, n_bin, prune_at - parent_bound, FIXING_TOL * max(1.0, abs(prune_at)))
             fixed += k
+        if propagate is not None:
+            box = propagate(lb, ub)
+            if box is None:
+                closed["propagated"] += 1
+                continue
+            lb, ub, k = box
+            propagated += k
 
         lp_status, x, bound, state = node_lp(lb, ub, warm)
         if lp_status == _simplex.STATUS_INFEASIBLE:
@@ -446,5 +527,6 @@ def solve_mip(
         root_seconds=root_seconds,
         best_root=best_root,
         fixed=fixed,
+        propagated=propagated,
         closed=closed,
     )

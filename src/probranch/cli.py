@@ -187,6 +187,7 @@ def _cmd_solve(args) -> int:
             "best_bound": rep.best_bound,
             "nodes": rep.nodes,
             "fixed": rep.fixed,
+            "propagated": rep.propagated,
             "closed": rep.closed,
             "wall_time": rep.wall_time,
         }
@@ -216,6 +217,7 @@ def _cmd_solve(args) -> int:
             "best_bound": rep.best_bound,
             "nodes": rep.nodes,
             "fixed": rep.fixed,
+            "propagated": rep.propagated,
             "closed": rep.closed,
             "wall_time": rep.wall_time,
             "regions": [

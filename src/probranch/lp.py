@@ -97,7 +97,7 @@ def solve_ipm(instance: MipInstance, max_iters: int = 100, tol: float = 1e-8) ->
     c_s, a_s, b_s, recover = _to_standard_form(sign * c, a, senses, b, lb, ub)
     res = _interior.solve_standard_form(c_s, a_s, b_s, max_iters=max_iters, tol=tol)
     if res.status == _interior.STATUS_NUMERICAL:
-        raise NumericalFailure("interior-point iteration produced non-finite steps")
+        raise NumericalFailure("interior-point iteration produced non-finite values")
     x = recover(res.x)
     m = a.shape[0]
     duals = res.y[:m] if res.y.size >= m else np.zeros(m)

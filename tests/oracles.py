@@ -1,6 +1,6 @@
 """Independent test oracles: exhaustive and DP-based exact solvers, the
-partition's regions written as cut rows, an exact multinomial tail, and
-the greedy closed-form knapsack LP.
+partition's regions written as cut rows, an exact multinomial tail, the
+greedy closed-form knapsack LP, and row propagation one row at a time.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -291,6 +291,41 @@ def highs_optimum(instance) -> float:
         return math.nan
     assert res.status == 0, res.message
     return sign * float(res.fun)
+
+
+def propagate_rows(instance, lb, ub, tol=1e-9):
+    """Activity-based propagation one row and one binary at a time: the propagator's reference.
+
+    Each row a.x <= rhs (a >= row negated, an = row in both directions)
+    has the minimum activity L = sum_j a_j (lb_j if a_j > 0 else ub_j)
+    over the box, and slack s = rhs + tol max(1, |rhs|) - L.  A row with
+    s < 0 holds nowhere in the box: the result is None.  Otherwise a free
+    binary with |a_j| > s goes at once to the bound L took it at, and the
+    rows are swept again until a sweep fixes nothing.  Returns (lb, ub).
+    """
+    rows = []
+    for row in instance.rows:
+        if row.sense != ">=":
+            rows.append((row.coeffs, row.rhs))
+        if row.sense != "<=":
+            rows.append(([(j, -v) for j, v in row.coeffs], -row.rhs))
+    lb, ub = np.array(lb, dtype=float), np.array(ub, dtype=float)
+    swept_clean = False
+    while not swept_clean:
+        swept_clean = True
+        for coeffs, rhs in rows:
+            low = math.fsum(v * (lb[j] if v > 0 else ub[j]) for j, v in coeffs)
+            slack = rhs + tol * max(1.0, abs(rhs)) - low
+            if slack < 0:
+                return None
+            for j, v in coeffs:
+                if j < instance.num_binary and lb[j] < ub[j] and abs(v) > slack:
+                    if v > 0:
+                        ub[j] = lb[j]
+                    else:
+                        lb[j] = ub[j]
+                    swept_clean = False
+    return lb, ub
 
 
 def with_rows(instance, rows):

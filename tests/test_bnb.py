@@ -105,7 +105,7 @@ class TestSolveMip:
         # bound: the popped bounds never decrease, and a popped node whose
         # LP is solved has a bound at most the optimum (both in the
         # solver's internal minimize sense); every other counted node was
-        # closed by its first-step bound
+        # closed by its first-step bound or by row propagation
         events = []  # popped bounds, and None for each node LP
         heappop, solve_lp = heapq.heappop, _simplex.solve_bounded_lp
 
@@ -130,7 +130,7 @@ class TestSolveMip:
             pops = [e for e in events if e is not None]
             assert pops == sorted(pops)
             solved = [e for e, nxt in zip(events, events[1:]) if e is not None and nxt is None]
-            assert len(solved) + rep.closed["first_step"] == rep.nodes
+            assert len(solved) + rep.closed["first_step"] + rep.closed["propagated"] == rep.nodes
             assert all(bound <= opt + 1e-9 for bound in solved)
 
     def test_incumbent_log_strictly_improves(self):

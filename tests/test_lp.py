@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oracles import enumerate_lp_vertices, with_rows
 from probranch import _simplex
 from probranch._simplex import solve_bounded_lp
+from probranch.generators import gen_mkp
 from probranch.lp import (
     NumericalFailure,
     fractional_knapsack,
@@ -267,3 +269,14 @@ class TestFractionalKnapsack:
 def test_ipm_numerical_failure_is_an_exception():
     assert issubclass(NumericalFailure, RuntimeError)
     assert NumericalFailure is _simplex.NumericalFailure  # one class for both backends
+
+
+def test_ipm_overflowing_normal_matrix_raises_numerical_failure():
+    # the iteration on this LP stalls just short of tol while s shrinks,
+    # until x / s overflows (a * d) @ a.T: that must surface as
+    # NumericalFailure, not as the factorization's ValueError
+    _, inst = gen_mkp(3, 10, 24, seed=59).instances[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solve_ipm(inst, max_iters=200)

@@ -1,0 +1,290 @@
+"""Row propagation in branch and bound.
+
+Before its LP, every node that is not a knapsack node fixes the free
+binaries its rows rule out by their minimum activity over its box, and
+closes with no LP when some row holds nowhere in that box.  These tests
+show each rule on hand-built rows (a <= row fixing to 0, a >= row fixing
+to 1, a partition count box fixing its members, an item that fills the
+slack exactly left free), a node the rows close with no LP, knapsack
+nodes skipping the rule, the propagator against a one-row-at-a-time
+loop (``oracles.propagate_rows``) and against every feasible 0/1 point
+of random node boxes, plain and exact solves against independent
+oracles, and ``solve``'s output.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from oracles import binary_enumeration, highs_optimum, propagate_rows, with_rows
+from probranch import _simplex, bnb, cli
+from probranch.bnb import SolveOptions, solve_mip
+from probranch.branching import Calibration, partition_solve
+from probranch.generators import gen_ca, gen_knapsack_uniform, gen_scp
+from probranch.lp import relaxation_arrays
+from probranch.model import LinearRow, MipInstance, check_feasible, serialize
+from probranch.predict import Prediction, lp_root_predict
+from test_warm_start import counted_partition, flipped, tight_mkp, with_continuous
+
+EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
+
+
+def propagator(inst: MipInstance):
+    """(the solver's propagator for inst, lb, ub of inst's own box)."""
+    _, a, senses, b, lb, ub = relaxation_arrays(inst)
+    rows = bnb._Roundings(a, senses, b, inst.num_binary)
+    return bnb._Propagator(rows.lhs, rows.rhs, inst.num_binary), lb, ub
+
+
+def row(coeffs, sense: str, rhs: float) -> LinearRow:
+    return LinearRow([(j, float(v)) for j, v in enumerate(coeffs) if v], sense, float(rhs))
+
+
+def binary_instance(rows: list[LinearRow], n: int) -> MipInstance:
+    return MipInstance("hand", "maximize", n, 0, objective=[(j, 1.0) for j in range(n)], rows=rows)
+
+
+def test_a_le_row_fixes_to_zero_and_a_ge_row_to_one():
+    # 3 x0 + 4 x1 + 2 x2 <= 5 with x0 = 1 leaves slack 2: x1 goes to 0 and
+    # x2, which fills it exactly, stays free; 2 x3 + x4 + x5 >= 3 has slack
+    # 1 over the box: x3 goes to 1, and x4 and x5 stay free
+    inst = binary_instance([row([3, 4, 2], "<=", 5), row([0, 0, 0, 2, 1, 1], ">=", 3)], 6)
+    prop, lb, ub = propagator(inst)
+    lb[0] = 1.0
+    given = lb.copy(), ub.copy()
+    new_lb, new_ub, count = prop(lb, ub)
+    assert count == 2
+    assert new_lb.tolist() == [1, 0, 0, 1, 0, 0]
+    assert new_ub.tolist() == [1, 0, 1, 1, 1, 1]
+    # siblings share box arrays: the caller's are left as they were
+    assert np.array_equal(lb, given[0]) and np.array_equal(ub, given[1])
+    assert prop(new_lb, new_ub)[2] == 0  # a fixed point
+
+
+@pytest.mark.parametrize("side", ["at_most", "at_least"])
+def test_a_count_box_fixes_the_members_of_its_set(side):
+    # partition_solve's form: t = y0 + ... + y5, a count column in [0, 6];
+    # y6 and y7 lie outside the set
+    n, size, k = 8, 6, 2
+    inst = MipInstance(
+        "count", "maximize", n, 1, objective=[(j, 1.0) for j in range(n)],
+        rows=[LinearRow([(j, 1.0) for j in range(size)] + [(n, -1.0)], "=", 0.0)],
+        continuous_bounds=[(0.0, float(size))],
+    )
+    prop, lb, ub = propagator(inst)
+    if side == "at_most":  # t <= 2 with y0 = y1 = 1: every other member is 0
+        ub[n], lb[:k] = k, 1.0
+        forced = lb.copy(), ub.copy()
+        forced[1][k:size] = 0.0
+    else:  # t >= 4 with y0 = y1 = 0: every other member is 1
+        lb[n], ub[:k] = size - k, 0.0
+        forced = lb.copy(), ub.copy()
+        forced[0][k:size] = 1.0
+    new_lb, new_ub, count = prop(lb, ub)
+    assert count == size - k
+    assert np.array_equal(new_lb, forced[0]) and np.array_equal(new_ub, forced[1])
+
+    # one member fewer at its bound leaves every member free, one more
+    # closes the node
+    fewer, more = (lb.copy(), ub.copy()), (lb.copy(), ub.copy())
+    if side == "at_most":
+        fewer[0][k - 1], more[0][k] = 0.0, 1.0
+    else:
+        fewer[1][k - 1], more[1][k] = 1.0, 0.0
+    assert prop(*fewer)[2] == 0
+    assert prop(*more) is None
+
+
+@pytest.mark.parametrize("rhs", [1.0, 1000.0])
+def test_an_item_that_fills_the_slack_exactly_stays_free(rhs):
+    # the slack plus its tolerance, to the last bit: a weight equal to it
+    # stays free and the next float above it is fixed to 0, as is nothing
+    # else; the tolerance is relative to rhs, so at rhs = 1000 an absolute
+    # 1e-9 would fix x0 too
+    edge = rhs + bnb.PROPAGATION_TOL * max(1.0, abs(rhs))
+    inst = binary_instance([row([edge, np.nextafter(edge, np.inf), rhs], "<=", rhs)], 3)
+    prop, lb, ub = propagator(inst)
+    new_lb, new_ub, count = prop(lb, ub)
+    assert count == 1
+    assert new_lb.tolist() == [0, 0, 0] and new_ub.tolist() == [1, 0, 1]
+
+
+def recorded_boxes(monkeypatch) -> list:
+    """The (lb, ub) of every LP solved from here on."""
+    boxes, solve = [], _simplex.solve_bounded_lp
+
+    def recording(c, a, senses, b, lb, ub, **kwargs):
+        boxes.append((lb.copy(), ub.copy()))
+        return solve(c, a, senses, b, lb, ub, **kwargs)
+
+    monkeypatch.setattr(_simplex, "solve_bounded_lp", recording)
+    return boxes
+
+
+def test_the_rows_close_a_node_with_no_lp(monkeypatch):
+    boxes = recorded_boxes(monkeypatch)
+    # x0 + x1 >= 2 and x0 + x1 <= 1 hold nowhere: the root closes unsolved,
+    # and the fixings made on the way are not counted
+    inst = binary_instance([row([1, 1], ">=", 2), row([1, 1], "<=", 1)], 2)
+    rep = solve_mip(inst, options=SolveOptions(**EXACT))
+    assert (rep.status, rep.nodes, rep.propagated, boxes) == ("infeasible", 1, 0, [])
+    assert rep.closed == {**dict.fromkeys(bnb.CLOSED_BY, 0), "propagated": 1}
+
+    # with x2 = 0, x0 + x1 + x2 >= 2 fixes x0 = x1 = 1, which overfills
+    # x0 + x1 <= 1: that root box closes, and no LP is solved inside it
+    inst = binary_instance([row([1, 1, 1], ">=", 2), row([1, 1], "<=", 1)], 3)
+    lb, ub = inst.bounds_arrays()
+    closed_box, open_box = (lb, ub.copy()), (lb.copy(), ub)
+    closed_box[1][2], open_box[0][2] = 0.0, 1.0
+    rep = solve_mip(inst, options=SolveOptions(**EXACT), roots=[closed_box, open_box])
+    assert rep.status == "optimal" and rep.objective == 2.0
+    assert rep.root_nodes[0] == 1 and rep.closed["propagated"] >= 1
+    assert len(boxes) > 1  # the hull and the open box
+    assert not any((lo >= closed_box[0]).all() and (hi <= closed_box[1]).all() for lo, hi in boxes)
+
+
+def test_knapsack_nodes_skip_the_propagator(monkeypatch):
+    calls = []
+    call = bnb._Propagator.__call__
+
+    def counting(self, lb, ub):
+        calls.append(1)
+        return call(self, lb, ub)
+
+    monkeypatch.setattr(bnb._Propagator, "__call__", counting)
+    inst = gen_knapsack_uniform(30, 0.3, 110_000).instance
+    rep = solve_mip(inst, options=SolveOptions(**EXACT))
+    assert rep.nodes > 1 and calls == [] and rep.propagated == 0
+    # a redundant second row leaves the closed form: every node propagates
+    n = inst.num_binary
+    inst = with_rows(inst, [LinearRow([(j, 1.0) for j in range(n)], "<=", float(n))])
+    rep = solve_mip(inst, options=SolveOptions(**EXACT))
+    assert len(calls) == rep.nodes - rep.closed["first_step"] > 1
+
+
+def random_boxes(inst: MipInstance, roots, rng, count: int):
+    """Node boxes inside the given root boxes, which fix no binary: random
+    binaries fixed, count columns narrowed."""
+    n_bin = inst.num_binary
+    for _ in range(count):
+        lo, hi = roots[rng.integers(len(roots))]
+        lb, ub = lo.copy(), hi.copy()
+        picked = rng.choice(n_bin, size=rng.integers(n_bin // 2 + 1), replace=False)
+        lb[picked] = ub[picked] = rng.integers(0, 2, len(picked))
+        for j in range(n_bin, inst.num_vars):  # an integer count interval
+            lb[j], ub[j] = np.sort(rng.integers(int(lo[j]), int(hi[j]) + 1, 2))
+        yield lb, ub
+
+
+def feasible_points(inst: MipInstance) -> np.ndarray:
+    """Every 0/1 point of inst meeting its rows within 1e-9, count columns set by their rows."""
+    n_bin = inst.num_binary
+    _, a, senses, b, _, _ = relaxation_arrays(inst)
+    pts = np.zeros((1 << n_bin, inst.num_vars))
+    pts[:, :n_bin] = (np.arange(1 << n_bin)[:, None] >> np.arange(n_bin)) & 1
+    for j in range(n_bin, inst.num_vars):  # a count column, which its one row sets
+        (i,) = np.flatnonzero(a[:, j])
+        pts[:, j] = (b[i] - pts @ a[i]) / a[i, j]
+    gap = pts @ a.T - b
+    le = np.array([s != ">=" for s in senses])
+    ge = np.array([s != "<=" for s in senses])
+    return pts[((gap <= 1e-9) | ~le).all(axis=1) & ((gap >= -1e-9) | ~ge).all(axis=1)]
+
+
+@pytest.mark.parametrize("family", ["mkp", "ca", "scp", "counted"])
+def test_propagation_matches_the_row_loop_and_keeps_every_feasible_point(monkeypatch, family):
+    rng = np.random.default_rng([len(family), 22])
+    if family == "counted":
+        inst, roots = counted_partition(monkeypatch, tight_mkp(4, 12, 3))
+    else:
+        inst = {"mkp": lambda: tight_mkp(4, 12, 3),
+                "ca": lambda: gen_ca(8, 14, 1, seed=15).instances[0][1],
+                "scp": lambda: gen_scp(7, 10, 0.3, 1, seed=17).instances[0][1]}[family]()
+        roots = [inst.bounds_arrays()]
+    prop, _, _ = propagator(inst)
+    pts = feasible_points(inst)
+    n_bin = inst.num_binary
+    fixed = closed = 0
+    for lb, ub in random_boxes(inst, roots, rng, 300):
+        got, want = prop(lb, ub), propagate_rows(inst, lb, ub)
+        inside = pts[((pts >= lb - 1e-9) & (pts <= ub + 1e-9)).all(axis=1)]
+        if want is None:
+            assert got is None
+            assert len(inside) == 0
+            closed += 1
+            continue
+        new_lb, new_ub, count = got
+        assert type(count) is int  # solve's JSON output carries the sum
+        assert np.array_equal(new_lb, want[0]) and np.array_equal(new_ub, want[1])
+        assert count == np.count_nonzero(lb[:n_bin] < ub[:n_bin]) - np.count_nonzero(
+            new_lb[:n_bin] < new_ub[:n_bin])
+        # no feasible point of the box is lost
+        assert ((inside >= new_lb - 1e-9) & (inside <= new_ub + 1e-9)).all()
+        fixed += count > 0
+    assert fixed >= 20 and closed >= 5
+
+
+def random_instance(seed: int):
+    """(instance, optimum) for one seed: a tight multi-knapsack, an auction or a set cover,
+    every other pair with continuous columns, in either objective sense."""
+    rng = np.random.default_rng([seed, 22])
+    kind = seed % 3
+    if kind == 0:
+        inst = tight_mkp(int(rng.integers(3, 6)), int(rng.integers(12, 17)), 200 + seed)
+    elif kind == 1:
+        inst = gen_ca(int(rng.integers(8, 13)), int(rng.integers(14, 19)), 1, seed=200 + seed).instances[0][1]
+    else:
+        inst = gen_scp(int(rng.integers(7, 11)), int(rng.integers(10, 15)), 0.3, 1,
+                       seed=200 + seed).instances[0][1]
+    if seed % 4 < 2:
+        inst = with_continuous(inst, rng)
+    if rng.integers(2):
+        inst = flipped(inst)
+    if inst.num_continuous:
+        return inst, highs_optimum(inst), rng
+    return inst, binary_enumeration(inst).objective, rng
+
+
+def test_solves_with_propagation_match_the_oracles():
+    propagated = closed = 0
+    for seed in range(12):
+        inst, expected, rng = random_instance(seed)
+        tol = dict(rel=1e-7, abs=1e-7) if inst.num_continuous else dict(rel=0, abs=1e-9)
+
+        plain = solve_mip(inst, options=SolveOptions(**EXACT))
+        assert plain.status == "optimal", seed
+        assert plain.objective == pytest.approx(expected, **tol), seed
+        assert check_feasible(inst, plain.best_solution.values)[0], seed
+        assert sum(plain.closed.values()) == plain.nodes, seed
+
+        if rng.integers(2):
+            pred = lp_root_predict(inst)
+        else:
+            pred = Prediction(rng.random(inst.num_binary), "external")
+        cal = Calibration(tau_star=float(rng.choice([0.6, 0.75])), sigma=0.0, delta=0.05)
+        exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact").best
+        assert exact.status == "optimal", seed
+        assert exact.objective == pytest.approx(expected, **tol), seed
+        assert check_feasible(inst, exact.best_solution.values)[0], seed
+        assert sum(exact.closed.values()) == exact.nodes, seed
+        for rep in (plain, exact):
+            propagated += rep.propagated > 0
+            closed += rep.closed["propagated"] > 0
+    assert propagated >= 12 and closed >= 4
+
+
+def test_solve_prints_the_propagated_binaries_apart_from_the_fixed(tmp_path):
+    inst = tight_mkp(5, 15, 1)
+    path = tmp_path / "mkp.json"
+    path.write_bytes(serialize(inst))
+    for mode in ("plain", "exact"):
+        out = tmp_path / f"{mode}.json"
+        assert cli.main(["solve", "--instance", str(path), "--mode", mode, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert type(doc["propagated"]) is int and doc["propagated"] > 0
+        assert list(doc["closed"]) == list(bnb.CLOSED_BY)
+        assert sum(doc["closed"].values()) == doc["nodes"]
+        if mode == "plain":
+            rep = solve_mip(inst)
+            assert (doc["propagated"], doc["fixed"]) == (rep.propagated, rep.fixed)
