@@ -174,6 +174,41 @@ class _Workspace:
         ws.basic_values()
         return ws
 
+    def with_rows(self, r: np.ndarray, rhs: np.ndarray) -> _Workspace:
+        """This state with the rows r.x <= rhs over the structural columns
+        appended, each with its slack basic.
+
+        With R_B the new rows' coefficients on the basic columns, the
+        basis inverse becomes [[B^-1, 0], [-R_B B^-1, I]], so no
+        refactorization is needed.  The new slacks cost nothing: the old
+        rows' multipliers and the reduced costs d stay as they were (0
+        on the new slacks), so an optimal state stays dual feasible and
+        a warm dual solve over the extended rows restores primal
+        feasibility where a new row cuts off x.  This state is not
+        modified.
+        """
+        k, (m, n) = len(rhs), (self.m, self.n)
+        ws = _Workspace.__new__(_Workspace)
+        ws.m, ws.n = m + k, n
+        ws.A = np.zeros((m + k, n + m + k))
+        ws.A[:m, : n + m] = self.A
+        ws.A[m:, :n] = r
+        ws.A[m:, n + m:] = np.eye(k)
+        r = ws.A[m:, : n + m]  # over the structural and old slack columns
+        ws.binv = np.eye(m + k)
+        ws.binv[:m, :m] = self.binv
+        ws.binv[m:, :m] = -r[:, self.basis] @ self.binv
+        ws.basis = np.concatenate([self.basis, np.arange(n + m, n + m + k)])
+        ws.is_basic = np.concatenate([self.is_basic, np.ones(k, dtype=bool)])
+        ws.lb = np.concatenate([self.lb, np.zeros(k)])
+        ws.ub = np.concatenate([self.ub, np.full(k, np.inf)])
+        ws.b = np.concatenate([self.b, rhs])
+        ws.x = np.concatenate([self.x, rhs - r @ self.x])
+        ws.d = np.concatenate([self.d, np.zeros(k)])
+        ws.pivots = self.pivots
+        ws.degenerate = ws.iterations = 0
+        return ws
+
     def basic_values(self) -> None:
         """x_B from the nonbasic values through the current basis inverse."""
         x_n = np.where(self.is_basic, 0.0, self.x)

@@ -36,8 +36,34 @@ nowhere in the box, which closes the node with no LP; a free binary
 with a_j > s is fixed to 0 and one with -a_j > s to 1.  Rounds repeat
 until none fixes a binary, and ``SolveReport.propagated`` counts the
 fixings.  A partition's count box on t_S reaches its members this way.
-Knapsack nodes skip it, so the closed-form knapsack trees stay a
-control that changes on the LP side leave unmoved.
+A node below a root starts from its parent's propagated box, a fixed
+point of the rows; when neither its branched bound nor its reduced-cost
+fixings raise any row's minimum activity (fixing x_j to 0 raises only
+the rows with a_j < 0, to 1 only those with a_j > 0), its box is at
+that fixed point still and the node skips the call.  Knapsack nodes
+skip it, so the closed-form knapsack trees stay a control that changes
+on the LP side leave unmoved.
+
+Clique cuts: every solve first solves its hull (below), and builds the
+conflict graph of ``_Roundings``' rows once: binaries i != j conflict
+when a row with nonnegative binary coefficients and no continuous
+column has a_i + a_j > rhs + tol, so no 0/1 point of the instance sets
+both to 1 (Atamturk, Nemhauser & Savelsbergh 2000, "Conflict graphs in
+solving integer programming problems").  When the graph has an edge
+and the hull's point x is fractional, up to CUT_ROUNDS = 3 rounds of
+greedy separation run at x: each binary fractional beyond
+INTEGRALITY_TOL, in decreasing x, grows a clique over the binaries with
+positive x, in decreasing x, and the clique is then lifted over the
+binaries at 0, in decreasing degree.  A clique C becomes the row
+sum_C x_j <= 1 (Padberg 1973, "On the facial structure of set packing
+polyhedra") when x(C) > 1 + CLIQUE_VIOLATION and no row yet has its
+support.  The rows enter the hull's optimal state with their slacks
+basic (``_simplex._Workspace.with_rows``), which stays dual feasible,
+and the warm dual re-solves it; a round that finds no cut, an integral
+or non-optimal hull, or the deadline ends the loop.  The rows hold at
+every 0/1 point of the instance, so ``_Roundings``, the propagation and
+every node LP use them, and ``SolveReport.cuts`` counts them.  The
+closed-form knapsack never separates.
 
 First-step bounds: when a node branches on x_j, its final tableau row
 of x_j bounds each child's LP from below before that LP is set up
@@ -60,8 +86,11 @@ A popped node closes at the first of these that applies, and
   5. an integral (or integral after rounding) LP point is accepted;
   6. otherwise it branches.
 Root boxes are children of the hull, the LP over the least box holding
-them all, solved first and not a node.  An infeasible hull ends the
-solve as "infeasible" with no node, one past the time limit as "limit".
+them all (a plain solve's own box), solved first and not a node; a
+child's heap key is the larger of its parent's bound and key, since a
+warm LP over the parent's box can read one ulp below it.  An infeasible
+hull ends the solve as "infeasible" with no node, one past the time
+limit, its cut rounds included, as "limit".
 
 A single solve is single-threaded; concurrent solves on distinct
 instances are safe.  Incumbent timestamps come from a monotonic clock.
@@ -70,6 +99,7 @@ instances are safe.  Incumbent timestamps come from a monotonic clock.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from collections import namedtuple
@@ -103,6 +133,11 @@ PROPAGATION_TOL = 1e-9
 BRANCH_CANDIDATES = 3
 SCORE_EPS = 1e-6
 
+# The hull takes at most this many rounds of clique cuts, each cut
+# violated by the hull's point by more than CLIQUE_VIOLATION.
+CUT_ROUNDS = 3
+CLIQUE_VIOLATION = 1e-6
+
 # The ways a counted node closes, in the order the module docstring gives.
 CLOSED_BY = ("first_step", "propagated", "cutoff", "infeasible", "integral", "branched")
 
@@ -134,6 +169,7 @@ class SolveReport:
     best_root: int | None = None  # the root whose subtree found best_solution
     fixed: int = 0  # binaries fixed by reduced-cost fixing, over all nodes
     propagated: int = 0  # binaries fixed by row propagation, over the nodes it left open
+    cuts: int = 0  # clique rows added at the hull
     # nodes by the way each closed, one count per CLOSED_BY key; they sum
     # to nodes, less the one node a limit stopped inside its LP
     closed: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CLOSED_BY, 0))
@@ -238,6 +274,96 @@ class _Propagator:
         free = np.count_nonzero(given[0][:n_bin] < given[1][:n_bin])
         return lb, ub, int(free - np.count_nonzero(lb[:n_bin] < ub[:n_bin]))
 
+    def moved(self, lb, ub, new_lb, new_ub) -> bool:
+        """Whether fixing binaries from the box [lb, ub] to [new_lb, new_ub]
+        raises some row's minimum activity; if not, a fixed point of the
+        rows stays one."""
+        n_bin = self.n_bin
+        return bool(((new_ub[:n_bin] < ub[:n_bin]) & self.raises[0]).any()
+                    or ((new_lb[:n_bin] > lb[:n_bin]) & self.raises[1]).any())
+
+
+def _conflict_graph(lhs: np.ndarray, rhs: np.ndarray, n_bin: int) -> np.ndarray:
+    """The (n_bin, n_bin) adjacency of binaries that no 0/1 point sets to 1 together.
+
+    Binaries i != j conflict when some row lhs.x <= rhs with nonnegative
+    binary coefficients and no continuous column has a_i + a_j > rhs +
+    PROPAGATION_TOL * max(1, |rhs|).  In a row only the binaries that
+    conflict with its heaviest can conflict at all.  They all do when the
+    two lightest of them do, and such rows enter the graph in one product
+    of these sets; any other row compares its own pairwise.
+    """
+    w = lhs[:, :n_bin]
+    rows = (w >= 0.0).all(axis=1) & ~lhs[:, n_bin:].any(axis=1)
+    w, rhs = w[rows], rhs[rows]
+    limit = rhs + PROPAGATION_TOL * np.maximum(1.0, np.abs(rhs))
+    heavy = w + w.max(axis=1, initial=0.0)[:, None] > limit[:, None]
+    pairs = heavy.sum(axis=1) > 1
+    if not pairs.any():
+        return np.zeros((n_bin, n_bin), dtype=bool)
+    w, limit, heavy = w[pairs], limit[pairs], heavy[pairs]
+    lightest = np.partition(np.where(heavy, w, np.inf), 1, axis=1)[:, :2]
+    whole = lightest.sum(axis=1) > limit
+    h = heavy[whole].astype(float)
+    adj = h.T @ h > 0.0
+    for wi, li, hi in zip(w[~whole], limit[~whole], heavy[~whole]):
+        cols = np.flatnonzero(hi)
+        adj[np.ix_(cols, cols)] |= wi[cols, None] + wi[cols] > li
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+class _Cliques:
+    """Greedy clique separation on the conflict graph of ``_Roundings``' rows.
+
+    The module docstring gives the rule.  Each binary's neighbours are a
+    bit mask, so growing a clique is a walk down the greedy order that
+    keeps the candidates adjacent to every member taken so far.
+    ``seen`` holds the supports of the instance's rows and of the cuts
+    made so far, as tuples of their sorted column indices, so no cut
+    repeats a row.
+    """
+
+    def __init__(self, adj: np.ndarray, a: np.ndarray):
+        """Separation on the conflict graph adj of the rows a."""
+        self.n_bin = len(adj)
+        degree = adj.sum(axis=1)
+        self.by_degree = np.argsort(-degree, kind="stable").tolist()
+        bits = np.packbits(adj, axis=1, bitorder="little")
+        buf, width = bits.tobytes(), bits.shape[1]
+        self.nbrs = [int.from_bytes(buf[i * width:(i + 1) * width], "little")
+                     for i in range(self.n_bin)]
+        # a row with more columns than a clique can have repeats no cut
+        support = a != 0
+        support = support[support.sum(axis=1) <= degree.max(initial=0) + 1]
+        sizes = support.sum(axis=1).tolist()
+        cols = np.nonzero(support)[1].tolist()  # row by row
+        self.seen = {tuple(cols[end - k:end]) for k, end in zip(sizes, itertools.accumulate(sizes))}
+
+    def __call__(self, x: np.ndarray) -> list[np.ndarray]:
+        """The sorted column indices of each new clique that x violates."""
+        y, nbrs = x[: self.n_bin].tolist(), self.nbrs
+        pos = sorted((j for j, v in enumerate(y) if v > INTEGRALITY_TOL), key=lambda j: -y[j])
+        order = pos + [j for j in self.by_degree if y[j] <= INTEGRALITY_TOL]
+        cuts = []
+        for p in pos:
+            if abs(y[p] - round(y[p])) <= INTEGRALITY_TOL:
+                continue
+            clique, cand, total = [p], nbrs[p], y[p]
+            for j in order:
+                if not cand:
+                    break
+                if cand >> j & 1:
+                    clique.append(j)
+                    total += y[j]
+                    cand &= nbrs[j]
+            if total > 1.0 + CLIQUE_VIOLATION:
+                cols = tuple(sorted(clique))
+                if cols not in self.seen:
+                    self.seen.add(cols)
+                    cuts.append(np.array(cols))
+        return cuts
+
 
 def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
     """(lb, ub, count): the box with the binaries the parent's reduced costs rule out fixed.
@@ -316,9 +442,9 @@ def solve_mip(
 ) -> SolveReport:
     """Branch-and-bound solve of the instance, honouring options.
 
-    ``roots`` lists (lb, ub) boxes over all variables, one root node
-    each (default: the instance's own bounds); the solve searches their
-    union.  Each box is a child of the hull.  The subtrees share the
+    ``roots`` lists one or more (lb, ub) boxes over all variables, one
+    root node each (default: the instance's own bounds); the solve
+    searches their union.  Each box is a child of the hull.  The subtrees share the
     incumbent, the limits and the incumbent log; the report counts
     nodes and seconds per root.
 
@@ -339,8 +465,8 @@ def solve_mip(
 
     boxes = [(lb0, ub0)] if roots is None else [
         (np.array(lo, dtype=float), np.array(hi, dtype=float)) for lo, hi in roots]
-    if any(lo.shape != lb0.shape or (lo > hi).any() for lo, hi in boxes):
-        raise ValueError("a root box needs lb <= ub over every variable")
+    if not boxes or any(lo.shape != lb0.shape or (lo > hi).any() for lo, hi in boxes):
+        raise ValueError("a solve needs root boxes, each with lb <= ub over every variable")
     root_nodes = [0] * len(boxes)
     root_seconds = [0.0] * len(boxes)
     root = None  # root box of the node being processed
@@ -375,8 +501,6 @@ def solve_mip(
     knapsack = propagate = None
     if instance.num_continuous == 0 and senses == ["<="] and np.all(a[0] > 0):
         knapsack = _Knapsack(c, a[0], float(b[0]))
-    else:
-        propagate = _Propagator(roundings.lhs, roundings.rhs, n_bin)
 
     def node_lp(lb, ub, warm):
         """(status, x, bound, state) of the LP over the box, from a parent's state."""
@@ -387,17 +511,44 @@ def solve_mip(
         return res.status, res.x, res.objective, res.state
 
     # the hull bounds every root box and is dual feasible under each
-    key, hull = -math.inf, None
-    if roots:
-        lp_status, _, bound, state = node_lp(np.min([lo for lo, _ in boxes], axis=0),
-                                             np.max([hi for _, hi in boxes], axis=0), None)
-        if lp_status == _simplex.STATUS_INFEASIBLE:
-            boxes = []
-        elif lp_status == _simplex.STATUS_OPTIMAL:
-            key, hull = bound, state
+    hull_lb = np.min([lo for lo, _ in boxes], axis=0)
+    hull_ub = np.max([hi for _, hi in boxes], axis=0)
+    lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None)
+    cuts = 0
+    adj = None
+    if knapsack is None and lp_status == _simplex.STATUS_OPTIMAL and (
+            np.abs(x[:n_bin] - np.rint(x[:n_bin])) > INTEGRALITY_TOL).any():
+        adj = _conflict_graph(roundings.lhs, roundings.rhs, n_bin)
+    if adj is not None and adj.any():
+        cliques = _Cliques(adj, a)
+        for _ in range(CUT_ROUNDS):
+            if deadline is not None and time.monotonic() > deadline:
+                break
+            found = cliques(x)
+            if not found:
+                break
+            rows = np.zeros((len(found), a.shape[1]))
+            for r, clique in enumerate(found):
+                rows[r, clique] = 1.0
+            hull = hull.with_rows(rows, np.ones(len(found)))
+            a = np.vstack([a, rows])
+            senses = senses + ["<="] * len(found)
+            b = np.concatenate([b, np.ones(len(found))])
+            cuts += len(found)
+            lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, hull)
+            if lp_status != _simplex.STATUS_OPTIMAL:
+                break
+        if cuts:
+            roundings = _Roundings(a, senses, b, n_bin)
+    if knapsack is None:
+        propagate = _Propagator(roundings.lhs, roundings.rhs, n_bin)
+    key = bound if lp_status == _simplex.STATUS_OPTIMAL else -math.inf
+    if lp_status == _simplex.STATUS_INFEASIBLE:
+        boxes = []
     # open nodes (parent bound, node_id, (lb, ub, parent state, root, own
-    # bound)): a heap by the parent's bound, ties to the older node
-    tree = [(key, k, (lo, hi, hull, k, -math.inf)) for k, (lo, hi) in enumerate(boxes)]
+    # bound, whether the box may be short of a fixed point of the rows)):
+    # a heap by the parent's bound, ties to the older node
+    tree = [(key, k, (lo, hi, hull, k, -math.inf, True)) for k, (lo, hi) in enumerate(boxes)]
     next_id = len(tree)
 
     clock = t0
@@ -412,17 +563,21 @@ def solve_mip(
         parent_bound, node_id, node = heapq.heappop(tree)
         if parent_bound >= prune_at:
             continue
-        lb, ub, warm, root, own_bound = node
+        lb, ub, warm, root, own_bound, stale = node
         nodes += 1
         root_nodes[root] += 1
         if own_bound >= prune_at + _simplex.CUTOFF_TOL * max(1.0, abs(prune_at)):
             closed["first_step"] += 1
             continue
         if warm is not None and prune_at < math.inf:
-            lb, ub, k = _fix_by_reduced_costs(
+            lb_f, ub_f, k = _fix_by_reduced_costs(
                 warm, lb, ub, n_bin, prune_at - parent_bound, FIXING_TOL * max(1.0, abs(prune_at)))
+            if k and propagate is not None and not stale:
+                stale = propagate.moved(lb, ub, lb_f, ub_f)
+            lb, ub = lb_f, ub_f
             fixed += k
-        if propagate is not None:
+        # a box at its parent's fixed point that no fixing moved is at it still
+        if stale and propagate is not None:
             box = propagate(lb, ub)
             if box is None:
                 closed["propagated"] += 1
@@ -436,7 +591,7 @@ def solve_mip(
             continue
         if lp_status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
             limit_hit = True
-            heapq.heappush(tree, (parent_bound, node_id, (lb, ub, warm, root, own_bound)))
+            heapq.heappush(tree, (parent_bound, node_id, (lb, ub, warm, root, own_bound, stale)))
             break  # the node stays open, counted but not closed
         if lp_status == _simplex.STATUS_CUTOFF or bound >= prune_at:
             closed["cutoff"] += 1
@@ -486,10 +641,13 @@ def solve_mip(
         lb_up[j] = 1.0
         ub_dn = ub.copy()
         ub_dn[j] = 0.0
-        up = (lb_up, ub, state, root, bound + gain_up)
-        down = (lb, ub_dn, state, root, bound + gain_dn)
+        moves = (False, False) if propagate is None else propagate.raises[:, j]
+        up = (lb_up, ub, state, root, bound + gain_up, moves[1])
+        down = (lb, ub_dn, state, root, bound + gain_dn, moves[0])
+        # a warm LP over the parent's box can read an ulp below the parent's key
+        key = max(bound, parent_bound)
         for child in ((up, down) if x[j] >= 0.5 else (down, up)):
-            heapq.heappush(tree, (bound, next_id, child))
+            heapq.heappush(tree, (key, next_id, child))
             next_id += 1
 
     wall = time.monotonic() - t0
@@ -528,5 +686,6 @@ def solve_mip(
         best_root=best_root,
         fixed=fixed,
         propagated=propagated,
+        cuts=cuts,
         closed=closed,
     )

@@ -188,6 +188,7 @@ def _cmd_solve(args) -> int:
             "nodes": rep.nodes,
             "fixed": rep.fixed,
             "propagated": rep.propagated,
+            "cuts": rep.cuts,
             "closed": rep.closed,
             "wall_time": rep.wall_time,
         }
@@ -218,6 +219,7 @@ def _cmd_solve(args) -> int:
             "nodes": rep.nodes,
             "fixed": rep.fixed,
             "propagated": rep.propagated,
+            "cuts": rep.cuts,
             "closed": rep.closed,
             "wall_time": rep.wall_time,
             "regions": [

@@ -1,6 +1,7 @@
 """Independent test oracles: exhaustive and DP-based exact solvers, the
 partition's regions written as cut rows, an exact multinomial tail, the
-greedy closed-form knapsack LP, and row propagation one row at a time.
+greedy closed-form knapsack LP, row propagation one row at a time, and
+the rows' conflict graph one pair at a time.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -326,6 +327,35 @@ def propagate_rows(instance, lb, ub, tol=1e-9):
                         lb[j] = ub[j]
                     swept_clean = False
     return lb, ub
+
+
+def conflict_pairs(instance, tol=1e-9):
+    """Pairs (i, j), i < j, of binaries that no 0/1 point of the rows sets to 1 together.
+
+    Each row a.x <= rhs (a >= row negated, an = row in both directions)
+    that has no continuous column and no negative binary coefficient
+    puts every pair with a_i + a_j > rhs + tol max(1, |rhs|) in the
+    graph: the conflict graph's reference, one pair at a time.
+    """
+    n_bin = instance.num_binary
+    pairs = set()
+    for row in instance.rows:
+        for sign in (1.0, -1.0):
+            if (row.sense, sign) in (("<=", -1.0), (">=", 1.0)):
+                continue
+            coef = [0.0] * n_bin
+            for j, v in row.coeffs:
+                if (j >= n_bin and v != 0) or sign * v < 0:
+                    break
+                if j < n_bin:
+                    coef[j] = sign * v
+            else:
+                limit = sign * row.rhs + tol * max(1.0, abs(row.rhs))
+                for i in range(n_bin):
+                    for j in range(i + 1, n_bin):
+                        if coef[i] + coef[j] > limit:
+                            pairs.add((i, j))
+    return pairs
 
 
 def with_rows(instance, rows):

@@ -120,7 +120,8 @@ class TestSolveMip:
 
         monkeypatch.setattr(bnb.heapq, "heappop", pop)
         monkeypatch.setattr(_simplex, "solve_bounded_lp", lp)
-        fams = (gen_mkp(3, 12, 4, seed=23), gen_ca(8, 14, 4, seed=15))
+        # every instance branches: smaller auctions close at the hull's clique cuts
+        fams = (gen_mkp(3, 12, 4, seed=23), gen_ca(20, 60, 4, seed=2))
         for _, inst in (pair for fam in fams for pair in fam.instances):
             events.clear()
             rep = solve_mip(inst, options=SolveOptions(**EXACT))
@@ -231,7 +232,7 @@ class TestBranchingRule:
             picks.append((best, int(gains.sum(axis=1).argmax())))
             # the children carry the winner's own gains as their bounds
             bound = -float(c @ call["x"])  # the solver minimizes -c.x
-            own = {lo[j]: child_bound for lo, _, _, _, child_bound in call["children"]}
+            own = {lo[j]: child_bound for lo, _, _, _, child_bound, _ in call["children"]}
             assert own[0.0] == pytest.approx(bound + gains[best][0], rel=1e-12)
             assert own[1.0] == pytest.approx(bound + gains[best][1], rel=1e-12)
         # the rule moves the choice off the most fractional binary, and
@@ -240,14 +241,15 @@ class TestBranchingRule:
         assert any(best != by_sum for best, by_sum in picks)
 
     def test_with_every_gain_zero_the_most_fractional_wins(self, monkeypatch):
-        # x1, x2, x3 form an odd cycle whose LP optimum is all 0.5: the
-        # candidates tie on fractionality and on score, so x1 wins
+        # x1..x5 form an odd cycle whose LP optimum is all 0.5: the
+        # candidates tie on fractionality and on score, so x1 wins (a
+        # triangle would not do: its clique cut makes the hull integral)
         calls = self.record(monkeypatch, lambda state, cols, targets: np.zeros((len(cols), len(targets))))
-        pair = [(1, 2), (2, 3), (1, 3)]
-        cycle = MipInstance("cycle", "maximize", 4, 0, [(j, 1.0) for j in range(4)],
+        pair = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+        cycle = MipInstance("cycle", "maximize", 6, 0, [(j, 1.0) for j in range(6)],
                             [LinearRow([(i, 1.0), (k, 1.0)], "<=", 1.0) for i, k in pair])
-        assert solve_mip(cycle, SolveOptions(**EXACT)).objective == pytest.approx(2.0)
-        np.testing.assert_allclose(calls[0]["x"], [1.0, 0.5, 0.5, 0.5])
+        assert solve_mip(cycle, SolveOptions(**EXACT)).objective == pytest.approx(3.0)
+        np.testing.assert_allclose(calls[0]["x"], [1.0, 0.5, 0.5, 0.5, 0.5, 0.5])
         assert calls[0]["cols"] == [1, 2, 3]
         assert self.branched_on(calls[0]["lb"], calls[0]["ub"], calls[0]["children"]) == 1
         for _, inst in gen_mkp(3, 12, 2, seed=23).instances:

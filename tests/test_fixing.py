@@ -31,12 +31,16 @@ EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
 
 
 def hand_knapsack() -> MipInstance:
-    """Two rows; items 0-3 are worth taking, item 4 is heavy and nearly worthless."""
+    """Two rows; items 0-3 are worth taking, item 4 is heavy and nearly worthless.
+
+    At capacity 11 no pair of items 0-3 conflicts, so no clique cut
+    closes the root and the tree branches.
+    """
     w1, w2, v = [4, 5, 6, 3, 9], [5, 4, 3, 6, 9], [8, 9, 10, 7, 2]
     return MipInstance(
         "hand", "maximize", 5, 0,
         objective=[(j, float(x)) for j, x in enumerate(v)],
-        rows=[LinearRow([(j, float(x)) for j, x in enumerate(w)], "<=", 10.0)
+        rows=[LinearRow([(j, float(x)) for j, x in enumerate(w)], "<=", 11.0)
               for w in (w1, w2)],
     )
 

@@ -124,16 +124,20 @@ def recorded_boxes(monkeypatch) -> list:
 
 def test_the_rows_close_a_node_with_no_lp(monkeypatch):
     boxes = recorded_boxes(monkeypatch)
-    # x0 + x1 >= 2 and x0 + x1 <= 1 hold nowhere: the root closes unsolved,
-    # and the fixings made on the way are not counted
-    inst = binary_instance([row([1, 1], ">=", 2), row([1, 1], "<=", 1)], 2)
+    # x0 + x1 >= 1.5 fixes x0 = x1 = 1, which overfills x0 + x1 <= 1.5:
+    # the LP holds at x0 + x1 = 1.5, so the hull is solved, but the root
+    # closes unsolved, and the fixings made on the way are not counted
+    inst = binary_instance([row([1, 1], ">=", 1.5), row([1, 1], "<=", 1.5)], 2)
     rep = solve_mip(inst, options=SolveOptions(**EXACT))
-    assert (rep.status, rep.nodes, rep.propagated, boxes) == ("infeasible", 1, 0, [])
+    hull = [([0.0, 0.0], [1.0, 1.0])]
+    assert (rep.status, rep.nodes, rep.propagated) == ("infeasible", 1, 0)
+    assert [(lo.tolist(), hi.tolist()) for lo, hi in boxes] == hull
     assert rep.closed == {**dict.fromkeys(bnb.CLOSED_BY, 0), "propagated": 1}
 
     # with x2 = 0, x0 + x1 + x2 >= 2 fixes x0 = x1 = 1, which overfills
     # x0 + x1 <= 1: that root box closes, and no LP is solved inside it
     inst = binary_instance([row([1, 1, 1], ">=", 2), row([1, 1], "<=", 1)], 3)
+    boxes.clear()
     lb, ub = inst.bounds_arrays()
     closed_box, open_box = (lb, ub.copy()), (lb.copy(), ub)
     closed_box[1][2], open_box[0][2] = 0.0, 1.0
@@ -144,23 +148,71 @@ def test_the_rows_close_a_node_with_no_lp(monkeypatch):
     assert not any((lo >= closed_box[0]).all() and (hi <= closed_box[1]).all() for lo, hi in boxes)
 
 
-def test_knapsack_nodes_skip_the_propagator(monkeypatch):
-    calls = []
-    call = bnb._Propagator.__call__
+def counted_calls(monkeypatch) -> list:
+    """One entry per propagator call from here on."""
+    calls, call = [], bnb._Propagator.__call__
 
     def counting(self, lb, ub):
         calls.append(1)
         return call(self, lb, ub)
 
     monkeypatch.setattr(bnb._Propagator, "__call__", counting)
+    return calls
+
+
+def force_calls(monkeypatch) -> None:
+    """Every node below a root calls the propagator from here on: each
+    fixing counts as raising some row's minimum activity."""
+    init = bnb._Propagator.__init__
+
+    def forcing(self, *args):
+        init(self, *args)
+        self.raises[:] = True
+
+    monkeypatch.setattr(bnb._Propagator, "__init__", forcing)
+
+
+def test_knapsack_nodes_skip_the_propagator(monkeypatch):
+    calls = counted_calls(monkeypatch)
     inst = gen_knapsack_uniform(30, 0.3, 110_000).instance
     rep = solve_mip(inst, options=SolveOptions(**EXACT))
     assert rep.nodes > 1 and calls == [] and rep.propagated == 0
-    # a redundant second row leaves the closed form: every node propagates
+    # a redundant second row leaves the closed form: with every call
+    # forced, every node propagates
+    force_calls(monkeypatch)
     n = inst.num_binary
     inst = with_rows(inst, [LinearRow([(j, 1.0) for j in range(n)], "<=", float(n))])
     rep = solve_mip(inst, options=SolveOptions(**EXACT))
     assert len(calls) == rep.nodes - rep.closed["first_step"] > 1
+
+
+@pytest.mark.parametrize("family", ["ca", "mkp"])
+def test_a_node_at_its_parents_fixed_point_skips_the_propagator(monkeypatch, family):
+    # a child whose branched column and reduced-cost fixings raise no
+    # row's minimum activity starts at its parent's fixed point: skipping
+    # its call leaves every tree bit-identical to the one with every call
+    if family == "ca":
+        insts = [inst for _, inst in gen_ca(20, 60, 6, seed=3).instances]
+    else:
+        insts = [tight_mkp(5, 15, s) for s in range(1, 7)]
+    calls = counted_calls(monkeypatch)
+    runs = []
+    for forced in (False, True):
+        if forced:
+            force_calls(monkeypatch)
+        calls.clear()
+        reps = []
+        for inst in insts:
+            reps.append(solve_mip(inst, options=SolveOptions(**EXACT)))
+            if family == "mkp":
+                reps.append(partition_solve(inst, lp_root_predict(inst), Calibration(0.75, 0.0, 0.05),
+                                            SolveOptions(**EXACT), mode="exact").best)
+        runs.append((len(calls), [(r.nodes, r.objective, r.fixed, r.propagated, r.cuts, r.closed,
+                                   r.best_solution.values.tolist()) for r in reps]))
+    (skipping, trees), (forced, forced_trees) = runs
+    assert trees == forced_trees
+    assert forced == sum(r[0] - r[5]["first_step"] for r in trees)  # every node called it
+    assert skipping < 0.8 * forced
 
 
 def random_boxes(inst: MipInstance, roots, rng, count: int):
