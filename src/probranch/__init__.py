@@ -1,7 +1,7 @@
 """probranch: probabilistic cardinality branching on an in-repo MILP solver.
 
 The package bundles a problem/solution data model, dense LP backends
-(bounded revised simplex and a predictor-corrector interior point), an
+(bounded dual simplex and a predictor-corrector interior point), an
 LP-based branch-and-bound solver, per-variable probability predictors,
 the cardinality-hyperplane branching machinery, seeded instance
 generators, and a benchmark/validation harness with a CLI front end.

@@ -9,24 +9,31 @@ dual feasible with d = c, and the bounded dual simplex below restores
 primal feasibility; an optimal return recomputes d = c - (c_B B^-1) A
 from the final basis.
 
+Every nonbasic column sits exactly on one of its bounds: the start puts
+it there, a pivot's leaving variable leaves at the bound it violated,
+and a bound flip assigns the other bound instead of adding the span,
+so no round-off can leave a column between its bounds.  A column's side
+is read from x == lb.
+
 A warm solve reoptimizes from the final state of an earlier optimal
 solve of the same rows under a box within that solve's box, as a
 branch-and-bound child's box lies within its parent's.  Reduced costs
 do not depend on the bounds, and each nonbasic column moves onto the
-same side of the tighter box, so the basis stays dual feasible, only
-x_B is recomputed, and the reduced costs d an optimal solve ends
-with are carried in its state and start its children's solves.  A
-bounded dual simplex then restores primal feasibility: the most
-infeasible basic variable leaves (infeasibility measured against the
-norm of its row of B^-1, the dual steepest edge), and a bound-flipping
-ratio test over the movable nonbasic columns picks the entering one;
-when every eligible column at its helpful bound still leaves the row
-infeasible, the LP is infeasible.  Within the dual loop x_B, d and the
-basic bounds are updated at each pivot and flip, not gathered again.
-A warm solve that does not settle (an iteration limit, a non-finite
-value, or round-off leaving the final reduced costs dual infeasible)
-falls back to a cold one.  A cold solve returns STATUS_ITERATION_LIMIT
-at the iteration limit, and raises NumericalFailure when it ends with a
+same side of the tighter box, so the basis stays dual feasible, every
+nonbasic column stays on a bound, only x_B is recomputed, and the
+reduced costs d an optimal solve ends with are carried in its state
+and start its children's solves.  A bounded dual simplex then restores
+primal feasibility: the most infeasible basic variable leaves
+(infeasibility measured against the norm of its row of B^-1, the dual
+steepest edge), and the bound-flipping ratio test ``_ratio_test`` picks
+the entering column and the columns flipped on the way; when every
+eligible column at its helpful bound still leaves the row infeasible,
+the LP is infeasible.  Within the dual loop x_B, d and the basic bounds
+are updated at each pivot and flip, not gathered again.  A warm solve
+that does not settle (an iteration limit, a non-finite value, or
+round-off leaving the final reduced costs dual infeasible) falls back
+to a cold one.  A cold solve returns STATUS_ITERATION_LIMIT at the
+iteration limit, and raises NumericalFailure when it ends with a
 non-finite value or dual infeasible reduced costs.
 
 While the basis is dual feasible, the objective c.x of the dual's basic
@@ -35,8 +42,9 @@ dual tracks it (the nonbasic part updated on each flip and pivot) and
 stops with STATUS_CUTOFF as soon as it reaches the cutoff while rows
 are still infeasible.  The same argument bounds a branch-and-bound
 child from its parent's final tableau before the child's LP is set up:
-``_Workspace.first_step_gains`` runs the dual's first bound-flipping
-ratio test on the row of each branching candidate.
+``_Workspace.first_step_gains`` runs the same ``_ratio_test`` on the
+row of each branching candidate, so each gain is the rise of c.x over
+the child's first dual iteration.
 
 A ``deadline`` (a ``time.monotonic()`` instant) stops the dual between
 iterations with STATUS_TIME_LIMIT; that stop never falls back to a cold
@@ -113,6 +121,51 @@ def _slack_bounds(sense: str) -> tuple[float, float]:
     raise ValueError(f"bad row sense {sense!r}")
 
 
+def _ratio_test(alpha, d, h, span, gap, rises, bland=False):
+    """The bound-flipping ratio test on one row of the tableau (Fourer 1994).
+
+    A basic variable with tableau row alpha = (B^-1 A)_r lies ``gap``
+    short of the bound it must reach, below it when ``rises``.  A
+    nonbasic column k is eligible when moving it off its bound, the way
+    h_k allows, pushes that variable toward the bound; its breakpoint is
+    the dual step |d_k|/|alpha_k| at which its reduced cost reaches 0,
+    and moving it through its whole span closes |alpha_k|·span_k of the
+    gap.  The walk takes the breakpoints in order, ties to the largest
+    pivot |alpha_k| and then the lowest index (the lowest index alone
+    under Bland's rule), and flips each column to its other bound while
+    the gap stays open after the flip; the column that closes it enters.
+    When the first breakpoint closes the gap alone, no walk is needed.
+
+    Returns (q, flips, gain): the entering column, the flipped columns
+    in walk order and the rise of the dual objective over the step,
+    which is the cost of the move.  When the eligible columns cannot
+    close the gap the row proves the LP infeasible: (None, None, inf).
+    """
+    ha = h * alpha
+    cols = (ha > _PIVOT_TOL if rises else ha < -_PIVOT_TOL).nonzero()[0]
+    if not len(cols):
+        return None, None, math.inf
+    mag = np.abs(alpha[cols])
+    ratios = np.abs(d[cols]) / mag
+    reach = mag * span[cols]
+    # the first breakpoint: least ratio, ties to the largest pivot, then
+    # (as in the full order below) the lowest index
+    i = int(ratios.argmin())
+    tied = ratios == ratios[i]
+    if np.count_nonzero(tied) > 1:
+        i = int(np.where(tied, mag, -1.0).argmax())
+    if not bland and gap - reach[i] <= _FEAS_TOL:
+        return int(cols[i]), cols[:0], float(ratios[i] * gap)
+    order = np.lexsort((cols if bland else -mag, ratios))
+    left = gap - reach[order].cumsum()  # the gap left after each breakpoint's flip
+    k = int((left <= _FEAS_TOL).argmax())
+    if left[k] > _FEAS_TOL:
+        return None, None, math.inf
+    whole = order[:k]  # columns flipped through their whole span
+    gain = ratios[whole] @ reach[whole] + ratios[order[k]] * (left[k - 1] if k else gap)
+    return int(cols[order[k]]), cols[whole], float(gain)
+
+
 class _Workspace:
     """Mutable solver state over the extended (structural+slack) system.
 
@@ -151,12 +204,11 @@ class _Workspace:
         self.d = np.concatenate([c, np.zeros(m)])
 
     def child(self, lb: np.ndarray, ub: np.ndarray) -> _Workspace:
-        """A copy of this state under new structural bounds, x_B recomputed.
+        """A copy of this state under a box within its own, x_B recomputed.
 
-        Nonbasic variables move onto their new bounds where they left
-        them.  The extended matrix, b, the carried reduced costs and the
-        pivot count are inherited; only the arrays a solve writes are
-        copied.
+        Nonbasic variables move onto the same side of the new box.  The
+        extended matrix, b, the carried reduced costs and the pivot count
+        are inherited; only the arrays a solve writes are copied.
         """
         ws = _Workspace.__new__(_Workspace)
         ws.m, ws.n, ws.A, ws.b = self.m, self.n, self.A, self.b
@@ -245,18 +297,17 @@ class _Workspace:
         the cold start and every optimal state have.  The leaving
         variable is the basic one whose bound violation is largest
         against the norm of its row of B^-1 (dual steepest edge), and it
-        leaves at the bound it violates.  The ratio test walks the
-        breakpoints of the movable nonbasic columns in order and flips
-        each boxed one to its other bound while the leaving row stays
-        infeasible after the flip (the bound-flipping ratio test); the
-        column where that stops enters.  x_B and the basic bounds live
-        in the loop and x_B is written back to ``x`` on every return.
-        Returns STATUS_OPTIMAL when the basis is primal feasible; only
-        if its reduced costs are dual feasible too does it keep them as
-        ``d``, with the nonbasic signs ``h``, ``free`` and ``span`` the
-        first-step bound reads, so an optimal return that leaves ``d``
-        None means round-off left one of the wrong sign.  It returns
-        STATUS_INFEASIBLE when the leaving row stays infeasible
+        leaves at the bound it violates.  ``_ratio_test`` on its row
+        picks the entering column and the boxed columns flipped to their
+        other bound on the way; a flip assigns that bound, so every
+        nonbasic column stays exactly on one of its bounds.  x_B and the
+        basic bounds live in the loop and x_B is written back to ``x`` on
+        every return.  Returns STATUS_OPTIMAL when the basis is primal
+        feasible; only if its reduced costs are dual feasible too does it
+        keep them as ``d``, with the nonbasic sides ``h`` the first-step
+        gains and reduced-cost fixing read, so an optimal return that
+        leaves ``d`` None means round-off left one of the wrong sign.  It
+        returns STATUS_INFEASIBLE when the leaving row stays infeasible
         with every eligible column at its helpful bound, STATUS_CUTOFF
         when rows are still infeasible but the objective c.x of the
         basic solution, a lower bound on the LP while the basis is dual
@@ -268,16 +319,12 @@ class _Workspace:
         d = self.d.copy()
         self.d = None
         span = self.ub - self.lb
-        at_lb = np.abs(x - self.lb) <= 1e-9
-        at_ub = np.abs(x - self.ub) <= 1e-9
         movable = span > _PIVOT_TOL
         movable[basis] = False
-        # h is -1 where a nonbasic column can only rise (it sits at its
-        # lower bound), +1 where it can only fall and 0 where it cannot
-        # move; a free column (movable, at neither bound) moves either way
-        h = np.where(at_lb, -1.0, np.where(at_ub, 1.0, 0.0)) * movable
-        free = movable & (h == 0.0)
-        any_free = np.count_nonzero(free)
+        # h is -1 where a nonbasic column sits at its lower bound (it can
+        # only rise), +1 where it sits at its upper (it can only fall) and
+        # 0 where it cannot move
+        h = np.where(x == self.lb, -1.0, 1.0) * movable
         xb, lb_b, ub_b = x[basis], self.lb[basis], self.ub[basis]
         binv = self.binv
         track = math.isfinite(cutoff)
@@ -310,50 +357,25 @@ class _Workspace:
                 rows = binv[bad]
                 r = int(bad[(infeas[bad] ** 2 / (rows * rows).sum(axis=1)).argmax()])
 
-            # x_p rises to its lower bound or falls to its upper; a column
-            # is eligible when moving it the way it can pushes x_p that way
+            # x_p rises to its lower bound or falls to its upper
             rises = xb[r] < lb_b[r]
             alpha = binv[r] @ A
-            ha = h * alpha
-            eligible = ha > _PIVOT_TOL if rises else ha < -_PIVOT_TOL
-            if any_free:
-                eligible |= free & (np.abs(alpha) > _PIVOT_TOL)
-            cols = eligible.nonzero()[0]
-            if not len(cols):
+            q, flips, _ = _ratio_test(alpha, d, h, span, infeas[r], rises, bland)
+            if q is None:
                 status = STATUS_INFEASIBLE
                 break
-            mag = np.abs(alpha[cols])
-            ratios = np.abs(d[cols]) / mag
-            # the first breakpoint: least ratio, ties to the largest pivot,
-            # then (as in the full order below) the lowest index
-            i = int(ratios.argmin())
-            tied = ratios == ratios[i]
-            if np.count_nonzero(tied) > 1:
-                i = int(np.where(tied, mag, -1.0).argmax())
-            k = 0
-            if bland or infeas[r] - mag[i] * span[cols[i]] > _FEAS_TOL:
-                # ties go to the largest pivot, or under Bland's rule to the lowest index
-                order = np.lexsort((cols if bland else -mag, ratios))
-                # infeasibility of row p left after each breakpoint's column flips
-                left = infeas[r] - (mag * span[cols])[order].cumsum()
-                k = int((left <= _FEAS_TOL).argmax())
-                if left[k] > _FEAS_TOL:
-                    status = STATUS_INFEASIBLE
-                    break
-                i = int(order[k])
-            q = int(cols[i])
-            if ratios[i] <= _DEGEN_TOL:
+            theta = d[q] / alpha[q]
+            if abs(theta) <= _DEGEN_TOL:
                 self.degenerate += 1
 
-            if k:
-                flips = cols[order[:k]]
-                delta = np.where(h[flips] > 0, -span[flips], span[flips])
-                x[flips] += delta
+            if len(flips):
+                to = np.where(h[flips] > 0, self.lb[flips], self.ub[flips])
+                delta = to - x[flips]
+                x[flips] = to
                 xb -= binv @ (A[:, flips] @ delta)
                 if track:
                     c_n += float(c[flips] @ delta)
-                h[flips] = np.sign(delta)
-                free[flips] = False
+                h[flips] = -h[flips]
             w = binv @ A[:, q]
             leaving = basis[r]
             bound = lb_b[r] if rises else ub_b[r]
@@ -365,19 +387,16 @@ class _Workspace:
                 c_b[r] = c[q]
             x[leaving] = bound
             lb_b[r], ub_b[r] = self.lb[q], self.ub[q]
-            d -= (d[q] / alpha[q]) * alpha
+            d -= theta * alpha
             d[q] = h[q] = 0.0
-            free[q] = False
             h[leaving] = (-1.0 if rises else 1.0) if span[leaving] > _PIVOT_TOL else 0.0
             self.pivot(r, q, w)
             if not self.pivots:  # refactorized: a new B^-1, and x_B recomputed in x
                 binv, xb = self.binv, x[basis]
         x[basis] = xb
         if status == STATUS_OPTIMAL:
-            dual_infeasible = np.count_nonzero(h * d > _DUAL_TOL) or (
-                any_free and np.count_nonzero(np.abs(d[free]) > _DUAL_TOL))
-            if not dual_infeasible:
-                self.d, self.h, self.free, self.span = d, h, free, span
+            if not np.count_nonzero(h * d > _DUAL_TOL):
+                self.d, self.h = d, h
         return status
 
     def first_step_gains(self, cols, targets) -> np.ndarray:
@@ -386,52 +405,28 @@ class _Workspace:
         One row per column j of ``cols``, one entry per target.  The
         state is optimal; a child that moves one bound of x_j past its
         value differs from it in row r of x_j alone, and this basis is
-        dual feasible for the child.  The dual's first bound-flipping
-        ratio test on that row (Driebeek's penalty) moves the eligible
-        nonbasic columns in |d_k|/|alpha_k| order, each through its
-        span, until x_j reaches the target; the cost of that move is a
-        valid lower bound on the child's LP minus this one.  It is
-        infinite when the eligible columns cannot close the gap, which
-        is the dual's infeasibility test, and 0 when the gap is within
-        the feasibility tolerance or x_j is not basic.  The tableau rows
-        of all the columns come from one product with B^-1.
+        dual feasible for the child.  The gain is ``_ratio_test`` on that
+        row, the dual's own first step (Driebeek's penalty): the cost of
+        moving the eligible nonbasic columns in |d_k|/|alpha_k| order,
+        each through its span, until x_j reaches the target, a valid
+        lower bound on the child's LP minus this one and exactly the rise
+        of c.x over the child's first dual iteration.  It is infinite
+        when the eligible columns cannot close the gap, which is the
+        dual's infeasibility test, and 0 when the gap is within the
+        feasibility tolerance or x_j is not basic.  The tableau rows of
+        all the columns come from one product with B^-1.
         """
         cols = np.asarray(cols)
         gains = np.zeros((len(cols), len(targets)))
         basic = np.nonzero(self.is_basic[cols])[0]
         rows = (self.basis == cols[basic, None]).argmax(axis=1)
-        any_free = self.free.any()
+        span = self.ub - self.lb
         for i, alpha in zip(basic, self.binv[rows] @ self.A):
             xj = self.x[cols[i]]
-            ha = self.h * alpha
-            moves_any = self.free & (np.abs(alpha) > _PIVOT_TOL) if any_free else None
             for t, target in enumerate(targets):
                 gap = abs(target - xj)
-                if gap <= _FEAS_TOL:
-                    continue
-                # as in ``dual``: x_j rises to the target or falls to it
-                eligible = ha > _PIVOT_TOL if target > xj else ha < -_PIVOT_TOL
-                if moves_any is not None:
-                    eligible |= moves_any
-                movers = eligible.nonzero()[0]
-                if not len(movers):
-                    gains[i, t] = math.inf
-                    continue
-                mag = np.abs(alpha[movers])
-                ratios = np.abs(self.d[movers]) / mag
-                reach = mag * self.span[movers]
-                k = ratios.argmin()
-                if gap - reach[k] <= _FEAS_TOL:  # the cheapest column closes the gap alone
-                    gains[i, t] = ratios[k] * gap
-                    continue
-                order = np.argsort(ratios, kind="stable")
-                left = gap - reach[order].cumsum()
-                k = int((left <= _FEAS_TOL).argmax())
-                if left[k] > _FEAS_TOL:
-                    gains[i, t] = math.inf
-                    continue
-                whole = order[:k]  # columns moved through their whole span
-                gains[i, t] = ratios[whole] @ reach[whole] + ratios[order[k]] * left[k - 1]
+                if gap > _FEAS_TOL:
+                    gains[i, t] = _ratio_test(alpha, self.d, self.h, span, gap, target > xj)[2]
         return gains
 
 
@@ -476,14 +471,16 @@ def solve_bounded_lp(
     """Minimize c.x subject to rows (a, senses, b) and bounds lb <= x <= ub.
 
     Every bound must be finite.  ``warm`` is the ``state`` of an optimal
-    earlier solve of the same c, a, senses and b under other bounds; the
-    solve then reoptimizes from its basis with the dual simplex and falls
-    back to a cold solve when that does not settle (``_settled``).
-    ``iterations`` counts both.  ``warm`` is never modified, so one state
-    can seed several solves.  A warm solve that needs no fallback
-    computes no row multipliers: its ``duals`` is None.  Past
-    ``deadline`` (a ``time.monotonic()`` instant) the solve stops with
-    STATUS_TIME_LIMIT, warm or cold.  A solve whose bound reaches a
+    earlier solve of the same c, a, senses and b under a box that holds
+    this one, as a parent's box holds its children's: only then does
+    each nonbasic column land on a bound of the new box on the side its
+    reduced cost prefers.  The solve then reoptimizes from its basis with
+    the dual simplex and falls back to a cold solve when that does not
+    settle (``_settled``).  ``iterations`` counts both.  ``warm`` is never
+    modified, so one state can seed several solves.  A warm solve that
+    needs no fallback computes no row multipliers: its ``duals`` is None.
+    Past ``deadline`` (a ``time.monotonic()`` instant) the solve stops
+    with STATUS_TIME_LIMIT, warm or cold.  A solve whose bound reaches a
     finite ``cutoff`` stops with STATUS_CUTOFF; its ``objective`` is
     that bound.  A cold solve that ends with a non-finite value or dual
     infeasible reduced costs raises NumericalFailure.

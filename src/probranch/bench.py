@@ -6,9 +6,11 @@ then give the plain solver the same instance and measure the time to
 reach F.  Aggregation uses the shifted geometric mean and the speedup
 ratio of the two SGMs.
 
-The validators draw large Monte-Carlo samples against the analytic tail
-bounds used by the hyperplane construction, and replay the data-free
-construction on uniform random knapsacks.
+The validators draw large Monte-Carlo samples of binomial and uniform
+variables against textbook tail bounds (Hoeffding, Bernstein, Chebyshev
+and the uniform-bins union bound), not against the program's own
+output, and replay the data-free construction on uniform random
+knapsacks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -293,32 +295,10 @@ def report_emit(report: BenchReport, path_prefix: str | Path) -> tuple[Path, Pat
     prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
-    columns = [
-        "instance",
-        "objective",
-        "t_method",
-        "t_original",
-        "nodes_method",
-        "nodes_plain",
-        "status_method",
-        "status_plain",
-    ]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.instance,
-                    row.objective,
-                    row.t_method,
-                    "" if row.t_original is None else row.t_original,
-                    row.nodes_method,
-                    row.nodes_plain,
-                    row.status_method,
-                    row.status_plain,
-                ]
-            )
+        writer = csv.writer(fh)  # it writes None (no t_original) as ""
+        writer.writerow(f.name for f in fields(BenchRow))
+        writer.writerows(astuple(row) for row in report.rows)
     summary = {
         "speedup": report.speedup,
         "sgm_method": report.sgm_method,

@@ -370,18 +370,18 @@ def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
 
     ``warm`` is the parent's optimal LP state and ``gap`` the cutoff
     minus the parent's bound.  A free binary nonbasic at its lower bound
-    with d_j > gap + tol is fixed there, one at its upper bound with
-    -d_j > gap + tol likewise.  Siblings share box arrays, so an array
-    is copied before it changes.
+    (h_j = -1 in the state) with d_j > gap + tol is fixed there, one at
+    its upper bound (h_j = +1) with -d_j > gap + tol likewise.  Siblings
+    share box arrays, so an array is copied before it changes.
     """
     d = warm.d[:n_bin]
     hit = np.abs(d) > gap + tol
     if not hit.any():
         return lb, ub, 0
-    x = warm.x[:n_bin]
-    hit &= (lb[:n_bin] < ub[:n_bin]) & ~warm.is_basic[:n_bin]
-    down = hit & (d > 0) & (np.abs(x - warm.lb[:n_bin]) <= 1e-9)
-    up = hit & (d < 0) & (np.abs(x - warm.ub[:n_bin]) <= 1e-9)
+    h = warm.h[:n_bin]
+    hit &= lb[:n_bin] < ub[:n_bin]
+    down = hit & (d > 0) & (h < 0)
+    up = hit & (d < 0) & (h > 0)
     if down.any():
         ub = ub.copy()
         ub[:n_bin][down] = lb[:n_bin][down]
@@ -391,8 +391,9 @@ def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
     return lb, ub, int(np.count_nonzero(down) + np.count_nonzero(up))
 
 
-# a knapsack node's LP state, read by _fix_by_reduced_costs as a simplex state is
-_KnapsackState = namedtuple("_KnapsackState", "d x lb ub is_basic")
+# a knapsack node's LP state, read by _fix_by_reduced_costs as a simplex
+# state is: h_j is -1 at the lower bound, +1 at the upper, 0 where basic or fixed
+_KnapsackState = namedtuple("_KnapsackState", "d h")
 
 
 class _Knapsack:
@@ -425,14 +426,15 @@ class _Knapsack:
         reach = np.cumsum(w[free])
         k = int(np.searchsorted(reach, cap, side="right"))  # items that fit whole
         x[free[:k]] = 1.0
-        is_basic = np.zeros(len(x), dtype=bool)
+        h = np.where(lb < ub, -1.0, 0.0)
+        h[free[:k]] = 1.0
         lam = 0.0
         if k < len(free):
             j = free[k]
             x[j] = (cap - (reach[k - 1] if k else 0.0)) / w[j]
-            is_basic[j] = True
+            h[j] = 0.0
             lam = -c[j] / w[j]
-        return _simplex.STATUS_OPTIMAL, x, float(c @ x), _KnapsackState(c + lam * w, x, lb, ub, is_basic)
+        return _simplex.STATUS_OPTIMAL, x, float(c @ x), _KnapsackState(c + lam * w, h)
 
 
 def solve_mip(

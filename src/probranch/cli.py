@@ -177,21 +177,9 @@ def _cmd_calibrate(args) -> int:
 def _cmd_solve(args) -> int:
     inst = deserialize(Path(args.instance).read_bytes())
     opts = SolveOptions(time_limit=args.time_limit)
+    doc = {"instance": inst.name, "mode": args.mode}
     if args.mode == "plain":
-        rep = solve_mip(inst, options=opts)
-        doc = {
-            "instance": inst.name,
-            "mode": "plain",
-            "status": rep.status,
-            "objective": None if rep.best_solution is None else rep.objective,
-            "best_bound": rep.best_bound,
-            "nodes": rep.nodes,
-            "fixed": rep.fixed,
-            "propagated": rep.propagated,
-            "cuts": rep.cuts,
-            "closed": rep.closed,
-            "wall_time": rep.wall_time,
-        }
+        rep, tail = solve_mip(inst, options=opts), {}
     else:
         cal, tightened = branching.cut_settings(
             args.predictor,
@@ -205,29 +193,27 @@ def _cmd_solve(args) -> int:
             mode=args.mode, tightened=tightened,
         )
         rep = part.best
-        doc = {
-            "instance": inst.name,
-            "mode": args.mode,
-            "predictor": args.predictor,
-            "tau": cal.tau_star,
-            "sigma": cal.sigma,
-            "delta": cal.delta,
-            "tightened": tightened,
-            "status": rep.status,
-            "objective": None if rep.best_solution is None else rep.objective,
-            "best_bound": rep.best_bound,
-            "nodes": rep.nodes,
-            "fixed": rep.fixed,
-            "propagated": rep.propagated,
-            "cuts": rep.cuts,
-            "closed": rep.closed,
-            "wall_time": rep.wall_time,
+        doc.update(predictor=args.predictor, tau=cal.tau_star, sigma=cal.sigma,
+                   delta=cal.delta, tightened=tightened)
+        tail = {
             "regions": [
                 {"label": r.label, "nodes": r.nodes, "seconds": r.seconds}
                 for r in part.regions
             ],
             "best_region": part.best_region,
         }
+    doc.update(
+        status=rep.status,
+        objective=None if rep.best_solution is None else rep.objective,
+        best_bound=rep.best_bound,
+        nodes=rep.nodes,
+        fixed=rep.fixed,
+        propagated=rep.propagated,
+        cuts=rep.cuts,
+        closed=rep.closed,
+        wall_time=rep.wall_time,
+        **tail,
+    )
     text = json.dumps(doc, indent=2)
     if args.out:
         Path(args.out).write_text(text)

@@ -235,7 +235,7 @@ def test_knapsack_state_bounds_every_point_of_the_box(case):
     lb[0], ub[1] = 1.0, 0.0  # a node box, after its own fixings
     status, x, bound, state = kn(lb, ub)
     assert status == _simplex.STATUS_OPTIMAL
-    critical = np.flatnonzero(state.is_basic)
+    critical = np.flatnonzero((state.h == 0) & (lb < ub))
     assert len(critical) == (0 if case == "all_fit" else 1)
     if case == "exact_fill":
         assert x[critical[0]] == 0.0 and w @ x == cap
@@ -244,7 +244,7 @@ def test_knapsack_state_bounds_every_point_of_the_box(case):
     assert len(pts) > 1
     assert (pts @ c >= bound + (pts - x) @ state.d - 1e-9).all()
     # the fixing rule reads it as: moving a nonbasic binary costs at least |d_j|
-    free = ~state.is_basic & (lb < ub)
+    free = state.h != 0
     assert (pts @ c >= bound + np.abs(pts - x)[:, free] @ np.abs(state.d[free]) - 1e-9).all()
 
     # with a negative gap every free nonbasic binary with d_j != 0 is fixed,
