@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,21 +41,25 @@ class NoFeasibleThresholdError(ValueError):
     """No grid threshold dominates both mean accuracy curves."""
 
 
-def round_prediction(
-    p: Prediction | np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split variable indices into (up, down, unrounded) sets at threshold tau.
+def _rounding_masks(probs: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rounding rule, on probabilities of any shape: (up, down) masks
+    with up where p >= tau (inclusive) and down where p <= 1 - tau.
 
-    up = {j : p_j >= tau} (inclusive), down = {j : p_j <= 1 - tau}; the
-    remaining indices stay unrounded.  Requires tau in (0.5, 1].
+    Requires tau in (0.5, 1], so no probability is rounded both ways.
     """
     if not 0.5 < tau <= 1.0:
         raise ValueError(f"tau must be in (0.5, 1], got {tau}")
+    return probs >= tau, probs <= 1.0 - tau
+
+
+def round_prediction(
+    p: Prediction | np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split variable indices into (up, down, unrounded) sets at threshold tau
+    (``_rounding_masks``)."""
     probs = p.probabilities if isinstance(p, Prediction) else np.asarray(p, dtype=float)
-    up = np.nonzero(probs >= tau)[0]
-    down = np.nonzero(probs <= 1.0 - tau)[0]
-    rest = np.nonzero((probs < tau) & (probs > 1.0 - tau))[0]
-    return up, down, rest
+    up, down = _rounding_masks(probs, tau)
+    return np.nonzero(up)[0], np.nonzero(down)[0], np.nonzero(~(up | down))[0]
 
 
 @dataclass
@@ -64,7 +68,9 @@ class AccuracyStats:
 
     Instances whose set is empty at a grid point are skipped on that side
     (the num_valid arrays keep the bookkeeping); grid points with no valid
-    instance report NaN means and variances.
+    instance report NaN means and variances.  Every column has one entry
+    per grid point, and the field order is the key order of a calibration
+    file's ``stats``; a column is float unless its field says otherwise.
     """
 
     tau_grid: np.ndarray
@@ -74,14 +80,17 @@ class AccuracyStats:
     var_alpha_u: np.ndarray
     mean_size_l: np.ndarray
     mean_size_u: np.ndarray
-    num_valid_l: np.ndarray
-    num_valid_u: np.ndarray
+    num_valid_l: np.ndarray = field(metadata={"dtype": int})
+    num_valid_u: np.ndarray = field(metadata={"dtype": int})
 
     def validate(self) -> None:
         g = self.tau_grid
-        if np.any(np.diff(g) <= 0):
+        for f in fields(self):
+            if (n := len(getattr(self, f.name))) != len(g):
+                raise ValueError(f"stats column {f.name} has {n} entries for {len(g)} grid points")
+        if not np.all(np.diff(g) > 0):
             raise ValueError("tau grid must be strictly increasing")
-        if np.any(g <= 0.5) or np.any(g > 1.0):
+        if not np.all((g > 0.5) & (g <= 1.0)):
             raise ValueError("tau grid must lie in (0.5, 1]")
         for arr in (self.var_alpha_l, self.var_alpha_u):
             if np.any(arr[~np.isnan(arr)] < 0):
@@ -91,9 +100,14 @@ class AccuracyStats:
                 raise ValueError("mean set sizes must be non-increasing in tau")
 
     def index_of(self, tau: float) -> int:
+        """The grid index of tau; a tau off the grid has no measured variance."""
         hits = np.nonzero(np.isclose(self.tau_grid, tau, rtol=0, atol=1e-12))[0]
         if not len(hits):
-            raise ValueError(f"tau={tau} is not a grid point")
+            g = self.tau_grid
+            raise ValueError(
+                f"tau={tau} is not on the calibration grid ({g[0]:g}, {g[min(1, len(g) - 1)]:g}, "
+                f"..., {g[-1]:g}), so no variance gives its sigma; choose a grid tau "
+                "or give sigma yourself (--sigma)")
         return int(hits[0])
 
 
@@ -106,61 +120,43 @@ def accuracy_curves(
     For each instance and threshold, the up-accuracy is the fraction of the
     rounded-up set whose true value is 1 (and symmetrically for the
     rounded-down set); means and population variances are taken over the
-    instances where the respective set is non-empty.
+    instances where the respective set is non-empty.  Each threshold
+    rounds all pairs at once, as one (pairs x variables) mask per side,
+    and reduces the per-instance accuracies, one array per side, in
+    instance order, so the statistics equal those of rounding each
+    instance on its own bit for bit.
     """
     if len(pairs) < 2:
         raise ValueError("need at least two (prediction, solution) pairs")
     grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
-    probs = []
-    truths = []
-    for p, y in pairs:
-        pv = p.probabilities if isinstance(p, Prediction) else np.asarray(p, dtype=float)
-        yv = np.round(np.asarray(y, dtype=float))
-        if pv.shape != yv.shape:
-            raise ValueError("prediction and solution lengths differ")
-        if probs and pv.shape != probs[0].shape:
-            raise ValueError("inconsistent lengths across pairs")
-        probs.append(pv)
-        truths.append(yv)
+    probs = [p.probabilities if isinstance(p, Prediction) else np.asarray(p, dtype=float)
+             for p, _ in pairs]
+    truths = [np.round(np.asarray(y, dtype=float)) for _, y in pairs]
+    if any(pv.shape != yv.shape for pv, yv in zip(probs, truths)):
+        raise ValueError("prediction and solution lengths differ")
+    if len({pv.shape for pv in probs}) > 1:
+        raise ValueError("inconsistent lengths across pairs")
+    probs, truths = np.array(probs), np.array(truths)
 
+    # row 0 is the up side, row 1 the down side: a 1 rounded up is right,
+    # and so is a 0 rounded down
+    right = (truths == 1, truths == 0)
     k = len(grid)
-    stats = {
-        name: np.full(k, np.nan)
-        for name in ("mean_alpha_l", "var_alpha_l", "mean_alpha_u", "var_alpha_u")
-    }
-    mean_size_l = np.zeros(k)
-    mean_size_u = np.zeros(k)
-    num_valid_l = np.zeros(k, dtype=int)
-    num_valid_u = np.zeros(k, dtype=int)
-
+    mean, var = np.full((2, k), np.nan), np.full((2, k), np.nan)
+    size, valid = np.zeros((2, k)), np.zeros((2, k), dtype=int)
     for i, tau in enumerate(grid):
-        al, au, sl, su = [], [], [], []
-        for pv, yv in zip(probs, truths):
-            up, down, _ = round_prediction(pv, float(tau))
-            sl.append(len(down))
-            su.append(len(up))
-            if len(down):
-                al.append(float(np.mean(yv[down] == 0)))
-            if len(up):
-                au.append(float(np.mean(yv[up] == 1)))
-        mean_size_l[i] = np.mean(sl)
-        mean_size_u[i] = np.mean(su)
-        num_valid_l[i] = len(al)
-        num_valid_u[i] = len(au)
-        if al:
-            stats["mean_alpha_l"][i] = np.mean(al)
-            stats["var_alpha_l"][i] = np.var(al)
-        if au:
-            stats["mean_alpha_u"][i] = np.mean(au)
-            stats["var_alpha_u"][i] = np.var(au)
+        for s, rounded in enumerate(_rounding_masks(probs, float(tau))):
+            sizes = rounded.sum(axis=1)
+            some = sizes > 0
+            alphas = (rounded & right[s]).sum(axis=1)[some] / sizes[some]
+            size[s, i], valid[s, i] = np.mean(sizes), len(alphas)
+            if len(alphas):
+                mean[s, i], var[s, i] = np.mean(alphas), np.var(alphas)
 
     out = AccuracyStats(
         tau_grid=grid,
-        mean_size_l=mean_size_l,
-        mean_size_u=mean_size_u,
-        num_valid_l=num_valid_l,
-        num_valid_u=num_valid_u,
-        **stats,
+        mean_alpha_l=mean[1], var_alpha_l=var[1], mean_alpha_u=mean[0], var_alpha_u=var[0],
+        mean_size_l=size[1], mean_size_u=size[0], num_valid_l=valid[1], num_valid_u=valid[0],
     )
     out.validate()
     return out
@@ -218,6 +214,8 @@ class Calibration:
             raise ValueError("sigma must be non-negative")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
+        if self.stats is not None:
+            self.stats.validate()
         worst = 0.0 if self.stats is None else sigma_from_stats(self.stats, self.tau_star) ** 2
         if self.sigma**2 < worst - 1e-12:
             raise ValueError("sigma^2 is below the accuracy variance at tau_star")
@@ -227,15 +225,9 @@ def calibration_at(stats: AccuracyStats, tau: float, delta: float) -> Calibratio
     """The calibration at a given grid tau: sigma from the variance there, no stats kept.
 
     sigma is 0 when no instance is valid at tau.  A tau off the grid has
-    no measured variance, so it raises ValueError rather than taking the
-    narrowest margin.
+    no measured variance, so it raises ValueError (``index_of``) rather
+    than taking the narrowest margin.
     """
-    grid = stats.tau_grid
-    if not np.isclose(grid, tau, rtol=0, atol=1e-12).any():
-        raise ValueError(
-            f"tau={tau} is not on the calibration grid ({grid[0]:g}, {grid[1]:g}, ..., "
-            f"{grid[-1]:g}), so no variance gives its sigma; choose a grid tau "
-            "or give sigma yourself (--sigma)")
     cal = Calibration(tau_star=tau, sigma=sigma_from_stats(stats, tau), delta=delta)
     cal.validate()
     return cal
@@ -312,37 +304,19 @@ def cut_settings(
 
 
 def _stats_to_doc(stats: AccuracyStats) -> dict:
-    def col(arr):
-        return [None if (isinstance(v, float) and math.isnan(v)) else float(v) for v in arr]
+    def column(f):
+        vals = np.asarray(getattr(stats, f.name), f.metadata.get("dtype", float)).tolist()
+        return [None if v != v else v for v in vals]  # NaN is written as null
 
-    return {
-        "tau_grid": [float(v) for v in stats.tau_grid],
-        "mean_alpha_l": col(stats.mean_alpha_l),
-        "var_alpha_l": col(stats.var_alpha_l),
-        "mean_alpha_u": col(stats.mean_alpha_u),
-        "var_alpha_u": col(stats.var_alpha_u),
-        "mean_size_l": [float(v) for v in stats.mean_size_l],
-        "mean_size_u": [float(v) for v in stats.mean_size_u],
-        "num_valid_l": [int(v) for v in stats.num_valid_l],
-        "num_valid_u": [int(v) for v in stats.num_valid_u],
-    }
+    return {f.name: column(f) for f in fields(AccuracyStats)}
 
 
 def _stats_from_doc(doc: dict) -> AccuracyStats:
-    def col(vals):
-        return np.array([np.nan if v is None else float(v) for v in vals])
+    def column(f):
+        dtype = f.metadata.get("dtype", float)
+        return np.array([np.nan if v is None else dtype(v) for v in doc[f.name]], dtype=dtype)
 
-    return AccuracyStats(
-        tau_grid=np.array([float(v) for v in doc["tau_grid"]]),
-        mean_alpha_l=col(doc["mean_alpha_l"]),
-        var_alpha_l=col(doc["var_alpha_l"]),
-        mean_alpha_u=col(doc["mean_alpha_u"]),
-        var_alpha_u=col(doc["var_alpha_u"]),
-        mean_size_l=np.asarray(doc["mean_size_l"], dtype=float),
-        mean_size_u=np.asarray(doc["mean_size_u"], dtype=float),
-        num_valid_l=np.asarray(doc["num_valid_l"], dtype=int),
-        num_valid_u=np.asarray(doc["num_valid_u"], dtype=int),
-    )
+    return AccuracyStats(**{f.name: column(f) for f in fields(AccuracyStats)})
 
 
 def save_calibration(cal: Calibration, path: str | Path) -> None:

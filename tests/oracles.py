@@ -1,7 +1,8 @@
 """Independent test oracles: exhaustive and DP-based exact solvers, the
 partition's regions written as cut rows, an exact multinomial tail, the
-greedy closed-form knapsack LP, row propagation one row at a time, and
-the rows' conflict graph one pair at a time.
+greedy closed-form knapsack LP, row propagation one row at a time, the
+rows' conflict graph one pair at a time, and the calibration's accuracy
+curves one instance at a time.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from probranch.branching import partition_regions
+from probranch.branching import DEFAULT_TAU_GRID, AccuracyStats, partition_regions
 from probranch.model import LinearRow, Solution
 
 
@@ -441,3 +442,41 @@ def knapsack_arrays(instance):
     """(a, f, b) of a one-row knapsack: weights, value ratios f = c / a, capacity."""
     (a,), _, (b,) = instance.constraint_arrays()
     return a, instance.objective_vector() / a, float(b)
+
+
+def reference_accuracy_curves(pairs, tau_grid=None):
+    """The accuracy curves one instance and one threshold at a time.
+
+    At each grid tau every instance is rounded on its own (up where
+    p >= tau, down where p <= 1 - tau); its up-accuracy is the share of
+    the up set whose true value is 1, its down-accuracy the share of the
+    down set whose true value is 0.  Each side's mean and population
+    variance are over the instances whose set is non-empty.
+    """
+    grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
+    probs = [np.asarray(getattr(p, "probabilities", p), dtype=float) for p, _ in pairs]
+    truths = [np.round(np.asarray(y, dtype=float)) for _, y in pairs]
+    k = len(grid)
+    cols = {name: np.full(k, np.nan)
+            for name in ("mean_alpha_l", "var_alpha_l", "mean_alpha_u", "var_alpha_u")}
+    mean_size_l, mean_size_u = np.zeros(k), np.zeros(k)
+    num_valid_l, num_valid_u = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    for i, tau in enumerate(grid):
+        al, au, sl, su = [], [], [], []
+        for pv, yv in zip(probs, truths):
+            up = np.nonzero(pv >= tau)[0]
+            down = np.nonzero(pv <= 1.0 - tau)[0]
+            sl.append(len(down))
+            su.append(len(up))
+            if len(down):
+                al.append(float(np.mean(yv[down] == 0)))
+            if len(up):
+                au.append(float(np.mean(yv[up] == 1)))
+        mean_size_l[i], mean_size_u[i] = np.mean(sl), np.mean(su)
+        num_valid_l[i], num_valid_u[i] = len(al), len(au)
+        if al:
+            cols["mean_alpha_l"][i], cols["var_alpha_l"][i] = np.mean(al), np.var(al)
+        if au:
+            cols["mean_alpha_u"][i], cols["var_alpha_u"][i] = np.mean(au), np.var(au)
+    return AccuracyStats(tau_grid=grid, mean_size_l=mean_size_l, mean_size_u=mean_size_u,
+                         num_valid_l=num_valid_l, num_valid_u=num_valid_u, **cols)
