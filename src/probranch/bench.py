@@ -168,10 +168,16 @@ def calibration_split(instances: list) -> tuple[list, list]:
 
 
 def fit_model(fit, time_limit=DEFAULT_TIME_LIMIT, reg=1e-4, max_iters=500, tol=1e-6):
-    """The logistic model fitted on the solved labels of ``fit``, and their count."""
+    """The logistic model fitted on the solved labels of ``fit``, and their count.
+    A fit part of fewer than two instances is an error before any solve."""
+    short = "not enough solved training instances for the logistic model"
+    if len(fit) < 2:
+        raise ValueError(f"{short}: the fit part holds {len(fit)} and needs 2, so the training "
+                         "slice needs 4 or more; raise --train-count")
     labeled = solve_labels(fit, time_limit)
     if len(labeled) < 2:
-        raise ValueError("not enough solved training instances for the logistic model")
+        raise ValueError(f"{short}: {len(labeled)} of the fit part's {len(fit)} solves "
+                         "found a solution")
     model = logistic_train(labeled, reg=reg, max_iters=max_iters, tol=tol)
     model.fitted_on = [inst.name for _, inst in fit]
     return model, len(labeled)

@@ -92,6 +92,11 @@ warm LP over the parent's box can read one ulp below it.  An infeasible
 hull ends the solve as "infeasible" with no node, one past the time
 limit, its cut rounds included, as "limit".
 
+Open nodes are ``_Node`` records on a heap of (parent bound, id,
+node).  The solve counts into the ``SolveReport`` it returns as it
+goes, and sets the status, best bound and solution at the end.  An LP
+point with no binaries is integral and is accepted at step 5.
+
 A single solve is single-threaded; concurrent solves on distinct
 instances are safe.  Incumbent timestamps come from a monotonic clock.
 """
@@ -104,6 +109,7 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -437,6 +443,21 @@ class _Knapsack:
         return _simplex.STATUS_OPTIMAL, x, float(c @ x), _KnapsackState(c + lam * w, h)
 
 
+class _Node(NamedTuple):
+    """An open node: its box [lb, ub], shared with its siblings until a
+    fixing copies it; ``warm``, its parent's optimal LP state (a root's
+    is the hull's); ``root``, the index of its root box; ``bound``, its
+    first-step bound (-inf at a root); and ``stale``, whether its box may
+    be short of a fixed point of the rows, so that propagation runs."""
+
+    lb: np.ndarray
+    ub: np.ndarray
+    warm: _simplex._Workspace | _KnapsackState | None
+    root: int
+    bound: float
+    stale: bool
+
+
 def solve_mip(
     instance: MipInstance,
     options: SolveOptions | None = None,
@@ -469,33 +490,26 @@ def solve_mip(
         (np.array(lo, dtype=float), np.array(hi, dtype=float)) for lo, hi in roots]
     if not boxes or any(lo.shape != lb0.shape or (lo > hi).any() for lo, hi in boxes):
         raise ValueError("a solve needs root boxes, each with lb <= ub over every variable")
-    root_nodes = [0] * len(boxes)
-    root_seconds = [0.0] * len(boxes)
+    # the search counts straight into the report; the end sets the rest
+    rep = SolveReport(best_solution=None, best_bound=math.inf, status="infeasible", nodes=0,
+                      wall_time=0.0, root_nodes=[0] * len(boxes), root_seconds=[0.0] * len(boxes))
     root = None  # root box of the node being processed
-    best_root = None
 
-    incumbent_val = math.inf
-    incumbent_x: np.ndarray | None = None
-    incumbent_log: list[tuple[float, float]] = []
-    nodes = 0
-    fixed = propagated = 0
-    closed = dict.fromkeys(CLOSED_BY, 0)
+    incumbent_val, incumbent_x = math.inf, None
     limit_hit = False
 
     # a node whose bound reaches prune_at cannot beat the incumbent by the gap
     prune_at = math.inf
 
-    def accept(x: np.ndarray, val: float) -> bool:
-        nonlocal incumbent_val, incumbent_x, best_root, prune_at
+    def accept(x: np.ndarray, val: float) -> None:
+        nonlocal incumbent_val, incumbent_x, prune_at
         if val >= incumbent_val:
-            return False
+            return
         incumbent_val = val
         incumbent_x = x.copy()
-        best_root = root
+        rep.best_root = root
         prune_at = val - max(opts.abs_gap, opts.rel_gap * abs(val))
-        user_obj = (-val if negate else val) + 0.0
-        incumbent_log.append((time.monotonic() - t0, user_obj))
-        return True
+        rep.incumbent_log.append((time.monotonic() - t0, (-val if negate else val) + 0.0))
 
     roundings = _Roundings(a, senses, b, n_bin)
 
@@ -516,7 +530,6 @@ def solve_mip(
     hull_lb = np.min([lo for lo, _ in boxes], axis=0)
     hull_ub = np.max([hi for _, hi in boxes], axis=0)
     lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None)
-    cuts = 0
     adj = None
     if knapsack is None and lp_status == _simplex.STATUS_OPTIMAL and (
             np.abs(x[:n_bin] - np.rint(x[:n_bin])) > INTEGRALITY_TOL).any():
@@ -536,76 +549,73 @@ def solve_mip(
             a = np.vstack([a, rows])
             senses = senses + ["<="] * len(found)
             b = np.concatenate([b, np.ones(len(found))])
-            cuts += len(found)
+            rep.cuts += len(found)
             lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, hull)
             if lp_status != _simplex.STATUS_OPTIMAL:
                 break
-        if cuts:
+        if rep.cuts:
             roundings = _Roundings(a, senses, b, n_bin)
     if knapsack is None:
         propagate = _Propagator(roundings.lhs, roundings.rhs, n_bin)
     key = bound if lp_status == _simplex.STATUS_OPTIMAL else -math.inf
     if lp_status == _simplex.STATUS_INFEASIBLE:
         boxes = []
-    # open nodes (parent bound, node_id, (lb, ub, parent state, root, own
-    # bound, whether the box may be short of a fixed point of the rows)):
-    # a heap by the parent's bound, ties to the older node
-    tree = [(key, k, (lo, hi, hull, k, -math.inf, True)) for k, (lo, hi) in enumerate(boxes)]
+    # open nodes (parent bound, node id, node): a heap by the parent's
+    # bound, ties to the older node
+    tree = [(key, k, _Node(lb=lo, ub=hi, warm=hull, root=k, bound=-math.inf, stale=True))
+            for k, (lo, hi) in enumerate(boxes)]
     next_id = len(tree)
 
     clock = t0
     while tree:
         now = time.monotonic()
         if root is not None:
-            root_seconds[root] += now - clock
+            rep.root_seconds[root] += now - clock
         clock = now
-        if nodes >= opts.node_limit or now - t0 > opts.time_limit:
+        if rep.nodes >= opts.node_limit or now - t0 > opts.time_limit:
             limit_hit = True
             break
         parent_bound, node_id, node = heapq.heappop(tree)
         if parent_bound >= prune_at:
             continue
-        lb, ub, warm, root, own_bound, stale = node
-        nodes += 1
-        root_nodes[root] += 1
-        if own_bound >= prune_at + _simplex.CUTOFF_TOL * max(1.0, abs(prune_at)):
-            closed["first_step"] += 1
+        # only now is the node the one whose seconds the clock charges
+        root, lb, ub, stale = node.root, node.lb, node.ub, node.stale
+        rep.nodes += 1
+        rep.root_nodes[root] += 1
+        if node.bound >= prune_at + _simplex.CUTOFF_TOL * max(1.0, abs(prune_at)):
+            rep.closed["first_step"] += 1
             continue
-        if warm is not None and prune_at < math.inf:
-            lb_f, ub_f, k = _fix_by_reduced_costs(
-                warm, lb, ub, n_bin, prune_at - parent_bound, FIXING_TOL * max(1.0, abs(prune_at)))
+        if node.warm is not None and prune_at < math.inf:
+            lb_f, ub_f, k = _fix_by_reduced_costs(node.warm, lb, ub, n_bin, prune_at - parent_bound,
+                                                  FIXING_TOL * max(1.0, abs(prune_at)))
             if k and propagate is not None and not stale:
                 stale = propagate.moved(lb, ub, lb_f, ub_f)
             lb, ub = lb_f, ub_f
-            fixed += k
+            rep.fixed += k
         # a box at its parent's fixed point that no fixing moved is at it still
         if stale and propagate is not None:
             box = propagate(lb, ub)
             if box is None:
-                closed["propagated"] += 1
+                rep.closed["propagated"] += 1
                 continue
             lb, ub, k = box
-            propagated += k
+            rep.propagated += k
 
-        lp_status, x, bound, state = node_lp(lb, ub, warm)
+        lp_status, x, bound, state = node_lp(lb, ub, node.warm)
         if lp_status == _simplex.STATUS_INFEASIBLE:
-            closed["infeasible"] += 1
+            rep.closed["infeasible"] += 1
             continue
         if lp_status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
             limit_hit = True
-            heapq.heappush(tree, (parent_bound, node_id, (lb, ub, warm, root, own_bound, stale)))
+            heapq.heappush(tree, (parent_bound, node_id, node._replace(lb=lb, ub=ub, stale=stale)))
             break  # the node stays open, counted but not closed
         if lp_status == _simplex.STATUS_CUTOFF or bound >= prune_at:
-            closed["cutoff"] += 1
+            rep.closed["cutoff"] += 1
             continue
-        if n_bin == 0:
-            accept(x, bound)
-            closed["integral"] += 1
-            continue
-        # fixed binaries are integral by their bounds and never branched on
+        # fixed binaries are integral by their bounds and never branched
+        # on; with no binaries, every LP point is integral
         frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(x[:n_bin] - np.rint(x[:n_bin])), 0.0)
-        j = int(frac.argmax())  # ties resolve to the lowest index
-        fmax = frac[j]
+        fmax = frac.max(initial=0.0)
         # rounding can push a row past its bound (a knapsack item at
         # 1 - 4e-7 overfills it by that much): such a point is branched
         # on, unless rounding moved no free binary and any violation is
@@ -614,22 +624,19 @@ def solve_mip(
             xi = x.copy()
             xi[:n_bin] = np.rint(xi[:n_bin])
             accept(xi, float(c @ xi))
-            closed["integral"] += 1
+            rep.closed["integral"] += 1
             continue
         cand, ok = roundings(x, lb, ub)  # nearest, floor, ceil
         if fmax <= INTEGRALITY_TOL and ok[0]:
             accept(cand[0], float(c @ cand[0]))
-            closed["integral"] += 1
+            rep.closed["integral"] += 1
             continue
 
         # rounding heuristic: each rounding that stays feasible is kept
         for i in ok.nonzero()[0]:
             accept(cand[i], float(c @ cand[i]))
 
-        closed["branched"] += 1
-        # a knapsack child's closed-form LP costs about what its bound
-        # would, and its LP point has one fractional item to branch on
-        gain_dn = gain_up = 0.0
+        rep.closed["branched"] += 1
         if knapsack is None:
             # the most fractional free binaries beyond INTEGRALITY_TOL; a
             # near-integral node has none and keeps its most fractional
@@ -639,55 +646,35 @@ def solve_mip(
             best = int(np.maximum(gains, SCORE_EPS).prod(axis=1).argmax())
             j = int(cands[best])
             gain_dn, gain_up = gains[best].tolist()
-        lb_up = lb.copy()
-        lb_up[j] = 1.0
-        ub_dn = ub.copy()
-        ub_dn[j] = 0.0
+        else:
+            # a knapsack child's closed-form LP costs about what its bound
+            # would, and its LP point has one fractional item to branch on
+            j = int(frac.argmax())  # ties resolve to the lowest index
+            gain_dn = gain_up = 0.0
+        lb_up, ub_dn = lb.copy(), ub.copy()
+        lb_up[j], ub_dn[j] = 1.0, 0.0
         moves = (False, False) if propagate is None else propagate.raises[:, j]
-        up = (lb_up, ub, state, root, bound + gain_up, moves[1])
-        down = (lb, ub_dn, state, root, bound + gain_dn, moves[0])
+        up = _Node(lb=lb_up, ub=ub, warm=state, root=root, bound=bound + gain_up, stale=moves[1])
+        down = _Node(lb=lb, ub=ub_dn, warm=state, root=root, bound=bound + gain_dn, stale=moves[0])
         # a warm LP over the parent's box can read an ulp below the parent's key
         key = max(bound, parent_bound)
         for child in ((up, down) if x[j] >= 0.5 else (down, up)):
             heapq.heappush(tree, (key, next_id, child))
             next_id += 1
 
-    wall = time.monotonic() - t0
+    rep.wall_time = time.monotonic() - t0
     if root is not None:
-        root_seconds[root] += t0 + wall - clock
-    open_bound = tree[0][0] if tree else math.inf
-
+        rep.root_seconds[root] += t0 + rep.wall_time - clock
     if limit_hit:
-        status = "limit"
-        best_bound_int = min(open_bound, incumbent_val)
+        rep.status = "limit"
+        best_bound = min(tree[0][0] if tree else math.inf, incumbent_val)
     elif incumbent_x is not None:
-        status = "optimal"
-        best_bound_int = incumbent_val
+        rep.status, best_bound = "optimal", incumbent_val
     else:
-        status = "infeasible"
-        best_bound_int = math.inf
-
-    best_solution = None
+        rep.status, best_bound = "infeasible", math.inf
+    rep.best_bound = -best_bound if negate else best_bound
     if incumbent_x is not None:
-        user_obj = (-incumbent_val if negate else incumbent_val) + 0.0
-        best_solution = Solution(
-            values=incumbent_x,
-            objective=user_obj,
-            status="optimal" if status == "optimal" else "feasible",
-        )
-    best_bound = -best_bound_int if negate else best_bound_int
-    return SolveReport(
-        best_solution=best_solution,
-        best_bound=best_bound,
-        status=status,
-        nodes=nodes,
-        wall_time=wall,
-        incumbent_log=incumbent_log,
-        root_nodes=root_nodes,
-        root_seconds=root_seconds,
-        best_root=best_root,
-        fixed=fixed,
-        propagated=propagated,
-        cuts=cuts,
-        closed=closed,
-    )
+        rep.best_solution = Solution(
+            values=incumbent_x, objective=(-incumbent_val if negate else incumbent_val) + 0.0,
+            status="optimal" if rep.status == "optimal" else "feasible")
+    return rep

@@ -1,10 +1,11 @@
-"""LP relaxation backends: bounded dual simplex, interior point, and the
-closed-form knapsack relaxation.
+"""LP relaxation backends: the bounded dual simplex and the interior point.
 
 Both backends consume a MipInstance (binaries relaxed to [0, 1]) and
 report objectives in the instance's own sense.  Maximization is handled
 by negating the objective at this boundary.  Each solve call owns its
-workspace, so concurrent solves on distinct instances are safe.
+workspace, so concurrent solves on distinct instances are safe.  The
+closed-form ``fractional_knapsack`` here is no backend but the tests'
+reference for the ``lp-root-simplex`` predictor.
 """
 
 from __future__ import annotations

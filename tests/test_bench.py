@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as spstats
 
 from oracles import binary_enumeration, knapsack_arrays, multinomial_max_tail
+from probranch import bench
 from probranch.bench import (
     BenchConfig,
     BenchReport,
@@ -106,6 +107,20 @@ class TestCalibrationSplit:
             fit_model(instances[:1])
         model, n_labeled = fit_model(instances[:2])
         assert n_labeled == 2 and model.num_vars == instances[0][1].num_binary
+
+    def test_a_short_fit_part_fails_before_any_solve_and_names_train_count(
+            self, scp_family_dir, monkeypatch):
+        solves = []
+        monkeypatch.setattr(bench, "solve_labels", lambda fit, time_limit: solves.append(fit) or [])
+        instances = read_family(scp_family_dir).instances
+        for short in (0, 1):
+            with pytest.raises(ValueError, match=f"fit part holds {short} .*--train-count"):
+                fit_model(instances[:short])
+        assert solves == []
+        # a fit part large enough whose solves find no solution fails on its own message
+        with pytest.raises(ValueError, match="0 of the fit part's 3 solves found a solution"):
+            fit_model(instances[:3])
+        assert len(solves) == 1
 
 
 class TestRunBenchmark:

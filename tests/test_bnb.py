@@ -1,9 +1,11 @@
 import heapq
+import math
+import time
 
 import numpy as np
 import pytest
 
-from oracles import binary_enumeration, with_rows
+from oracles import binary_enumeration, highs_optimum, with_rows
 from probranch import _simplex, bnb
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.model import LinearRow, MipInstance, check_feasible
@@ -155,6 +157,31 @@ class TestSolveMip:
         rep = solve_mip(inst, options=SolveOptions(node_limit=1, **EXACT))
         assert rep.status == "limit"
 
+    @pytest.mark.parametrize("k", [3, 8, 20])
+    def test_a_limit_inside_a_node_lp_leaves_that_node_open(self, monkeypatch, k):
+        # the k-th warm LP starts past its deadline and stops: the node it
+        # was solving goes back on the heap, counted but not closed, and
+        # the bound the solve reports still holds the optimum
+        _, inst = gen_mkp(5, 20, 1, seed=5).instances[0]
+        assert solve_mip(inst, options=SolveOptions(**EXACT)).nodes > k
+        warm_calls = []
+        solve_lp = _simplex.solve_bounded_lp
+
+        def lp(*args, **kwargs):
+            if kwargs.get("warm") is not None:
+                warm_calls.append(len(warm_calls) + 1)
+                if len(warm_calls) == k:
+                    kwargs["deadline"] = time.monotonic() - 1.0
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(_simplex, "solve_bounded_lp", lp)
+        rep = solve_mip(inst, options=SolveOptions(**EXACT))
+        assert rep.status == "limit" and len(warm_calls) == k
+        assert sum(rep.closed.values()) == rep.nodes - 1
+        opt = highs_optimum(inst)  # the instance maximizes
+        assert math.isfinite(rep.best_bound)
+        assert rep.best_bound >= opt - 1e-9 * max(1.0, abs(opt))
+
     def test_infeasible_instance(self):
         inst = MipInstance(
             "bad", "minimize", 2, 0, [(0, 1.0)],
@@ -168,6 +195,55 @@ class TestSolveMip:
             SolveOptions(time_limit=0).validate()
         with pytest.raises(ValueError):
             SolveOptions(rel_gap=-1).validate()
+
+
+def continuous_lp() -> MipInstance:
+    """max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x in [0, 3], y in [0, 5]: 11 at (3, 1)."""
+    return MipInstance(
+        "lp_2x2", "maximize", 0, 2, [(0, 3.0), (1, 2.0)],
+        [LinearRow([(0, 1.0), (1, 1.0)], "<=", 4.0), LinearRow([(0, 1.0), (1, 3.0)], "<=", 6.0)],
+        continuous_bounds=[(0.0, 3.0), (0.0, 5.0)],
+    )
+
+
+def random_continuous_lp(seed: int) -> MipInstance:
+    """A boxed LP over 6 continuous columns, one row of each sense, feasible at a drawn point."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    x0 = rng.uniform(-1.0, 2.0, size=n)
+    a = rng.uniform(-1.0, 1.0, size=(3, n))
+    rhs = a @ x0 + np.array([0.5, -0.5, 0.0])
+    rows = [LinearRow([(j, float(v)) for j, v in enumerate(row)], sense, float(r))
+            for row, sense, r in zip(a, ("<=", ">=", "="), rhs)]
+    return MipInstance(f"lp_{seed}", "maximize" if seed % 2 else "minimize", 0, n,
+                       [(j, float(v)) for j, v in enumerate(rng.normal(size=n))], rows,
+                       continuous_bounds=[(-1.0, 2.0)] * n)
+
+
+class TestNoBinaries:
+    """An instance with no binaries: its root LP point is integral, so the
+    solve accepts it and closes after one node."""
+
+    def test_two_column_lp_matches_linprog(self):
+        from scipy.optimize import linprog
+
+        inst = continuous_lp()
+        c, a, _, b, lb, ub = relaxation_arrays(inst)
+        ref = linprog(-c, A_ub=a, b_ub=b, bounds=list(zip(lb, ub)), method="highs")
+        rep = solve_mip(inst, options=SolveOptions(**EXACT))
+        assert (rep.status, rep.nodes) == ("optimal", 1)
+        assert rep.closed == {**dict.fromkeys(bnb.CLOSED_BY, 0), "integral": 1}
+        assert rep.objective == pytest.approx(-ref.fun, abs=1e-9) and -ref.fun == pytest.approx(11.0)
+        assert rep.best_solution.values == pytest.approx(ref.x, abs=1e-9)
+        assert rep.best_bound == rep.objective and len(rep.incumbent_log) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_lps_match_highs(self, seed):
+        inst = random_continuous_lp(seed)
+        rep = solve_mip(inst, options=SolveOptions(**EXACT))
+        assert (rep.status, rep.nodes, rep.closed["integral"]) == ("optimal", 1, 1)
+        assert rep.objective == pytest.approx(highs_optimum(inst), abs=1e-7)
+        assert check_feasible(inst, rep.best_solution.values)[0]
 
 
 class TestBranchingRule:

@@ -15,7 +15,7 @@ from probranch.bench import LemmaReport
 from probranch.bnb import solve_mip
 from probranch.branching import Calibration, accuracy_curves, save_calibration, sigma_from_stats
 from probranch.generators import InstanceFamily, gen_mkp, write_family
-from probranch.model import LinearRow, MipInstance, deserialize
+from probranch.model import LinearRow, MipInstance, deserialize, serialize
 from probranch.predict import load_model, lp_root_predict, save_prediction
 
 
@@ -459,6 +459,42 @@ def test_cached_parser_gives_each_call_its_own_namespace(monkeypatch, capsys):
     assert second["seed"] == 5 and "instance" not in second and "mode" not in second
     assert (third["command"], third["instance"], third["mode"]) == ("solve", "b.json", "exact")
     assert third["tightened"] is None and "seed" not in third  # unset: the predictor decides
+
+
+def test_train_on_the_default_slice_of_a_20_instance_family_names_train_count(
+        tmp_path, capsys, monkeypatch):
+    # train's default slice, all but the last 20 instances and at least 1,
+    # is one instance here; calibration holds it out, so the fit part is
+    # empty, and the error says so before any label solve
+    fam, model = tmp_path / "fam", tmp_path / "model.json"
+    assert cli.main(["generate", "--kind", "mkp", "--out", str(fam)]) == 0
+    solves = []
+    monkeypatch.setattr(bench, "solve_labels", lambda fit, time_limit: solves.append(fit) or [])
+    capsys.readouterr()
+    assert cli.main(["train", "--family", str(fam), "--out", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "--train-count" in err and "fit part holds 0" in err
+    assert solves == [] and not model.exists()
+
+
+def test_solve_plain_takes_an_lp_with_no_binaries(tmp_path):
+    from scipy.optimize import linprog
+
+    inst = MipInstance(
+        "lp_2x2", "maximize", 0, 2, [(0, 3.0), (1, 2.0)],
+        [LinearRow([(0, 1.0), (1, 1.0)], "<=", 4.0), LinearRow([(0, 1.0), (1, 3.0)], "<=", 6.0)],
+        continuous_bounds=[(0.0, 3.0), (0.0, 5.0)],
+    )
+    path, out = tmp_path / "lp.json", tmp_path / "lp_solve.json"
+    path.write_bytes(serialize(inst))
+    assert cli.main(["solve", "--instance", str(path), "--mode", "plain", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    ref = linprog([-3.0, -2.0], A_ub=[[1.0, 1.0], [1.0, 3.0]], b_ub=[4.0, 6.0],
+                  bounds=[(0.0, 3.0), (0.0, 5.0)], method="highs")
+    assert (doc["status"], doc["nodes"], doc["closed"]["integral"]) == ("optimal", 1, 1)
+    assert sum(doc["closed"].values()) == 1
+    assert doc["objective"] == pytest.approx(-ref.fun, abs=1e-9) == 11.0
+    assert doc["best_bound"] == doc["objective"]
 
 
 def test_runtime_error_exits_one(tmp_path):
