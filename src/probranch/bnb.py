@@ -13,7 +13,9 @@ on its most fractional binary, and a knapsack node, whose closed-form
 LP leaves one item fractional, on that item.  Node selection is
 best-bound, ties going to the node created first.  A rounding heuristic
 runs at every node so the incumbent log is dense enough for
-time-to-target measurements.
+time-to-target measurements; a knapsack node that branches also offers
+its floor rounding completed greedily, each free item left out taken in
+ratio order when it still fits (Martello & Toth 1990, ch. 2).
 
 Reduced-cost fixing: a node starts from its parent's optimal LP state
 (a root box's parent is the hull), whose reduced costs d bound every
@@ -41,8 +43,10 @@ point of the rows; when neither its branched bound nor its reduced-cost
 fixings raise any row's minimum activity (fixing x_j to 0 raises only
 the rows with a_j < 0, to 1 only those with a_j > 0), its box is at
 that fixed point still and the node skips the call.  Knapsack nodes
-skip it, so the closed-form knapsack trees stay a control that changes
-on the LP side leave unmoved.
+never build the propagator: the closed form (``_Knapsack``) relaxes the
+propagated box of their one row itself, holding at 0 each item the row
+would fix, but leaves the node's box as it is, so
+``SolveReport.propagated`` stays 0 on a knapsack solve.
 
 Clique cuts: every solve first solves its hull (below), and builds the
 conflict graph of ``_Roundings``' rows once: binaries i != j conflict
@@ -405,42 +409,71 @@ _KnapsackState = namedtuple("_KnapsackState", "d h")
 class _Knapsack:
     """Closed-form LP relaxation of a pure single-row knapsack, min c.x s.t. w.x <= cap.
 
-    Free items are taken by best ratio c_j / w_j until the residual
-    capacity binds: the same LP optimum the simplex would return, orders
-    of magnitude faster on the large validator instances.  The first
-    item that does not fit whole, the critical item k, is basic, and the
-    capacity row's multiplier is lambda = -c_k / w_k (0 when every free
-    improving item fits), so the reduced costs are d = c + lambda w.
-    lambda > 0 only when k fills the capacity exactly, so for every 0/1
-    point x of the box with w.x <= cap the Lagrangian gives
-    c.x >= c.x + lambda (w.x - cap) = bound + d.(x - x*).
+    A node's LP is taken over its row-propagated box: the items fixed to
+    1 leave the room cap - w.lb, and a free item heavier than the room
+    plus PROPAGATION_TOL * max(1, |cap|) is held at 0, as ``_Propagator``
+    would fix it.  The other free items are taken by best ratio c_j / w_j
+    until the room binds: the LP optimum over the propagated box, orders
+    of magnitude faster than the simplex on the large validator
+    instances.  The first item that does not fit whole, the critical
+    item k, is basic, and the capacity row's multiplier is lambda =
+    -c_k / w_k (0 when every free improving item fits), so the reduced
+    costs are d = c + lambda w.  An item held at 0 is fixed in the state
+    (h = 0), but the node's box is left as it is.  lambda > 0 only when
+    k fills the capacity exactly, and every 0/1 point x of the box with
+    w.x <= cap holds the held items at 0, so for each such x the
+    Lagrangian gives c.x >= c.x + lambda (w.x - cap) = bound + d.(x - x*).
     """
 
     def __init__(self, c: np.ndarray, w: np.ndarray, cap: float):
         self.c, self.w, self.cap = c, w, cap
+        self.tol = PROPAGATION_TOL * max(1.0, abs(cap))
         order = np.argsort(c / w, kind="stable")
         self.order = order[c[order] < 0]  # the items that can improve the objective
 
     def __call__(self, lb: np.ndarray, ub: np.ndarray):
-        """(status, x, bound, state) of the LP over the box [lb, ub]."""
+        """(status, x, bound, state) of the LP over the propagated box of [lb, ub]."""
         c, w, order = self.c, self.w, self.order
         x = lb.copy()
-        cap = self.cap - float(w @ x)
-        if cap < -ROUNDED_ROW_TOL:  # the items fixed to 1 overfill it
+        room = self.cap - float(w @ x)
+        if room < -ROUNDED_ROW_TOL:  # the items fixed to 1 overfill it
             return _simplex.STATUS_INFEASIBLE, None, math.inf, None
-        free = order[lb[order] < ub[order]]
+        free = (lb < ub) & (w <= room + self.tol)  # the rest are held at 0
+        h = np.where(free, -1.0, 0.0)
+        free = order[free[order]]
         reach = np.cumsum(w[free])
-        k = int(np.searchsorted(reach, cap, side="right"))  # items that fit whole
+        k = int(np.searchsorted(reach, room, side="right"))  # items that fit whole
         x[free[:k]] = 1.0
-        h = np.where(lb < ub, -1.0, 0.0)
         h[free[:k]] = 1.0
         lam = 0.0
         if k < len(free):
             j = free[k]
-            x[j] = (cap - (reach[k - 1] if k else 0.0)) / w[j]
+            x[j] = (room - (reach[k - 1] if k else 0.0)) / w[j]
             h[j] = 0.0
             lam = -c[j] / w[j]
         return _simplex.STATUS_OPTIMAL, x, float(c @ x), _KnapsackState(c + lam * w, h)
+
+    def complete(self, y: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray | None:
+        """The 0/1 point y of the box [lb, ub] with each free item it leaves
+        out taken, in ``order``, when it still fits; None when the result
+        overfills the row by more than ROUNDED_ROW_TOL.
+
+        The room only shrinks, so an item that does not fit when its turn
+        comes never will.  Each pass therefore drops the items heavier
+        than the room, takes the longest run of the rest whose weights
+        fit one after another, and skips the item that ends the run.
+        """
+        w, order = self.w, self.order
+        out = order[(y[order] == 0.0) & (lb[order] < ub[order])]
+        room = self.cap - float(w @ y)
+        y = y.copy()
+        while len(out := out[w[out] <= room]):
+            reach = np.cumsum(w[out])
+            k = int(np.searchsorted(reach, room, side="right"))  # >= 1: out[0] fits
+            y[out[:k]] = 1.0
+            room -= float(reach[k - 1])
+            out = out[k + 1:]
+        return y if float(w @ y) - self.cap <= ROUNDED_ROW_TOL else None
 
 
 class _Node(NamedTuple):
@@ -635,6 +668,10 @@ def solve_mip(
         # rounding heuristic: each rounding that stays feasible is kept
         for i in ok.nonzero()[0]:
             accept(cand[i], float(c @ cand[i]))
+        if knapsack is not None:
+            y = knapsack.complete(cand[1], lb, ub)
+            if y is not None:
+                accept(y, float(c @ y))
 
         rep.closed["branched"] += 1
         if knapsack is None:

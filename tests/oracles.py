@@ -1,8 +1,9 @@
 """Independent test oracles: exhaustive and DP-based exact solvers, the
 partition's regions written as cut rows, an exact multinomial tail, the
-greedy closed-form knapsack LP, row propagation one row at a time, the
-rows' conflict graph one pair at a time, and the calibration's accuracy
-curves one instance at a time.
+greedy closed-form knapsack LP, a knapsack point completed greedily one
+item at a time, row propagation one row at a time, the rows' conflict
+graph one pair at a time, and the calibration's accuracy curves one
+instance at a time.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -442,6 +443,23 @@ def knapsack_arrays(instance):
     """(a, f, b) of a one-row knapsack: weights, value ratios f = c / a, capacity."""
     (a,), _, (b,) = instance.constraint_arrays()
     return a, instance.objective_vector() / a, float(b)
+
+
+def greedy_fill(instance, y, lb, ub):
+    """A 0/1 point y of a maximizing one-row knapsack completed one item at a time.
+
+    Each item that is free in the box [lb, ub], at 0 in y and of positive
+    value is taken when its weight fits the room left, the items going in
+    decreasing value ratio, ties to the lower index.  Returns the point.
+    """
+    a, f, b = knapsack_arrays(instance)
+    y = np.array(y, dtype=float)
+    room = b - math.fsum(a * y)
+    for j in sorted(range(len(a)), key=lambda j: -f[j]):
+        if f[j] > 0 and lb[j] < ub[j] and y[j] == 0.0 and a[j] <= room:
+            y[j] = 1.0
+            room -= a[j]
+    return y
 
 
 def reference_accuracy_curves(pairs, tau_grid=None):

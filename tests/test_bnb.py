@@ -5,12 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import binary_enumeration, highs_optimum, with_rows
+from oracles import binary_enumeration, greedy_fill, highs_optimum, with_rows
 from probranch import _simplex, bnb
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.model import LinearRow, MipInstance, check_feasible
 from probranch.generators import gen_ca, gen_knapsack_uniform, gen_mkp, gen_scp
 from probranch.lp import relaxation_arrays
+from test_fixing import knapsack_case
 
 EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
 
@@ -382,3 +383,50 @@ class TestBranchingRule:
             fractional = np.nonzero(np.abs(x - np.rint(x)) > 1e-6)[0]
             assert len(fractional) == 1
             assert self.branched_on(lb, ub, children) == fractional[0]
+
+
+class TestKnapsackCompletion:
+    """A knapsack node that branches offers its floor rounding completed greedily."""
+
+    def test_each_completion_is_the_greedy_fill_of_the_floor_and_feasible(self, monkeypatch):
+        offered = []  # (floor rounding, lb, ub, completion) at each branching node
+        complete = bnb._Knapsack.complete
+
+        def recording(self, y, lb, ub):
+            out = complete(self, y, lb, ub)
+            offered.append((y.copy(), lb.copy(), ub.copy(), out))
+            return out
+
+        monkeypatch.setattr(bnb._Knapsack, "complete", recording)
+        cases = [knapsack_case(seed)[:2] for seed in range(40)]
+        cases += [(gen_knapsack_uniform(200, 0.3, 160_000 + s).instance, None) for s in range(3)]
+        improved = 0
+        for inst, roots in cases:
+            offered.clear()
+            rep = solve_mip(inst, options=SolveOptions(**EXACT), roots=roots)
+            assert len(offered) == rep.closed["branched"]
+            (w,), _, (cap,) = inst.constraint_arrays()
+            value = inst.objective_vector()
+            for y, lb, ub, out in offered:
+                assert out is not None
+                assert ((lb <= out) & (out <= ub)).all() and set(out.tolist()) <= {0.0, 1.0}
+                assert w @ out <= cap + bnb.ROUNDED_ROW_TOL
+                assert value @ out >= value @ y
+                assert np.array_equal(out, greedy_fill(inst, y, lb, ub))
+                improved += value @ out > value @ y
+        assert improved >= 30
+
+    def test_exact_knapsack_solves_match_the_oracles(self):
+        # generator seeds 150000-150044 serve no other test
+        cases = [(8 + s % 9, 150_000 + s) for s in range(30)]
+        cases += [(50, 150_030 + s) for s in range(10)] + [(200, 150_040 + s) for s in range(5)]
+        for n, seed in cases:
+            inst = gen_knapsack_uniform(n, 0.3, seed).instance
+            rep = solve_mip(inst, options=SolveOptions(**EXACT))
+            assert rep.status == "optimal", seed
+            assert check_feasible(inst, rep.best_solution.values)[0], seed
+            if n <= 16:
+                expected = binary_enumeration(inst).objective
+                assert rep.objective == pytest.approx(expected, rel=0, abs=1e-9), seed
+            else:
+                assert rep.objective == pytest.approx(highs_optimum(inst), rel=1e-7, abs=1e-7), seed

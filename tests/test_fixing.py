@@ -8,8 +8,9 @@ a hand-built instance, and hold plain, exact and heuristic solves with
 fixing to independent oracles on seeded random tight multi-knapsacks and
 auctions, with and without continuous columns.
 The closed-form knapsack relaxation's state (d = c + lambda w) is held
-to the bound it claims at every point of a node box, and knapsack solves,
-with root boxes fixed from that LP, to exhaustive enumeration.
+to the bound it claims at every point of a node box, also when the row
+rules an item out, and knapsack solves, with root boxes fixed from that
+LP, to exhaustive enumeration.
 """
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_root_boxes_are_fixed_from_the_hull(lp):
     assert fired >= 5
 
 
-@pytest.mark.parametrize("case", ["fractional", "all_fit", "exact_fill", "tied"])
+@pytest.mark.parametrize("case", ["fractional", "all_fit", "exact_fill", "tied", "excluded"])
 def test_knapsack_state_bounds_every_point_of_the_box(case):
     rng = np.random.default_rng([len(case), 15])
     n = 12
@@ -229,13 +230,19 @@ def test_knapsack_state_bounds_every_point_of_the_box(case):
         cap = np.cumsum(w[np.argsort(-f, kind="stable")])[4]
     elif case == "tied":
         f = np.repeat(rng.random(4), 3)
+    elif case == "excluded":  # x2, the best ratio, is heavier than the room x0 leaves
+        w[2], f[2] = cap, 1.0
     c = -f * w  # the solver minimizes
     kn = bnb._Knapsack(c, w, float(cap))
     lb, ub = np.zeros(n), np.ones(n)
     lb[0], ub[1] = 1.0, 0.0  # a node box, after its own fixings
     status, x, bound, state = kn(lb, ub)
     assert status == _simplex.STATUS_OPTIMAL
-    critical = np.flatnonzero((state.h == 0) & (lb < ub))
+    # the items the row rules out are held at 0 and count as fixed (h = 0)
+    held = (lb < ub) & (w > cap - w @ lb + bnb.PROPAGATION_TOL * max(1.0, cap))
+    assert np.flatnonzero(held).tolist() == ([2] if case == "excluded" else [])
+    assert (x[held] == 0.0).all() and (state.h[held] == 0.0).all()
+    critical = np.flatnonzero((state.h == 0) & (lb < ub) & ~held)
     assert len(critical) == (0 if case == "all_fit" else 1)
     if case == "exact_fill":
         assert x[critical[0]] == 0.0 and w @ x == cap
@@ -248,9 +255,11 @@ def test_knapsack_state_bounds_every_point_of_the_box(case):
     assert (pts @ c >= bound + np.abs(pts - x)[:, free] @ np.abs(state.d[free]) - 1e-9).all()
 
     # with a negative gap every free nonbasic binary with d_j != 0 is fixed,
-    # but never the critical item, and the caller's box is left as it was
+    # but never the critical item or a held one, and the caller's box is
+    # left as it was
     lb_before, ub_before = lb.copy(), ub.copy()
     new_lb, new_ub, count = bnb._fix_by_reduced_costs(state, lb, ub, n, -1.0, 0.0)
     assert count > 0
     assert np.array_equal(lb, lb_before) and np.array_equal(ub, ub_before)
-    assert (new_lb[critical] == lb[critical]).all() and (new_ub[critical] == ub[critical]).all()
+    kept = (state.h == 0) & (lb < ub)
+    assert (new_lb[kept] == lb[kept]).all() and (new_ub[kept] == ub[kept]).all()

@@ -2,14 +2,16 @@
 
 Before its LP, every node that is not a knapsack node fixes the free
 binaries its rows rule out by their minimum activity over its box, and
-closes with no LP when some row holds nowhere in that box.  These tests
-show each rule on hand-built rows (a <= row fixing to 0, a >= row fixing
-to 1, a partition count box fixing its members, an item that fills the
-slack exactly left free), a node the rows close with no LP, knapsack
-nodes skipping the rule, the propagator against a one-row-at-a-time
-loop (``oracles.propagate_rows``) and against every feasible 0/1 point
-of random node boxes, plain and exact solves against independent
-oracles, and ``solve``'s output.
+closes with no LP when some row holds nowhere in that box; a knapsack
+node's closed-form LP applies its one row itself.  These tests show each
+rule on hand-built rows (a <= row fixing to 0, a >= row fixing to 1, a
+partition count box fixing its members, an item that fills the slack
+exactly left free), a node the rows close with no LP, knapsack nodes
+applying their row with no propagator, the closed form against
+``oracles.propagate_rows`` followed by ``lp.fractional_knapsack`` on
+random boxes, the propagator against that one-row-at-a-time loop and
+against every feasible 0/1 point of random node boxes, plain and exact
+solves against independent oracles, and ``solve``'s output.
 """
 
 import json
@@ -17,14 +19,15 @@ import json
 import numpy as np
 import pytest
 
-from oracles import binary_enumeration, highs_optimum, propagate_rows, with_rows
+from oracles import binary_enumeration, highs_optimum, knapsack_arrays, propagate_rows, with_rows
 from probranch import _simplex, bnb, cli
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import Calibration, partition_solve
 from probranch.generators import gen_ca, gen_knapsack_uniform, gen_scp
-from probranch.lp import relaxation_arrays
+from probranch.lp import fractional_knapsack, relaxation_arrays
 from probranch.model import LinearRow, MipInstance, check_feasible, serialize
 from probranch.predict import Prediction, lp_root_predict
+from test_fixing import knapsack
 from test_warm_start import counted_partition, flipped, tight_mkp, with_continuous
 
 EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
@@ -172,7 +175,10 @@ def force_calls(monkeypatch) -> None:
     monkeypatch.setattr(bnb._Propagator, "__init__", forcing)
 
 
-def test_knapsack_nodes_skip_the_propagator(monkeypatch):
+def test_knapsack_nodes_apply_their_row_in_closed_form(monkeypatch):
+    """A knapsack's closed-form LP applies its one row itself: no
+    propagator is called, and since the node's box is left as it is,
+    ``propagated`` stays 0."""
     calls = counted_calls(monkeypatch)
     inst = gen_knapsack_uniform(30, 0.3, 110_000).instance
     rep = solve_mip(inst, options=SolveOptions(**EXACT))
@@ -184,6 +190,91 @@ def test_knapsack_nodes_skip_the_propagator(monkeypatch):
     inst = with_rows(inst, [LinearRow([(j, 1.0) for j in range(n)], "<=", float(n))])
     rep = solve_mip(inst, options=SolveOptions(**EXACT))
     assert len(calls) == rep.nodes - rep.closed["first_step"] > 1
+
+
+def knapsack_lp_reference(inst: MipInstance, lb, ub):
+    """(x, lambda, held, critical) of a knapsack's LP over the box by the
+    oracles, or None when the row holds nowhere in it: the row propagated
+    one item at a time, then the greedy LP over the items it leaves free.
+    ``held`` marks the free items the row fixes to 0, and ``critical`` is
+    the item the greedy LP splits (None when every item fits)."""
+    box = propagate_rows(inst, lb, ub)
+    if box is None:
+        return None
+    plb, pub = box
+    w, f, cap = knapsack_arrays(inst)
+    free = np.flatnonzero(plb < pub)
+    x, lam, critical = plb.copy(), 0.0, None
+    if len(free):
+        y, lam, split = fractional_knapsack(w[free], f[free], cap - float(np.dot(w, plb)))
+        x[free] = y
+        critical = None if split is None else int(free[split])
+    return x, lam, (plb == pub) & (lb < ub), critical
+
+
+RELAXATION_CASES = ["generator", "exact_fill", "tied", "fills_room", "heavy"]
+
+
+def relaxation_case(case: str, trial: int):
+    """(instance, lb, ub, item) for one trial: a 12-item knapsack and a
+    random node box.  The generator's knapsack; integer weights, so many
+    boxes fill the capacity exactly with whole items; ratios tied in
+    threes; or a free item of the best ratio, ``item``, whose weight
+    equals the room the box leaves exactly (it stays free) or exceeds it
+    by 1e-6, beyond the propagation tolerance (it is held at 0)."""
+    rng = np.random.default_rng([RELAXATION_CASES.index(case), trial, 27])
+    n = 12
+    lb, ub = np.zeros(n), np.ones(n)
+    pick = rng.permutation(n)
+    lb[pick[:rng.integers(0, 6)]] = 1.0
+    ub[pick[6:6 + rng.integers(0, 4)]] = 0.0
+    if case == "generator":
+        return gen_knapsack_uniform(n, 0.3, 130_000 + trial).instance, lb, ub, None
+    w, f = rng.uniform(0.1, 1.0, n), rng.uniform(0.05, 1.0, n)
+    if case in ("exact_fill", "fills_room"):
+        w = rng.integers(1, 6, n).astype(float)
+    if case == "tied":
+        f = np.repeat(rng.random(4) + 0.05, 3)
+    if case == "exact_fill":
+        return knapsack(w, f, np.floor(0.3 * w.sum())), lb, ub, None
+    if case == "tied":
+        return knapsack(w, f, 0.3 * n), lb, ub, None
+    item = int(pick[5])  # free: the box fixes pick[:5] to 1 at most, pick[6:] to 0
+    f[item] = 1.5
+    cap = w @ lb + w[item] - (1e-6 if case == "heavy" else 0.0)
+    return knapsack(w, f, cap), lb, ub, item
+
+
+@pytest.mark.parametrize("case", RELAXATION_CASES)
+def test_the_knapsack_lp_is_the_greedy_lp_of_the_propagated_box(case):
+    held_seen = infeasible = 0
+    for trial in range(60):
+        inst, lb, ub, item = relaxation_case(case, trial)
+        c_user, (w,), _, (cap,), _, _ = relaxation_arrays(inst)
+        c = -c_user  # the solver minimizes
+        status, x, bound, state = bnb._Knapsack(c, w, float(cap))(lb, ub)
+        ref = knapsack_lp_reference(inst, lb, ub)
+        if ref is None:
+            assert status == _simplex.STATUS_INFEASIBLE, trial
+            infeasible += 1
+            continue
+        rx, lam, held, critical = ref
+        assert status == _simplex.STATUS_OPTIMAL, trial
+        np.testing.assert_allclose(x, rx, rtol=0, atol=1e-12)
+        assert bound == pytest.approx(float(c @ rx), rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(state.d, c + lam * w, rtol=1e-12, atol=1e-12)
+        # fixed, held and critical items are h = 0; the rest sit at a bound
+        h = np.where(lb < ub, np.where(rx == 1.0, 1.0, -1.0), 0.0)
+        h[held] = 0.0
+        if critical is not None:
+            h[critical] = 0.0
+        assert np.array_equal(state.h, h), trial
+        held_seen += held.any()
+        if case == "fills_room":  # the best ratio and it fits whole
+            assert not held[item] and x[item] == 1.0 and state.h[item] == 1.0
+        elif case == "heavy":
+            assert held[item] and x[item] == 0.0 and state.h[item] == 0.0
+    assert infeasible <= 20 and held_seen >= (60 if case == "heavy" else 5)
 
 
 @pytest.mark.parametrize("family", ["ca", "mkp"])
