@@ -33,6 +33,7 @@ DEFAULT_SHIFT = 10.0
 NODE_SHIFT = 10.0  # nodes
 DEFAULT_TIME_LIMIT = 10.0  # desk-scale per-solve budget, overridable
 CALIB_FRACTION = 0.2  # share of a training slice held out to calibrate
+TEST_COUNT = 20  # the default test split holds at most this many instances
 
 
 def sgm(times, shift: float = DEFAULT_SHIFT) -> float:
@@ -88,7 +89,7 @@ class BenchConfig:
     tightened: bool | None = None
     time_limit: float = DEFAULT_TIME_LIMIT
     train_count: int | None = None  # None: everything not in the test split
-    test_count: int = 20
+    test_count: int | None = None  # None: default_test_count of the family's size
 
     def validate(self) -> None:
         if self.mode not in ("heuristic", "exact", "plain"):
@@ -97,7 +98,7 @@ class BenchConfig:
             raise ValueError("tau must be in (0.5, 1]")
         if self.delta is not None and not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.test_count < 1:
+        if self.test_count is not None and self.test_count < 1:
             raise ValueError("test_count must be >= 1")
 
 
@@ -151,13 +152,27 @@ def paired_sgms(rows: list[BenchRow]) -> dict:
 def solve_labels(instances, time_limit) -> list[tuple[np.ndarray, np.ndarray]]:
     """Training labels: ``(features, y)`` for every ``(features, instance)``
     pair whose solve finds a solution within ``time_limit``, with y the
-    solution's rounded binary part."""
-    labeled = []
+    solution's rounded binary part.
+
+    The instances are a family's, so each solve starts from the final
+    hull of the one before it (``solve_mip``'s ``start``): its basis,
+    and its clique rows where the right-hand sides are equal.  The
+    carry lives in this call alone; every solve a user times is cold.
+    """
+    labeled, hull = [], None
     for xi, inst in instances:
-        rep = solve_mip(inst, options=SolveOptions(time_limit=time_limit))
+        rep = solve_mip(inst, options=SolveOptions(time_limit=time_limit), start=hull)
+        hull = rep.hull or hull
         if rep.best_solution is not None:
             labeled.append((xi, np.round(rep.best_solution.binary_part(inst))))
     return labeled
+
+
+def default_test_count(total: int) -> int:
+    """The default test split of a family of ``total`` instances: its last
+    min(TEST_COUNT, max(1, total // 4)), so a default family of 20 keeps
+    15 to train on.  ``train``, ``calibrate`` and ``bench`` share it."""
+    return min(TEST_COUNT, max(1, total // 4))
 
 
 def calibration_split(instances: list) -> tuple[list, list]:
@@ -202,17 +217,14 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     config.validate()
     family = read_family(config.family_dir)
     total = len(family.instances)
-    if config.test_count >= total:
+    n_test = config.test_count if config.test_count is not None else default_test_count(total)
+    if n_test >= total:
         raise ValueError("test split consumes the whole family")
-    test = family.instances[total - config.test_count :]
-    n_train = (
-        config.train_count
-        if config.train_count is not None
-        else total - config.test_count
-    )
+    test = family.instances[total - n_test :]
+    n_train = config.train_count if config.train_count is not None else total - n_test
     if n_train < 1:
         raise ValueError("empty training split")
-    train = family.instances[: min(n_train, total - config.test_count)]
+    train = family.instances[: min(n_train, total - n_test)]
 
     model = cal = None
     if config.mode != "plain" and config.predictor == "logistic":

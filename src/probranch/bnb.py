@@ -69,6 +69,22 @@ every 0/1 point of the instance, so ``_Roundings``, the propagation and
 every node LP use them, and ``SolveReport.cuts`` counts them.  The
 closed-form knapsack never separates.
 
+Carried roots: a solve may start from the final hull of an earlier one
+(``Hull``, kept in every report whose hull is optimal), as
+``bench.solve_labels`` does along a family's training instances.  When
+the instance's rows have the start's matrix and senses and the hull its
+box, the hull LP starts from the start's basis
+(``_simplex._Workspace.started``).  When the right-hand sides are equal
+too, every 0/1 point of the instance meets the start's clique rows, so
+they carry, and with them the conflict graph, the separation and the
+``_Roundings`` and ``_Propagator`` built on the rows: the hull starts
+from the state over the rows and the cuts, separation goes on from
+there, and ``SolveReport.cuts`` counts the carried rows as well.  The
+conflict graph depends on b, so across a change of b only the basis of
+the LP over the rows alone carries.  Knapsack solves take no start.
+Every other solve is cold: the solves a user times (``solve``, and
+``bench``'s plain and method solves) never take one.
+
 First-step bounds: when a node branches on x_j, its final tableau row
 of x_j bounds each child's LP from below before that LP is set up
 (``_simplex._Workspace.first_step_gains``, the dual's first
@@ -107,6 +123,7 @@ instances are safe.  Incumbent timestamps come from a monotonic clock.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -179,7 +196,8 @@ class SolveReport:
     best_root: int | None = None  # the root whose subtree found best_solution
     fixed: int = 0  # binaries fixed by reduced-cost fixing, over all nodes
     propagated: int = 0  # binaries fixed by row propagation, over the nodes it left open
-    cuts: int = 0  # clique rows added at the hull
+    cuts: int = 0  # clique rows in the hull's LP, those carried from a start included
+    hull: Hull | None = None  # the final hull when it is optimal, to start a like solve
     # nodes by the way each closed, one count per CLOSED_BY key; they sum
     # to nodes, less the one node a limit stopped inside its LP
     closed: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CLOSED_BY, 0))
@@ -350,6 +368,12 @@ class _Cliques:
         cols = np.nonzero(support)[1].tolist()  # row by row
         self.seen = {tuple(cols[end - k:end]) for k, end in zip(sizes, itertools.accumulate(sizes))}
 
+    def copy(self) -> _Cliques:
+        """A copy whose ``seen`` grows apart from this one's."""
+        other = copy.copy(self)
+        other.seen = set(self.seen)
+        return other
+
     def __call__(self, x: np.ndarray) -> list[np.ndarray]:
         """The sorted column indices of each new clique that x violates."""
         y, nbrs = x[: self.n_bin].tolist(), self.nbrs
@@ -476,6 +500,39 @@ class _Knapsack:
         return y if float(w @ y) - self.cap <= ROUNDED_ROW_TOL else None
 
 
+@dataclass
+class Hull:
+    """A solve's final hull, kept in its report to start the next solve
+    of the same family (``solve_mip``'s ``start``).
+
+    ``a``, ``senses`` and ``b`` are the instance's own rows and [lb, ub]
+    the hull's box.  ``first`` is an optimal state of the LP over those
+    rows alone and ``state`` the hull's final optimal state over them
+    and ``cuts``, the clique rows it holds (a (k, n) array).
+    ``roundings`` and ``propagate`` are built on the rows and the cuts;
+    ``adj`` is the conflict graph (None when it was not built) and
+    ``cliques`` its separation (None when the graph has no edge).
+    """
+
+    a: np.ndarray
+    senses: list[str]
+    b: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    first: _simplex._Workspace
+    state: _simplex._Workspace
+    cuts: np.ndarray
+    roundings: _Roundings
+    propagate: _Propagator
+    adj: np.ndarray | None
+    cliques: _Cliques | None
+
+    def fits(self, a: np.ndarray, senses: list[str], lb: np.ndarray, ub: np.ndarray) -> bool:
+        """Whether a hull over the rows (a, senses) and the box [lb, ub] can start from this one."""
+        return (senses == self.senses and np.array_equal(a, self.a)
+                and np.array_equal(lb, self.lb) and np.array_equal(ub, self.ub))
+
+
 class _Node(NamedTuple):
     """An open node: its box [lb, ub], shared with its siblings until a
     fixing copies it; ``warm``, its parent's optimal LP state (a root's
@@ -495,6 +552,7 @@ def solve_mip(
     instance: MipInstance,
     options: SolveOptions | None = None,
     roots: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    start: Hull | None = None,
 ) -> SolveReport:
     """Branch-and-bound solve of the instance, honouring options.
 
@@ -503,6 +561,15 @@ def solve_mip(
     searches their union.  Each box is a child of the hull.  The subtrees share the
     incumbent, the limits and the incumbent log; the report counts
     nodes and seconds per root.
+
+    ``start`` is the ``hull`` of an earlier solve's report, the previous
+    instance of a family.  When the instance's rows have its matrix and
+    senses and the hull its box, the hull LP starts from its basis
+    (``_simplex._Workspace.started``) instead of the slack basis.  When
+    the right-hand sides are equal too, the start's clique rows and the
+    structures built on the rows carry as well: the hull starts from the
+    state over the rows and the cuts, and separation goes on from there.
+    A knapsack solve takes no start.
 
     The report is in the instance's own sense.  Limits are statuses:
     hitting the node or time limit yields status "limit" with the best
@@ -544,31 +611,48 @@ def solve_mip(
         prune_at = val - max(opts.abs_gap, opts.rel_gap * abs(val))
         rep.incumbent_log.append((time.monotonic() - t0, (-val if negate else val) + 0.0))
 
-    roundings = _Roundings(a, senses, b, n_bin)
-
     # pure single-row knapsacks have a closed-form node relaxation
     knapsack = propagate = None
     if instance.num_continuous == 0 and senses == ["<="] and np.all(a[0] > 0):
         knapsack = _Knapsack(c, a[0], float(b[0]))
 
-    def node_lp(lb, ub, warm):
-        """(status, x, bound, state) of the LP over the box, from a parent's state."""
+    def node_lp(lb, ub, warm, start=None):
+        """(status, x, bound, state) of the LP over the box, from a parent's state
+        (``warm``) or an earlier instance's hull state (``start``)."""
         if knapsack is not None:
             return knapsack(lb, ub)
         res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm,
-                                        deadline=deadline, cutoff=prune_at)
+                                        deadline=deadline, cutoff=prune_at, start=start)
         return res.status, res.x, res.objective, res.state
 
     # the hull bounds every root box and is dual feasible under each
     hull_lb = np.min([lo for lo, _ in boxes], axis=0)
     hull_ub = np.max([hi for _, hi in boxes], axis=0)
-    lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None)
-    adj = None
-    if knapsack is None and lp_status == _simplex.STATUS_OPTIMAL and (
+    rows_a, rows_senses, rows_b = a, senses, b
+    if start is not None and (knapsack is not None or not start.fits(a, senses, hull_lb, hull_ub)):
+        start = None
+    if start is not None and np.array_equal(b, start.b):
+        # the cut rows hold at every 0/1 point of these rows, so they carry
+        cuts, adj, roundings, propagate = start.cuts, start.adj, start.roundings, start.propagate
+        cliques = start.cliques and start.cliques.copy()
+        a = np.vstack([a, cuts])
+        senses = senses + ["<="] * len(cuts)
+        b = np.concatenate([b, np.ones(len(cuts))])
+        first = start.first
+        lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None, start.state)
+    else:
+        cuts, adj, cliques = np.zeros((0, len(c))), None, None
+        roundings = _Roundings(a, senses, b, n_bin)
+        lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None,
+                                            None if start is None else start.first)
+        first = hull
+    if adj is None and knapsack is None and lp_status == _simplex.STATUS_OPTIMAL and (
             np.abs(x[:n_bin] - np.rint(x[:n_bin])) > INTEGRALITY_TOL).any():
         adj = _conflict_graph(roundings.lhs, roundings.rhs, n_bin)
-    if adj is not None and adj.any():
-        cliques = _Cliques(adj, a)
+        if adj.any():
+            cliques = _Cliques(adj, rows_a)
+    carried = len(cuts)
+    if cliques is not None and lp_status == _simplex.STATUS_OPTIMAL:
         for _ in range(CUT_ROUNDS):
             if deadline is not None and time.monotonic() > deadline:
                 break
@@ -579,17 +663,23 @@ def solve_mip(
             for r, clique in enumerate(found):
                 rows[r, clique] = 1.0
             hull = hull.with_rows(rows, np.ones(len(found)))
+            cuts = np.vstack([cuts, rows])
             a = np.vstack([a, rows])
             senses = senses + ["<="] * len(found)
             b = np.concatenate([b, np.ones(len(found))])
-            rep.cuts += len(found)
             lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, hull)
             if lp_status != _simplex.STATUS_OPTIMAL:
                 break
-        if rep.cuts:
+        if len(cuts) > carried:
             roundings = _Roundings(a, senses, b, n_bin)
-    if knapsack is None:
+            propagate = None
+    rep.cuts = len(cuts)
+    if knapsack is None and propagate is None:
         propagate = _Propagator(roundings.lhs, roundings.rhs, n_bin)
+    if lp_status == _simplex.STATUS_OPTIMAL and knapsack is None:
+        rep.hull = Hull(a=rows_a, senses=rows_senses, b=rows_b, lb=hull_lb, ub=hull_ub,
+                        first=first, state=hull, cuts=cuts, roundings=roundings,
+                        propagate=propagate, adj=adj, cliques=cliques)
     key = bound if lp_status == _simplex.STATUS_OPTIMAL else -math.inf
     if lp_status == _simplex.STATUS_INFEASIBLE:
         boxes = []

@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--tightened", action="store_true", default=None)
     b.add_argument("--time-limit", type=float, default=bench_mod.DEFAULT_TIME_LIMIT)
     b.add_argument("--train-count", type=int, default=None)
-    b.add_argument("--test-count", type=int, default=20)
+    b.add_argument("--test-count", type=int, default=None,
+                   help="test instances, the family's last (default: min(20, max(1, n // 4)))")
     _add_common(b)
 
     v = sub.add_parser("verify", help="Monte-Carlo validation of the tail bounds")
@@ -141,8 +142,10 @@ def _cmd_generate(args) -> int:
 
 
 def _train_slice(family, train_count):
+    """The family's first ``train_count`` instances; by default all but
+    ``bench``'s default test split."""
     total = len(family.instances)
-    n_train = train_count if train_count is not None else max(1, total - 20)
+    n_train = train_count if train_count is not None else total - bench_mod.default_test_count(total)
     return family.instances[: min(n_train, total)]
 
 

@@ -19,11 +19,13 @@ from .model import (
     FORMAT_VERSION,
     MAXIMIZE,
     MINIMIZE,
+    InvariantViolationError,
     LinearRow,
+    MalformedDocumentError,
     MipInstance,
     check_feasible,
-    deserialize,
     decode,
+    read_instance,
     serialize,
 )
 
@@ -315,13 +317,30 @@ def write_family(family: InstanceFamily, out_dir: str | Path) -> Path:
 
 
 def read_family(path: str | Path) -> InstanceFamily:
+    """The family written to ``path`` by :func:`write_family`.
+
+    The template is read first.  A member whose rows document equals
+    the template's takes the template's validated rows list, shared by
+    the family, and is checked only in its own fields (objective,
+    bounds and tag); any other member is read and checked whole
+    (``model.read_instance``).  A fault in the template or a member
+    raises its usual error with the file's name in front.
+    """
     root = Path(path)
 
+    def load(fname, read):
+        try:
+            return read((root / fname).read_bytes())
+        except (MalformedDocumentError, InvariantViolationError) as exc:
+            exc.args = (f"{fname}: {exc}", *exc.args[1:])
+            raise
+
     def build(manifest):
-        template = deserialize((root / manifest["template"]).read_bytes())
-        instances = [deserialize((root / fname).read_bytes()) for fname in manifest["instances"]]
+        template = load(manifest["template"], read_instance)
+        instances = [load(fname, lambda data: read_instance(data, template)[1])
+                     for fname in manifest["instances"]]
         return InstanceFamily(
-            template=template,
+            template=template[1],
             varying_field=manifest["varying_field"],
             instances=[(np.array(inst.param_tag), inst) for inst in instances],
             seed=manifest["seed"],

@@ -75,14 +75,19 @@ class MipInstance:
     def num_vars(self) -> int:
         return self.num_binary + self.num_continuous
 
-    def validate(self) -> None:
+    def validate(self, rows: bool = True) -> None:
+        """Raise InvariantViolationError where the instance breaks an invariant.
+
+        ``rows=False`` skips the rows, for an instance whose rows list is
+        another's, already validated over the same variable counts.
+        """
         n = self.num_vars
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise InvariantViolationError(f"bad sense {self.sense!r}")
         if self.num_binary < 0 or self.num_continuous < 0 or n < 1:
             raise InvariantViolationError("instance needs at least one variable")
         _check_sparse(self.objective, n, "objective")
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(self.rows if rows else ()):
             if not row.coeffs:
                 raise InvariantViolationError(f"row {r} has no coefficients")
             _check_sparse(row.coeffs, n, f"row {r}")
@@ -231,14 +236,15 @@ def decode(data: bytes, build: Callable[[dict], T]) -> T:
         raise MalformedDocumentError(f"bad document structure: {exc}") from exc
 
 
-def _instance_from_doc(doc: dict) -> MipInstance:
+def _instance_from_doc(doc: dict, rows: list[LinearRow] | None = None) -> MipInstance:
+    """The instance a document describes; ``rows`` stands in for its rows."""
     return MipInstance(
         name=str(doc["name"]),
         sense=doc["sense"],
         num_binary=int(doc["num_binary"]),
         num_continuous=int(doc["num_continuous"]),
         objective=[(int(j), float(v)) for j, v in doc["objective"]],
-        rows=[
+        rows=rows if rows is not None else [
             LinearRow(
                 coeffs=[(int(j), float(v)) for j, v in row["coeffs"]],
                 sense=row["sense"],
@@ -261,9 +267,33 @@ def deserialize(data: bytes) -> MipInstance:
     parse/schema problems and InvariantViolationError when the decoded
     instance breaks a model invariant.
     """
-    instance = decode(data, _instance_from_doc)
-    instance.validate()
-    return instance
+    return read_instance(data)[1]
+
+
+def read_instance(
+    data: bytes, template: tuple[list, MipInstance] | None = None
+) -> tuple[list, MipInstance]:
+    """(rows document, instance) of bytes produced by :func:`serialize`,
+    checked as :func:`deserialize` checks them.
+
+    ``template`` is such a pair of a validated instance, a family's
+    template.  A document whose ``rows`` and variable counts equal the
+    template's takes the template's rows list itself, one list that the
+    family shares and no code mutates, and validates only its own
+    fields: objective, continuous bounds and tag.  Any other document is
+    read and checked whole.
+    """
+    shared = None if template is None else template[1].rows
+
+    def build(doc):
+        same = template is not None and doc["rows"] == template[0] and (
+            doc["num_binary"], doc["num_continuous"]
+        ) == (template[1].num_binary, template[1].num_continuous)
+        return doc["rows"], _instance_from_doc(doc, shared if same else None)
+
+    rows_doc, instance = decode(data, build)
+    instance.validate(rows=instance.rows is not shared)
+    return rows_doc, instance
 
 
 def row_residual(row: LinearRow, values: np.ndarray) -> float:

@@ -461,20 +461,38 @@ def test_cached_parser_gives_each_call_its_own_namespace(monkeypatch, capsys):
     assert third["tightened"] is None and "seed" not in third  # unset: the predictor decides
 
 
-def test_train_on_the_default_slice_of_a_20_instance_family_names_train_count(
+def test_train_on_the_default_slice_of_a_4_instance_family_names_train_count(
         tmp_path, capsys, monkeypatch):
-    # train's default slice, all but the last 20 instances and at least 1,
-    # is one instance here; calibration holds it out, so the fit part is
-    # empty, and the error says so before any label solve
+    # the default test split holds the last max(1, 4 // 4) = 1 instance, so
+    # the slice is 3; calibration holds out 2, the fit part holds 1, and
+    # the error says so before any label solve
     fam, model = tmp_path / "fam", tmp_path / "model.json"
-    assert cli.main(["generate", "--kind", "mkp", "--out", str(fam)]) == 0
+    assert cli.main(["generate", "--kind", "mkp", "--count", "4", "--out", str(fam)]) == 0
     solves = []
     monkeypatch.setattr(bench, "solve_labels", lambda fit, time_limit: solves.append(fit) or [])
     capsys.readouterr()
     assert cli.main(["train", "--family", str(fam), "--out", str(model)]) == 1
     err = capsys.readouterr().err
-    assert "--train-count" in err and "fit part holds 0" in err
+    assert "--train-count" in err and "fit part holds 1" in err
     assert solves == [] and not model.exists()
+
+
+def test_train_calibrate_and_bench_run_with_every_default_on_a_default_family(tmp_path):
+    # generate's default family holds 20 instances; every default leaves
+    # the last 5 to test and trains on the first 15: 12 fitted, 3 held out
+    fam, model, calib = tmp_path / "fam", tmp_path / "model.json", tmp_path / "calib.json"
+    assert cli.main(["generate", "--kind", "mkp", "--out", str(fam)]) == 0
+    assert cli.main(["train", "--family", str(fam), "--out", str(model)]) == 0
+    assert load_model(model).fitted_on == [f"mkp_5x20_{i:03d}" for i in range(12)]
+    assert cli.main(["calibrate", "--family", str(fam), "--model", str(model),
+                     "--out", str(calib)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["bench", "--family", str(fam), "--out", str(tmp_path / "b")]) == 0
+    config = json.loads((tmp_path / "b.json").read_text())["config"]
+    assert (config["train_count"], config["test_count"]) == (15, 5)
+    assert (config["tau"], config["sigma"]) == tuple(
+        json.loads(calib.read_text())[k] for k in ("tau_star", "sigma"))
 
 
 def test_solve_plain_takes_an_lp_with_no_binaries(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from probranch.generators import (
     stream_rng,
     write_family,
 )
-from probranch.model import check_feasible
+from probranch import cli
+from probranch.model import InvariantViolationError, MalformedDocumentError, check_feasible
 
 
 class TestMkp:
@@ -144,6 +147,30 @@ class TestFamilyIo:
         for (_, a), (_, b) in zip(fam.instances, back.instances):
             assert a == b
         back.validate()
+
+    def test_a_bad_member_row_names_its_file(self, tmp_path, capsys):
+        path = write_family(gen_mkp(3, 16, 5, seed=2), tmp_path / "fam")
+        doc = json.loads((path / "instance_0003.json").read_text())
+        doc["rows"][2]["coeffs"][0][0] = 99
+        (path / "instance_0003.json").write_text(json.dumps(doc))
+        with pytest.raises(InvariantViolationError,
+                           match=r"^instance_0003\.json: row 2: index 99 out of range \[0, 16\)$"):
+            read_family(path)
+        assert cli.main(["train", "--family", str(path), "--train-count", "4",
+                         "--out", str(tmp_path / "model.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: instance_0003.json: row 2: index 99 out of range [0, 16)\n"
+
+    def test_a_truncated_member_names_its_file_and_keeps_the_position(self, tmp_path, capsys):
+        path = write_family(gen_mkp(3, 16, 5, seed=2), tmp_path / "fam")
+        data = (path / "instance_0003.json").read_bytes()
+        (path / "instance_0003.json").write_bytes(data[:-5])
+        with pytest.raises(MalformedDocumentError, match=r"^instance_0003\.json: Expecting") as exc:
+            read_family(path)
+        assert exc.value.position == len(data) - 5
+        assert cli.main(["train", "--family", str(path), "--train-count", "4",
+                         "--out", str(tmp_path / "model.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: instance_0003.json: Expecting")
 
     def test_validate_catches_foreign_instance(self):
         fam = gen_mkp(2, 5, 2, seed=43)
