@@ -134,41 +134,47 @@ def _slack_bounds(sense: str) -> tuple[float, float]:
     raise ValueError(f"bad row sense {sense!r}")
 
 
-def _ratio_test(alpha, d, h, span, gap, rises, bland=False):
+_NO_FLIPS = np.zeros(0, dtype=np.intp)  # the flips of a ratio test that walks no breakpoint
+
+
+def _ratio_test(ha, mag, absd, span, gap, rises, bland=False):
     """The bound-flipping ratio test on one row of the tableau (Fourer 1994).
 
     A basic variable with tableau row alpha = (B^-1 A)_r lies ``gap``
-    short of the bound it must reach, below it when ``rises``.  A
-    nonbasic column k is eligible when moving it off its bound, the way
-    h_k allows, pushes that variable toward the bound; its breakpoint is
-    the dual step |d_k|/|alpha_k| at which its reduced cost reaches 0,
-    and moving it through its whole span closes |alpha_k|·span_k of the
-    gap.  The walk takes the breakpoints in order, ties to the largest
-    pivot |alpha_k| and then the lowest index (the lowest index alone
-    under Bland's rule), and flips each column to its other bound while
-    the gap stays open after the flip; the column that closes it enters.
-    When the first breakpoint closes the gap alone, no walk is needed.
+    short of the bound it must reach, below it when ``rises``.  The row
+    comes as ha = h * alpha and mag = |alpha|, and the reduced costs as
+    absd = |d|, so that callers testing one row or one d more than once
+    compute them once.  A nonbasic column k is eligible when moving it
+    off its bound, the way h_k allows, pushes that variable toward the
+    bound; its breakpoint is the dual step |d_k|/|alpha_k| at which its
+    reduced cost reaches 0, and moving it through its whole span closes
+    |alpha_k|·span_k of the gap.  The walk takes the breakpoints in
+    order, ties to the largest pivot |alpha_k| and then the lowest index
+    (the lowest index alone under Bland's rule), and flips each column to
+    its other bound while the gap stays open after the flip; the column
+    that closes it enters.  When the first breakpoint closes the gap
+    alone, no walk is needed.
 
     Returns (q, flips, gain): the entering column, the flipped columns
     in walk order and the rise of the dual objective over the step,
     which is the cost of the move.  When the eligible columns cannot
     close the gap the row proves the LP infeasible: (None, None, inf).
     """
-    ha = h * alpha
     cols = (ha > _PIVOT_TOL if rises else ha < -_PIVOT_TOL).nonzero()[0]
     if not len(cols):
         return None, None, math.inf
-    mag = np.abs(alpha[cols])
-    ratios = np.abs(d[cols]) / mag
-    reach = mag * span[cols]
+    mag = mag[cols]
+    ratios = absd[cols] / mag
     # the first breakpoint: least ratio, ties to the largest pivot, then
     # (as in the full order below) the lowest index
-    i = int(ratios.argmin())
-    tied = ratios == ratios[i]
-    if np.count_nonzero(tied) > 1:
-        i = int(np.where(tied, mag, -1.0).argmax())
-    if not bland and gap - reach[i] <= _FEAS_TOL:
-        return int(cols[i]), cols[:0], float(ratios[i] * gap)
+    i = ratios.argmin()
+    if len(cols) > 1:
+        tied = ratios == ratios[i]
+        if np.count_nonzero(tied) > 1:
+            i = np.where(tied, mag, -1.0).argmax()
+    if not bland and gap - mag[i] * span[cols[i]] <= _FEAS_TOL:
+        return int(cols[i]), _NO_FLIPS, float(ratios[i] * gap)
+    reach = mag * span[cols]
     order = np.lexsort((cols if bland else -mag, ratios))
     left = gap - reach[order].cumsum()  # the gap left after each breakpoint's flip
     k = int((left <= _FEAS_TOL).argmax())
@@ -183,7 +189,8 @@ class _Workspace:
     """Mutable solver state over the extended (structural+slack) system.
 
     The workspace a solve ends with is its warm-start state; ``child``
-    copies everything a solve writes and shares the extended matrix.
+    copies everything a solve writes and shares the extended matrix and
+    the extended costs ``c`` (0 on the slacks).
     """
 
     def __init__(self, a, senses, b, lb, ub, c):
@@ -213,18 +220,20 @@ class _Workspace:
         self.pivots = 0  # since the last refactorization
         self.degenerate = 0
         self.iterations = 0
+        self.c = np.concatenate([c, np.zeros(m)])
         # reduced costs: the start's, then those an optimal solve ends with
-        self.d = np.concatenate([c, np.zeros(m)])
+        self.d = self.c.copy()
 
     def child(self, lb: np.ndarray, ub: np.ndarray) -> _Workspace:
         """A copy of this state under a box within its own, x_B recomputed.
 
         Nonbasic variables move onto the same side of the new box.  The
-        extended matrix, b, the carried reduced costs and the pivot count
-        are inherited; only the arrays a solve writes are copied.
+        extended matrix, b, the costs, the carried reduced costs and the
+        pivot count are inherited; only the arrays a solve writes are
+        copied.
         """
         ws = _Workspace.__new__(_Workspace)
-        ws.m, ws.n, ws.A, ws.b = self.m, self.n, self.A, self.b
+        ws.m, ws.n, ws.A, ws.b, ws.c = self.m, self.n, self.A, self.b, self.c
         ws.basis = self.basis.copy()
         ws.binv = self.binv.copy()
         ws.is_basic = self.is_basic.copy()
@@ -264,7 +273,7 @@ class _Workspace:
         if np.count_nonzero(sl_lo > sl_hi):
             return None
         ws = _Workspace.__new__(_Workspace)
-        ws.m, ws.n, ws.A, ws.b = self.m, n, self.A, b
+        ws.m, ws.n, ws.A, ws.b, ws.c = self.m, n, self.A, b, c
         ws.basis = self.basis.copy()
         ws.binv = self.binv.copy()
         ws.is_basic = self.is_basic.copy()
@@ -288,8 +297,10 @@ class _Workspace:
         rows' multipliers and the reduced costs d stay as they were (0
         on the new slacks), so an optimal state stays dual feasible and
         a warm dual solve over the extended rows restores primal
-        feasibility where a new row cuts off x.  This state is not
-        modified.
+        feasibility where a new row cuts off x.  The new slacks are
+        basic, so the nonbasic sides h are 0 on them: the result is a
+        complete optimal state whose reduced costs and first-step gains
+        can be read before it is re-solved.  This state is not modified.
         """
         k, (m, n) = len(rhs), (self.m, self.n)
         ws = _Workspace.__new__(_Workspace)
@@ -308,7 +319,9 @@ class _Workspace:
         ws.ub = np.concatenate([self.ub, np.full(k, np.inf)])
         ws.b = np.concatenate([self.b, rhs])
         ws.x = np.concatenate([self.x, rhs - r @ self.x])
+        ws.c = np.concatenate([self.c, np.zeros(k)])
         ws.d = np.concatenate([self.d, np.zeros(k)])
+        ws.h = np.concatenate([self.h, np.zeros(k)])
         ws.pivots = self.pivots
         ws.degenerate = ws.iterations = 0
         return ws
@@ -367,17 +380,17 @@ class _Workspace:
         relative), STATUS_TIME_LIMIT once ``deadline`` has passed, or
         STATUS_ITERATION_LIMIT.
         """
-        x, A, basis = self.x, self.A, self.basis
+        x, A, basis, lb, ub = self.x, self.A, self.basis, self.lb, self.ub
         d = self.d.copy()
         self.d = None
-        span = self.ub - self.lb
+        span = ub - lb
         movable = span > _PIVOT_TOL
         movable[basis] = False
         # h is -1 where a nonbasic column sits at its lower bound (it can
         # only rise), +1 where it sits at its upper (it can only fall) and
         # 0 where it cannot move
-        h = np.where(x == self.lb, -1.0, 1.0) * movable
-        xb, lb_b, ub_b = x[basis], self.lb[basis], self.ub[basis]
+        h = np.where(x == lb, -1.0, 1.0) * movable
+        xb, lb_b, ub_b = x[basis], lb[basis], ub[basis]
         binv = self.binv
         track = math.isfinite(cutoff)
         if track:
@@ -386,12 +399,13 @@ class _Workspace:
             stop_at = cutoff + CUTOFF_TOL * max(1.0, abs(cutoff))
             c_b = c[basis]
             c_n = float(c @ np.where(self.is_basic, 0.0, x))
+        iterations, degenerate = self.iterations, self.degenerate
         status = STATUS_ITERATION_LIMIT
-        while self.iterations < max_iters:
+        while iterations < max_iters:
             if deadline is not None and time.monotonic() > deadline:
                 status = STATUS_TIME_LIMIT
                 break
-            self.iterations += 1
+            iterations += 1
             infeas = np.maximum(lb_b - xb, xb - ub_b)
             bad = (infeas > _FEAS_TOL).nonzero()[0]
             if not len(bad):
@@ -400,28 +414,29 @@ class _Workspace:
             if track and c_n + c_b @ xb >= stop_at:
                 status = STATUS_CUTOFF
                 break
-            bland = self.degenerate >= BLAND_AFTER
+            bland = degenerate >= BLAND_AFTER
             if len(bad) == 1:
                 r = int(bad[0])
             elif bland:
                 r = int(bad[basis[bad].argmin()])
             else:
                 rows = binv[bad]
-                r = int(bad[(infeas[bad] ** 2 / (rows * rows).sum(axis=1)).argmax()])
+                r = int(bad[(infeas[bad] ** 2 / np.add.reduce(rows * rows, axis=1)).argmax()])
 
             # x_p rises to its lower bound or falls to its upper
             rises = xb[r] < lb_b[r]
             alpha = binv[r] @ A
-            q, flips, _ = _ratio_test(alpha, d, h, span, infeas[r], rises, bland)
+            q, flips, _ = _ratio_test(h * alpha, np.abs(alpha), np.abs(d), span, infeas[r],
+                                      rises, bland)
             if q is None:
                 status = STATUS_INFEASIBLE
                 break
             theta = d[q] / alpha[q]
             if abs(theta) <= _DEGEN_TOL:
-                self.degenerate += 1
+                degenerate += 1
 
             if len(flips):
-                to = np.where(h[flips] > 0, self.lb[flips], self.ub[flips])
+                to = np.where(h[flips] > 0, lb[flips], ub[flips])
                 delta = to - x[flips]
                 x[flips] = to
                 xb -= binv @ (A[:, flips] @ delta)
@@ -431,24 +446,24 @@ class _Workspace:
             w = binv @ A[:, q]
             leaving = basis[r]
             bound = lb_b[r] if rises else ub_b[r]
-            step = (xb[r] - bound) / w[r]
+            xq, step = x[q], (xb[r] - bound) / w[r]
             xb -= step * w
-            xb[r] = x[q] + step
+            xb[r] = xq + step
             if track:
-                c_n += c[leaving] * bound - c[q] * x[q]
+                c_n += c[leaving] * bound - c[q] * xq
                 c_b[r] = c[q]
             x[leaving] = bound
-            lb_b[r], ub_b[r] = self.lb[q], self.ub[q]
+            lb_b[r], ub_b[r] = lb[q], ub[q]
             d -= theta * alpha
             d[q] = h[q] = 0.0
             h[leaving] = (-1.0 if rises else 1.0) if span[leaving] > _PIVOT_TOL else 0.0
             self.pivot(r, q, w)
             if not self.pivots:  # refactorized: a new B^-1, and x_B recomputed in x
                 binv, xb = self.binv, x[basis]
+        self.iterations, self.degenerate = iterations, degenerate
         x[basis] = xb
-        if status == STATUS_OPTIMAL:
-            if not np.count_nonzero(h * d > _DUAL_TOL):
-                self.d, self.h = d, h
+        if status == STATUS_OPTIMAL and not np.count_nonzero(h * d > _DUAL_TOL):
+            self.d, self.h = d, h
         return status
 
     def first_step_gains(self, cols, targets) -> np.ndarray:
@@ -466,20 +481,27 @@ class _Workspace:
         when the eligible columns cannot close the gap, which is the
         dual's infeasibility test, and 0 when the gap is within the
         feasibility tolerance or x_j is not basic.  The tableau rows of
-        all the columns come from one product with B^-1.
+        all the columns come from one product with B^-1; |d| is taken
+        once, and each row's h * alpha and |alpha| once for its targets.
         """
         cols = np.asarray(cols)
         gains = np.zeros((len(cols), len(targets)))
-        basic = np.nonzero(self.is_basic[cols])[0]
+        basic = self.is_basic[cols].nonzero()[0]
         rows = (self.basis == cols[basic, None]).argmax(axis=1)
-        span = self.ub - self.lb
-        for i, alpha in zip(basic, self.binv[rows] @ self.A):
-            xj = self.x[cols[i]]
+        h, x, span, absd = self.h, self.x, self.ub - self.lb, np.abs(self.d)
+        for i, alpha in zip(basic.tolist(), self.binv[rows] @ self.A):
+            xj, ha, mag = x[cols[i]], h * alpha, np.abs(alpha)
             for t, target in enumerate(targets):
                 gap = abs(target - xj)
                 if gap > _FEAS_TOL:
-                    gains[i, t] = _ratio_test(alpha, self.d, self.h, span, gap, target > xj)[2]
+                    gains[i, t] = _ratio_test(ha, mag, absd, span, gap, target > xj)[2]
         return gains
+
+
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of the vector v is finite: a count, which
+    costs a warm LP less than ``.all()`` at these sizes."""
+    return np.count_nonzero(np.isfinite(v)) == len(v)
 
 
 def _settled(ws: _Workspace, status: str) -> bool:
@@ -489,20 +511,20 @@ def _settled(ws: _Workspace, status: str) -> bool:
     every value is finite and an optimal basis kept its reduced costs.
     """
     return status == STATUS_TIME_LIMIT or (
-        status != STATUS_ITERATION_LIMIT and np.isfinite(ws.x).all()
+        status != STATUS_ITERATION_LIMIT and _finite(ws.x)
         and (status != STATUS_OPTIMAL or ws.d is not None))
 
 
-def _result(ws: _Workspace, status: str, c_full: np.ndarray, duals: bool = True) -> SimplexResult:
-    """The result of a finished solve of objective c_full over ``ws``."""
+def _result(ws: _Workspace, status: str, duals: bool = True) -> SimplexResult:
+    """The result of a finished solve over ``ws``, of its objective ``ws.c``."""
     x = ws.x[: ws.n].copy()
     if status == STATUS_INFEASIBLE:
         return SimplexResult(status, x, np.nan, np.zeros(ws.m) if duals else None, ws.iterations)
     return SimplexResult(
         status=status,
         x=x,
-        objective=float(c_full[: ws.n] @ x),
-        duals=ws.duals(c_full) if duals else None,
+        objective=float(ws.c[: ws.n] @ x),
+        duals=ws.duals(ws.c) if duals else None,
         iterations=ws.iterations,
         state=ws if status == STATUS_OPTIMAL else None,
     )
@@ -527,13 +549,14 @@ def solve_bounded_lp(
     earlier solve of the same c, a, senses and b under a box that holds
     this one, as a parent's box holds its children's: only then does
     each nonbasic column land on a bound of the new box on the side its
-    reduced cost prefers.  ``start`` is the ``state`` of an optimal
-    solve over the same a and senses with any c, b and box; the solve
-    begins from its basis re-priced (``_Workspace.started``).  Either
-    way the solve reoptimizes with the dual simplex and falls back to a
-    cold solve when that does not settle (``_settled``).  ``iterations``
-    counts both.  ``warm`` and ``start`` are never modified, so one
-    state can seed several solves.  A warm or started solve that needs
+    reduced cost prefers; the warm solve reads c from the state.
+    ``start`` is the ``state`` of an optimal solve over the same a and
+    senses with any c, b and box; the solve begins from its basis
+    re-priced (``_Workspace.started``).  Either way the solve
+    reoptimizes with the dual simplex and falls back to a cold solve
+    when that does not settle (``_settled``).  ``iterations`` counts
+    both.  ``warm`` and ``start`` are never modified, so one state can
+    seed several solves.  A warm or started solve that needs
     no fallback computes no row multipliers: its ``duals`` is None.
     Past ``deadline`` (a ``time.monotonic()`` instant) the solve stops
     with STATUS_TIME_LIMIT, warm or cold.  A solve whose bound reaches a
@@ -548,29 +571,29 @@ def solve_bounded_lp(
     ub = np.asarray(ub, dtype=float)
     m, n = a.shape
 
-    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+    if not (_finite(lb) and _finite(ub)):
         raise ValueError("every bound of a bounded LP must be finite")
     if np.count_nonzero(lb > ub):
         return SimplexResult(STATUS_INFEASIBLE, np.full(n, np.nan), np.nan, np.zeros(m), 0)
 
-    c_full = np.concatenate([c, np.zeros(m)])
     spent = 0
     ws = warm.child(lb, ub) if warm is not None else (
-        start.started(c_full, senses, b, lb, ub) if start is not None else None)
+        start.started(np.concatenate([c, np.zeros(m)]), senses, b, lb, ub)
+        if start is not None else None)
     if ws is not None:
-        status = ws.dual(c_full, max_iters, deadline, cutoff)
+        status = ws.dual(ws.c, max_iters, deadline, cutoff)
         if _settled(ws, status):
-            return _result(ws, status, c_full, duals=False)
+            return _result(ws, status, duals=False)
         spent = ws.iterations
 
     # the dual simplex from the dual feasible slack basis
     ws = _Workspace(a, senses, b, lb, ub, c)
     ws.iterations = spent
-    status = ws.dual(c_full, max_iters + spent, deadline, cutoff)
+    status = ws.dual(ws.c, max_iters + spent, deadline, cutoff)
     if status != STATUS_ITERATION_LIMIT and not _settled(ws, status):
         raise NumericalFailure(
             "the dual simplex ended with a non-finite value or dual infeasible reduced costs")
     if status == STATUS_OPTIMAL:
         # the reduced costs of the final basis, free of the loop's round-off
-        ws.d = c_full - ws.duals(c_full) @ ws.A
-    return _result(ws, status, c_full)
+        ws.d = ws.c - ws.duals(ws.c) @ ws.A
+    return _result(ws, status)

@@ -116,6 +116,10 @@ Open nodes are ``_Node`` records on a heap of (parent bound, id,
 node).  The solve counts into the ``SolveReport`` it returns as it
 goes, and sets the status, best bound and solution at the end.  An LP
 point with no binaries is integral and is accepted at step 5.
+``SolveReport.lps`` counts the relaxations solved, the hull and its cut
+rounds included, so a node that reaches step 4 adds one, and
+``lp_iterations`` their dual iterations; a closed-form knapsack LP
+counts as one relaxation with none.
 
 A single solve is single-threaded; concurrent solves on distinct
 instances are safe.  Incumbent timestamps come from a monotonic clock.
@@ -197,6 +201,8 @@ class SolveReport:
     fixed: int = 0  # binaries fixed by reduced-cost fixing, over all nodes
     propagated: int = 0  # binaries fixed by row propagation, over the nodes it left open
     cuts: int = 0  # clique rows in the hull's LP, those carried from a start included
+    lps: int = 0  # relaxations solved: the hull, its cut rounds and one per node LP
+    lp_iterations: int = 0  # dual iterations over them, cold fallbacks included; 0 in closed form
     hull: Hull | None = None  # the final hull when it is optimal, to start a like solve
     # nodes by the way each closed, one count per CLOSED_BY key; they sum
     # to nodes, less the one node a limit stopped inside its LP
@@ -246,8 +252,10 @@ class _Roundings:
         if len(cols):
             t = (self.def_b - pts @ self.def_a.T) / self.def_pivot
             pts[:, cols] = t
-            box = ~(np.maximum(lb[cols] - t, t - ub[cols]) > ROUNDED_ROW_TOL).any(axis=1)
-        return pts, box & (pts @ self.lhs.T - self.rhs <= ROUNDED_ROW_TOL).all(axis=1)
+            box = ~np.logical_or.reduce(np.maximum(lb[cols] - t, t - ub[cols]) > ROUNDED_ROW_TOL,
+                                        axis=1)
+        return pts, box & np.logical_and.reduce(pts @ self.lhs.T - self.rhs <= ROUNDED_ROW_TOL,
+                                                 axis=1)
 
 
 class _Propagator:
@@ -281,13 +289,14 @@ class _Propagator:
         n_bin, given = self.n_bin, None
         while True:
             slack = self.limit - self.split @ np.concatenate((lb, ub))
-            if slack.min(initial=0.0) < 0.0:
-                return None
-            if not (self.reach > slack).any():
+            # reach >= 0, so a row no binary can move has no negative slack
+            if not np.count_nonzero(self.reach > slack):
                 break
-            fix = (self.steps > slack[:, None]).any(axis=0).reshape(2, n_bin)
+            if np.count_nonzero(slack < 0.0):
+                return None
+            fix = np.logical_or.reduce(self.steps > slack[:, None], axis=0).reshape(2, n_bin)
             fix &= lb[:n_bin] < ub[:n_bin]
-            if not fix.any():
+            if not np.count_nonzero(fix):
                 break
             if given is None:
                 given = lb, ub
@@ -295,7 +304,7 @@ class _Propagator:
             # a binary both rules fix ends at its lower bound; the next round closes the node
             np.copyto(ub[:n_bin], lb[:n_bin], where=fix[0])
             np.copyto(lb[:n_bin], ub[:n_bin], where=fix[1])
-            if not (fix & self.raises).any():
+            if not np.count_nonzero(fix & self.raises):
                 break
         if given is None:
             return lb, ub, 0
@@ -307,8 +316,8 @@ class _Propagator:
         raises some row's minimum activity; if not, a fixed point of the
         rows stays one."""
         n_bin = self.n_bin
-        return bool(((new_ub[:n_bin] < ub[:n_bin]) & self.raises[0]).any()
-                    or ((new_lb[:n_bin] > lb[:n_bin]) & self.raises[1]).any())
+        return bool(np.count_nonzero((new_ub[:n_bin] < ub[:n_bin]) & self.raises[0])
+                    or np.count_nonzero((new_lb[:n_bin] > lb[:n_bin]) & self.raises[1]))
 
 
 def _conflict_graph(lhs: np.ndarray, rhs: np.ndarray, n_bin: int) -> np.ndarray:
@@ -405,24 +414,25 @@ def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
     ``warm`` is the parent's optimal LP state and ``gap`` the cutoff
     minus the parent's bound.  A free binary nonbasic at its lower bound
     (h_j = -1 in the state) with d_j > gap + tol is fixed there, one at
-    its upper bound (h_j = +1) with -d_j > gap + tol likewise.  Siblings
-    share box arrays, so an array is copied before it changes.
+    its upper bound (h_j = +1) with -d_j > gap + tol likewise: d_j and
+    h_j of opposite signs.  The rule runs over the binaries whose |d_j|
+    passes, not over every column.  Siblings share box arrays, so an
+    array is copied before it changes.
     """
-    d = warm.d[:n_bin]
-    hit = np.abs(d) > gap + tol
-    if not hit.any():
+    d = warm.d
+    hit = (np.abs(d[:n_bin]) > gap + tol).nonzero()[0]
+    if not len(hit):
         return lb, ub, 0
-    h = warm.h[:n_bin]
-    hit &= lb[:n_bin] < ub[:n_bin]
-    down = hit & (d > 0) & (h < 0)
-    up = hit & (d < 0) & (h > 0)
-    if down.any():
+    side = warm.h[hit]
+    keep = (d[hit] * side < 0.0) & (lb[hit] < ub[hit])
+    down, up = hit[keep & (side < 0.0)], hit[keep & (side > 0.0)]
+    if len(down):
         ub = ub.copy()
-        ub[:n_bin][down] = lb[:n_bin][down]
-    if up.any():
+        ub[down] = lb[down]
+    if len(up):
         lb = lb.copy()
-        lb[:n_bin][up] = ub[:n_bin][up]
-    return lb, ub, int(np.count_nonzero(down) + np.count_nonzero(up))
+        lb[up] = ub[up]
+    return lb, ub, len(down) + len(up)
 
 
 # a knapsack node's LP state, read by _fix_by_reduced_costs as a simplex
@@ -619,10 +629,12 @@ def solve_mip(
     def node_lp(lb, ub, warm, start=None):
         """(status, x, bound, state) of the LP over the box, from a parent's state
         (``warm``) or an earlier instance's hull state (``start``)."""
+        rep.lps += 1
         if knapsack is not None:
             return knapsack(lb, ub)
         res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm,
                                         deadline=deadline, cutoff=prune_at, start=start)
+        rep.lp_iterations += res.iterations
         return res.status, res.x, res.objective, res.state
 
     # the hull bounds every root box and is dual feasible under each
@@ -737,8 +749,9 @@ def solve_mip(
             continue
         # fixed binaries are integral by their bounds and never branched
         # on; with no binaries, every LP point is integral
-        frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(x[:n_bin] - np.rint(x[:n_bin])), 0.0)
-        fmax = frac.max(initial=0.0)
+        y = x[:n_bin]
+        frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(y - np.rint(y)), 0.0)
+        fmax = np.maximum.reduce(frac, initial=0.0)
         # rounding can push a row past its bound (a knapsack item at
         # 1 - 4e-7 overfills it by that much): such a point is branched
         # on, unless rounding moved no free binary and any violation is
@@ -767,10 +780,10 @@ def solve_mip(
         if knapsack is None:
             # the most fractional free binaries beyond INTEGRALITY_TOL; a
             # near-integral node has none and keeps its most fractional
-            cands = np.argsort(-frac, kind="stable")[:BRANCH_CANDIDATES]
+            cands = (-frac).argsort(kind="stable")[:BRANCH_CANDIDATES]
             cands = cands[: max(1, np.count_nonzero(frac[cands] > INTEGRALITY_TOL))]
             gains = state.first_step_gains(cands, (0.0, 1.0))
-            best = int(np.maximum(gains, SCORE_EPS).prod(axis=1).argmax())
+            best = int(np.multiply.reduce(np.maximum(gains, SCORE_EPS), axis=1).argmax())
             j = int(cands[best])
             gain_dn, gain_up = gains[best].tolist()
         else:

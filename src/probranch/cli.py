@@ -213,6 +213,8 @@ def _cmd_solve(args) -> int:
         fixed=rep.fixed,
         propagated=rep.propagated,
         cuts=rep.cuts,
+        lps=rep.lps,
+        lp_iterations=rep.lp_iterations,
         closed=rep.closed,
         wall_time=rep.wall_time,
         **tail,

@@ -2,8 +2,10 @@
 partition's regions written as cut rows, an exact multinomial tail, the
 greedy closed-form knapsack LP, a knapsack point completed greedily one
 item at a time, row propagation one row at a time, the rows' conflict
-graph one pair at a time, and the calibration's accuracy curves one
-instance at a time.
+graph one pair at a time, the calibration's accuracy curves one
+instance at a time, and the node kernels in their plain form: the
+bound-flipping ratio test from one tableau row, first-step gains one
+target at a time, and reduced-cost fixing by full-length masks.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from probranch.branching import DEFAULT_TAU_GRID, AccuracyStats, partition_regions
+from probranch._simplex import _FEAS_TOL, _PIVOT_TOL
 from probranch.model import LinearRow, Solution
 
 
@@ -498,3 +501,81 @@ def reference_accuracy_curves(pairs, tau_grid=None):
             cols["mean_alpha_u"][i], cols["var_alpha_u"][i] = np.mean(au), np.var(au)
     return AccuracyStats(tau_grid=grid, mean_size_l=mean_size_l, mean_size_u=mean_size_u,
                          num_valid_l=num_valid_l, num_valid_u=num_valid_u, **cols)
+
+
+def reference_ratio_test(alpha, d, h, span, gap, rises, bland=False):
+    """The bound-flipping ratio test on the tableau row alpha, every array built from it.
+
+    The same rule as ``probranch._simplex._ratio_test``, which takes
+    h * alpha, |alpha| and |d| ready-made: eligible columns, breakpoints
+    |d_k|/|alpha_k| with ties to the largest |alpha_k| and then the
+    lowest index (the lowest index alone under Bland's rule), and the
+    walk flipping each column while the gap stays open.  Every reach
+    |alpha_k|·span_k is formed before the first breakpoint is tested.
+    Returns (q, flips, gain), or (None, None, inf) when the row proves
+    the LP infeasible.
+    """
+    ha = h * alpha
+    cols = (ha > _PIVOT_TOL if rises else ha < -_PIVOT_TOL).nonzero()[0]
+    if not len(cols):
+        return None, None, math.inf
+    mag = np.abs(alpha[cols])
+    ratios = np.abs(d[cols]) / mag
+    reach = mag * span[cols]
+    i = int(ratios.argmin())
+    tied = ratios == ratios[i]
+    if np.count_nonzero(tied) > 1:
+        i = int(np.where(tied, mag, -1.0).argmax())
+    if not bland and gap - reach[i] <= _FEAS_TOL:
+        return int(cols[i]), cols[:0], float(ratios[i] * gap)
+    order = np.lexsort((cols if bland else -mag, ratios))
+    left = gap - reach[order].cumsum()
+    k = int((left <= _FEAS_TOL).argmax())
+    if left[k] > _FEAS_TOL:
+        return None, None, math.inf
+    whole = order[:k]
+    gain = ratios[whole] @ reach[whole] + ratios[order[k]] * (left[k - 1] if k else gap)
+    return int(cols[order[k]]), cols[whole], float(gain)
+
+
+def reference_first_step_gains(state, cols, targets):
+    """``_Workspace.first_step_gains`` one candidate and one target at a time.
+
+    Each basic candidate's row comes from the one product of the rows of
+    B^-1 with the extended matrix, and each target's gain from
+    ``reference_ratio_test`` on it; a non-basic candidate, or a target
+    within the feasibility tolerance, gains 0.
+    """
+    cols = np.asarray(cols)
+    gains = np.zeros((len(cols), len(targets)))
+    basic = np.nonzero(state.is_basic[cols])[0]
+    rows = (state.basis == cols[basic, None]).argmax(axis=1)
+    span = state.ub - state.lb
+    for i, alpha in zip(basic, state.binv[rows] @ state.A):
+        xj = state.x[cols[i]]
+        for t, target in enumerate(targets):
+            gap = abs(target - xj)
+            if gap > _FEAS_TOL:
+                gains[i, t] = reference_ratio_test(alpha, state.d, state.h, span, gap,
+                                                   target > xj)[2]
+    return gains
+
+
+def reference_fix_by_reduced_costs(warm, lb, ub, n_bin, gap, tol):
+    """Reduced-cost fixing by full-length masks over the binaries.
+
+    A free binary with h_j = -1 and d_j > gap + tol is fixed at its lower
+    bound, one with h_j = +1 and -d_j > gap + tol at its upper.  An array
+    is copied only when some binary is fixed in it.  Returns (lb, ub, count).
+    """
+    d, h = warm.d[:n_bin], warm.h[:n_bin]
+    hit = (np.abs(d) > gap + tol) & (lb[:n_bin] < ub[:n_bin])
+    down = hit & (d > 0) & (h < 0)
+    up = hit & (d < 0) & (h > 0)
+    if down.any():
+        ub = ub.copy()
+        ub[:n_bin][down] = lb[:n_bin][down]
+    if up.any():
+        lb = lb.copy()
+        lb[:n_bin][up] = ub[:n_bin][up]
+    return lb, ub, int(np.count_nonzero(down) + np.count_nonzero(up))

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import time
 
@@ -430,3 +431,38 @@ class TestKnapsackCompletion:
                 assert rep.objective == pytest.approx(expected, rel=0, abs=1e-9), seed
             else:
                 assert rep.objective == pytest.approx(highs_optimum(inst), rel=1e-7, abs=1e-7), seed
+
+
+def test_each_solve_counts_its_relaxations_and_dual_iterations(monkeypatch):
+    # every simplex solve of the tree is one relaxation with its own
+    # iterations; a closed-form knapsack node is one relaxation with none
+    calls = []
+    solve = _simplex.solve_bounded_lp
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(_simplex, "solve_bounded_lp", counted)
+    knapsacks = cut_solves = split = 0
+    instances = itertools.chain(small_families(2), gen_ca(20, 60, 3, seed=3).instances)
+    for i, (_, inst) in enumerate(instances):
+        roots = None
+        if i % 3 == 2:  # the union of two root boxes, split on the first binary
+            lb, ub = relaxation_arrays(inst)[4:]
+            roots = [(lb, np.r_[0.0, ub[1:]]), (np.r_[1.0, lb[1:]], ub)]
+            split += 1
+        calls.clear()
+        rep = solve_mip(inst, SolveOptions(**EXACT), roots=roots)
+        assert rep.status == "optimal"
+        # one LP per node that is not closed before it, the hull and its cut rounds
+        k = rep.nodes - rep.closed["first_step"] - rep.closed["propagated"]
+        assert k < rep.lps <= k + 1 + bnb.CUT_ROUNDS
+        if calls:
+            assert rep.lps == len(calls) and rep.lp_iterations == sum(calls) >= rep.lps
+        else:
+            assert rep.lps == k + 1 and rep.lp_iterations == 0
+            knapsacks += 1
+        cut_solves += rep.cuts > 0 and rep.lps > k + 1
+    assert knapsacks >= 2 and cut_solves >= 2 and split >= 3

@@ -511,6 +511,8 @@ def test_solve_plain_takes_an_lp_with_no_binaries(tmp_path):
                   bounds=[(0.0, 3.0), (0.0, 5.0)], method="highs")
     assert (doc["status"], doc["nodes"], doc["closed"]["integral"]) == ("optimal", 1, 1)
     assert sum(doc["closed"].values()) == 1
+    # the hull and the root's one-pass warm LP
+    assert doc["lps"] == 2 and doc["lp_iterations"] >= 2
     assert doc["objective"] == pytest.approx(-ref.fun, abs=1e-9) == 11.0
     assert doc["best_bound"] == doc["objective"]
 

@@ -15,7 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import binary_enumeration, conflict_pairs, highs_optimum
+from oracles import (
+    binary_enumeration, conflict_pairs, highs_optimum, reference_first_step_gains,
+    reference_fix_by_reduced_costs,
+)
 from probranch import _simplex, bnb, cli
 from probranch.bnb import SolveOptions, solve_mip
 from probranch.branching import Calibration, partition_solve
@@ -222,6 +225,43 @@ def test_the_extended_state_matches_a_cold_solve_of_the_cut_lp(seed):
         assert abs(res.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
         gap = a @ res.x - b
         assert (gap <= 1e-9).all() and ((lb - 1e-9 <= res.x) & (res.x <= ub + 1e-9)).all()
+
+
+@pytest.mark.parametrize("seed", [3, 6, 8])
+def test_an_extended_state_is_complete_before_its_re_solve(seed):
+    # with_rows hands on the nonbasic sides h, 0 on the new basic slacks,
+    # so reduced-cost fixing and first-step gains read the extended state
+    # as they read the optimal state it extends
+    inst = gen_ca(20, 60, 1, seed=seed).instances[0][1]
+    c, a, senses, b, lb, ub = relaxation_arrays(inst)
+    state = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub).state
+    rows = bnb._Roundings(a, senses, b, inst.num_binary)
+    found = bnb._Cliques(bnb._conflict_graph(rows.lhs, rows.rhs, inst.num_binary), a)(state.x)
+    assert found
+    r = np.zeros((len(found), a.shape[1]))
+    for k, cols in enumerate(found):
+        r[k, cols] = 1.0
+    ext = state.with_rows(r, np.ones(len(found)))
+    assert np.array_equal(ext.h, np.r_[state.h, np.zeros(len(found))])
+    assert np.array_equal(ext.c, np.r_[state.c, np.zeros(len(found))])
+
+    n = inst.num_binary
+    d = np.abs(state.d[:n])
+    for gap in (0.0, float(np.median(d[d > 0])), float(d.max())):
+        got = bnb._fix_by_reduced_costs(ext, lb, ub, n, gap, 1e-9)
+        for want in (bnb._fix_by_reduced_costs(state, lb, ub, n, gap, 1e-9),
+                     reference_fix_by_reduced_costs(ext, lb, ub, n, gap, 1e-9)):
+            assert got[2] == want[2]
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    # the old rows' B^-1 rows are unchanged and 0 on the new slacks, so a
+    # binary basic in them gains what it gained before the rows came in
+    x = state.x[:n]
+    cands = np.flatnonzero(state.is_basic[:n] & (np.abs(x - np.rint(x)) > 1e-6))
+    assert len(cands)
+    gains = ext.first_step_gains(cands, (0.0, 1.0))
+    assert gains.tobytes() == reference_first_step_gains(ext, cands, (0.0, 1.0)).tobytes()
+    assert np.allclose(gains, state.first_step_gains(cands, (0.0, 1.0)), rtol=1e-9, atol=1e-12)
 
 
 def random_instance(seed: int):

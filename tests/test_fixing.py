@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    binary_enumeration, highs_optimum, knapsack_arrays, region_rows, set_packing_dp, with_rows,
+    binary_enumeration, highs_optimum, knapsack_arrays, reference_fix_by_reduced_costs, region_rows,
+    set_packing_dp, with_rows,
 )
 from probranch import _simplex, bnb
 from probranch.bnb import SolveOptions, solve_mip
@@ -76,6 +77,33 @@ def test_fixing_rule_follows_the_parent_reduced_costs():
     # a fixed binary of the parent is not free, so it is not counted again
     _, _, again = bnb._fix_by_reduced_costs(state, new_lb, new_ub, n, gap, 0.0)
     assert again == 0
+
+
+def test_fixing_matches_the_mask_form_on_random_states():
+    # d on a grid that puts some reduced costs exactly on the threshold
+    # and some at 0; h of either sign, 0 and -0.0; binaries fixed in the
+    # box, continuous columns past n_bin, and knapsack states (d, h only)
+    rng = np.random.default_rng(31)
+    fixings = unchanged = 0
+    for trial in range(4000):
+        n_bin = int(rng.integers(1, 15))
+        n = n_bin + int(rng.integers(0, 5))
+        gap, tol = float(rng.choice([0.5, 1.0, 2.0])), float(rng.choice([0.0, 1e-9, 0.5]))
+        d = rng.choice([0.0, gap, gap + tol, 1.0, 2.5, 4.0], n) * rng.choice([-1.0, 1.0], n)
+        h = rng.choice([-1.0, -0.0, 0.0, 1.0], n)
+        lb = np.where(rng.random(n) < 0.2, 1.0, 0.0)
+        ub = np.where(rng.random(n) < 0.2, lb, 1.0)
+        state = bnb._KnapsackState(d, h)
+        lb_before, ub_before = lb.copy(), ub.copy()
+        got = bnb._fix_by_reduced_costs(state, lb, ub, n_bin, gap, tol)
+        want = reference_fix_by_reduced_costs(state, lb, ub, n_bin, gap, tol)
+        assert got[2] == want[2], trial
+        for new, ref, given in zip(got[:2], want[:2], (lb, ub)):
+            assert np.array_equal(new, ref) and (new is given) == (ref is given), trial
+        assert np.array_equal(lb, lb_before) and np.array_equal(ub, ub_before)
+        fixings += got[2] > 0
+        unchanged += got[2] == 0
+    assert fixings >= 1000 and unchanged >= 500
 
 
 @pytest.mark.parametrize("seed", range(12))
