@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import SolveOptions, solve_mip
-from .branching import calibrate, cut_settings, partition_solve, round_prediction
+from .branching import calibrate, claimed_delta, cut_settings, partition_solve, round_prediction
 from .generators import gen_knapsack_uniform, read_family, stream_rng
 from .predict import logistic_predict, logistic_train, lp_root_predict, predictor
 
@@ -226,13 +226,13 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         raise ValueError("empty training split")
     train = family.instances[: min(n_train, total - n_test)]
 
-    model = cal = None
+    model = given = None
     if config.mode != "plain" and config.predictor == "logistic":
         fit, val = calibration_split(train)
         model, _ = fit_model(fit, config.time_limit)
-        cal = calibrate_model(model, val, time_limit=config.time_limit)
+        given = calibrate_model(model, val, time_limit=config.time_limit)
     cal, tightened = cut_settings(
-        config.predictor, cal, tau=config.tau, delta=config.delta,
+        config.predictor, given, tau=config.tau, delta=config.delta,
         sigma=config.sigma, tightened=config.tightened,
     )
     if config.mode == "plain":
@@ -297,7 +297,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             "predictor": config.predictor,
             "mode": config.mode,
             "tau": None if cal is None else cal.tau_star,
-            "delta": None if cal is None else cal.delta,
+            "delta": None if cal is None else claimed_delta(config.predictor, given, cal),
             "sigma": None if cal is None else cal.sigma,
             "tightened": tightened,
             "time_limit": config.time_limit,
@@ -351,16 +351,72 @@ def _binom_stderr(p_hat: float, trials: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
 
 
+def _binom_sf(k: int, n: int, p: float) -> float:
+    """P(Bin(n, p) > k), summed from pmf terms taken in log space.
+
+    The terms are summed away from the mode, where they fall off, until
+    they no longer change the sum: the upper tail itself when k + 1 is at
+    or past the mode, else one minus the lower tail P(Bin(n, p) <= k).
+    """
+    if k < 0:
+        return 1.0
+    if k >= n or p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    upper = k + 1 >= (n + 1) * p
+    terms = []
+    for j in range(k + 1, n + 1) if upper else range(k, -1, -1):
+        terms.append(math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                              + j * log_p + (n - j) * log_q))
+        if terms[-1] <= 1e-20 * terms[0]:
+            break
+    tail = math.fsum(terms)
+    return tail if upper else 1.0 - tail
+
+
 def _overfull_trials(rng, n: int, pvals: np.ndarray, cap: float, trials: int) -> int:
     """Of ``trials`` multinomial(n, pvals) draws, how many have a count above cap.
 
-    Draws batches of at most 10**6 counts, each freed before the next is drawn.
+    Draws the counts by conditional binomials (Davis 1993): a group of
+    bins holding N points sends Bin(N, p_left / p_group) of them to its
+    left part and the rest to its right.  A group holding at most cap
+    points is not split further, since no bin in it can exceed cap, and a
+    trial is a hit when a single bin holds more than cap.  A group of m
+    bins is cut after 2 floor(m / 4) of them (after one when m < 4), so
+    that pairs of bins stay together: at n = 400, delta = 0.05 a pair
+    holds at most cap points about half the time and then costs no draw.
+    The shares are ratios of differences of one cumulative sum, so they
+    lie in [0, 1] when that sum ends a few ulps off 1 (as it does at
+    delta = 0.01), and a zero-width group, whose count is 0, draws with
+    share 0.
+
+    Each draw covers one group across a batch of at most 10**6 // len(pvals)
+    trials, so no drawn array is longer than 10**6 entries.
     """
+    edges = np.concatenate(([0.0], np.cumsum(pvals)))
+
+    def split(lo, hi, trial, count):
+        if hi - lo == 1:
+            hit[trial] = True
+            return
+        mid = lo + max(1, (hi - lo) // 4 * 2)
+        whole = edges[hi] - edges[lo]
+        left = rng.binomial(count, (edges[mid] - edges[lo]) / whole if whole > 0 else 0.0)
+        for a, b, part in ((lo, mid, left), (mid, hi, count - left)):
+            over = part > cap
+            if over.any():
+                split(a, b, trial[over], part[over])
+
     take = max(1, 10**6 // len(pvals))
     hits = 0
     for done in range(0, trials, take):
-        top = rng.multinomial(n, pvals, size=min(take, trials - done)).max(axis=1)
-        hits += int(np.count_nonzero(top > cap))
+        size = min(take, trials - done)
+        hit = np.zeros(size, dtype=bool)
+        if n > cap:
+            split(0, len(pvals), np.arange(size), np.full(size, n))
+        hits += int(np.count_nonzero(hit))
     return hits
 
 
@@ -373,14 +429,14 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
 
     Each trial draws: ``hoeffding`` and ``bernstein`` one Bin(n, p) sum;
     ``chebyshev`` one uniform on [lo, hi]; ``uniform_bins`` the counts
-    of n uniforms on [0, 1] in the bins [k delta, (k+1) delta), as one
-    multinomial draw, and checks whether some count exceeds 2 n delta.
-    ``exact`` is the exact tail for the first three; for
-    ``uniform_bins`` it is the union of the per-bin binomial tails, which
-    is within 4e-8 of the tail at delta = 0.05 but reads 1.0 against a
-    true 0.8997 at n = 400, delta = 0.01.
+    of n uniforms on [0, 1] in the bins [k delta, (k+1) delta), by
+    binomial splitting (``_overfull_trials``), and checks whether some
+    count exceeds 2 n delta.  ``exact`` is the exact tail for the first
+    three; for ``uniform_bins`` it is the union of the per-bin binomial
+    tails, which is within 4e-8 of the tail at delta = 0.05 but reads
+    1.0 against a true 0.8997 at n = 400, delta = 0.01.  The binomial
+    tails come from ``_binom_sf``, so no scipy module is loaded.
     """
-    from scipy import stats as spstats  # here: no other command loads scipy
     if trials < 10_000:
         raise ValueError("need at least 10^4 trials")
     rng = stream_rng(seed, 0)
@@ -398,7 +454,7 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
         else:
             bound = math.exp(-t * t / (2.0 * (n * p + t / 3.0)))
         # exact binomial tail P(Bin(n,p) >= ceil(np + t))
-        exact = float(spstats.binom.sf(math.ceil(n * p + t) - 1, n, p))
+        exact = _binom_sf(math.ceil(n * p + t) - 1, n, p)
     elif which == "chebyshev":
         t = float(params["t"])
         lo = float(params.get("lo", 0.0))
@@ -424,7 +480,7 @@ def verify_lemma(which: str, params: dict, trials: int, seed: int) -> LemmaRepor
         empirical = _overfull_trials(rng, n, pvals, cap, trials) / trials
         bound = n_bins * math.exp(-n * delta / 4.0)
         # union bound over the exact per-bin tails P(Bin(n, delta) > 2n delta)
-        exact = min(1.0, n_bins * float(spstats.binom.sf(math.floor(cap), n, delta)))
+        exact = min(1.0, n_bins * _binom_sf(math.floor(cap), n, delta))
     else:
         raise ValueError(f"unknown validator {which!r}")
 

@@ -303,6 +303,19 @@ def cut_settings(
     return cal, data_free if tightened is None else tightened
 
 
+def claimed_delta(predictor: str, given: Calibration | None, cal: Calibration) -> float | None:
+    """The delta that ``solve`` and ``bench`` report for ``cut_settings``' ``cal``.
+
+    None for a data-free predictor run without a calibration (``given``)
+    and with sigma 0: its cuts then carry no Chebyshev margin, so no
+    delta bounds how often they miss the optimum.  ``cal`` itself keeps
+    its delta (1e-8 by default), which the cut arithmetic still reads.
+    """
+    if given is None and predictor.startswith("lp-root") and cal.sigma == 0:
+        return None
+    return cal.delta
+
+
 def _stats_to_doc(stats: AccuracyStats) -> dict:
     def column(f):
         vals = np.asarray(getattr(stats, f.name), f.metadata.get("dtype", float)).tolist()

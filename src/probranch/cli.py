@@ -184,10 +184,9 @@ def _cmd_solve(args) -> int:
     if args.mode == "plain":
         rep, tail = solve_mip(inst, options=opts), {}
     else:
+        given = branching.load_calibration(args.calibration) if args.calibration else None
         cal, tightened = branching.cut_settings(
-            args.predictor,
-            branching.load_calibration(args.calibration) if args.calibration else None,
-            tau=args.tau, delta=args.delta, sigma=args.sigma,
+            args.predictor, given, tau=args.tau, delta=args.delta, sigma=args.sigma,
             tightened=args.tightened,
         )
         model = predict.load_model(args.model) if args.model else None
@@ -197,7 +196,8 @@ def _cmd_solve(args) -> int:
         )
         rep = part.best
         doc.update(predictor=args.predictor, tau=cal.tau_star, sigma=cal.sigma,
-                   delta=cal.delta, tightened=tightened)
+                   delta=branching.claimed_delta(args.predictor, given, cal),
+                   tightened=tightened)
         tail = {
             "regions": [
                 {"label": r.label, "nodes": r.nodes, "seconds": r.seconds}

@@ -12,6 +12,7 @@ from probranch.bench import (
     BenchConfig,
     BenchReport,
     BenchRow,
+    _binom_sf,
     _overfull_trials,
     calibration_split,
     fit_model,
@@ -174,7 +175,7 @@ class TestRunBenchmark:
                 test_count=4,
             )
         )
-        assert report.config["delta"] == pytest.approx(1e-8)
+        assert report.config["delta"] is None  # sigma 0 and no calibration: no claim
         assert report.config["tau"] == pytest.approx(0.9)
         assert report.config["tightened"] is True
 
@@ -300,35 +301,64 @@ class TestVerifyLemma:
         assert rep.empirical <= rep.bound
 
     @pytest.mark.parametrize("n, delta, widths, tail", [
-        (60, 0.1, [0.1] * 10, 0.0565),
-        (10, 0.3, [0.3, 0.3, 0.3, 0.1], 0.0318),  # the last bin is 0.1 wide
+        (60, 0.1, [0.1] * 10, 0.05648),
+        (10, 0.3, [0.3, 0.3, 0.3, 0.1], 0.03179),  # the last bin is 0.1 wide
+        (400, 0.05, [0.05] * 20, 2.834e-4),  # verify's own size
+        # a high tail: a pair of bins holds about 2 n delta = 10 points, so
+        # about half the pairs are split, and one trial in five is a hit
+        (100, 0.05, [0.05] * 20, 0.2150),
     ])
     def test_uniform_bins_matches_the_exact_multinomial_tail(self, n, delta, widths, tail):
         trials = 100_000
         exact = multinomial_max_tail(n, widths, 2 * n * delta)
-        assert exact == pytest.approx(tail, abs=5e-5)
+        assert exact == pytest.approx(tail, rel=1e-3)
         rep = verify_lemma("uniform_bins", {"n": n, "delta": delta}, trials, seed=11)
         se = math.sqrt(exact * (1 - exact) / trials)
         assert abs(rep.empirical - exact) <= 4 * se, (rep.empirical, exact, se)
 
-    @pytest.mark.parametrize("n_bins, trials, sizes", [
-        (1000, 2_500, [1000, 1000, 500]),  # delta = 0.001
-        (20, 123_456, [50_000, 50_000, 23_456]),  # delta = 0.05
+    @pytest.mark.parametrize("n_bins, trials, sizes, depth", [
+        (1000, 2_500, [1000, 1000, 500], 9),  # delta = 0.001: 1000 -> 500 -> ... -> 2 -> 1
+        (20, 123_456, [50_000, 50_000, 23_456], 4),  # delta = 0.05: 20 -> 10 -> 4 -> 2 -> 1
     ])
-    def test_overfull_trials_draws_every_trial_in_bounded_batches(self, n_bins, trials, sizes):
+    def test_overfull_trials_draws_every_trial_in_bounded_batches(
+        self, n_bins, trials, sizes, depth
+    ):
         drawn = []
 
         class Recorder:
-            def multinomial(self, n, pvals, size):
-                drawn.append(size)
-                counts = np.zeros((size, len(pvals)), dtype=np.int64)
-                counts[:, 0] = n  # every row overfull, so hits counts the rows
-                return counts
+            def binomial(self, count, share):
+                drawn.append(len(count))
+                return count  # every point goes left, so bin 0 overflows in every trial
 
         pvals = np.full(n_bins, 1.0 / n_bins)
         assert _overfull_trials(Recorder(), 40, pvals, 39.5, trials) == trials
-        assert drawn == sizes
+        assert drawn == [size for size in sizes for _ in range(depth)]
         assert max(drawn) * n_bins <= 10**6
+
+    @pytest.mark.parametrize("n, pvals, cap, every", [
+        (40, [0.05] * 20, 40.0, False),  # cap >= n: no bin can overflow
+        (40, [0.05] * 20, -0.5, True),  # cap < 0: even an empty bin is over it
+        (7, [1.0], 6.5, True),  # one bin holds every point
+        (7, [1.0], 7.0, False),
+        # zero-width bins hold nothing, and a cumulative sum past 1 still
+        # sends every point to the one bin of positive width
+        (7, [0.0, 1.0 + 2**-52, 0.0], 6.5, True),
+        (7, [0.0, 1.0 + 2**-52, 0.0], 7.0, False),
+    ])
+    def test_overfull_trials_edge_cases(self, n, pvals, cap, every):
+        rng = np.random.default_rng(3)
+        for trials in (1, 1000):
+            hits = _overfull_trials(rng, n, np.array(pvals), cap, trials)
+            assert hits == (trials if every else 0)
+
+    def test_binomial_tail_matches_scipy(self):
+        for n in (1, 2, 7, 40, 100, 400):
+            for p in (1e-3, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999):
+                for k in sorted({-1, 0, 1, n // 4, n // 2, int(n * p), int(2 * n * p), n - 1, n}):
+                    ref = float(spstats.binom.sf(k, n, p))
+                    assert _binom_sf(k, n, p) == pytest.approx(ref, rel=1e-12, abs=1e-300), (k, n, p)
+        assert (_binom_sf(0, 10, 0.0), _binom_sf(-1, 10, 0.0)) == (0.0, 1.0)
+        assert (_binom_sf(9, 10, 1.0), _binom_sf(10, 10, 1.0)) == (1.0, 0.0)
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
