@@ -92,6 +92,22 @@ bound-flipping ratio test); the child's heap entry carries that bound,
 while its heap key stays the parent's bound.  The branched binary's
 gains are the ones its score was computed from.
 
+Root gate: a solve given a gate ratio k and two or more root boxes
+weighs their disjunction at the hull, after its cut rounds, when the
+hull LP is optimal, and solves no LP to do so.  A box that excludes the
+hull's point x is bounded by the largest first-step gain of moving a
+column it narrows from x_j to the box's nearer end: each gain bounds
+the LP with that one bound moved, a relaxation of the box's LP.  The
+disjunction scores the least bound of those boxes, and a variable the
+smaller of its two children's gains, over the candidates a node would
+score.  The solve keeps its boxes when the disjunction scores at least
+k times the best variable (general disjunctions, Karamanov & Cornuejols
+2011, weighed as Achterberg, Koch & Martin 2005 weigh variables), and
+otherwise roots the tree at the hull's box alone.  A hull with no free
+binary fractional beyond INTEGRALITY_TOL needs no branching: its
+variable score is 0, and the one root accepts its point at once, so the
+gate declines.  ``SolveReport.gate`` records the decision.
+
 A popped node closes at the first of these that applies, and
 ``SolveReport.closed`` counts each way (CLOSED_BY):
   1. its parent's bound reaches the cutoff: dropped, not counted;
@@ -169,6 +185,10 @@ SCORE_EPS = 1e-6
 CUT_ROUNDS = 3
 CLIQUE_VIOLATION = 1e-6
 
+# A gated solve keeps its root boxes only when their disjunction's score
+# is at least this many times the best candidate variable's.
+GATE_RATIO = 2.0
+
 # The ways a counted node closes, in the order the module docstring gives.
 CLOSED_BY = ("first_step", "propagated", "cutoff", "infeasible", "integral", "branched")
 
@@ -188,6 +208,19 @@ class SolveOptions:
 
 
 @dataclass
+class Gate:
+    """The root gate's decision: the disjunction of the root boxes was
+    ``taken`` when its score ``disjunction`` reached ``ratio`` times the
+    best candidate variable's score ``variable`` at a fractional hull
+    point (an integral one declines with ``variable`` 0)."""
+
+    taken: bool
+    disjunction: float
+    variable: float
+    ratio: float
+
+
+@dataclass
 class SolveReport:
     best_solution: Solution | None
     best_bound: float
@@ -204,6 +237,7 @@ class SolveReport:
     lps: int = 0  # relaxations solved: the hull, its cut rounds and one per node LP
     lp_iterations: int = 0  # dual iterations over them, cold fallbacks included; 0 in closed form
     hull: Hull | None = None  # the final hull when it is optimal, to start a like solve
+    gate: Gate | None = None  # the root gate's decision, when the gate applied
     # nodes by the way each closed, one count per CLOSED_BY key; they sum
     # to nodes, less the one node a limit stopped inside its LP
     closed: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CLOSED_BY, 0))
@@ -408,6 +442,39 @@ class _Cliques:
         return cuts
 
 
+def _branch_candidates(frac: np.ndarray) -> np.ndarray:
+    """The BRANCH_CANDIDATES most fractional binaries beyond INTEGRALITY_TOL
+    (ties to the lowest index); a near-integral point, with none, keeps
+    its most fractional."""
+    cands = (-frac).argsort(kind="stable")[:BRANCH_CANDIDATES]
+    return cands[: max(1, np.count_nonzero(frac[cands] > INTEGRALITY_TOL))]
+
+
+def _region_gains(state: _simplex._Workspace, boxes) -> list[float | None]:
+    """Each root box's first-step bound on the rise of its LP above the
+    optimal state's (module docstring), None for a box holding the
+    state's point."""
+    x = state.x[: state.n]
+    gains = []
+    for lo, hi in boxes:
+        end = np.minimum(np.maximum(x, lo), hi)  # each column's nearer end of the box
+        out = np.flatnonzero(np.abs(end - x) > INTEGRALITY_TOL)
+        gains.append(max((float(state.first_step_gains([j], (end[j],))[0, 0]) for j in out),
+                         default=None))
+    return gains
+
+
+def _gate(state: _simplex._Workspace, frac: np.ndarray, boxes, ratio: float) -> Gate:
+    """The root gate's decision at the hull's optimal state, its free
+    binaries fractional by ``frac`` (module docstring)."""
+    disjunction = min((g for g in _region_gains(state, boxes) if g is not None), default=0.0)
+    if not np.count_nonzero(frac > INTEGRALITY_TOL):
+        return Gate(False, disjunction, 0.0, ratio)
+    variable = float(state.first_step_gains(_branch_candidates(frac), (0.0, 1.0))
+                     .min(axis=1).max())
+    return Gate(disjunction >= ratio * variable, disjunction, variable, ratio)
+
+
 def _fix_by_reduced_costs(warm, lb, ub, n_bin: int, gap: float, tol: float):
     """(lb, ub, count): the box with the binaries the parent's reduced costs rule out fixed.
 
@@ -563,6 +630,7 @@ def solve_mip(
     options: SolveOptions | None = None,
     roots: list[tuple[np.ndarray, np.ndarray]] | None = None,
     start: Hull | None = None,
+    gate: float | None = None,
 ) -> SolveReport:
     """Branch-and-bound solve of the instance, honouring options.
 
@@ -580,6 +648,12 @@ def solve_mip(
     structures built on the rows carry as well: the hull starts from the
     state over the rows and the cuts, and separation goes on from there.
     A knapsack solve takes no start.
+
+    ``gate`` is the ratio k of the root gate (module docstring): with
+    two or more roots, the tree keeps them only when their disjunction
+    scores at least k times the best variable at the hull, and is
+    otherwise rooted at the hull's box alone, one root.  None keeps
+    every root.
 
     The report is in the instance's own sense.  Limits are statuses:
     hitting the node or time limit yields status "limit" with the best
@@ -692,6 +766,14 @@ def solve_mip(
         rep.hull = Hull(a=rows_a, senses=rows_senses, b=rows_b, lb=hull_lb, ub=hull_ub,
                         first=first, state=hull, cuts=cuts, roundings=roundings,
                         propagate=propagate, adj=adj, cliques=cliques)
+    if gate is not None and len(boxes) > 1 and knapsack is None and (
+            lp_status == _simplex.STATUS_OPTIMAL):
+        y = x[:n_bin]
+        rep.gate = _gate(hull, np.where(hull_lb[:n_bin] < hull_ub[:n_bin],
+                                        np.abs(y - np.rint(y)), 0.0), boxes, gate)
+        if not rep.gate.taken:
+            boxes = [(hull_lb, hull_ub)]
+            rep.root_nodes, rep.root_seconds = [0], [0.0]
     key = bound if lp_status == _simplex.STATUS_OPTIMAL else -math.inf
     if lp_status == _simplex.STATUS_INFEASIBLE:
         boxes = []
@@ -778,10 +860,7 @@ def solve_mip(
 
         rep.closed["branched"] += 1
         if knapsack is None:
-            # the most fractional free binaries beyond INTEGRALITY_TOL; a
-            # near-integral node has none and keeps its most fractional
-            cands = (-frac).argsort(kind="stable")[:BRANCH_CANDIDATES]
-            cands = cands[: max(1, np.count_nonzero(frac[cands] > INTEGRALITY_TOL))]
+            cands = _branch_candidates(frac)
             gains = state.first_step_gains(cands, (0.0, 1.0))
             best = int(np.multiply.reduce(np.maximum(gains, SCORE_EPS), axis=1).argmax())
             j = int(cands[best])

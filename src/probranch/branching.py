@@ -12,7 +12,9 @@ partition the feasible region by the two cuts and their integer
 complements.  The partition is a branching disjunction: each region is
 a box on one count column per hyperplane, a child of the root LP of a
 single branch-and-bound tree.  Searching all of them preserves
-exactness; searching the cut region alone is the heuristic.
+exactness; searching the cut region alone is the heuristic.  Exact mode
+takes the disjunction only when it beats branching on a variable at the
+root (``bnb``'s root gate) and otherwise searches one plain tree.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnb import SolveOptions, SolveReport, solve_mip
+from .bnb import GATE_RATIO, Gate, SolveOptions, SolveReport, solve_mip
 from .model import FORMAT_VERSION, LinearRow, MipInstance, decode
 from .predict import Prediction
 
@@ -457,6 +459,11 @@ class PartitionReport:
     hyperplanes: tuple[CardinalityHyperplane | None, CardinalityHyperplane | None]
     mode: str
 
+    @property
+    def gate(self) -> Gate | None:
+        """The root gate's decision and scores, None where it did not apply."""
+        return self.best.gate
+
 
 def partition_solve(
     instance: MipInstance,
@@ -465,6 +472,7 @@ def partition_solve(
     options: SolveOptions | None = None,
     mode: str = "exact",
     tightened: bool = False,
+    gate: float | None = GATE_RATIO,
 ) -> PartitionReport:
     """Solve via the probabilistic partition, as one branch-and-bound tree.
 
@@ -472,7 +480,10 @@ def partition_solve(
     hyperplane, with an equality row and bounds [0, |S|], so each region
     is a box on these columns (``partition_regions``).  Exact mode roots
     the tree at every non-empty region; the regions cover every 0/1
-    point, so the shared incumbent is the plain optimum.  Heuristic mode
+    point, so the shared incumbent is the plain optimum.  With a ``gate``
+    ratio, ``solve_mip``'s root gate may instead root the tree at the
+    whole box, reported as the one region "all"; ``gate=None`` always
+    takes the regions, the paper's rule.  Heuristic mode
     roots it at the first region alone and reports "feasible".  The
     count columns are stripped from the returned solution.
     """
@@ -507,7 +518,9 @@ def partition_solve(
         for k, (lo, hi) in enumerate(counts):
             lb[n + k], ub[n + k] = lo, hi
         boxes.append((lb, ub))
-    rep = solve_mip(counted, options=options, roots=boxes)
+    rep = solve_mip(counted, options=options, roots=boxes, gate=gate)
+    if rep.gate is not None and not rep.gate.taken:
+        regions = [("all", [])]
 
     status = "feasible" if mode == "heuristic" and rep.status == "optimal" else rep.status
     solution = rep.best_solution

@@ -7,6 +7,7 @@ other error (including bad usage).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -204,6 +205,7 @@ def _cmd_solve(args) -> int:
                 for r in part.regions
             ],
             "best_region": part.best_region,
+            "gate": None if part.gate is None else dataclasses.asdict(part.gate),
         }
     doc.update(
         status=rep.status,

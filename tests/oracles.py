@@ -5,7 +5,9 @@ item at a time, row propagation one row at a time, the rows' conflict
 graph one pair at a time, the calibration's accuracy curves one
 instance at a time, and the node kernels in their plain form: the
 bound-flipping ratio test from one tableau row, first-step gains one
-target at a time, and reduced-cost fixing by full-length masks.
+target at a time, and reduced-cost fixing by full-length masks.  It
+also holds a capacitated facility location recipe, the one mixed-binary
+family the tests solve end to end.
 
 These deliberately avoid the package's solver paths so that agreement
 checks are meaningful.  Everything works straight off MipInstance data.
@@ -21,7 +23,7 @@ import numpy as np
 
 from probranch.branching import DEFAULT_TAU_GRID, AccuracyStats, partition_regions
 from probranch._simplex import _FEAS_TOL, _PIVOT_TOL
-from probranch.model import LinearRow, Solution
+from probranch.model import LinearRow, MipInstance, Solution
 
 
 def enumerate_lp_vertices(c, a, senses, b, lb, ub):
@@ -361,6 +363,51 @@ def conflict_pairs(instance, tol=1e-9):
                         if coef[i] + coef[j] > limit:
                             pairs.add((i, j))
     return pairs
+
+
+def capacitated_facility_location(n_customers, n_facilities, ratio, seed) -> MipInstance:
+    """A capacitated facility location instance by the recipe of
+    Cornuejols, Sridharan & Thizy (1991), as Gasse et al. (NeurIPS 2019)
+    draw it.
+
+    Customers and facilities lie uniformly in the unit square.  Demands
+    d_i come from U{5..35} and capacities s_j from U{10..160}; fixed
+    costs are U{100..110}*sqrt(s_j) + U{0..90}, truncated, and the
+    capacities are then scaled so that sum s = ratio * sum d, truncated.
+    Serving all of customer i from facility j costs 10 * dist * d_i.
+    Binaries y_j open facilities; continuous x_ij in [0, 1] (column
+    n_facilities + i * n_facilities + j) is the share of i's demand that
+    j serves.  Rows: sum_j x_ij = 1; sum_i d_i x_ij <= s_j y_j;
+    sum_j s_j y_j >= sum_i d_i; and x_ij <= y_j.  Minimized.
+    """
+    rng = np.random.default_rng([seed, n_customers, n_facilities])
+    cust, fac = rng.random((n_customers, 2)), rng.random((n_facilities, 2))
+    demand = rng.integers(5, 36, n_customers)
+    cap = rng.integers(10, 161, n_facilities)
+    fixed = (rng.integers(100, 111, n_facilities) * np.sqrt(cap)
+             + rng.integers(0, 91, n_facilities)).astype(int)
+    cap = (cap * ratio * demand.sum() / cap.sum()).astype(int)
+    dist = np.sqrt(((cust[:, None, :] - fac[None, :, :]) ** 2).sum(axis=2))
+    transport = 10.0 * dist * demand[:, None]
+    nf = n_facilities
+
+    def x(i, j):
+        return nf + i * nf + j
+
+    rows = [LinearRow([(x(i, j), 1.0) for j in range(nf)], "=", 1.0)
+            for i in range(n_customers)]
+    rows += [LinearRow([(x(i, j), float(demand[i])) for i in range(n_customers)]
+                       + [(j, -float(cap[j]))], "<=", 0.0) for j in range(nf)]
+    rows.append(LinearRow([(j, float(cap[j])) for j in range(nf)], ">=", float(demand.sum())))
+    rows += [LinearRow([(x(i, j), 1.0), (j, -1.0)], "<=", 0.0)
+             for i in range(n_customers) for j in range(nf)]
+    return MipInstance(
+        f"cfl_{n_customers}x{nf}_{seed}", "minimize", nf, n_customers * nf,
+        objective=[(j, float(fixed[j])) for j in range(nf)]
+        + [(x(i, j), float(transport[i, j])) for i in range(n_customers) for j in range(nf)],
+        rows=rows,
+        continuous_bounds=[(0.0, 1.0)] * (n_customers * nf),
+    )
 
 
 def with_rows(instance, rows):

@@ -278,7 +278,7 @@ class TestPartitionSolve:
         pred = lp_root_predict(inst, backend="simplex")
         cal = Calibration(0.9, 0.0, 1e-8)
         rep = partition_solve(inst, pred, cal, options=SolveOptions(**EXACT),
-                              mode="exact", tightened=True)
+                              mode="exact", tightened=True, gate=None)
         assert rep.best.status == "optimal"
         assert rep.best.objective == pytest.approx(bf.objective, abs=1e-9)
         first = rep.regions[0]

@@ -406,7 +406,9 @@ def test_solves_with_propagation_match_the_oracles():
         else:
             pred = Prediction(rng.random(inst.num_binary), "external")
         cal = Calibration(tau_star=float(rng.choice([0.6, 0.75])), sigma=0.0, delta=0.05)
-        exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact").best
+        # ungated, so every region's count box reaches its members by propagation
+        exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact",
+                                gate=None).best
         assert exact.status == "optimal", seed
         assert exact.objective == pytest.approx(expected, **tol), seed
         assert check_feasible(inst, exact.best_solution.values)[0], seed

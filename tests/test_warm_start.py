@@ -33,7 +33,7 @@ from oracles import (
     with_rows,
 )
 from probranch import _simplex, bnb, branching, cli
-from probranch.bnb import SolveOptions, solve_mip
+from probranch.bnb import GATE_RATIO, SolveOptions, solve_mip
 from probranch.branching import (
     Calibration,
     build_hyperplanes,
@@ -261,7 +261,7 @@ def test_every_lp_after_the_hull_is_warm_and_gets_the_cutoff(monkeypatch, mode):
         roots = 1
     else:
         part = partition_solve(inst, pred, Calibration(0.75, 0.0, 0.05), SolveOptions(**EXACT),
-                               mode=mode)
+                               mode=mode, gate=None)
         rep = part.best
         roots = len(part.regions)
         assert roots >= (3 if mode == "exact" else 1)
@@ -333,7 +333,7 @@ def test_exact_mode_takes_plain_nodes_when_the_hull_is_integral():
         pred = lp_root_predict(inst)
         cal, tightened = branching.cut_settings("lp-root-simplex")
         exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact",
-                                tightened=tightened)
+                                tightened=tightened, gate=None)
         assert plain.nodes == exact.best.nodes == 1
         assert len(exact.regions) > 1
         assert exact.best.objective == plain.objective
@@ -395,9 +395,9 @@ def counted_partition(monkeypatch, inst):
     """The instance with count columns and the region boxes partition_solve builds."""
     seen = {}
 
-    def capture(instance, options=None, roots=None):
+    def capture(instance, options=None, roots=None, gate=None):
         seen.update(instance=instance, roots=roots)
-        return solve_mip(instance, options, roots)
+        return solve_mip(instance, options, roots, gate=gate)
 
     monkeypatch.setattr(branching, "solve_mip", capture)
     pred = lp_root_predict(inst)
@@ -512,10 +512,12 @@ def test_partition_solve_matches_oracles_on_random_instances(seed):
     cal = Calibration(tau_star=float(rng.choice([0.6, 0.75, 0.9])),
                       sigma=float(rng.choice([0.0, 0.02])), delta=0.05)
     tightened = bool(rng.integers(2))
+    # half the seeds search the four regions ungated, half through the root gate
+    gate = None if rng.integers(2) else GATE_RATIO
     tol = dict(rel=1e-7, abs=1e-7) if mixed else dict(rel=0, abs=1e-9)
 
     exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact",
-                            tightened=tightened)
+                            tightened=tightened, gate=gate)
     assert exact.best.status == "optimal"
     assert exact.best.objective == pytest.approx(expected, **tol)
     assert check_feasible(inst, exact.best.best_solution.values)[0]
@@ -544,15 +546,15 @@ def test_partition_solve_matches_oracles_on_random_instances(seed):
 def test_partition_solve_is_one_tree(monkeypatch, mode):
     calls = []
 
-    def counted(instance, options=None, roots=None):
+    def counted(instance, options=None, roots=None, gate=None):
         calls.append(len(roots))
-        return solve_mip(instance, options, roots)
+        return solve_mip(instance, options, roots, gate=gate)
 
     monkeypatch.setattr(branching, "solve_mip", counted)
     inst = tight_mkp(4, 14, 2)
     pred = lp_root_predict(inst)
     cal = Calibration(tau_star=0.75, sigma=0.0, delta=0.05)
-    rep = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode=mode)
+    rep = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode=mode, gate=None)
     live = [label for label, _ in region_rows(*build_hyperplanes(
         pred, cal.tau_star, cal.sigma, cal.delta))]
     assert calls == [len(rep.regions)]
@@ -567,8 +569,9 @@ def test_time_limit_covers_the_whole_exact_solve():
     pred = lp_root_predict(inst)
     limit = 0.2
     start = time.perf_counter()
+    # ungated: the gate would search one plain tree, which ends within the limit
     rep = partition_solve(inst, pred, Calibration(0.9, 0.0, 1e-8), SolveOptions(time_limit=limit),
-                          mode="exact", tightened=True)
+                          mode="exact", tightened=True, gate=None)
     elapsed = time.perf_counter() - start
     assert rep.best.status == "limit"
     # one node LP of a 5x40 MKP takes about a millisecond
