@@ -119,7 +119,6 @@ class SimplexResult:
     status: str
     x: np.ndarray  # structural variable values
     objective: float  # c . x for the minimized objective
-    duals: np.ndarray | None  # one multiplier per row; None after a warm solve
     iterations: int
     state: _Workspace | None = None  # final basis of an optimal solve, for ``warm``
 
@@ -515,16 +514,15 @@ def _settled(ws: _Workspace, status: str) -> bool:
         and (status != STATUS_OPTIMAL or ws.d is not None))
 
 
-def _result(ws: _Workspace, status: str, duals: bool = True) -> SimplexResult:
+def _result(ws: _Workspace, status: str) -> SimplexResult:
     """The result of a finished solve over ``ws``, of its objective ``ws.c``."""
     x = ws.x[: ws.n].copy()
     if status == STATUS_INFEASIBLE:
-        return SimplexResult(status, x, np.nan, np.zeros(ws.m) if duals else None, ws.iterations)
+        return SimplexResult(status, x, np.nan, ws.iterations)
     return SimplexResult(
         status=status,
         x=x,
         objective=float(ws.c[: ws.n] @ x),
-        duals=ws.duals(ws.c) if duals else None,
         iterations=ws.iterations,
         state=ws if status == STATUS_OPTIMAL else None,
     )
@@ -556,8 +554,7 @@ def solve_bounded_lp(
     reoptimizes with the dual simplex and falls back to a cold solve
     when that does not settle (``_settled``).  ``iterations`` counts
     both.  ``warm`` and ``start`` are never modified, so one state can
-    seed several solves.  A warm or started solve that needs
-    no fallback computes no row multipliers: its ``duals`` is None.
+    seed several solves.
     Past ``deadline`` (a ``time.monotonic()`` instant) the solve stops
     with STATUS_TIME_LIMIT, warm or cold.  A solve whose bound reaches a
     finite ``cutoff`` stops with STATUS_CUTOFF; its ``objective`` is
@@ -574,7 +571,7 @@ def solve_bounded_lp(
     if not (_finite(lb) and _finite(ub)):
         raise ValueError("every bound of a bounded LP must be finite")
     if np.count_nonzero(lb > ub):
-        return SimplexResult(STATUS_INFEASIBLE, np.full(n, np.nan), np.nan, np.zeros(m), 0)
+        return SimplexResult(STATUS_INFEASIBLE, np.full(n, np.nan), np.nan, 0)
 
     spent = 0
     ws = warm.child(lb, ub) if warm is not None else (
@@ -583,7 +580,7 @@ def solve_bounded_lp(
     if ws is not None:
         status = ws.dual(ws.c, max_iters, deadline, cutoff)
         if _settled(ws, status):
-            return _result(ws, status, duals=False)
+            return _result(ws, status)
         spent = ws.iterations
 
     # the dual simplex from the dual feasible slack basis

@@ -154,10 +154,12 @@ def solve_labels(instances, time_limit) -> list[tuple[np.ndarray, np.ndarray]]:
     pair whose solve finds a solution within ``time_limit``, with y the
     solution's rounded binary part.
 
-    The instances are a family's, so each solve starts from the final
-    hull of the one before it (``solve_mip``'s ``start``): its basis,
-    and its clique rows where the right-hand sides are equal.  The
-    carry lives in this call alone; every solve a user times is cold.
+    The instances are a family's, so each solve is offered the final
+    hull of the one before it (``solve_mip``'s ``start``).  A solve
+    whose rows, right-hand sides included, equal that hull's starts
+    from its state and carries its clique rows; any other solves cold,
+    as an MKP family's labels do.  The carry lives in this call alone;
+    every solve a user times is cold.
     """
     labeled, hull = [], None
     for xi, inst in instances:
@@ -173,6 +175,17 @@ def default_test_count(total: int) -> int:
     min(TEST_COUNT, max(1, total // 4)), so a default family of 20 keeps
     15 to train on.  ``train``, ``calibrate`` and ``bench`` share it."""
     return min(TEST_COUNT, max(1, total // 4))
+
+
+def train_slice(instances: list, train_count: int | None = None,
+                test_count: int | None = None) -> list:
+    """The first ``train_count`` of a family's instances (default: all),
+    cut short of the test split, the last ``test_count`` (default:
+    ``default_test_count``).  ``train``, ``calibrate`` and ``bench`` all
+    train on it."""
+    total = len(instances)
+    cap = total - (default_test_count(total) if test_count is None else test_count)
+    return instances[: max(0, cap if train_count is None else min(train_count, cap))]
 
 
 def calibration_split(instances: list) -> tuple[list, list]:
@@ -221,10 +234,9 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     if n_test >= total:
         raise ValueError("test split consumes the whole family")
     test = family.instances[total - n_test :]
-    n_train = config.train_count if config.train_count is not None else total - n_test
-    if n_train < 1:
+    train = train_slice(family.instances, config.train_count, n_test)
+    if not train:
         raise ValueError("empty training split")
-    train = family.instances[: min(n_train, total - n_test)]
 
     model = given = None
     if config.mode != "plain" and config.predictor == "logistic":
@@ -512,19 +524,11 @@ class KnapsackRoundingRow:
     def median_mispick(self) -> float:
         return float(np.median(self.mispicks)) if self.mispicks else math.nan
 
-    @property
-    def max_mispick(self) -> int:
-        return max(self.mispicks) if self.mispicks else 0
-
 
 @dataclass
 class KnapsackRoundingReport:
     gamma: float
     rows: list[KnapsackRoundingRow]
-
-    @property
-    def total_violations(self) -> int:
-        return sum(r.violations_up + r.violations_down for r in self.rows)
 
 
 def verify_knapsack_rounding(

@@ -72,18 +72,17 @@ closed-form knapsack never separates.
 Carried roots: a solve may start from the final hull of an earlier one
 (``Hull``, kept in every report whose hull is optimal), as
 ``bench.solve_labels`` does along a family's training instances.  When
-the instance's rows have the start's matrix and senses and the hull its
-box, the hull LP starts from the start's basis
-(``_simplex._Workspace.started``).  When the right-hand sides are equal
-too, every 0/1 point of the instance meets the start's clique rows, so
-they carry, and with them the conflict graph, the separation and the
-``_Roundings`` and ``_Propagator`` built on the rows: the hull starts
-from the state over the rows and the cuts, separation goes on from
-there, and ``SolveReport.cuts`` counts the carried rows as well.  The
-conflict graph depends on b, so across a change of b only the basis of
-the LP over the rows alone carries.  Knapsack solves take no start.
-Every other solve is cold: the solves a user times (``solve``, and
-``bench``'s plain and method solves) never take one.
+the instance's rows (matrix, senses and right-hand sides) are the
+start's and the hull's box is its box, every 0/1 point of the instance
+meets the start's clique rows, so they carry, and with them the
+conflict graph, the separation and the ``_Roundings`` and
+``_Propagator`` built on the rows: the hull LP starts from the start's
+final state over the rows and the cuts, re-priced for this objective
+(``_simplex._Workspace.started``), separation goes on from there, and
+``SolveReport.cuts`` counts the carried rows as well.  Any other solve
+is cold, a change of b included, and so are knapsack solves and the
+solves a user times (``solve``, and ``bench``'s plain and method
+solves), which never take a start.
 
 First-step bounds: when a node branches on x_j, its final tableau row
 of x_j bounds each child's LP from below before that LP is set up
@@ -583,9 +582,8 @@ class Hull:
     of the same family (``solve_mip``'s ``start``).
 
     ``a``, ``senses`` and ``b`` are the instance's own rows and [lb, ub]
-    the hull's box.  ``first`` is an optimal state of the LP over those
-    rows alone and ``state`` the hull's final optimal state over them
-    and ``cuts``, the clique rows it holds (a (k, n) array).
+    the hull's box.  ``state`` is the hull's final optimal state over
+    those rows and ``cuts``, the clique rows it holds (a (k, n) array).
     ``roundings`` and ``propagate`` are built on the rows and the cuts;
     ``adj`` is the conflict graph (None when it was not built) and
     ``cliques`` its separation (None when the graph has no edge).
@@ -596,7 +594,6 @@ class Hull:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    first: _simplex._Workspace
     state: _simplex._Workspace
     cuts: np.ndarray
     roundings: _Roundings
@@ -604,9 +601,11 @@ class Hull:
     adj: np.ndarray | None
     cliques: _Cliques | None
 
-    def fits(self, a: np.ndarray, senses: list[str], lb: np.ndarray, ub: np.ndarray) -> bool:
-        """Whether a hull over the rows (a, senses) and the box [lb, ub] can start from this one."""
-        return (senses == self.senses and np.array_equal(a, self.a)
+    def fits(self, a: np.ndarray, senses: list[str], b: np.ndarray, lb: np.ndarray,
+             ub: np.ndarray) -> bool:
+        """Whether a hull over the rows (a, senses, b) and the box [lb, ub]
+        can start from this one."""
+        return (senses == self.senses and np.array_equal(a, self.a) and np.array_equal(b, self.b)
                 and np.array_equal(lb, self.lb) and np.array_equal(ub, self.ub))
 
 
@@ -641,13 +640,13 @@ def solve_mip(
     nodes and seconds per root.
 
     ``start`` is the ``hull`` of an earlier solve's report, the previous
-    instance of a family.  When the instance's rows have its matrix and
-    senses and the hull its box, the hull LP starts from its basis
-    (``_simplex._Workspace.started``) instead of the slack basis.  When
-    the right-hand sides are equal too, the start's clique rows and the
-    structures built on the rows carry as well: the hull starts from the
-    state over the rows and the cuts, and separation goes on from there.
-    A knapsack solve takes no start.
+    instance of a family.  When the instance's rows, right-hand sides
+    included, are its rows and the hull's box is its box, the start's
+    clique rows and the structures built on the rows carry: the hull LP
+    starts from its final state over the rows and the cuts
+    (``_simplex._Workspace.started``) instead of the slack basis, and
+    separation goes on from there.  Any other solve, and every knapsack
+    solve, is cold.
 
     ``gate`` is the ratio k of the root gate (module docstring): with
     two or more roots, the tree keeps them only when their disjunction
@@ -715,23 +714,18 @@ def solve_mip(
     hull_lb = np.min([lo for lo, _ in boxes], axis=0)
     hull_ub = np.max([hi for _, hi in boxes], axis=0)
     rows_a, rows_senses, rows_b = a, senses, b
-    if start is not None and (knapsack is not None or not start.fits(a, senses, hull_lb, hull_ub)):
-        start = None
-    if start is not None and np.array_equal(b, start.b):
+    if start is not None and knapsack is None and start.fits(a, senses, b, hull_lb, hull_ub):
         # the cut rows hold at every 0/1 point of these rows, so they carry
         cuts, adj, roundings, propagate = start.cuts, start.adj, start.roundings, start.propagate
         cliques = start.cliques and start.cliques.copy()
         a = np.vstack([a, cuts])
         senses = senses + ["<="] * len(cuts)
         b = np.concatenate([b, np.ones(len(cuts))])
-        first = start.first
         lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None, start.state)
     else:
         cuts, adj, cliques = np.zeros((0, len(c))), None, None
         roundings = _Roundings(a, senses, b, n_bin)
-        lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None,
-                                            None if start is None else start.first)
-        first = hull
+        lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None)
     if adj is None and knapsack is None and lp_status == _simplex.STATUS_OPTIMAL and (
             np.abs(x[:n_bin] - np.rint(x[:n_bin])) > INTEGRALITY_TOL).any():
         adj = _conflict_graph(roundings.lhs, roundings.rhs, n_bin)
@@ -764,7 +758,7 @@ def solve_mip(
         propagate = _Propagator(roundings.lhs, roundings.rhs, n_bin)
     if lp_status == _simplex.STATUS_OPTIMAL and knapsack is None:
         rep.hull = Hull(a=rows_a, senses=rows_senses, b=rows_b, lb=hull_lb, ub=hull_ub,
-                        first=first, state=hull, cuts=cuts, roundings=roundings,
+                        state=hull, cuts=cuts, roundings=roundings,
                         propagate=propagate, adj=adj, cliques=cliques)
     if gate is not None and len(boxes) > 1 and knapsack is None and (
             lp_status == _simplex.STATUS_OPTIMAL):

@@ -142,17 +142,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _train_slice(family, train_count):
-    """The family's first ``train_count`` instances; by default all but
-    ``bench``'s default test split."""
-    total = len(family.instances)
-    n_train = train_count if train_count is not None else total - bench_mod.default_test_count(total)
-    return family.instances[: min(n_train, total)]
-
-
 def _cmd_train(args) -> int:
-    family = read_family(args.family)
-    fit, _ = bench_mod.calibration_split(_train_slice(family, args.train_count))
+    train = bench_mod.train_slice(read_family(args.family).instances, args.train_count)
+    fit, _ = bench_mod.calibration_split(train)
     model, n_labeled = bench_mod.fit_model(
         fit, args.time_limit, reg=args.reg, max_iters=args.max_iters, tol=args.tol
     )
@@ -168,9 +160,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    family = read_family(args.family)
+    train = bench_mod.train_slice(read_family(args.family).instances, args.train_count)
     model = predict.load_model(args.model)
-    _, val = bench_mod.calibration_split(_train_slice(family, args.train_count))
+    _, val = bench_mod.calibration_split(train)
     cal = bench_mod.calibrate_model(model, val, args.delta, args.time_limit)
     out = Path(args.out or "calibration.json")
     branching.save_calibration(cal, out)

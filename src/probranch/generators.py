@@ -8,7 +8,6 @@ reproducible across platforms and trivially parallel across instances.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +27,6 @@ from .model import (
     read_instance,
     serialize,
 )
-
-VARYING_FIELDS = ("rhs_b", "cost_c", "demand_d")
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -51,33 +48,6 @@ class InstanceFamily:
 
     def __len__(self) -> int:
         return len(self.instances)
-
-    def validate(self) -> None:
-        if self.varying_field not in VARYING_FIELDS:
-            raise ValueError(f"bad varying_field {self.varying_field!r}")
-        ref = fixed_signature(self.template, self.varying_field)
-        for xi, inst in self.instances:
-            inst.validate()
-            if fixed_signature(inst, self.varying_field) != ref:
-                raise ValueError(
-                    f"instance {inst.name} differs from template outside "
-                    f"{self.varying_field}"
-                )
-            if list(inst.param_tag) != [float(v) for v in np.asarray(xi)]:
-                raise ValueError(f"instance {inst.name}: param_tag does not match xi")
-
-
-def fixed_signature(instance: MipInstance, varying_field: str) -> str:
-    """Hash of everything except the declared varying field (and name/tag)."""
-    doc = json.loads(serialize(instance).decode("utf-8"))
-    doc.pop("name")
-    doc.pop("param_tag")
-    if varying_field == "rhs_b":
-        for row in doc["rows"]:
-            row["rhs"] = None
-    elif varying_field in ("cost_c", "demand_d"):
-        doc["objective"] = None
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _dense_rows(a: np.ndarray, sense: str, b: np.ndarray) -> list[LinearRow]:

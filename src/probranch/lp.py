@@ -21,14 +21,9 @@ from .model import MipInstance
 
 @dataclass
 class LpSolution:
-    """Relaxation solution: primal values, one dual per row, and status.
-
-    Duals are reported in the instance's sense (negated internally for
-    maximization), one per instance row.
-    """
+    """Relaxation solution: primal values, objective and status."""
 
     primal: np.ndarray
-    dual: np.ndarray
     objective: float
     status: str  # optimal | infeasible | iteration_limit
 
@@ -53,7 +48,6 @@ def solve_simplex(instance: MipInstance, max_iters: int = 20000) -> LpSolution:
     res = _simplex.solve_bounded_lp(sign * c, a, senses, b, lb, ub, max_iters=max_iters)
     return LpSolution(
         primal=res.x,
-        dual=sign * res.duals,
         objective=sign * res.objective if res.status == _simplex.STATUS_OPTIMAL else np.nan,
         status=res.status,
     )
@@ -100,11 +94,8 @@ def solve_ipm(instance: MipInstance, max_iters: int = 100, tol: float = 1e-8) ->
     if res.status == _interior.STATUS_NUMERICAL:
         raise NumericalFailure("interior-point iteration produced non-finite values")
     x = recover(res.x)
-    m = a.shape[0]
-    duals = res.y[:m] if res.y.size >= m else np.zeros(m)
     return LpSolution(
         primal=x,
-        dual=sign * duals,
         objective=float(c @ x) if res.status == _interior.STATUS_OPTIMAL else np.nan,
         status=res.status,
     )

@@ -191,30 +191,24 @@ def serialize(instance: MipInstance) -> bytes:
     return json.dumps(doc, allow_nan=False).encode("utf-8")
 
 
-class _Document(dict):
-    """A decoded JSON object whose missing fields raise MalformedDocumentError."""
-
-    def __missing__(self, key):
-        raise MalformedDocumentError(f"missing field {key!r}")
-
-
 def read_document(data: bytes) -> dict:
     """Parse one on-disk JSON document and check its format version.
 
     Every loader reads through here.  Bytes that are not UTF-8 or not
     JSON (position-carrying), a top level that is not an object, and a
-    ``format_version`` other than FORMAT_VERSION raise
-    MalformedDocumentError, and so does indexing a missing field of any
-    object in the returned document.
+    ``format_version`` missing or other than FORMAT_VERSION raise
+    MalformedDocumentError.
     """
     try:
-        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_Document)
+        doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise MalformedDocumentError(f"not utf-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(str(exc), position=exc.pos) from exc
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top level is not an object")
+    if "format_version" not in doc:
+        raise MalformedDocumentError("missing field 'format_version'")
     if doc["format_version"] != FORMAT_VERSION:
         raise MalformedDocumentError(f"unsupported format_version {doc['format_version']!r}")
     return doc
@@ -223,15 +217,18 @@ def read_document(data: bytes) -> dict:
 def decode(data: bytes, build: Callable[[dict], T]) -> T:
     """Read one document and build an object from its checked fields.
 
-    A TypeError or ValueError that ``build`` raises on a wrongly typed
-    field becomes MalformedDocumentError, like every other fault in the
-    document; an InvariantViolationError passes through.
+    A KeyError that ``build`` raises on a missing field, and a TypeError
+    or ValueError on a wrongly typed one, become MalformedDocumentError,
+    like every other fault in the document; an InvariantViolationError
+    passes through.
     """
     doc = read_document(data)
     try:
         return build(doc)
     except (MalformedDocumentError, InvariantViolationError):
         raise
+    except KeyError as exc:
+        raise MalformedDocumentError(f"missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad document structure: {exc}") from exc
 

@@ -23,20 +23,14 @@ import numpy as np
 from . import lp
 from .model import FORMAT_VERSION, MipInstance, decode
 
-SOURCE_LOGISTIC = "logistic"
-SOURCE_LP_SIMPLEX = "lp_root_simplex"
-SOURCE_LP_IPM = "lp_root_ipm"
-SOURCE_EXTERNAL = "external"
-
 _P_FLOOR = 1e-9  # probability clamp for intercept-only models
 
 
 @dataclass
 class Prediction:
-    """Per-binary-variable probabilities with their source tag."""
+    """Per-binary-variable probabilities."""
 
     probabilities: np.ndarray
-    source: str
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=float)
@@ -221,23 +215,21 @@ def logistic_predict(model: LogisticModel, xi: np.ndarray) -> Prediction:
         )
     z = model.weights @ ((xi - model.feature_mean) / model.feature_std) + model.intercepts
     p = np.clip(_sigmoid(z), 1e-15, 1.0 - 1e-15)
-    return Prediction(probabilities=p, source=SOURCE_LOGISTIC)
+    return Prediction(probabilities=p)
 
 
 def lp_root_predict(instance: MipInstance, backend: str = "simplex") -> Prediction:
     """Use the LP root relaxation values of the binaries as probabilities."""
     if backend == "simplex":
         sol = lp.solve_simplex(instance)
-        source = SOURCE_LP_SIMPLEX
     elif backend == "ipm":
         sol = lp.solve_ipm(instance)
-        source = SOURCE_LP_IPM
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if sol.status != "optimal":
         raise ValueError(f"root relaxation is {sol.status}; cannot predict")
     p = np.clip(sol.primal[: instance.num_binary], 0.0, 1.0)
-    return Prediction(probabilities=p, source=source)
+    return Prediction(probabilities=p)
 
 
 def predictor(name: str, model: LogisticModel | None = None):
@@ -302,7 +294,7 @@ def load_prediction(path: str | Path, n: int) -> Prediction:
         warnings.warn(
             f"{bad} prediction(s) outside [0, 1] were clamped", stacklevel=2
         )
-    return Prediction(probabilities=clipped, source=SOURCE_EXTERNAL)
+    return Prediction(probabilities=clipped)
 
 
 def save_model(model: LogisticModel, path: str | Path) -> None:

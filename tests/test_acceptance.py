@@ -88,7 +88,7 @@ def test_criterion_1_exactness_across_families_and_sources(tmp_path):
                 base = lp_root_predict(inst, backend="simplex").probabilities
                 path = tmp_path / f"{inst.name}.pred.json"
                 save_prediction(
-                    Prediction(np.clip(0.85 * base + 0.05, 0, 1), "external"), path
+                    Prediction(np.clip(0.85 * base + 0.05, 0, 1)), path
                 )
                 pred = load_prediction(path, inst.num_binary)
             part = partition_solve(inst, pred, cal, options=opts, mode="exact")
@@ -176,7 +176,7 @@ def test_criterion_5_data_free_knapsack_bounds():
     (row,) = verify_knapsack_rounding([16384], gamma=0.3, trials=3, seed=45).rows
     assert not row.vacuous_up
     assert row.violations_up == 0 and row.violations_down == 0
-    details.append(f"n={row.n} max|U\\U*|={row.max_mispick}")
+    details.append(f"n={row.n} max|U\\U*|={max(row.mispicks)}")
     elapsed = time.time() - started
     assert elapsed <= 300.0, f"criterion 5 exceeded its budget: {elapsed:.1f}s"
     report("criterion 5 (data-free knapsack bounds, 153 trials)", started,

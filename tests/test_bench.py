@@ -207,7 +207,7 @@ class TestRunBenchmark:
             sol = binary_enumeration(inst)
             optima[inst.name] = sol.objective
             save_prediction(
-                Prediction(np.round(sol.values), "external"),
+                Prediction(np.round(sol.values)),
                 pred_dir / f"{inst.name}.pred.json",
             )
         report = run_benchmark(
@@ -389,7 +389,6 @@ class TestVerifyKnapsackRounding:
         assert row.violations_up == 0 and row.violations_down == 0
         assert row.vacuous_up and row.vacuous_down  # 4*sqrt(2)*60^0.75 > 60 >= |U|, |L|
         assert len(row.mispicks) == 4
-        assert rep.total_violations == 0
 
     def test_mispicks_match_direct_set_difference(self):
         # replay the validator's seed derivation and recompute |U \ U*|
@@ -426,4 +425,3 @@ class TestVerifyKnapsackRounding:
         rep = verify_knapsack_rounding([40], 0.3, trials=5, seed=11)
         row = rep.rows[0]
         assert row.median_mispick == float(np.median(row.mispicks))
-        assert row.max_mispick == max(row.mispicks)

@@ -289,7 +289,7 @@ class TestPartitionSolve:
     def test_perfect_prediction_heuristic(self):
         _, inst = gen_ca(7, 12, 1, seed=63).instances[0]
         bf = binary_enumeration(inst)
-        pred = Prediction(np.round(bf.values), source="external")
+        pred = Prediction(np.round(bf.values))
         cal = Calibration(tau_star=1.0, sigma=0.0, delta=0.05)
         rep = partition_solve(inst, pred, cal, options=SolveOptions(**EXACT),
                               mode="heuristic", tightened=True)
@@ -302,7 +302,7 @@ class TestPartitionSolve:
             _, inst = gen_scp(7, 11, 0.35, 1, seed=seed).instances[0]
             bf = binary_enumeration(inst)
             adversarial = np.clip(1.0 - np.round(bf.values) * 0.96 - 0.02, 0.0, 1.0)
-            pred = Prediction(adversarial, source="external")
+            pred = Prediction(adversarial)
             cal = Calibration(tau_star=0.9, sigma=0.0, delta=0.05)
             rep = partition_solve(inst, pred, cal, options=SolveOptions(**EXACT),
                                   mode="exact")

@@ -243,11 +243,11 @@ def test_train_reports_models_stopped_at_the_cap(tmp_path, capsys, max_iters, re
     family = tmp_path / "ca"
     assert cli.main([
         "generate", "--kind", "ca", "--items", "8", "--bids", "16",
-        "--count", "12", "--seed", "1", "--out", str(family),
+        "--count", "16", "--seed", "1", "--out", str(family),
     ]) == 0
     model = tmp_path / "model.json"
     capsys.readouterr()
-    assert cli.main([  # fits on the first 10, holding the last 2 out
+    assert cli.main([  # the first 12 of 16 (the last 4 test): fits on 10, holds 2 out
         "train", "--family", str(family), "--train-count", "12",
         "--max-iters", str(max_iters), "--reg", str(reg), "--out", str(model),
     ]) == 0
@@ -477,6 +477,32 @@ def test_train_on_the_default_slice_of_a_4_instance_family_names_train_count(
     err = capsys.readouterr().err
     assert "--train-count" in err and "fit part holds 1" in err
     assert solves == [] and not model.exists()
+
+
+def test_a_train_count_past_the_default_slice_never_reaches_the_test_split(
+        tmp_path, monkeypatch):
+    # 20 instances keep the last 5 to test whatever --train-count asks, so
+    # train, calibrate and bench label the same 15: 12 fitted, 3 held out
+    fam, model, calib = tmp_path / "ca", tmp_path / "model.json", tmp_path / "calib.json"
+    assert cli.main(["generate", "--kind", "ca", "--items", "8", "--bids", "16",
+                     "--count", "20", "--seed", "1", "--out", str(fam)]) == 0
+    labeled, solve_labels = [], bench.solve_labels
+
+    def spy(instances, time_limit):
+        labeled.append([inst.name for _, inst in instances])
+        return solve_labels(instances, time_limit)
+
+    monkeypatch.setattr(bench, "solve_labels", spy)
+    common = ["--family", str(fam), "--train-count", "20"]
+    assert cli.main(["train", *common, "--out", str(model)]) == 0
+    assert cli.main(["calibrate", *common, "--model", str(model), "--out", str(calib)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["bench", *common, "--out", str(tmp_path / "b")]) == 0
+    fit, val = [f"ca_8x16_{k:03d}" for k in range(12)], [f"ca_8x16_{k:03d}" for k in (12, 13, 14)]
+    assert load_model(model).fitted_on == fit
+    assert labeled == [fit, val, fit, val]
+    assert json.loads((tmp_path / "b.json").read_text())["config"]["train_count"] == 15
 
 
 def test_train_calibrate_and_bench_run_with_every_default_on_a_default_family(tmp_path):

@@ -1,14 +1,15 @@
 """Label solves that start from their family's last root.
 
 A family's members share their rows, so ``read_family`` validates the
-rows once and ``bench.solve_labels`` starts each solve from the final
-hull of the one before it: the hull LP from its basis
-(``_simplex._Workspace.started``), and, where the right-hand sides are
-equal, with its clique rows.  These tests hold a started LP to a cold
+rows once and ``bench.solve_labels`` offers each solve the final hull
+of the one before it.  Where the rows, right-hand sides included, are
+equal, the hull LP starts from that hull's state
+(``_simplex._Workspace.started``) with its clique rows.  These tests
+hold a started LP, under new costs and right-hand sides, to a cold
 solve of the same LP, its reduced costs to the sign rule and an
 unsettled start to a cold fallback; the carried labels and objectives
-to independent solves on CA, MKP (whose right-hand sides vary, so no
-clique row may carry) and SCP families; a family's members to the
+to independent solves on CA, MKP (whose right-hand sides vary, so
+every label solves cold) and SCP families; a family's members to the
 template's shared rows, a member with other rows to a whole read; and
 the solves a user times to no start at all.
 """
@@ -49,7 +50,21 @@ def random_lp(rng):
     return a, senses, lb, ub, rhs
 
 
-def test_a_started_lp_matches_a_cold_solve_and_keeps_dual_feasible_reduced_costs():
+def cold_solves(monkeypatch) -> list:
+    """A list that grows by one at each cold solve from here on: only a
+    cold solve builds its ``_Workspace`` from the slack basis."""
+    cold, init = [], _simplex._Workspace.__init__
+
+    def counted(ws, *args):
+        cold.append(args)
+        init(ws, *args)
+
+    monkeypatch.setattr(_simplex._Workspace, "__init__", counted)
+    return cold
+
+
+def test_a_started_lp_matches_a_cold_solve_and_keeps_dual_feasible_reduced_costs(monkeypatch):
+    colds = cold_solves(monkeypatch)
     rng = np.random.default_rng(7)
     solved = settled = 0
     for _ in range(80):
@@ -62,11 +77,12 @@ def test_a_started_lp_matches_a_cold_solve_and_keeps_dual_feasible_reduced_costs
             c2 = c if change == "b" else rng.normal(size=len(c))
             b2 = b if change == "c" else rhs()
             cold = _simplex.solve_bounded_lp(c2, a, senses, b2, lb, ub)
+            before = len(colds)
             res = _simplex.solve_bounded_lp(c2, a, senses, b2, lb, ub, start=first.state)
             assert res.status == cold.status == _simplex.STATUS_OPTIMAL
             assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
             solved += 1
-            if res.duals is not None:
+            if len(colds) > before:
                 continue  # it fell back to a cold solve
             settled += 1
             ws = res.state
@@ -93,17 +109,18 @@ def test_a_started_lp_matches_a_cold_solve_and_keeps_dual_feasible_reduced_costs
     assert settled >= 0.9 * solved
 
 
-def test_an_unsettled_start_falls_back_to_a_cold_solve():
+def test_an_unsettled_start_falls_back_to_a_cold_solve(monkeypatch):
     rng = np.random.default_rng(3)
     a, senses, lb, ub, rhs = random_lp(rng)
     c, b = rng.normal(size=a.shape[1]), rhs()
     broken = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub).state.child(lb, ub)
     broken.binv[:] = np.nan
     c2 = rng.normal(size=len(c))
+    colds = cold_solves(monkeypatch)
     res = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub, start=broken)
+    assert len(colds) == 1
     ref = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub)
     assert res.status == ref.status == _simplex.STATUS_OPTIMAL
-    assert res.duals is not None  # only a cold solve computes row multipliers
     assert res.state.A is not broken.A
     assert res.objective == pytest.approx(ref.objective, rel=1e-12)
     assert res.iterations == ref.iterations + 1  # the failed started pass is counted
@@ -122,7 +139,7 @@ def test_a_start_whose_rows_hold_nowhere_in_the_box_leaves_the_lp_to_a_cold_solv
 
 FAMILIES = {
     "ca": lambda seed: gen_ca(12, 30, 6, seed),
-    # small rows whose right-hand sides vary: cuts, but none may carry
+    # small rows whose right-hand sides vary: every label solves cold
     "mkp": lambda seed: gen_mkp(3, 9, 6, seed),
     "scp": lambda seed: gen_scp(12, 24, 0.2, 6, seed),
 }
@@ -150,7 +167,8 @@ def test_carried_labels_equal_independent_solves(monkeypatch, kind):
     for seed in range(1, 11):
         fam = FAMILIES[kind](seed)
         labels = bench.solve_labels(fam.instances, 10.0)
-        assert len(held) == len(fam.instances) - 1  # every hull after the first
+        # every hull after the first starts, unless its b differs from the last one's
+        assert len(held) == (0 if kind == "mkp" else len(fam.instances) - 1)
         carried += [m > len(fam.template.rows) for m in held]
         held.clear()
         assert len(labels) == len(objectives) == len(fam.instances)
@@ -160,8 +178,6 @@ def test_carried_labels_equal_independent_solves(monkeypatch, kind):
             assert np.array_equal(y, np.round(rep.best_solution.binary_part(inst))), (seed, inst.name)
             assert obj == pytest.approx(rep.objective, rel=1e-9), (seed, inst.name)
         objectives.clear()
-    if kind == "mkp":
-        assert not any(carried)  # each b differs, so each start holds the rows alone
     if kind == "ca":
         assert any(carried)  # one b: the clique rows come along
 

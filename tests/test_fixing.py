@@ -133,7 +133,7 @@ def test_fixing_solves_match_oracles_on_random_instances(seed):
     if rng.integers(2):
         pred = lp_root_predict(inst)
     else:
-        pred = Prediction(rng.random(inst.num_binary), "external")
+        pred = Prediction(rng.random(inst.num_binary))
     cal = Calibration(tau_star=float(rng.choice([0.6, 0.75])), sigma=0.0, delta=0.05)
     exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact")
     assert exact.best.status == "optimal"

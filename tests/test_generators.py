@@ -5,8 +5,6 @@ import pytest
 
 from oracles import binary_enumeration, knapsack_arrays, set_cover_dp, set_packing_dp
 from probranch.generators import (
-    InstanceFamily,
-    fixed_signature,
     gen_ca,
     gen_knapsack_uniform,
     gen_mkp,
@@ -47,9 +45,15 @@ class TestMkp:
 
     def test_only_rhs_varies(self):
         fam = gen_mkp(2, 6, 4, seed=13)
-        fam.validate()
-        sigs = {fixed_signature(inst, "rhs_b") for _, inst in fam.instances}
-        assert len(sigs) == 1
+        assert fam.varying_field == "rhs_b"
+        a0, senses0, _ = fam.template.constraint_arrays()
+        rhs = set()
+        for _, inst in fam.instances:
+            a, senses, b = inst.constraint_arrays()
+            assert np.array_equal(a, a0) and senses == senses0
+            assert np.array_equal(inst.objective_vector(), fam.template.objective_vector())
+            rhs.add(tuple(b))
+        assert len(rhs) == len(fam.instances)
 
 
 class TestScp:
@@ -146,7 +150,6 @@ class TestFamilyIo:
         assert len(back.instances) == len(fam.instances)
         for (_, a), (_, b) in zip(fam.instances, back.instances):
             assert a == b
-        back.validate()
 
     def test_a_bad_member_row_names_its_file(self, tmp_path, capsys):
         path = write_family(gen_mkp(3, 16, 5, seed=2), tmp_path / "fam")
@@ -172,17 +175,18 @@ class TestFamilyIo:
                          "--out", str(tmp_path / "model.json")]) == 1
         assert capsys.readouterr().err.startswith("error: instance_0003.json: Expecting")
 
-    def test_validate_catches_foreign_instance(self):
-        fam = gen_mkp(2, 5, 2, seed=43)
-        alien = gen_mkp(2, 5, 1, seed=44).instances[0]
-        bad = InstanceFamily(
-            template=fam.template,
-            varying_field="rhs_b",
-            instances=[fam.instances[0], alien],
-            seed=43,
-        )
-        with pytest.raises(ValueError):
-            bad.validate()
+
+@pytest.mark.parametrize("kind", ["scp", "ca"])
+def test_only_costs_vary(kind):
+    fam = {"scp": lambda: gen_scp(10, 20, 0.2, 4, seed=19),
+           "ca": lambda: gen_ca(8, 14, 4, seed=35)}[kind]()
+    assert fam.varying_field == "cost_c"
+    a0, senses0, b0 = fam.template.constraint_arrays()
+    for _, inst in fam.instances:
+        a, senses, b = inst.constraint_arrays()
+        assert np.array_equal(a, a0) and senses == senses0 and np.array_equal(b, b0)
+    costs = {tuple(inst.objective_vector()) for _, inst in fam.instances}
+    assert len(costs) == len(fam.instances)
 
 
 FAMILIES = {

@@ -118,10 +118,13 @@ class TestSimplex:
             assert sol.status == "optimal"
             c = inst.objective_vector()
             assert sol.objective == pytest.approx(float(c @ sol.primal), abs=1e-9)
-            a, senses, b = inst.constraint_arrays()
+            # the row multipliers of the simplex's final basis
+            c, a, senses, b, lb, ub = relaxation_arrays(inst)
+            state = solve_bounded_lp(c, a, senses, b, lb, ub).state
+            dual = state.duals(state.c)
             resid = b - a @ sol.primal
             for r in range(len(senses)):
-                if abs(sol.dual[r]) > 1e-7:
+                if abs(dual[r]) > 1e-7:
                     assert abs(resid[r]) < 1e-7
 
     def test_extra_cuts_are_respected(self):
@@ -130,7 +133,6 @@ class TestSimplex:
         cut = LinearRow([(0, 1.0), (1, 1.0)], "<=", 0.5)
         sol = solve_simplex(with_rows(inst, [cut]))
         assert sol.objective == pytest.approx(0.5, abs=1e-9)
-        assert len(sol.dual) == 2  # instance row plus the cut
 
     def test_iterates_respect_weak_duality(self):
         # a boxed cold LP runs the dual simplex, whose objective c.x is a

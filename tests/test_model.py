@@ -153,7 +153,7 @@ def write_document(kind, root):
     if kind == "prediction":
         path = root / "preds" / "pair.pred.json"
         path.parent.mkdir()
-        save_prediction(Prediction(np.array([0.2, 0.9]), source="external"), path)
+        save_prediction(Prediction(np.array([0.2, 0.9])), path)
         return (path, lambda p: load_prediction(p, 2), "predictions",
                 exact + ["--predictor", f"file:{path.parent}"])
     if kind == "model":

@@ -416,16 +416,12 @@ class TestLpRootPredict:
             assert np.array_equal(down, np.nonzero(y == 0.0)[0])
             assert len(rest) == 1
 
-    def test_source_tags(self):
-        uk = gen_knapsack_uniform(10, 0.3, seed=57)
-        assert lp_root_predict(uk.instance, "simplex").source == "lp_root_simplex"
-        assert lp_root_predict(uk.instance, "ipm").source == "lp_root_ipm"
-
 
 def test_predictor_names():
     uk = gen_knapsack_uniform(10, 0.3, seed=57)
-    assert predictor("lp-root-simplex")(uk.instance).source == "lp_root_simplex"
-    assert predictor("lp-root-ipm")(uk.instance).source == "lp_root_ipm"
+    for name, backend in (("lp-root-simplex", "simplex"), ("lp-root-ipm", "ipm")):
+        assert np.array_equal(predictor(name)(uk.instance).probabilities,
+                              lp_root_predict(uk.instance, backend).probabilities)
     with pytest.raises(ValueError, match="needs a model"):
         predictor("logistic")
     with pytest.raises(ValueError, match="unknown predictor"):
@@ -444,7 +440,6 @@ class TestPredictionFiles:
         }))
         p = load_prediction(path, 2)
         assert p.probabilities == pytest.approx([0.93, 0.02])
-        assert p.source == "external"
 
     def test_missing_index_is_length_mismatch(self, tmp_path):
         path = tmp_path / "p.json"
@@ -472,7 +467,7 @@ class TestPredictionFiles:
             load_prediction(path, 1)
 
     def test_save_then_load_round_trip(self, tmp_path):
-        pred = Prediction(np.array([0.1, 0.9, 0.5]), source="external")
+        pred = Prediction(np.array([0.1, 0.9, 0.5]))
         save_prediction(pred, tmp_path / "p.json")
         back = load_prediction(tmp_path / "p.json", 3)
         assert back.probabilities == pytest.approx(pred.probabilities)
@@ -480,4 +475,4 @@ class TestPredictionFiles:
     def test_prediction_type_validates_range(self):
         for bad in (1.5, -0.1, np.nan):
             with pytest.raises(ValueError):
-                Prediction(np.array([0.5, bad]), source="external")
+                Prediction(np.array([0.5, bad]))

@@ -404,7 +404,7 @@ def test_solves_with_propagation_match_the_oracles():
         if rng.integers(2):
             pred = lp_root_predict(inst)
         else:
-            pred = Prediction(rng.random(inst.num_binary), "external")
+            pred = Prediction(rng.random(inst.num_binary))
         cal = Calibration(tau_star=float(rng.choice([0.6, 0.75])), sigma=0.0, delta=0.05)
         # ungated, so every region's count box reaches its members by propagation
         exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact",

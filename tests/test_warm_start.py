@@ -506,7 +506,7 @@ def test_partition_solve_matches_oracles_on_random_instances(seed):
         expected = highs_optimum(inst)
     source = ("external", "lp-root-simplex", "lp-root-ipm")[int(rng.integers(3))]
     if source == "external":
-        pred = Prediction(rng.random(inst.num_binary), "external")
+        pred = Prediction(rng.random(inst.num_binary))
     else:
         pred = lp_root_predict(inst, backend=source.removeprefix("lp-root-"))
     cal = Calibration(tau_star=float(rng.choice([0.6, 0.75, 0.9])),
@@ -565,16 +565,18 @@ def test_partition_solve_is_one_tree(monkeypatch, mode):
 
 
 def test_time_limit_covers_the_whole_exact_solve():
-    inst = tight_mkp(5, 40, 1)
+    # its ungated solve takes about 8 s (32368 nodes) on a 2-core x86-64
+    # VM, forty times the limit, so only the limit can end it in time
+    inst = tight_mkp(10, 60, 1)
     pred = lp_root_predict(inst)
     limit = 0.2
     start = time.perf_counter()
-    # ungated: the gate would search one plain tree, which ends within the limit
+    # ungated: the four-region roots, as the paper's exact mode searches them
     rep = partition_solve(inst, pred, Calibration(0.9, 0.0, 1e-8), SolveOptions(time_limit=limit),
                           mode="exact", tightened=True, gate=None)
     elapsed = time.perf_counter() - start
     assert rep.best.status == "limit"
-    # one node LP of a 5x40 MKP takes about a millisecond
+    # one node LP of a 10x60 MKP takes well under a millisecond
     assert rep.best.wall_time <= elapsed <= limit + 0.1
 
 
@@ -606,6 +608,19 @@ def test_singular_basis_refactorizes_to_nan():
     assert not np.isfinite(ws.x[ws.basis]).any()
 
 
+def cold_solves(monkeypatch) -> list:
+    """A list that grows by one at each cold solve from here on: only a
+    cold solve builds its ``_Workspace`` from the slack basis."""
+    cold, init = [], _simplex._Workspace.__init__
+
+    def counted(ws, *args):
+        cold.append(args)
+        init(ws, *args)
+
+    monkeypatch.setattr(_simplex._Workspace, "__init__", counted)
+    return cold
+
+
 def test_singular_refactorization_falls_back_to_a_cold_solve(monkeypatch):
     inst = tight_mkp(5, 15, 1)
     c, a, senses, b, lb, ub = relaxation_arrays(inst)
@@ -624,10 +639,11 @@ def test_singular_refactorization_falls_back_to_a_cold_solve(monkeypatch):
         return inv(m)
 
     monkeypatch.setattr(np.linalg, "inv", singular_once)
+    cold = cold_solves(monkeypatch)
     res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm)
     assert raised
     assert res.status == _simplex.STATUS_OPTIMAL
-    assert res.duals is not None  # only a cold solve computes row multipliers
+    assert len(cold) == 1
     assert res.objective == pytest.approx(lp_optimum(c, a, senses, b, lb, ub), rel=1e-9)
 
 
@@ -672,6 +688,7 @@ def test_a_warm_dual_left_dual_infeasible_falls_back_to_a_cold_solve(monkeypatch
         return status
 
     monkeypatch.setattr(_simplex._Workspace, "dual", recorded)
+    cold = cold_solves(monkeypatch)
     res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm)
     best, _ = enumerate_lp_vertices(c, a, senses, b, lb, ub)
     # the warm dual ends primal feasible above the optimum, its final
@@ -680,7 +697,7 @@ def test_a_warm_dual_left_dual_infeasible_falls_back_to_a_cold_solve(monkeypatch
     assert warm_status == _simplex.STATUS_OPTIMAL and warm_unkept and warm_obj > best + 1.0
     assert cold_status == _simplex.STATUS_OPTIMAL and not cold_unkept
     assert res.status == _simplex.STATUS_OPTIMAL
-    assert res.duals is not None  # only a cold solve computes row multipliers
+    assert len(cold) == 1
     assert res.objective == pytest.approx(best, rel=1e-12)
     assert res.iterations > warm_iters
 
