@@ -37,17 +37,16 @@ iteration limit, and raises NumericalFailure when it ends with a
 non-finite value or dual infeasible reduced costs.
 
 A started solve reoptimizes from the final state of an optimal solve
-over the same matrix and senses, with other costs, right-hand side or
-box: the previous instance of a family (``_Workspace.started``).  It
-keeps the basis and its inverse, re-prices it, d = c - (c_B B^-1) A,
-puts each nonbasic column on the bound its reduced cost prefers and
-recomputes x_B from the new b.  A slack s = b - a.x is then boxed by its
-row's activity range over the box, [b - max a.x, b - min a.x] within
-its sense's bounds: no point is cut off, but every nonbasic slack gets
-a finite preferred bound, so the start is dual feasible.  Only started
-states and their children carry these boxes; every other LP keeps the
-sense's bounds alone.  A started solve that does not settle falls back
-to a cold one, as a warm solve does.
+of the same LP under other costs: the previous instance of a family
+(``_Workspace.started``).  It keeps the basis and its inverse, re-prices
+it, d = c - (c_B B^-1) A, puts each nonbasic column on the bound its
+reduced cost prefers and recomputes x_B.  A slack s = b - a.x is then
+boxed by its row's activity range over the box, [b - max a.x, b - min
+a.x] within the state's slack bounds: no point is cut off, but every
+nonbasic slack gets a finite preferred bound, so the start is dual
+feasible.  Only started states and their children carry these boxes;
+every other LP keeps the sense's bounds alone.  A started solve that
+does not settle falls back to a cold one, as a warm solve does.
 
 While the basis is dual feasible, the objective c.x of the dual's basic
 solution is a lower bound on the LP.  Given a finite ``cutoff``, the
@@ -247,42 +246,35 @@ class _Workspace:
         ws.basic_values()
         return ws
 
-    def started(self, c, senses, b, lb, ub) -> _Workspace | None:
-        """A dual feasible start for costs c (over the extended columns),
-        right-hand side b and box [lb, ub] from this optimal state over
-        the same matrix and senses; None when some row holds nowhere in
-        the box.
+    def started(self, c) -> _Workspace | None:
+        """A dual feasible start for the structural costs c from this
+        optimal state, over its rows, b and box; None when some row holds
+        nowhere in the box.
 
-        The basis and its inverse are kept.  The reduced costs are
-        re-priced, d = c - (c_B B^-1) A, each nonbasic column goes to the
-        bound its reduced cost prefers, and x_B is recomputed from b.
-        Each slack is boxed by its row's activity range over the box: at
-        every point of the box s = b - a.x lies in [b - max a.x, b - min
-        a.x], which meets the sense's own bounds.  These bounds cut off
-        no point, but they give every nonbasic slack a finite preferred
-        bound, so the start is dual feasible.  The boxes stay with the
-        started state and its children; no other state has them.
+        It is this state's ``child`` under the same box, basis and inverse
+        kept, re-priced: d = c - (c_B B^-1) A, each nonbasic column goes to
+        the bound its reduced cost prefers, and x_B is recomputed.  Each slack
+        is boxed by its row's activity range over the box: at every point
+        of the box s = b - a.x lies in [b - max a.x, b - min a.x], which
+        meets the state's slack bounds unless the state met the row only
+        within the feasibility tolerance.  These bounds cut off no point,
+        but they give every nonbasic slack a finite preferred bound, so
+        the start is dual feasible.  The boxes stay with the started
+        state and its children; no other state has them.
         """
-        n = self.n
+        n, b, lb, ub = self.n, self.b, self.lb[: self.n], self.ub[: self.n]
         a = self.A[:, :n]
         pos, neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
-        sense_lo, sense_hi = np.array([_slack_bounds(s) for s in senses]).T
-        sl_lo = np.maximum(sense_lo, b - (pos @ ub + neg @ lb))
-        sl_hi = np.minimum(sense_hi, b - (pos @ lb + neg @ ub))
+        sl_lo = np.maximum(self.lb[n:], b - (pos @ ub + neg @ lb))
+        sl_hi = np.minimum(self.ub[n:], b - (pos @ lb + neg @ ub))
         if np.count_nonzero(sl_lo > sl_hi):
             return None
-        ws = _Workspace.__new__(_Workspace)
-        ws.m, ws.n, ws.A, ws.b, ws.c = self.m, n, self.A, b, c
-        ws.basis = self.basis.copy()
-        ws.binv = self.binv.copy()
-        ws.is_basic = self.is_basic.copy()
-        ws.lb = np.concatenate([lb, sl_lo])
-        ws.ub = np.concatenate([ub, sl_hi])
+        ws = self.child(lb, ub)
+        ws.lb[n:], ws.ub[n:] = sl_lo, sl_hi
+        ws.c = c = np.concatenate([c, np.zeros(self.m)])
         ws.d = c - (c[ws.basis] @ ws.binv) @ ws.A
         ws.d[ws.basis] = 0.0
         ws.x = np.where(ws.d < 0.0, ws.ub, ws.lb)
-        ws.pivots = self.pivots
-        ws.degenerate = ws.iterations = 0
         ws.basic_values()
         return ws
 
@@ -548,9 +540,9 @@ def solve_bounded_lp(
     this one, as a parent's box holds its children's: only then does
     each nonbasic column land on a bound of the new box on the side its
     reduced cost prefers; the warm solve reads c from the state.
-    ``start`` is the ``state`` of an optimal solve over the same a and
-    senses with any c, b and box; the solve begins from its basis
-    re-priced (``_Workspace.started``).  Either way the solve
+    ``start`` is the ``state`` of an optimal solve of the same a,
+    senses, b and box under any c; the solve begins from its basis
+    re-priced for c (``_Workspace.started``).  Either way the solve
     reoptimizes with the dual simplex and falls back to a cold solve
     when that does not settle (``_settled``).  ``iterations`` counts
     both.  ``warm`` and ``start`` are never modified, so one state can
@@ -566,7 +558,7 @@ def solve_bounded_lp(
     b = np.asarray(b, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    m, n = a.shape
+    n = a.shape[1]
 
     if not (_finite(lb) and _finite(ub)):
         raise ValueError("every bound of a bounded LP must be finite")
@@ -575,8 +567,7 @@ def solve_bounded_lp(
 
     spent = 0
     ws = warm.child(lb, ub) if warm is not None else (
-        start.started(np.concatenate([c, np.zeros(m)]), senses, b, lb, ub)
-        if start is not None else None)
+        start.started(c) if start is not None else None)
     if ws is not None:
         status = ws.dual(ws.c, max_iters, deadline, cutoff)
         if _settled(ws, status):

@@ -142,7 +142,6 @@ instances are safe.  Incumbent timestamps come from a monotonic clock.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import math
@@ -389,9 +388,13 @@ class _Cliques:
     The module docstring gives the rule.  Each binary's neighbours are a
     bit mask, so growing a clique is a walk down the greedy order that
     keeps the candidates adjacent to every member taken so far.
-    ``seen`` holds the supports of the instance's rows and of the cuts
-    made so far, as tuples of their sorted column indices, so no cut
-    repeats a row.
+    ``seen`` is the frozen set of the supports of the instance's rows, as
+    tuples of their sorted column indices, so no cut repeats a row; each
+    call drops its own repeats.  Nothing else is kept between calls, so
+    the solves a start carries share one separation.  No call finds a
+    cut the hull already holds: separation runs only on an optimal hull
+    LP, whose point meets each of its rows within the dual's feasibility
+    tolerance (1e-7), below CLIQUE_VIOLATION.
     """
 
     def __init__(self, adj: np.ndarray, a: np.ndarray):
@@ -408,13 +411,8 @@ class _Cliques:
         support = support[support.sum(axis=1) <= degree.max(initial=0) + 1]
         sizes = support.sum(axis=1).tolist()
         cols = np.nonzero(support)[1].tolist()  # row by row
-        self.seen = {tuple(cols[end - k:end]) for k, end in zip(sizes, itertools.accumulate(sizes))}
-
-    def copy(self) -> _Cliques:
-        """A copy whose ``seen`` grows apart from this one's."""
-        other = copy.copy(self)
-        other.seen = set(self.seen)
-        return other
+        self.seen = frozenset(
+            tuple(cols[end - k:end]) for k, end in zip(sizes, itertools.accumulate(sizes)))
 
     def __call__(self, x: np.ndarray) -> list[np.ndarray]:
         """The sorted column indices of each new clique that x violates."""
@@ -435,10 +433,9 @@ class _Cliques:
                     cand &= nbrs[j]
             if total > 1.0 + CLIQUE_VIOLATION:
                 cols = tuple(sorted(clique))
-                if cols not in self.seen:
-                    self.seen.add(cols)
-                    cuts.append(np.array(cols))
-        return cuts
+                if cols not in self.seen and cols not in cuts:
+                    cuts.append(cols)
+        return [np.array(cols) for cols in cuts]
 
 
 def _branch_candidates(frac: np.ndarray) -> np.ndarray:
@@ -716,8 +713,8 @@ def solve_mip(
     rows_a, rows_senses, rows_b = a, senses, b
     if start is not None and knapsack is None and start.fits(a, senses, b, hull_lb, hull_ub):
         # the cut rows hold at every 0/1 point of these rows, so they carry
-        cuts, adj, roundings, propagate = start.cuts, start.adj, start.roundings, start.propagate
-        cliques = start.cliques and start.cliques.copy()
+        cuts, adj, cliques = start.cuts, start.adj, start.cliques
+        roundings, propagate = start.roundings, start.propagate
         a = np.vstack([a, cuts])
         senses = senses + ["<="] * len(cuts)
         b = np.concatenate([b, np.ones(len(cuts))])

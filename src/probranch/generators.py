@@ -4,6 +4,11 @@ All generators draw from counter-based Philox streams keyed by
 ``(seed, stream)``: stream 0 holds the fixed family structure, stream
 ``1 + i`` the data of instance ``i``.  Families are therefore
 reproducible across platforms and trivially parallel across instances.
+``_family`` is the one recipe of every family: it names, draws and
+validates the template and the members.  Every generated instance has
+a point that meets its rows by construction: the ``<=`` rows of MKP, CA
+and the uniform knapsack have b > 0 and hold at zero, and each ``>= 1``
+row of SCP holds a 1 and so holds at all-ones.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .model import (
     LinearRow,
     MalformedDocumentError,
     MipInstance,
-    check_feasible,
     decode,
     read_instance,
     serialize,
@@ -46,9 +50,6 @@ class InstanceFamily:
     kind: str = ""
     params: dict = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.instances)
-
 
 def _dense_rows(a: np.ndarray, sense: str, b: np.ndarray) -> list[LinearRow]:
     rows = []
@@ -60,12 +61,30 @@ def _dense_rows(a: np.ndarray, sense: str, b: np.ndarray) -> list[LinearRow]:
     return rows
 
 
-def _assert_lp_feasible(instance: MipInstance, witness: np.ndarray) -> None:
-    ok, violated = check_feasible(instance, witness)
-    if not ok:
-        raise AssertionError(
-            f"generated instance {instance.name} infeasible at witness, rows {violated}"
-        )
+def _family(kind, stem, varying_field, params, num_instances, seed, template_xi, draw, build):
+    """The family ``kind`` over one structure, with ``num_instances`` members.
+
+    ``build(xi, name)`` is the instance of data xi, and xi is its
+    ``param_tag``.  The template, named ``<stem>_template``, takes
+    ``template_xi``; member i, ``<stem>_<iii>``, takes what ``draw``
+    returns from stream ``1 + i``.  Every instance is validated, and
+    ``params`` gains ``num_instances``.
+    """
+    def make(xi, suffix):
+        inst = build(xi, f"{stem}_{suffix}")
+        inst.param_tag = [float(v) for v in xi]
+        inst.validate()
+        return inst
+
+    members = [draw(stream_rng(seed, 1 + i)) for i in range(num_instances)]
+    return InstanceFamily(
+        template=make(template_xi, "template"),
+        varying_field=varying_field,
+        instances=[(xi, make(xi, f"{i:03d}")) for i, xi in enumerate(members)],
+        seed=seed,
+        kind=kind,
+        params={**params, "num_instances": num_instances},
+    )
 
 
 def gen_mkp(m: int, n: int, num_instances: int, seed: int) -> InstanceFamily:
@@ -85,33 +104,17 @@ def gen_mkp(m: int, n: int, num_instances: int, seed: int) -> InstanceFamily:
     center = 0.25 * a.sum(axis=1)
 
     def build(b: np.ndarray, name: str) -> MipInstance:
-        inst = MipInstance(
+        return MipInstance(
             name=name,
             sense=MAXIMIZE,
             num_binary=n,
             num_continuous=0,
             objective=[(j, float(c[j])) for j in range(n)],
             rows=_dense_rows(a, "<=", b),
-            param_tag=[float(v) for v in b],
         )
-        inst.validate()
-        _assert_lp_feasible(inst, np.zeros(n))
-        return inst
 
-    template = build(center, f"mkp_{m}x{n}_template")
-    instances = []
-    for i in range(num_instances):
-        ri = stream_rng(seed, 1 + i)
-        b = ri.uniform(0.8 * center, 1.2 * center)
-        instances.append((b, build(b, f"mkp_{m}x{n}_{i:03d}")))
-    return InstanceFamily(
-        template=template,
-        varying_field="rhs_b",
-        instances=instances,
-        seed=seed,
-        kind="mkp",
-        params={"m": m, "n": n, "num_instances": num_instances},
-    )
+    return _family("mkp", f"mkp_{m}x{n}", "rhs_b", {"m": m, "n": n}, num_instances, seed,
+                   center, lambda ri: ri.uniform(0.8 * center, 1.2 * center), build)
 
 
 def gen_scp(m: int, n: int, density: float, num_instances: int, seed: int) -> InstanceFamily:
@@ -133,33 +136,17 @@ def gen_scp(m: int, n: int, density: float, num_instances: int, seed: int) -> In
     base = rng.integers(1, 101, size=n).astype(float)
 
     def build(c: np.ndarray, name: str) -> MipInstance:
-        inst = MipInstance(
+        return MipInstance(
             name=name,
             sense=MINIMIZE,
             num_binary=n,
             num_continuous=0,
             objective=[(j, float(c[j])) for j in range(n)],
             rows=_dense_rows(a, ">=", np.ones(m)),
-            param_tag=[float(v) for v in c],
         )
-        inst.validate()
-        _assert_lp_feasible(inst, np.ones(n))
-        return inst
 
-    template = build(base, f"scp_{m}x{n}_template")
-    instances = []
-    for i in range(num_instances):
-        ri = stream_rng(seed, 1 + i)
-        c = ri.uniform(0.8 * base, 1.2 * base)
-        instances.append((c, build(c, f"scp_{m}x{n}_{i:03d}")))
-    return InstanceFamily(
-        template=template,
-        varying_field="cost_c",
-        instances=instances,
-        seed=seed,
-        kind="scp",
-        params={"m": m, "n": n, "density": density, "num_instances": num_instances},
-    )
+    return _family("scp", f"scp_{m}x{n}", "cost_c", {"m": m, "n": n, "density": density},
+                   num_instances, seed, base, lambda ri: ri.uniform(0.8 * base, 1.2 * base), build)
 
 
 def gen_ca(num_items: int, num_bids: int, num_instances: int, seed: int) -> InstanceFamily:
@@ -188,7 +175,7 @@ def gen_ca(num_items: int, num_bids: int, num_instances: int, seed: int) -> Inst
             item_rows.append((item, members))
 
     def build(values: np.ndarray, name: str) -> MipInstance:
-        inst = MipInstance(
+        return MipInstance(
             name=name,
             sense=MAXIMIZE,
             num_binary=num_bids,
@@ -198,26 +185,11 @@ def gen_ca(num_items: int, num_bids: int, num_instances: int, seed: int) -> Inst
                 LinearRow(coeffs=[(j, 1.0) for j in members], sense="<=", rhs=1.0)
                 for _, members in item_rows
             ],
-            param_tag=[float(v) for v in values],
         )
-        inst.validate()
-        _assert_lp_feasible(inst, np.zeros(num_bids))
-        return inst
 
-    template = build(base_value, f"ca_{num_items}x{num_bids}_template")
-    instances = []
-    for i in range(num_instances):
-        ri = stream_rng(seed, 1 + i)
-        values = base_value * ri.uniform(0.8, 1.2, size=num_bids)
-        instances.append((values, build(values, f"ca_{num_items}x{num_bids}_{i:03d}")))
-    return InstanceFamily(
-        template=template,
-        varying_field="cost_c",
-        instances=instances,
-        seed=seed,
-        kind="ca",
-        params={"num_items": num_items, "num_bids": num_bids, "num_instances": num_instances},
-    )
+    return _family("ca", f"ca_{num_items}x{num_bids}", "cost_c",
+                   {"num_items": num_items, "num_bids": num_bids}, num_instances, seed, base_value,
+                   lambda ri: base_value * ri.uniform(0.8, 1.2, size=num_bids), build)
 
 
 @dataclass
@@ -256,7 +228,6 @@ def gen_knapsack_uniform(n: int, gamma: float, seed: int) -> UniformKnapsack:
         param_tag=[],
     )
     inst.validate()
-    _assert_lp_feasible(inst, np.zeros(n))
     return UniformKnapsack(instance=inst)
 
 

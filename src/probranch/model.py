@@ -81,9 +81,11 @@ class MipInstance:
         ``rows=False`` skips the rows, for an instance whose rows list is
         another's, already validated over the same variable counts.
         """
-        n = self.num_vars
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise InvariantViolationError(f"bad sense {self.sense!r}")
+        if not (_is_integer(self.num_binary) and _is_integer(self.num_continuous)):
+            raise InvariantViolationError("num_binary and num_continuous must be integers")
+        n = self.num_vars
         if self.num_binary < 0 or self.num_continuous < 0 or n < 1:
             raise InvariantViolationError("instance needs at least one variable")
         _check_sparse(self.objective, n, "objective")
@@ -149,10 +151,14 @@ class Solution:
         return np.asarray(self.values)[: instance.num_binary]
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_sparse(coeffs: list[tuple[int, float]], n: int, where: str) -> None:
     seen = set()
     for j, v in coeffs:
-        if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
+        if not _is_integer(j):
             raise InvariantViolationError(f"{where}: index {j!r} is not an integer")
         if j < 0 or j >= n:
             raise InvariantViolationError(f"{where}: index {j} out of range [0, {n})")
@@ -163,10 +169,10 @@ def _check_sparse(coeffs: list[tuple[int, float]], n: int, where: str) -> None:
             raise InvariantViolationError(f"{where}: coefficient at {j} is not finite")
 
 
-def _decode_bound(v, k: int) -> float:
+def _decode_real(v, where: str) -> float:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
-    raise MalformedDocumentError(f"continuous bound {k}: {v!r} is not a number")
+    raise MalformedDocumentError(f"{where}: {v!r} is not a number")
 
 
 def serialize(instance: MipInstance) -> bytes:
@@ -234,26 +240,27 @@ def decode(data: bytes, build: Callable[[dict], T]) -> T:
 
 
 def _instance_from_doc(doc: dict, rows: list[LinearRow] | None = None) -> MipInstance:
-    """The instance a document describes; ``rows`` stands in for its rows."""
+    """The instance a document describes; ``rows`` stands in for its rows.
+    Indexes and counts stay as decoded, for ``validate`` to check."""
     return MipInstance(
         name=str(doc["name"]),
         sense=doc["sense"],
-        num_binary=int(doc["num_binary"]),
-        num_continuous=int(doc["num_continuous"]),
-        objective=[(int(j), float(v)) for j, v in doc["objective"]],
+        num_binary=doc["num_binary"],
+        num_continuous=doc["num_continuous"],
+        objective=[(j, _decode_real(v, "objective")) for j, v in doc["objective"]],
         rows=rows if rows is not None else [
             LinearRow(
-                coeffs=[(int(j), float(v)) for j, v in row["coeffs"]],
+                coeffs=[(j, _decode_real(v, f"row {r}")) for j, v in row["coeffs"]],
                 sense=row["sense"],
-                rhs=float(row["rhs"]),
+                rhs=_decode_real(row["rhs"], f"row {r}"),
             )
-            for row in doc["rows"]
+            for r, row in enumerate(doc["rows"])
         ],
         continuous_bounds=[
-            (_decode_bound(lo, k), _decode_bound(hi, k))
+            (_decode_real(lo, f"continuous bound {k}"), _decode_real(hi, f"continuous bound {k}"))
             for k, (lo, hi) in enumerate(doc["continuous_bounds"])
         ],
-        param_tag=[float(v) for v in doc["param_tag"]],
+        param_tag=[_decode_real(v, "param_tag") for v in doc["param_tag"]],
     )
 
 

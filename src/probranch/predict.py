@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lp
-from .model import FORMAT_VERSION, MipInstance, decode
+from .model import FORMAT_VERSION, MipInstance, _check_sparse, _decode_real, decode
 
 _P_FLOOR = 1e-9  # probability clamp for intercept-only models
 
@@ -271,23 +271,19 @@ def load_prediction_from_dir(pred_dir: str | Path, instance) -> Prediction:
 def load_prediction(path: str | Path, n: int) -> Prediction:
     """Load an external prediction file for an instance with n binaries.
 
-    Every index 0..n-1 must appear exactly once.  Out-of-range
+    Every index 0..n-1 must appear exactly once, as an integer, with a
+    finite probability (``model._check_sparse``).  Out-of-range
     probabilities are clamped into [0, 1] with a warning rather than
     rejected.
     """
     entries = decode(Path(path).read_bytes(), lambda doc: [
-        (int(entry["index"]), float(entry["probability"])) for entry in doc["predictions"]
+        (entry["index"], _decode_real(entry["probability"], "prediction"))
+        for entry in doc["predictions"]
     ])
-    p = np.full(n, np.nan)
-    for idx, val in entries:
-        if not 0 <= idx < n:
-            raise ValueError(f"prediction index {idx} out of range for n={n}")
-        if not np.isnan(p[idx]):
-            raise ValueError(f"duplicate prediction index {idx}")
-        p[idx] = val
-    if np.isnan(p).any():
-        missing = int(np.isnan(p).sum())
-        raise ValueError(f"prediction file covers {n - missing} of {n} variables")
+    _check_sparse(entries, n, "prediction")
+    if len(entries) < n:
+        raise ValueError(f"prediction file covers {len(entries)} of {n} variables")
+    p = np.array([val for _, val in sorted(entries)])  # one entry per index 0..n-1
     clipped = np.clip(p, 0.0, 1.0)
     if np.any(clipped != p):
         bad = int(np.sum(clipped != p))

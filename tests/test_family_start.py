@@ -5,13 +5,13 @@ rows once and ``bench.solve_labels`` offers each solve the final hull
 of the one before it.  Where the rows, right-hand sides included, are
 equal, the hull LP starts from that hull's state
 (``_simplex._Workspace.started``) with its clique rows.  These tests
-hold a started LP, under new costs and right-hand sides, to a cold
-solve of the same LP, its reduced costs to the sign rule and an
-unsettled start to a cold fallback; the carried labels and objectives
-to independent solves on CA, MKP (whose right-hand sides vary, so
-every label solves cold) and SCP families; a family's members to the
-template's shared rows, a member with other rows to a whole read; and
-the solves a user times to no start at all.
+hold a started LP, under new costs, to a cold solve of the same LP,
+its reduced costs to the sign rule and an unsettled start to a cold
+fallback; the carried labels and objectives to independent solves on
+CA, MKP (whose right-hand sides vary, so every label solves cold) and
+SCP families, and the carried hulls to cut rows that repeat no row; a
+family's members to the template's shared rows, a member with other
+rows to a whole read; and the solves a user times to no start at all.
 """
 
 import json
@@ -73,36 +73,34 @@ def test_a_started_lp_matches_a_cold_solve_and_keeps_dual_feasible_reduced_costs
         first = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
         assert first.status == _simplex.STATUS_OPTIMAL
         kept = (first.state.basis.copy(), first.state.x.copy(), first.state.d.copy())
-        for change in ("c", "b", "both"):
-            c2 = c if change == "b" else rng.normal(size=len(c))
-            b2 = b if change == "c" else rhs()
-            cold = _simplex.solve_bounded_lp(c2, a, senses, b2, lb, ub)
-            before = len(colds)
-            res = _simplex.solve_bounded_lp(c2, a, senses, b2, lb, ub, start=first.state)
-            assert res.status == cold.status == _simplex.STATUS_OPTIMAL
-            assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
-            solved += 1
-            if len(colds) > before:
-                continue  # it fell back to a cold solve
-            settled += 1
-            ws = res.state
-            n = ws.n
-            # the sign rule: a column nonbasic at its lower bound has d >= 0, at its upper d <= 0
-            movable = ~ws.is_basic & (ws.ub - ws.lb > 1e-10)
-            at_lb = movable & (ws.x == ws.lb)
-            at_ub = movable & (ws.x == ws.ub)
-            assert (at_lb | at_ub)[movable].all()
-            assert (ws.d[at_lb] >= -1e-9).all() and (ws.d[at_ub] <= 1e-9).all()
-            c_full = np.concatenate([c2, np.zeros(len(b2))])
-            np.testing.assert_allclose(ws.d, c_full - ws.duals(c_full) @ ws.A, atol=1e-8)
-            # the slack boxes lie within the senses' bounds and cut off no
-            # point of the box: a row that x meets leaves its slack in its box
-            lo, hi = np.array([_simplex._slack_bounds(s) for s in senses]).T
-            assert (ws.lb[n:] >= lo).all() and (ws.ub[n:] <= hi).all()
-            for x in rng.uniform(lb, ub, size=(50, n)):
-                s = b2 - a @ x
-                held = (s >= ws.lb[n:] - 1e-12) & (s <= ws.ub[n:] + 1e-12)
-                assert held[(s >= lo) & (s <= hi)].all()
+        c2 = rng.normal(size=len(c))
+        cold = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub)
+        before = len(colds)
+        res = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub, start=first.state)
+        assert res.status == cold.status == _simplex.STATUS_OPTIMAL
+        assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        solved += 1
+        if len(colds) > before:
+            continue  # it fell back to a cold solve
+        settled += 1
+        ws = res.state
+        n = ws.n
+        # the sign rule: a column nonbasic at its lower bound has d >= 0, at its upper d <= 0
+        movable = ~ws.is_basic & (ws.ub - ws.lb > 1e-10)
+        at_lb = movable & (ws.x == ws.lb)
+        at_ub = movable & (ws.x == ws.ub)
+        assert (at_lb | at_ub)[movable].all()
+        assert (ws.d[at_lb] >= -1e-9).all() and (ws.d[at_ub] <= 1e-9).all()
+        c_full = np.concatenate([c2, np.zeros(len(b))])
+        np.testing.assert_allclose(ws.d, c_full - ws.duals(c_full) @ ws.A, atol=1e-8)
+        # the slack boxes lie within the senses' bounds and cut off no
+        # point of the box: a row that x meets leaves its slack in its box
+        lo, hi = np.array([_simplex._slack_bounds(s) for s in senses]).T
+        assert (ws.lb[n:] >= lo).all() and (ws.ub[n:] <= hi).all()
+        for x in rng.uniform(lb, ub, size=(50, n)):
+            s = b - a @ x
+            held = (s >= ws.lb[n:] - 1e-12) & (s <= ws.ub[n:] + 1e-12)
+            assert held[(s >= lo) & (s <= hi)].all()
         # the start is never modified
         assert all(np.array_equal(u, v) for u, v in zip(
             kept, (first.state.basis, first.state.x, first.state.d)))
@@ -126,15 +124,20 @@ def test_an_unsettled_start_falls_back_to_a_cold_solve(monkeypatch):
     assert res.iterations == ref.iterations + 1  # the failed started pass is counted
 
 
-def test_a_start_whose_rows_hold_nowhere_in_the_box_leaves_the_lp_to_a_cold_solve():
-    a = np.array([[1.0, 1.0]])
-    first = _simplex.solve_bounded_lp(np.array([-1.0, -1.0]), a, ["<="], np.array([1.5]),
-                                      np.zeros(2), np.ones(2))
-    assert first.state.started(np.zeros(3), ["<="], np.array([-1.0]),
-                               np.zeros(2), np.ones(2)) is None
-    res = _simplex.solve_bounded_lp(np.array([-1.0, -1.0]), a, ["<="], np.array([-1.0]),
-                                    np.zeros(2), np.ones(2), start=first.state)
-    assert res.status == _simplex.STATUS_INFEASIBLE
+def test_a_start_whose_rows_hold_nowhere_in_the_box_leaves_the_lp_to_a_cold_solve(monkeypatch):
+    # x1 + x2 = 2 + 5e-8 holds nowhere in [0, 1]^2, but (1, 1) meets it
+    # within the dual's feasibility tolerance, so the first LP is optimal
+    a, b, lb, ub = np.array([[1.0, 1.0]]), np.array([2.0 + 5e-8]), np.zeros(2), np.ones(2)
+    first = _simplex.solve_bounded_lp(np.array([-1.0, -1.0]), a, ["="], b, lb, ub)
+    assert first.status == _simplex.STATUS_OPTIMAL
+    c2 = np.array([1.0, 2.0])
+    assert first.state.started(c2) is None
+    colds = cold_solves(monkeypatch)
+    res = _simplex.solve_bounded_lp(c2, a, ["="], b, lb, ub, start=first.state)
+    assert len(colds) == 1
+    ref = _simplex.solve_bounded_lp(c2, a, ["="], b, lb, ub)
+    assert (res.status, res.objective) == (ref.status, ref.objective)
+    assert res.iterations == ref.iterations  # no started pass ran
 
 
 FAMILIES = {
@@ -156,10 +159,17 @@ def test_carried_labels_equal_independent_solves(monkeypatch, kind):
 
     monkeypatch.setattr(_simplex._Workspace, "started", spy)
     objectives = []  # of the label solves
+    grown = []  # per carried hull: whether it found cuts beyond those it carried
 
-    def recorded(inst, *args, **kwargs):
-        rep = solve_mip(inst, *args, **kwargs)
+    def recorded(inst, *args, start=None, **kwargs):
+        rep = solve_mip(inst, *args, start=start, **kwargs)
         objectives.append(rep.objective)
+        if start is not None and rep.hull is not None:
+            # separation keeps no state, yet no cut repeats a cut or an instance row
+            cuts = {tuple(row) for row in rep.hull.cuts}
+            assert len(cuts) == len(rep.hull.cuts)
+            assert not cuts & {tuple(row) for row in rep.hull.a}
+            grown.append(len(rep.hull.cuts) > len(start.cuts) and rep.hull.cliques is start.cliques)
         return rep
 
     monkeypatch.setattr(bench, "solve_mip", recorded)
@@ -180,6 +190,7 @@ def test_carried_labels_equal_independent_solves(monkeypatch, kind):
         objectives.clear()
     if kind == "ca":
         assert any(carried)  # one b: the clique rows come along
+        assert any(grown)  # and a shared separation adds to them
 
 
 def test_carried_objectives_equal_independent_solves_and_starts_skip_knapsacks():

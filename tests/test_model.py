@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,28 @@ class TestSerialization:
         doc["rows"][0]["coeffs"] = [[0, 1.0], [0, 2.0]]
         with pytest.raises(InvariantViolationError):
             deserialize(json.dumps(doc).encode())
+
+    def test_an_index_count_or_value_of_another_type_is_rejected_not_truncated(self):
+        doc = json.loads(serialize(simple_instance()).decode())
+
+        def row(coeffs=((0, 1.0),), rhs=1.0):
+            return [{"coeffs": [list(c) for c in coeffs], "sense": "<=", "rhs": rhs}]
+
+        for field, value, error, message in (
+            ("objective", [[0, 1.0], [2.5, 3.0]], InvariantViolationError,
+             "objective: index 2.5 is not an integer"),
+            ("objective", [["1", 3.0]], InvariantViolationError, "objective: index '1' is not"),
+            ("objective", [[True, 3.0]], InvariantViolationError, "objective: index True is not"),
+            ("objective", [[0, "2"]], MalformedDocumentError, "objective: '2' is not a number"),
+            ("rows", row([(1.7, 1.0)]), InvariantViolationError, "row 0: index 1.7 is not"),
+            ("rows", row([(0, True)]), MalformedDocumentError, "row 0: True is not a number"),
+            ("rows", row(rhs="1"), MalformedDocumentError, "row 0: '1' is not a number"),
+            ("num_binary", 2.5, InvariantViolationError, "must be integers"),
+            ("num_continuous", False, InvariantViolationError, "must be integers"),
+            ("param_tag", ["0.5"], MalformedDocumentError, "param_tag: '0.5' is not a number"),
+        ):
+            with pytest.raises(error, match=re.escape(message)):
+                deserialize(json.dumps(dict(doc, **{field: value})).encode())
 
     def test_bad_format_version(self):
         doc = json.loads(serialize(simple_instance()).decode())

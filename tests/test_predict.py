@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +460,23 @@ class TestPredictionFiles:
         with pytest.warns(UserWarning, match="clamped"):
             p = load_prediction(path, 1)
         assert p.probabilities[0] == 1.0
+
+    def test_an_index_or_probability_of_another_type_is_rejected_not_truncated(self, tmp_path):
+        path = tmp_path / "p.json"
+        for entry, error, message in (
+            ({"index": 1.5, "probability": 0.2}, ValueError, "prediction: index 1.5 is not"),
+            ({"index": True, "probability": 0.2}, ValueError, "prediction: index True is not"),
+            ({"index": 1, "probability": "0.2"}, MalformedDocumentError, "'0.2' is not a number"),
+            ({"index": 1, "probability": True}, MalformedDocumentError, "True is not a number"),
+            ({"index": 0, "probability": 0.2}, ValueError, "prediction: duplicate index 0"),
+            ({"index": 2, "probability": 0.2}, ValueError, "index 2 out of range [0, 2)"),
+        ):
+            path.write_text(json.dumps({
+                "format_version": 1,
+                "predictions": [{"index": 0, "probability": 0.5}, entry],
+            }))
+            with pytest.raises(error, match=re.escape(message)):
+                load_prediction(path, 2)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "p.json"
