@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import SolveOptions, solve_mip
-from .branching import calibrate, claimed_delta, cut_settings, partition_solve, round_prediction
+from .branching import calibrate, cut_settings, partition_solve, round_prediction
 from .generators import gen_knapsack_uniform, read_family, stream_rng
 from .predict import logistic_predict, logistic_train, lp_root_predict, predictor
 
@@ -177,27 +177,33 @@ def default_test_count(total: int) -> int:
     return min(TEST_COUNT, max(1, total // 4))
 
 
-def train_slice(instances: list, train_count: int | None = None,
-                test_count: int | None = None) -> list:
-    """The first ``train_count`` of a family's instances (default: all),
-    cut short of the test split, the last ``test_count`` (default:
-    ``default_test_count``).  ``train``, ``calibrate`` and ``bench`` all
-    train on it."""
+def split(instances: list, train_count: int | None = None,
+          test_count: int | None = None) -> tuple[list, list, list]:
+    """A family's instances as ``(fit, held_out, test)``, before any solve.
+
+    The test split is the last ``test_count`` (default:
+    ``default_test_count``); the training slice is the first
+    ``train_count`` of the rest (default: all of it), and its last
+    max(2, round(n * CALIB_FRACTION)) are held out to calibrate on.
+    ``train``, ``calibrate`` and ``bench`` all split with it."""
     total = len(instances)
     cap = total - (default_test_count(total) if test_count is None else test_count)
-    return instances[: max(0, cap if train_count is None else min(train_count, cap))]
-
-
-def calibration_split(instances: list) -> tuple[list, list]:
-    """Split a training slice, before any solve, into a fit part and the
-    held-out last ``max(2, round(n * CALIB_FRACTION))`` instances."""
-    cut = max(0, len(instances) - max(2, round(len(instances) * CALIB_FRACTION)))
-    return instances[:cut], instances[cut:]
+    train = instances[: max(0, cap if train_count is None else min(train_count, cap))]
+    cut = max(0, len(train) - max(2, round(len(train) * CALIB_FRACTION)))
+    return train[:cut], train[cut:], instances[max(0, cap):]
 
 
 def fit_model(fit, time_limit=DEFAULT_TIME_LIMIT, reg=1e-4, max_iters=500, tol=1e-6):
     """The logistic model fitted on the solved labels of ``fit``, and their count.
-    A fit part of fewer than two instances is an error before any solve."""
+    A fit part of fewer than two instances, or a negative or non-finite
+    ``reg``, a non-positive or non-finite ``tol`` or a negative
+    ``max_iters``, is an error before any solve."""
+    if not 0 <= reg < math.inf:
+        raise ValueError(f"--reg must be finite and >= 0, got {reg}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"--tol must be finite and > 0, got {tol}")
+    if max_iters < 0:
+        raise ValueError(f"--max-iters must be >= 0, got {max_iters}")
     short = "not enough solved training instances for the logistic model"
     if len(fit) < 2:
         raise ValueError(f"{short}: the fit part holds {len(fit)} and needs 2, so the training "
@@ -223,32 +229,30 @@ def calibrate_model(model, val, delta=0.05, time_limit=DEFAULT_TIME_LIMIT):
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Train, calibrate, and compare cut-first solving against plain solving.
 
-    Rows where the plain solver never reaches the cut run's objective are
-    excluded from both SGM lists and surfaced through ``not_reached``
-    rather than imputed.
+    The family splits by ``split`` and the cuts are set by ``cut_settings``,
+    as in ``train``, ``calibrate`` and ``solve``; the config reports the
+    claimed delta.  Rows where the plain solver never reaches the cut
+    run's objective are excluded from both SGM lists and surfaced through
+    ``not_reached`` rather than imputed.
     """
     config.validate()
     family = read_family(config.family_dir)
-    total = len(family.instances)
-    n_test = config.test_count if config.test_count is not None else default_test_count(total)
-    if n_test >= total:
+    fit, held_out, test = split(family.instances, config.train_count, config.test_count)
+    if len(test) == len(family.instances):
         raise ValueError("test split consumes the whole family")
-    test = family.instances[total - n_test :]
-    train = train_slice(family.instances, config.train_count, n_test)
-    if not train:
+    if not (fit or held_out):
         raise ValueError("empty training split")
 
     model = given = None
     if config.mode != "plain" and config.predictor == "logistic":
-        fit, val = calibration_split(train)
         model, _ = fit_model(fit, config.time_limit)
-        given = calibrate_model(model, val, time_limit=config.time_limit)
-    cal, tightened = cut_settings(
+        given = calibrate_model(model, held_out, time_limit=config.time_limit)
+    cal, tightened, delta = cut_settings(
         config.predictor, given, tau=config.tau, delta=config.delta,
         sigma=config.sigma, tightened=config.tightened,
     )
     if config.mode == "plain":
-        predict_fn, cal = None, None
+        predict_fn = cal = delta = None
     else:
         predict_fn = predictor(config.predictor, model)
 
@@ -309,11 +313,11 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             "predictor": config.predictor,
             "mode": config.mode,
             "tau": None if cal is None else cal.tau_star,
-            "delta": None if cal is None else claimed_delta(config.predictor, given, cal),
+            "delta": delta,
             "sigma": None if cal is None else cal.sigma,
             "tightened": tightened,
             "time_limit": config.time_limit,
-            "train_count": len(train),
+            "train_count": len(fit) + len(held_out),
             "test_count": len(test),
         },
     )
@@ -329,18 +333,8 @@ def report_emit(report: BenchReport, path_prefix: str | Path) -> tuple[Path, Pat
         writer = csv.writer(fh)  # it writes None (no t_original) as ""
         writer.writerow(f.name for f in fields(BenchRow))
         writer.writerows(astuple(row) for row in report.rows)
-    summary = {
-        "speedup": report.speedup,
-        "sgm_method": report.sgm_method,
-        "sgm_original": report.sgm_original,
-        "sgm_nodes_method": report.sgm_nodes_method,
-        "sgm_nodes_original": report.sgm_nodes_original,
-        "node_ratio": report.node_ratio,
-        "not_reached": report.not_reached,
-        "failed": report.failed,
-        "rows": len(report.rows),
-        "config": report.config,
-    }
+    summary = {f.name: getattr(report, f.name) for f in fields(report)}
+    summary["rows"] = len(report.rows)
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
     return csv_path, json_path
 

@@ -199,9 +199,10 @@ class SolveOptions:
     abs_gap: float = 1e-9
 
     def validate(self) -> None:
-        if self.time_limit <= 0 or self.node_limit <= 0:
+        # written so that NaN, which fails every comparison, is rejected too
+        if not (self.time_limit > 0 and self.node_limit > 0):
             raise ValueError("limits must be positive")
-        if self.rel_gap < 0 or self.abs_gap < 0:
+        if not (self.rel_gap >= 0 and self.abs_gap >= 0):
             raise ValueError("gaps must be non-negative")
 
 

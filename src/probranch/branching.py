@@ -275,8 +275,9 @@ def cut_settings(
     delta: float | None = None,
     sigma: float | None = None,
     tightened: bool | None = None,
-) -> tuple[Calibration, bool]:
-    """The calibration and the tightened flag a partition solve runs with.
+) -> tuple[Calibration, bool, float | None]:
+    """The calibration and the tightened flag a partition solve runs with,
+    and the delta that ``solve`` and ``bench`` claim for its cuts.
 
     A given ``cal`` (a calibration file, or ``bench``'s own calibration)
     supplies tau and delta unless ``tau`` or ``delta`` is given; a new
@@ -287,6 +288,12 @@ def cut_settings(
     other.  Cuts are tightened by default only for a data-free predictor
     without a calibration.  A user ``sigma`` replaces the calibrated one
     and drops the accuracy stats, whose variance no longer bounds it.
+
+    The claimed delta is None for a data-free predictor without a
+    calibration and with sigma 0: its cuts then carry no Chebyshev
+    margin, so no delta bounds how often they miss the optimum.  The
+    returned calibration keeps its delta (1e-8 by default), which the
+    cut arithmetic still reads.
     """
     data_free = cal is None and predictor.startswith("lp-root")
     if cal is not None:
@@ -302,20 +309,8 @@ def cut_settings(
         cal = Calibration(0.9 if tau is None else tau, 0.0, delta)
     if sigma is not None:
         cal = Calibration(cal.tau_star, sigma, cal.delta)
-    return cal, data_free if tightened is None else tightened
-
-
-def claimed_delta(predictor: str, given: Calibration | None, cal: Calibration) -> float | None:
-    """The delta that ``solve`` and ``bench`` report for ``cut_settings``' ``cal``.
-
-    None for a data-free predictor run without a calibration (``given``)
-    and with sigma 0: its cuts then carry no Chebyshev margin, so no
-    delta bounds how often they miss the optimum.  ``cal`` itself keeps
-    its delta (1e-8 by default), which the cut arithmetic still reads.
-    """
-    if given is None and predictor.startswith("lp-root") and cal.sigma == 0:
-        return None
-    return cal.delta
+    claimed = None if data_free and cal.sigma == 0 else cal.delta
+    return cal, data_free if tightened is None else tightened, claimed
 
 
 def _stats_to_doc(stats: AccuracyStats) -> dict:
@@ -380,19 +375,17 @@ def build_hyperplanes(
     tau: float,
     sigma: float,
     delta: float,
-    mode: str = "plain",
+    tightened: bool = False,
 ) -> tuple[CardinalityHyperplane | None, CardinalityHyperplane | None]:
     """The two cardinality cuts induced by rounding p at threshold tau.
 
-    plain mode uses the guaranteed mass tau|U| (resp. (1-tau)|L|);
-    tightened mode replaces it with the actual probability mass over the
-    set.  Both subtract/add the Chebyshev margin sigma|S|/sqrt(delta).
+    The cuts use the guaranteed mass tau|U| (resp. (1-tau)|L|); tightened
+    cuts replace it with the actual probability mass over the set.  Both
+    subtract/add the Chebyshev margin sigma|S|/sqrt(delta).
     Hyperplane intercepts round conservatively (floor for >=, ceil for <=)
     so the integer cut relaxes the real one.  A side with an empty set
     yields None.
     """
-    if mode not in ("plain", "tightened"):
-        raise ValueError(f"bad mode {mode!r}")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if not 0 < delta < 1:
@@ -402,11 +395,11 @@ def build_hyperplanes(
     cut_up = None
     cut_down = None
     if len(up):
-        base = probs[up].sum() if mode == "tightened" else tau * len(up)
+        base = probs[up].sum() if tightened else tau * len(up)
         zeta1 = base - sigma * len(up) / math.sqrt(delta)
         cut_up = _make_hyperplane(up, ">=", zeta1)
     if len(down):
-        base = probs[down].sum() if mode == "tightened" else (1.0 - tau) * len(down)
+        base = probs[down].sum() if tightened else (1.0 - tau) * len(down)
         zeta2 = base + sigma * len(down) / math.sqrt(delta)
         cut_down = _make_hyperplane(down, "<=", zeta2)
     return cut_up, cut_down
@@ -457,7 +450,6 @@ class PartitionReport:
     regions: list[RegionRecord]
     best_region: str | None  # label of the region that held the best solution
     hyperplanes: tuple[CardinalityHyperplane | None, CardinalityHyperplane | None]
-    mode: str
 
     @property
     def gate(self) -> Gate | None:
@@ -489,14 +481,12 @@ def partition_solve(
     """
     if mode not in ("heuristic", "exact"):
         raise ValueError(f"bad mode {mode!r}")
+    if len(prediction.probabilities) != instance.num_binary:
+        raise ValueError(f"the prediction has {len(prediction.probabilities)} probabilities "
+                         f"for the instance's {instance.num_binary} binaries")
     calibration.validate()
-    cut_up, cut_down = build_hyperplanes(
-        prediction,
-        calibration.tau_star,
-        calibration.sigma,
-        calibration.delta,
-        mode="tightened" if tightened else "plain",
-    )
+    cut_up, cut_down = build_hyperplanes(prediction, calibration.tau_star, calibration.sigma,
+                                         calibration.delta, tightened)
     planes = [h for h in (cut_up, cut_down) if h is not None]
     n = instance.num_vars
     counted = replace(
@@ -533,5 +523,4 @@ def partition_solve(
                  for (label, _), nodes, secs in zip(regions, rep.root_nodes, rep.root_seconds)],
         best_region=None if rep.best_root is None else regions[rep.best_root][0],
         hyperplanes=(cut_up, cut_down),
-        mode=mode,
     )

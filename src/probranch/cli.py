@@ -143,8 +143,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    train = bench_mod.train_slice(read_family(args.family).instances, args.train_count)
-    fit, _ = bench_mod.calibration_split(train)
+    fit, _, _ = bench_mod.split(read_family(args.family).instances, args.train_count)
     model, n_labeled = bench_mod.fit_model(
         fit, args.time_limit, reg=args.reg, max_iters=args.max_iters, tol=args.tol
     )
@@ -160,10 +159,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    train = bench_mod.train_slice(read_family(args.family).instances, args.train_count)
+    _, held_out, _ = bench_mod.split(read_family(args.family).instances, args.train_count)
     model = predict.load_model(args.model)
-    _, val = bench_mod.calibration_split(train)
-    cal = bench_mod.calibrate_model(model, val, args.delta, args.time_limit)
+    cal = bench_mod.calibrate_model(model, held_out, args.delta, args.time_limit)
     out = Path(args.out or "calibration.json")
     branching.save_calibration(cal, out)
     print(f"tau*={cal.tau_star} sigma={cal.sigma:.6g} delta={cal.delta} -> {out}")
@@ -178,7 +176,7 @@ def _cmd_solve(args) -> int:
         rep, tail = solve_mip(inst, options=opts), {}
     else:
         given = branching.load_calibration(args.calibration) if args.calibration else None
-        cal, tightened = branching.cut_settings(
+        cal, tightened, delta = branching.cut_settings(
             args.predictor, given, tau=args.tau, delta=args.delta, sigma=args.sigma,
             tightened=args.tightened,
         )
@@ -188,8 +186,7 @@ def _cmd_solve(args) -> int:
             mode=args.mode, tightened=tightened,
         )
         rep = part.best
-        doc.update(predictor=args.predictor, tau=cal.tau_star, sigma=cal.sigma,
-                   delta=branching.claimed_delta(args.predictor, given, cal),
+        doc.update(predictor=args.predictor, tau=cal.tau_star, sigma=cal.sigma, delta=delta,
                    tightened=tightened)
         tail = {
             "regions": [

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lp
-from .model import FORMAT_VERSION, MipInstance, _check_sparse, _decode_real, decode
+from .model import (FORMAT_VERSION, MalformedDocumentError, MipInstance, _check_sparse,
+                    _decode_real, decode)
 
 _P_FLOOR = 1e-9  # probability clamp for intercept-only models
 
@@ -308,7 +309,10 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogisticModel:
-    return decode(Path(path).read_bytes(), lambda doc: LogisticModel(
+    """Read a model file.  weights must be (k, f), intercepts (k,), and
+    feature_mean and feature_std (f,), all finite, with feature_std > 0;
+    a field that breaks this is a MalformedDocumentError naming it."""
+    model = decode(Path(path).read_bytes(), lambda doc: LogisticModel(
         weights=np.asarray(doc["weights"], dtype=float),
         intercepts=np.asarray(doc["intercepts"], dtype=float),
         feature_mean=np.asarray(doc["feature_mean"], dtype=float),
@@ -317,3 +321,16 @@ def load_model(path: str | Path) -> LogisticModel:
         iterations=list(doc.get("iterations", [])),
         fitted_on=list(doc.get("fitted_on", [])),
     ))
+    if model.weights.ndim != 2:
+        raise MalformedDocumentError(f"weights: shape {model.weights.shape} is not (k, f)")
+    k, f = model.weights.shape
+    for name, shape in (("weights", (k, f)), ("intercepts", (k,)), ("feature_mean", (f,)),
+                        ("feature_std", (f,))):
+        arr = getattr(model, name)
+        if arr.shape != shape:
+            raise MalformedDocumentError(f"{name}: shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise MalformedDocumentError(f"{name}: every entry must be finite")
+    if not np.all(model.feature_std > 0):
+        raise MalformedDocumentError("feature_std: every entry must be positive")
+    return model

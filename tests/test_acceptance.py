@@ -112,8 +112,7 @@ def test_criterion_1_exactness_across_families_and_sources(tmp_path):
 def test_criterion_2_worked_example_intercept():
     started = time.time()
     p = np.full(100, 0.95)
-    cut_up, cut_down = build_hyperplanes(p, tau=0.9, sigma=0.025, delta=0.05,
-                                         mode="plain")
+    cut_up, cut_down = build_hyperplanes(p, tau=0.9, sigma=0.025, delta=0.05)
     assert cut_down is None
     assert cut_up.sense == ">="
     assert len(cut_up.indices) == 100

@@ -14,12 +14,13 @@ from probranch.bench import (
     BenchRow,
     _binom_sf,
     _overfull_trials,
-    calibration_split,
+    default_test_count,
     fit_model,
     paired_sgms,
     report_emit,
     run_benchmark,
     sgm,
+    split,
     time_to_target,
     verify_knapsack_rounding,
     verify_lemma,
@@ -98,9 +99,12 @@ class TestCalibrationSplit:
     def test_holds_out_the_last_fifth_and_at_least_two(self):
         for n in range(41):
             items = [f"instance_{i}" for i in range(n)]
-            fit, val = calibration_split(items)
-            assert fit + val == items  # disjoint, covering, in order
-            assert len(val) == min(n, max(2, round(0.2 * n)))
+            fit, held_out, test = split(items, test_count=0)
+            assert fit + held_out == items and test == []  # disjoint, covering, in order
+            assert len(held_out) == min(n, max(2, round(0.2 * n)))
+            fit, held_out, test = split(items)  # the default test split
+            assert fit + held_out + test == items
+            assert len(test) == min(n, default_test_count(n))
 
     def test_fit_needs_two_solved_instances(self, scp_family_dir):
         instances = read_family(scp_family_dir).instances

@@ -197,6 +197,11 @@ class TestSolveMip:
             SolveOptions(time_limit=0).validate()
         with pytest.raises(ValueError):
             SolveOptions(rel_gap=-1).validate()
+        # a NaN time limit would otherwise mean no limit: no deadline test is ever true
+        for field in ("time_limit", "node_limit", "rel_gap", "abs_gap"):
+            with pytest.raises(ValueError):
+                SolveOptions(**{field: math.nan}).validate()
+        SolveOptions(time_limit=math.inf, rel_gap=math.inf, abs_gap=math.inf).validate()
 
 
 def continuous_lp() -> MipInstance:

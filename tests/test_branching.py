@@ -181,7 +181,7 @@ class TestSigmaFromStats:
 class TestBuildHyperplanes:
     def test_worked_example_rounds_to_78(self):
         p = np.full(100, 0.95)
-        cu, cl = build_hyperplanes(p, 0.9, 0.025, 0.05, mode="plain")
+        cu, cl = build_hyperplanes(p, 0.9, 0.025, 0.05)
         assert cl is None
         assert cu.sense == ">="
         assert cu.zeta == pytest.approx(90 - 100 * 0.025 / math.sqrt(0.05), abs=1e-9)
@@ -189,25 +189,25 @@ class TestBuildHyperplanes:
 
     def test_zero_sigma_integral_intercept(self):
         p = np.full(10, 0.95)
-        cu, _ = build_hyperplanes(p, 0.9, 0.0, 0.05, mode="plain")
+        cu, _ = build_hyperplanes(p, 0.9, 0.0, 0.05)
         assert cu.zeta == pytest.approx(9.0)
         assert cu.rhs_int == 9
 
     def test_tightened_full_fixing(self):
         p = np.ones(7)
-        cu, _ = build_hyperplanes(p, 0.9, 0.0, 0.05, mode="tightened")
+        cu, _ = build_hyperplanes(p, 0.9, 0.0, 0.05, tightened=True)
         assert cu.rhs_int == 7
 
     def test_down_side(self):
         p = np.full(4, 0.02)
-        _, cl = build_hyperplanes(p, 0.9, 0.025, 0.05, mode="plain")
+        _, cl = build_hyperplanes(p, 0.9, 0.025, 0.05)
         assert cl.sense == "<="
         assert cl.zeta == pytest.approx(0.4 + 4 * 0.025 / math.sqrt(0.05))
         assert cl.rhs_int == math.ceil(cl.zeta)
 
     def test_rhs_clamped_to_set_size(self):
         p = np.full(3, 0.02)
-        _, cl = build_hyperplanes(p, 0.9, 1.0, 0.05, mode="plain")
+        _, cl = build_hyperplanes(p, 0.9, 1.0, 0.05)
         assert cl.rhs_int == 3  # huge margin clamps to |set|
 
     def test_parameter_validation(self):
@@ -218,8 +218,6 @@ class TestBuildHyperplanes:
             build_hyperplanes(p, 0.9, -0.1, 0.05)
         with pytest.raises(ValueError):
             build_hyperplanes(p, 0.9, 0.0, 1.5)
-        with pytest.raises(ValueError):
-            build_hyperplanes(p, 0.9, 0.0, 0.05, mode="loose")
 
     def test_conservative_rounding_is_a_relaxation(self):
         rng = np.random.default_rng(6)
@@ -285,6 +283,14 @@ class TestPartitionSolve:
         assert first.label in ("keep_keep", "keep", "all")
         assert first.nodes >= 1  # the first region's root LP is always solved
         assert rep.best_region in [r.label for r in rep.regions]
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_a_prediction_of_another_length_is_rejected_naming_both_counts(self, mode):
+        _, inst = gen_mkp(5, 20, 1, seed=61).instances[0]
+        for k in (18, 22):  # 22 would put index 20 on a count column and 21 past the end
+            with pytest.raises(ValueError, match=f"{k} probabilities for the instance's 20 binaries"):
+                partition_solve(inst, Prediction(np.full(k, 0.95)), Calibration(0.9, 0.0, 0.05),
+                                options=SolveOptions(**EXACT), mode=mode)
 
     def test_perfect_prediction_heuristic(self):
         _, inst = gen_ca(7, 12, 1, seed=63).instances[0]

@@ -479,6 +479,45 @@ def test_train_on_the_default_slice_of_a_4_instance_family_names_train_count(
     assert solves == [] and not model.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--reg", "nan"), ("--reg", "-5"), ("--reg", "inf"),
+                                         ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"),
+                                         ("--max-iters", "-1")])
+def test_train_rejects_a_bad_fit_parameter_before_any_solve(
+        tmp_path, capsys, monkeypatch, family_dir, flag, value):
+    solves = []
+    monkeypatch.setattr(bench, "solve_labels", lambda fit, time_limit: solves.append(fit) or [])
+    model = tmp_path / "model.json"
+    capsys.readouterr()
+    assert cli.main(["train", "--family", str(family_dir), flag, value, "--out", str(model)]) == 1
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert solves == [] and not model.exists()
+
+
+def test_solve_rejects_a_nan_time_limit(tmp_path, capsys, family_dir):
+    # NaN fails every deadline test, so it would run without a limit
+    out = tmp_path / "solve.json"
+    for mode in ("plain", "exact"):
+        assert cli.main(["solve", "--instance", str(family_dir / "instance_0000.json"),
+                         "--mode", mode, "--time-limit", "nan", "--out", str(out)]) == 1
+        assert "limits must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_rejects_a_model_fitted_on_another_number_of_binaries(tmp_path, capsys):
+    # a 5 x 22 multi-knapsack has the 5 features of a 5 x 20 one: only the counts differ
+    fam22, fam20 = tmp_path / "mkp22", tmp_path / "mkp20"
+    model, out = tmp_path / "model.json", tmp_path / "solve.json"
+    for n, fam in (("22", fam22), ("20", fam20)):
+        assert cli.main(["generate", "--kind", "mkp", "--m", "5", "--n", n, "--count", "8",
+                         "--seed", "1", "--out", str(fam)]) == 0
+    assert cli.main(["train", "--family", str(fam22), "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", "--instance", str(fam20 / "instance_0007.json"),
+                     "--predictor", "logistic", "--model", str(model), "--out", str(out)]) == 1
+    assert "22 probabilities for the instance's 20 binaries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_train_count_past_the_default_slice_never_reaches_the_test_split(
         tmp_path, monkeypatch):
     # 20 instances keep the last 5 to test whatever --train-count asks, so

@@ -33,7 +33,7 @@ EXACT = dict(rel_gap=0.0, abs_gap=1e-9)
 
 def data_free(inst, gate=GATE_RATIO, mode="exact"):
     """The CLI's exact solve with the lp-root-simplex predictor and its data-free cuts."""
-    cal, tightened = branching.cut_settings("lp-root-simplex")
+    cal, tightened, _ = branching.cut_settings("lp-root-simplex")
     return partition_solve(inst, lp_root_predict(inst), cal, SolveOptions(**EXACT), mode=mode,
                            tightened=tightened, gate=gate)
 

@@ -368,6 +368,27 @@ class TestLogisticPredict:
         (tmp_path / "old.json").write_text(json.dumps(doc))
         assert load_model(tmp_path / "old.json").fitted_on == []
 
+    def test_a_model_file_of_a_wrong_shape_or_value_is_rejected_naming_the_field(self, tmp_path):
+        save_model(logistic_train(labelled_family(5, 8, 0.4, 10, seed=53)), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        k, f = np.shape(doc["weights"])
+        nan_weight = [[float("nan")] * f] + doc["weights"][1:]
+        for field, value, message in (
+            ("weights", [0.0] * f, r"shape \(%d,\) is not \(k, f\)" % f),
+            ("weights", [[[0.0] * f]] * k, "shape .* is not"),
+            ("intercepts", [0.0] * (k + 1), r"shape \(%d,\), expected \(%d,\)" % (k + 1, k)),
+            ("feature_mean", [0.0] * (f - 1), "shape"),
+            ("feature_std", [1.0] * (f + 1), "shape"),
+            ("weights", nan_weight, "finite"),
+            ("intercepts", [float("inf")] * k, "finite"),
+            ("feature_mean", [float("nan")] * f, "finite"),
+            ("feature_std", [0.0] + [1.0] * (f - 1), "positive"),
+            ("feature_std", [-1.0] * f, "positive"),
+        ):
+            (tmp_path / "bad.json").write_text(json.dumps(dict(doc, **{field: value})))
+            with pytest.raises(MalformedDocumentError, match=f"{field}: .*{message}"):
+                load_model(tmp_path / "bad.json")
+
 
 class TestLpRootPredict:
     def test_knapsack_has_single_fractional_entry(self):

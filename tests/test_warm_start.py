@@ -122,7 +122,7 @@ def test_every_warm_node_lp_matches_a_cold_solve(monkeypatch, family, with_cuts)
         regions = [[]]
         if with_cuts:
             pred = lp_root_predict(inst)
-            cuts = build_hyperplanes(pred, tau=0.9, sigma=0.0, delta=0.05, mode="tightened")
+            cuts = build_hyperplanes(pred, tau=0.9, sigma=0.0, delta=0.05, tightened=True)
             regions = [rows for _, rows in region_rows(*cuts)]
         for rows in regions:
             solve_mip(with_rows(inst, rows), SolveOptions(**EXACT))
@@ -161,7 +161,7 @@ def test_carried_reduced_costs_match_the_final_basis(monkeypatch, family, with_c
         regions = [[]]
         if with_cuts:
             pred = lp_root_predict(inst)
-            cuts = build_hyperplanes(pred, tau=0.9, sigma=0.0, delta=0.05, mode="tightened")
+            cuts = build_hyperplanes(pred, tau=0.9, sigma=0.0, delta=0.05, tightened=True)
             regions = [rows for _, rows in region_rows(*cuts)]
         for rows in regions:
             solve_mip(with_rows(inst, rows), SolveOptions(**EXACT))
@@ -317,7 +317,7 @@ def test_no_warm_solve_in_partition_solves_falls_back_cold(monkeypatch):
         plain = solve_mip(inst, SolveOptions(**EXACT))
         for backend in ("ipm", "simplex"):
             # the CLI's data-free cuts for lp-root-ipm and lp-root-simplex
-            cal, tightened = branching.cut_settings("lp-root-" + backend)
+            cal, tightened, _ = branching.cut_settings("lp-root-" + backend)
             rep = partition_solve(inst, lp_root_predict(inst, backend=backend), cal,
                                   SolveOptions(**EXACT), mode="exact", tightened=tightened)
             assert rep.best.objective == pytest.approx(plain.objective, rel=0, abs=1e-9)
@@ -331,7 +331,7 @@ def test_exact_mode_takes_plain_nodes_when_the_hull_is_integral():
     for _, inst in gen_scp(8, 12, 0.3, 4, seed=3).instances:
         plain = solve_mip(inst, SolveOptions(**EXACT))
         pred = lp_root_predict(inst)
-        cal, tightened = branching.cut_settings("lp-root-simplex")
+        cal, tightened, _ = branching.cut_settings("lp-root-simplex")
         exact = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="exact",
                                 tightened=tightened, gate=None)
         assert plain.nodes == exact.best.nodes == 1
@@ -526,8 +526,7 @@ def test_partition_solve_matches_oracles_on_random_instances(seed):
     # heuristic mode is the exact search of the first region alone
     heuristic = partition_solve(inst, pred, cal, SolveOptions(**EXACT), mode="heuristic",
                                 tightened=tightened)
-    cuts = build_hyperplanes(pred, cal.tau_star, cal.sigma, cal.delta,
-                             mode="tightened" if tightened else "plain")
+    cuts = build_hyperplanes(pred, cal.tau_star, cal.sigma, cal.delta, tightened)
     first = solve_mip(with_rows(inst, region_rows(*cuts)[0][1]), SolveOptions(**EXACT))
     assert heuristic.best.nodes == heuristic.regions[0].nodes
     if first.best_solution is None:
