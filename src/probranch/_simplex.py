@@ -36,17 +36,17 @@ to a cold one.  A cold solve returns STATUS_ITERATION_LIMIT at the
 iteration limit, and raises NumericalFailure when it ends with a
 non-finite value or dual infeasible reduced costs.
 
-A started solve reoptimizes from the final state of an optimal solve
-of the same LP under other costs: the previous instance of a family
+A started state re-prices the final state of an optimal solve of the
+same LP for other costs: the previous instance of a family
 (``_Workspace.started``).  It keeps the basis and its inverse, re-prices
 it, d = c - (c_B B^-1) A, puts each nonbasic column on the bound its
 reduced cost prefers and recomputes x_B.  A slack s = b - a.x is then
 boxed by its row's activity range over the box, [b - max a.x, b - min
 a.x] within the state's slack bounds: no point is cut off, but every
-nonbasic slack gets a finite preferred bound, so the start is dual
-feasible.  Only started states and their children carry these boxes;
-every other LP keeps the sense's bounds alone.  A started solve that
-does not settle falls back to a cold one, as a warm solve does.
+nonbasic slack gets a finite preferred bound, so the state is dual
+feasible and a warm solve starts from it as from an optimal one.  Only
+started states and their children carry these boxes; every other LP
+keeps the sense's bounds alone.
 
 While the basis is dual feasible, the objective c.x of the dual's basic
 solution is a lower bound on the LP.  Given a finite ``cutoff``, the
@@ -346,11 +346,12 @@ class _Workspace:
         if self.pivots >= REFACTOR_EVERY:
             self.refactorize()
 
-    def dual(self, c, max_iters, deadline=None, cutoff=math.inf):
+    def dual(self, max_iters, deadline=None, cutoff=math.inf):
         """Bounded dual simplex from a dual feasible basis until x_B is in bounds.
 
-        The reduced costs start from a copy of the carried ``d``, which
-        the cold start and every optimal state have.  The leaving
+        The costs are the state's ``c``, and the reduced costs start from
+        a copy of its carried ``d``, which the cold start, every optimal
+        state and every started state have.  The leaving
         variable is the basic one whose bound violation is largest
         against the norm of its row of B^-1 (dual steepest edge), and it
         leaves at the bound it violates.  ``_ratio_test`` on its row
@@ -371,7 +372,7 @@ class _Workspace:
         relative), STATUS_TIME_LIMIT once ``deadline`` has passed, or
         STATUS_ITERATION_LIMIT.
         """
-        x, A, basis, lb, ub = self.x, self.A, self.basis, self.lb, self.ub
+        x, A, basis, lb, ub, c = self.x, self.A, self.basis, self.lb, self.ub, self.c
         d = self.d.copy()
         self.d = None
         span = ub - lb
@@ -531,22 +532,18 @@ def solve_bounded_lp(
     warm: _Workspace | None = None,
     deadline: float | None = None,
     cutoff: float = math.inf,
-    start: _Workspace | None = None,
 ) -> SimplexResult:
     """Minimize c.x subject to rows (a, senses, b) and bounds lb <= x <= ub.
 
-    Every bound must be finite.  ``warm`` is the ``state`` of an optimal
-    earlier solve of the same c, a, senses and b under a box that holds
-    this one, as a parent's box holds its children's: only then does
-    each nonbasic column land on a bound of the new box on the side its
-    reduced cost prefers; the warm solve reads c from the state.
-    ``start`` is the ``state`` of an optimal solve of the same a,
-    senses, b and box under any c; the solve begins from its basis
-    re-priced for c (``_Workspace.started``).  Either way the solve
-    reoptimizes with the dual simplex and falls back to a cold solve
-    when that does not settle (``_settled``).  ``iterations`` counts
-    both.  ``warm`` and ``start`` are never modified, so one state can
-    seed several solves.
+    Every bound must be finite.  ``warm`` is any dual feasible state over
+    the same c, a, senses and b whose box holds this one: an optimal
+    earlier solve's ``state``, as a parent's box holds its children's,
+    or ``_Workspace.started(c)``.  Only then does each nonbasic column
+    land on a bound of the new box on the side its reduced cost prefers;
+    the warm solve reads c from the state.  It reoptimizes with the dual
+    simplex and falls back to a cold solve when that does not settle
+    (``_settled``).  ``iterations`` counts both.  ``warm`` is never
+    modified, so one state can seed several solves.
     Past ``deadline`` (a ``time.monotonic()`` instant) the solve stops
     with STATUS_TIME_LIMIT, warm or cold.  A solve whose bound reaches a
     finite ``cutoff`` stops with STATUS_CUTOFF; its ``objective`` is
@@ -566,10 +563,9 @@ def solve_bounded_lp(
         return SimplexResult(STATUS_INFEASIBLE, np.full(n, np.nan), np.nan, 0)
 
     spent = 0
-    ws = warm.child(lb, ub) if warm is not None else (
-        start.started(c) if start is not None else None)
-    if ws is not None:
-        status = ws.dual(ws.c, max_iters, deadline, cutoff)
+    if warm is not None:
+        ws = warm.child(lb, ub)
+        status = ws.dual(max_iters, deadline, cutoff)
         if _settled(ws, status):
             return _result(ws, status)
         spent = ws.iterations
@@ -577,7 +573,7 @@ def solve_bounded_lp(
     # the dual simplex from the dual feasible slack basis
     ws = _Workspace(a, senses, b, lb, ub, c)
     ws.iterations = spent
-    status = ws.dual(ws.c, max_iters + spent, deadline, cutoff)
+    status = ws.dual(max_iters + spent, deadline, cutoff)
     if status != STATUS_ITERATION_LIMIT and not _settled(ws, status):
         raise NumericalFailure(
             "the dual simplex ended with a non-finite value or dual infeasible reduced costs")

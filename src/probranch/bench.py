@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import SolveOptions, solve_mip
-from .branching import calibrate, cut_settings, partition_solve, round_prediction
+from .branching import calibrate, check_margin, cut_settings, partition_solve, round_prediction
 from .generators import gen_knapsack_uniform, read_family, stream_rng
 from .predict import logistic_predict, logistic_train, lp_root_predict, predictor
 
@@ -96,8 +96,7 @@ class BenchConfig:
             raise ValueError(f"bad mode {self.mode!r}")
         if self.tau is not None and not 0.5 < self.tau <= 1.0:
             raise ValueError("tau must be in (0.5, 1]")
-        if self.delta is not None and not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
+        check_margin(self.sigma, self.delta)
         if self.test_count is not None and self.test_count < 1:
             raise ValueError("test_count must be >= 1")
 

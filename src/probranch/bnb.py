@@ -50,24 +50,26 @@ would fix, but leaves the node's box as it is, so
 
 Clique cuts: every solve first solves its hull (below), and builds the
 conflict graph of ``_Roundings``' rows once: binaries i != j conflict
-when a row with nonnegative binary coefficients and no continuous
-column has a_i + a_j > rhs + tol, so no 0/1 point of the instance sets
-both to 1 (Atamturk, Nemhauser & Savelsbergh 2000, "Conflict graphs in
-solving integer programming problems").  When the graph has an edge
-and the hull's point x is fractional, up to CUT_ROUNDS = 3 rounds of
-greedy separation run at x: each binary fractional beyond
-INTEGRALITY_TOL, in decreasing x, grows a clique over the binaries with
-positive x, in decreasing x, and the clique is then lifted over the
-binaries at 0, in decreasing degree.  A clique C becomes the row
-sum_C x_j <= 1 (Padberg 1973, "On the facial structure of set packing
-polyhedra") when x(C) > 1 + CLIQUE_VIOLATION and no row yet has its
-support.  The rows enter the hull's optimal state with their slacks
-basic (``_simplex._Workspace.with_rows``), which stays dual feasible,
-and the warm dual re-solves it; a round that finds no cut, an integral
-or non-optimal hull, or the deadline ends the loop.  The rows hold at
-every 0/1 point of the instance, so ``_Roundings``, the propagation and
-every node LP use them, and ``SolveReport.cuts`` counts them.  The
-closed-form knapsack never separates.
+when a row with nonnegative binary coefficients and no continuous column
+has a_i + a_j > rhs + tol, so no 0/1 point of the instance sets both to
+1 (Atamturk, Nemhauser & Savelsbergh 2000, "Conflict graphs in solving
+integer programming problems").  When the hull's point x is fractional,
+up to CUT_ROUNDS = 3 rounds of greedy separation run at x: each binary
+fractional beyond INTEGRALITY_TOL, in decreasing x, grows a clique over
+the binaries with positive x, in decreasing x, and the clique is then
+lifted over the binaries at 0, in decreasing degree.  A clique C becomes
+the row sum_C x_j <= 1 (Padberg 1973, "On the facial structure of set
+packing polyhedra") when x(C) > 1 + CLIQUE_VIOLATION.  The optimal
+hull's x meets every row it holds within 1e-7, so such a row is new,
+and a row of the same support but other coefficients is weaker than it;
+a graph with no edge gives no such clique.  The rows enter the hull's
+optimal state with their slacks basic (``_simplex._Workspace.with_rows``),
+which stays dual feasible, and the warm dual re-solves it; a round that
+finds no cut, an integral or non-optimal hull, or the deadline ends the
+loop.  The rows hold at every
+0/1 point of the instance, so ``_Roundings``, the propagation and every
+node LP use them, and ``SolveReport.cuts`` counts them.  The closed-form
+knapsack never separates.
 
 Carried roots: a solve may start from the final hull of an earlier one
 (``Hull``, kept in every report whose hull is optimal), as
@@ -143,7 +145,6 @@ instances are safe.  Incumbent timestamps come from a monotonic clock.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from collections import namedtuple
@@ -388,32 +389,22 @@ class _Cliques:
 
     The module docstring gives the rule.  Each binary's neighbours are a
     bit mask, so growing a clique is a walk down the greedy order that
-    keeps the candidates adjacent to every member taken so far.
-    ``seen`` is the frozen set of the supports of the instance's rows, as
-    tuples of their sorted column indices, so no cut repeats a row; each
-    call drops its own repeats.  Nothing else is kept between calls, so
-    the solves a start carries share one separation.  No call finds a
-    cut the hull already holds: separation runs only on an optimal hull
-    LP, whose point meets each of its rows within the dual's feasibility
-    tolerance (1e-7), below CLIQUE_VIOLATION.
+    keeps the candidates adjacent to every member taken so far.  Each
+    call drops its own repeats and keeps nothing, so the solves a start
+    carries share one separation.  No call finds a row the hull already
+    holds: separation runs only on an optimal hull LP, whose point meets
+    each of its rows within the dual's feasibility tolerance (1e-7),
+    below CLIQUE_VIOLATION.
     """
 
-    def __init__(self, adj: np.ndarray, a: np.ndarray):
-        """Separation on the conflict graph adj of the rows a."""
+    def __init__(self, adj: np.ndarray):
+        """Separation on the conflict graph adj."""
         self.n_bin = len(adj)
-        degree = adj.sum(axis=1)
-        self.by_degree = np.argsort(-degree, kind="stable").tolist()
+        self.by_degree = np.argsort(-adj.sum(axis=1), kind="stable").tolist()
         bits = np.packbits(adj, axis=1, bitorder="little")
         buf, width = bits.tobytes(), bits.shape[1]
         self.nbrs = [int.from_bytes(buf[i * width:(i + 1) * width], "little")
                      for i in range(self.n_bin)]
-        # a row with more columns than a clique can have repeats no cut
-        support = a != 0
-        support = support[support.sum(axis=1) <= degree.max(initial=0) + 1]
-        sizes = support.sum(axis=1).tolist()
-        cols = np.nonzero(support)[1].tolist()  # row by row
-        self.seen = frozenset(
-            tuple(cols[end - k:end]) for k, end in zip(sizes, itertools.accumulate(sizes)))
 
     def __call__(self, x: np.ndarray) -> list[np.ndarray]:
         """The sorted column indices of each new clique that x violates."""
@@ -434,7 +425,7 @@ class _Cliques:
                     cand &= nbrs[j]
             if total > 1.0 + CLIQUE_VIOLATION:
                 cols = tuple(sorted(clique))
-                if cols not in self.seen and cols not in cuts:
+                if cols not in cuts:
                     cuts.append(cols)
         return [np.array(cols) for cols in cuts]
 
@@ -582,9 +573,9 @@ class Hull:
     ``a``, ``senses`` and ``b`` are the instance's own rows and [lb, ub]
     the hull's box.  ``state`` is the hull's final optimal state over
     those rows and ``cuts``, the clique rows it holds (a (k, n) array).
-    ``roundings`` and ``propagate`` are built on the rows and the cuts;
-    ``adj`` is the conflict graph (None when it was not built) and
-    ``cliques`` its separation (None when the graph has no edge).
+    ``roundings`` and ``propagate`` are built on the rows and the cuts,
+    and ``cliques`` is the separation on their conflict graph (None when
+    the graph was not built).
     """
 
     a: np.ndarray
@@ -596,7 +587,6 @@ class Hull:
     cuts: np.ndarray
     roundings: _Roundings
     propagate: _Propagator
-    adj: np.ndarray | None
     cliques: _Cliques | None
 
     def fits(self, a: np.ndarray, senses: list[str], b: np.ndarray, lb: np.ndarray,
@@ -641,10 +631,10 @@ def solve_mip(
     instance of a family.  When the instance's rows, right-hand sides
     included, are its rows and the hull's box is its box, the start's
     clique rows and the structures built on the rows carry: the hull LP
-    starts from its final state over the rows and the cuts
-    (``_simplex._Workspace.started``) instead of the slack basis, and
-    separation goes on from there.  Any other solve, and every knapsack
-    solve, is cold.
+    starts warm from its final state over the rows and the cuts,
+    re-priced (``_simplex._Workspace.started``), instead of the slack
+    basis, and separation goes on from there.  Any other solve, and
+    every knapsack solve, is cold.
 
     ``gate`` is the ratio k of the root gate (module docstring): with
     two or more roots, the tree keeps them only when their disjunction
@@ -697,14 +687,14 @@ def solve_mip(
     if instance.num_continuous == 0 and senses == ["<="] and np.all(a[0] > 0):
         knapsack = _Knapsack(c, a[0], float(b[0]))
 
-    def node_lp(lb, ub, warm, start=None):
-        """(status, x, bound, state) of the LP over the box, from a parent's state
-        (``warm``) or an earlier instance's hull state (``start``)."""
+    def node_lp(lb, ub, warm):
+        """(status, x, bound, state) of the LP over the box, from the dual
+        feasible state ``warm`` when one is given."""
         rep.lps += 1
         if knapsack is not None:
             return knapsack(lb, ub)
         res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm,
-                                        deadline=deadline, cutoff=prune_at, start=start)
+                                        deadline=deadline, cutoff=prune_at)
         rep.lp_iterations += res.iterations
         return res.status, res.x, res.objective, res.state
 
@@ -714,22 +704,18 @@ def solve_mip(
     rows_a, rows_senses, rows_b = a, senses, b
     if start is not None and knapsack is None and start.fits(a, senses, b, hull_lb, hull_ub):
         # the cut rows hold at every 0/1 point of these rows, so they carry
-        cuts, adj, cliques = start.cuts, start.adj, start.cliques
-        roundings, propagate = start.roundings, start.propagate
-        a = np.vstack([a, cuts])
-        senses = senses + ["<="] * len(cuts)
-        b = np.concatenate([b, np.ones(len(cuts))])
-        lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None, start.state)
+        cliques, roundings, propagate = start.cliques, start.roundings, start.propagate
+        a = np.vstack([a, start.cuts])
+        senses = senses + ["<="] * len(start.cuts)
+        b = np.concatenate([b, np.ones(len(start.cuts))])
+        lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, start.state.started(c))
     else:
-        cuts, adj, cliques = np.zeros((0, len(c))), None, None
-        roundings = _Roundings(a, senses, b, n_bin)
+        cliques, roundings = None, _Roundings(a, senses, b, n_bin)
         lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None)
-    if adj is None and knapsack is None and lp_status == _simplex.STATUS_OPTIMAL and (
+    if cliques is None and knapsack is None and lp_status == _simplex.STATUS_OPTIMAL and (
             np.abs(x[:n_bin] - np.rint(x[:n_bin])) > INTEGRALITY_TOL).any():
-        adj = _conflict_graph(roundings.lhs, roundings.rhs, n_bin)
-        if adj.any():
-            cliques = _Cliques(adj, rows_a)
-    carried = len(cuts)
+        cliques = _Cliques(_conflict_graph(roundings.lhs, roundings.rhs, n_bin))
+    held = len(b)
     if cliques is not None and lp_status == _simplex.STATUS_OPTIMAL:
         for _ in range(CUT_ROUNDS):
             if deadline is not None and time.monotonic() > deadline:
@@ -741,23 +727,22 @@ def solve_mip(
             for r, clique in enumerate(found):
                 rows[r, clique] = 1.0
             hull = hull.with_rows(rows, np.ones(len(found)))
-            cuts = np.vstack([cuts, rows])
             a = np.vstack([a, rows])
             senses = senses + ["<="] * len(found)
             b = np.concatenate([b, np.ones(len(found))])
             lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, hull)
             if lp_status != _simplex.STATUS_OPTIMAL:
                 break
-        if len(cuts) > carried:
+        if len(b) > held:
             roundings = _Roundings(a, senses, b, n_bin)
             propagate = None
-    rep.cuts = len(cuts)
+    rep.cuts = len(b) - len(rows_b)
     if knapsack is None and propagate is None:
         propagate = _Propagator(roundings.lhs, roundings.rhs, n_bin)
     if lp_status == _simplex.STATUS_OPTIMAL and knapsack is None:
         rep.hull = Hull(a=rows_a, senses=rows_senses, b=rows_b, lb=hull_lb, ub=hull_ub,
-                        state=hull, cuts=cuts, roundings=roundings,
-                        propagate=propagate, adj=adj, cliques=cliques)
+                        state=hull, cuts=a[len(rows_b):], roundings=roundings,
+                        propagate=propagate, cliques=cliques)
     if gate is not None and len(boxes) > 1 and knapsack is None and (
             lp_status == _simplex.STATUS_OPTIMAL):
         y = x[:n_bin]

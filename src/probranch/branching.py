@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import GATE_RATIO, Gate, SolveOptions, SolveReport, solve_mip
-from .model import FORMAT_VERSION, LinearRow, MipInstance, decode
+from .model import (FORMAT_VERSION, LinearRow, MalformedDocumentError, MipInstance, _decode_real,
+                    _is_integer, decode)
 from .predict import Prediction
 
 # Threshold grid used for calibration curves; thresholds must exceed 0.5
@@ -200,6 +201,16 @@ def sigma_from_stats(stats: AccuracyStats, tau: float) -> float:
     return float(math.sqrt(max((var[i] for var, num_valid in sides if num_valid[i]), default=0.0)))
 
 
+def check_margin(sigma: float | None, delta: float | None) -> None:
+    """The Chebyshev margin sigma|S|/sqrt(delta) needs a finite sigma >= 0
+    and delta in (0, 1); written so that NaN fails, and None (not given)
+    passes."""
+    if sigma is not None and not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and non-negative")
+    if delta is not None and not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+
+
 @dataclass
 class Calibration:
     """Threshold, variance bound and confidence driving the hyperplanes."""
@@ -212,10 +223,7 @@ class Calibration:
     def validate(self) -> None:
         if not 0.5 < self.tau_star <= 1.0:
             raise ValueError("tau_star must be in (0.5, 1]")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
+        check_margin(self.sigma, self.delta)
         if self.stats is not None:
             self.stats.validate()
         worst = 0.0 if self.stats is None else sigma_from_stats(self.stats, self.tau_star) ** 2
@@ -323,8 +331,14 @@ def _stats_to_doc(stats: AccuracyStats) -> dict:
 
 def _stats_from_doc(doc: dict) -> AccuracyStats:
     def column(f):
-        dtype = f.metadata.get("dtype", float)
-        return np.array([np.nan if v is None else dtype(v) for v in doc[f.name]], dtype=dtype)
+        where = f"stats column {f.name}"
+        if f.metadata.get("dtype") is int:
+            bad = [v for v in doc[f.name] if not _is_integer(v)]
+            if bad:
+                raise MalformedDocumentError(f"{where}: {bad[0]!r} is not an integer")
+            return np.array(doc[f.name], dtype=int)
+        # a float column writes NaN as null
+        return np.array([np.nan if v is None else _decode_real(v, where) for v in doc[f.name]])
 
     return AccuracyStats(**{f.name: column(f) for f in fields(AccuracyStats)})
 
@@ -342,9 +356,9 @@ def save_calibration(cal: Calibration, path: str | Path) -> None:
 
 def load_calibration(path: str | Path) -> Calibration:
     cal = decode(Path(path).read_bytes(), lambda doc: Calibration(
-        tau_star=float(doc["tau_star"]),
-        sigma=float(doc["sigma"]),
-        delta=float(doc["delta"]),
+        tau_star=_decode_real(doc["tau_star"], "tau_star"),
+        sigma=_decode_real(doc["sigma"], "sigma"),
+        delta=_decode_real(doc["delta"], "delta"),
         stats=None if doc.get("stats") is None else _stats_from_doc(doc["stats"]),
     ))
     cal.validate()
@@ -386,10 +400,7 @@ def build_hyperplanes(
     so the integer cut relaxes the real one.  A side with an empty set
     yields None.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
+    check_margin(sigma, delta)
     probs = p.probabilities if isinstance(p, Prediction) else np.asarray(p, dtype=float)
     up, down, _ = round_prediction(probs, tau)
     cut_up = None

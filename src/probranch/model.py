@@ -7,6 +7,7 @@ may be shared read-only across concurrently running solver workers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -172,7 +173,27 @@ def _check_sparse(coeffs: list[tuple[int, float]], n: int, where: str) -> None:
 def _decode_real(v, where: str) -> float:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
-    raise MalformedDocumentError(f"{where}: {v!r} is not a number")
+    # an array or object where a number belongs is, as in ``decode``, a
+    # fault of the document's structure
+    kind = "bad document structure: " if isinstance(v, (list, dict)) else ""
+    raise MalformedDocumentError(f"{kind}{where}: {v!r} is not a number")
+
+
+def _decode_reals(values, where: str) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array.
+
+    What numpy cannot read as floats fails there.  A string, boolean or
+    null that it reads ("0.5", true) is a MalformedDocumentError naming
+    ``where``, found in one pass over the values.
+    """
+    arr = np.asarray(values, dtype=float)
+    flat = [values]
+    for _ in range(arr.ndim):
+        flat = list(itertools.chain.from_iterable(flat))
+    if not set(map(type, flat)) <= {int, float}:
+        bad = next(v for v in flat if type(v) not in (int, float))
+        raise MalformedDocumentError(f"{where}: {bad!r} is not a number")
+    return arr
 
 
 def serialize(instance: MipInstance) -> bytes:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lp
 from .model import (FORMAT_VERSION, MalformedDocumentError, MipInstance, _check_sparse,
-                    _decode_real, decode)
+                    _decode_real, _decode_reals, decode)
 
 _P_FLOOR = 1e-9  # probability clamp for intercept-only models
 
@@ -309,15 +309,16 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogisticModel:
-    """Read a model file.  weights must be (k, f), intercepts (k,), and
-    feature_mean and feature_std (f,), all finite, with feature_std > 0;
-    a field that breaks this is a MalformedDocumentError naming it."""
+    """Read a model file.  Its arrays and regularization hold JSON numbers;
+    weights must be (k, f), intercepts (k,), and feature_mean and
+    feature_std (f,), all finite, with feature_std > 0.  A field that
+    breaks this is a MalformedDocumentError naming it."""
     model = decode(Path(path).read_bytes(), lambda doc: LogisticModel(
-        weights=np.asarray(doc["weights"], dtype=float),
-        intercepts=np.asarray(doc["intercepts"], dtype=float),
-        feature_mean=np.asarray(doc["feature_mean"], dtype=float),
-        feature_std=np.asarray(doc["feature_std"], dtype=float),
-        regularization=float(doc["regularization"]),
+        weights=_decode_reals(doc["weights"], "weights"),
+        intercepts=_decode_reals(doc["intercepts"], "intercepts"),
+        feature_mean=_decode_reals(doc["feature_mean"], "feature_mean"),
+        feature_std=_decode_reals(doc["feature_std"], "feature_std"),
+        regularization=_decode_real(doc["regularization"], "regularization"),
         iterations=list(doc.get("iterations", [])),
         fitted_on=list(doc.get("fitted_on", [])),
     ))

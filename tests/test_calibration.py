@@ -20,6 +20,7 @@ from probranch.branching import (
     save_calibration,
 )
 from probranch.generators import gen_mkp, write_family
+from probranch.model import MalformedDocumentError
 
 NAN = math.nan
 
@@ -126,3 +127,42 @@ def test_a_stats_column_off_the_grid_length_is_rejected(tmp_path, capsys, column
                      "--calibration", str(bad), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_calibration_file_with_a_nan_or_infinite_sigma_is_rejected(tmp_path):
+    # json reads NaN and Infinity as floats, and NaN passes sigma < 0
+    path = tmp_path / "c.json"
+    for value in ("NaN", "Infinity"):
+        path.write_text('{"format_version": 1, "tau_star": 0.9, "sigma": %s, "delta": 0.05, '
+                        '"stats": null}' % value)
+        with pytest.raises(ValueError, match="sigma must be finite and non-negative"):
+            load_calibration(path)
+
+
+def test_a_calibration_field_holding_a_string_boolean_or_null_is_rejected_naming_it(tmp_path):
+    stats = accuracy_curves([
+        (np.array([0.95, 0.92, 0.03, 0.6]), np.array([1.0, 0.0, 0.0, 1.0])),
+        (np.array([0.91, 0.05, 0.08, 0.5]), np.array([1.0, 1.0, 0.0, 0.0])),
+    ])
+    path, bad = tmp_path / "c.json", tmp_path / "bad.json"
+    save_calibration(Calibration(0.9, 0.25, 0.05, stats), path)
+    doc = json.loads(path.read_text())
+    for field, value in (("tau_star", "0.9"), ("sigma", "0.5"), ("sigma", True),
+                         ("delta", None), ("delta", [0.05])):
+        bad.write_text(json.dumps(dict(doc, **{field: value})))
+        with pytest.raises(MalformedDocumentError, match=f"{field}: .* is not a number"):
+            load_calibration(bad)
+    # a count column takes integers only: 2.5 is not truncated to 2
+    number, integer = "a number", "an integer"
+    for column, value, kind in (("var_alpha_l", "0.01", number), ("mean_size_u", False, number),
+                                ("num_valid_l", None, integer), ("num_valid_u", "2", integer),
+                                ("num_valid_l", 2.5, integer)):
+        stats_doc = dict(doc["stats"])
+        stats_doc[column] = [value] + stats_doc[column][1:]
+        bad.write_text(json.dumps(dict(doc, stats=stats_doc)))
+        with pytest.raises(MalformedDocumentError, match=f"column {column}: .* is not {kind}"):
+            load_calibration(bad)
+    # a float column still reads null as NaN
+    stats_doc = dict(doc["stats"], var_alpha_l=[None] + doc["stats"]["var_alpha_l"][1:])
+    bad.write_text(json.dumps(dict(doc, stats=stats_doc)))
+    assert math.isnan(load_calibration(bad).stats.var_alpha_l[0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import binary_enumeration
-from probranch import bench, cli
+from probranch import bench, branching, cli
 from probranch.bench import LemmaReport
 from probranch.bnb import solve_mip
 from probranch.branching import Calibration, accuracy_curves, save_calibration, sigma_from_stats
@@ -501,6 +501,27 @@ def test_solve_rejects_a_nan_time_limit(tmp_path, capsys, family_dir):
                          "--mode", mode, "--time-limit", "nan", "--out", str(out)]) == 1
         assert "limits must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_solve_rejects_a_sigma_that_is_not_finite(tmp_path, capsys, family_dir, sigma):
+    # NaN passes sigma < 0, and either value reached the cut arithmetic
+    out = tmp_path / "solve.json"
+    assert cli.main(["solve", "--instance", str(family_dir / "instance_0000.json"),
+                     "--mode", "exact", "--sigma", sigma, "--out", str(out)]) == 1
+    assert "error: sigma must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_rejects_a_nan_sigma_before_any_solve(tmp_path, capsys, monkeypatch, family_dir):
+    solves = []
+    for module in (bench, branching):
+        monkeypatch.setattr(module, "solve_mip", lambda *args, **kwargs: solves.append(args))
+    out = tmp_path / "bench"
+    assert cli.main(["bench", "--family", str(family_dir), "--train-count", "12",
+                     "--sigma", "nan", "--out", str(out)]) == 1
+    assert "error: sigma must be finite and non-negative" in capsys.readouterr().err
+    assert solves == [] and not list(tmp_path.glob("bench*"))
 
 
 def test_solve_rejects_a_model_fitted_on_another_number_of_binaries(tmp_path, capsys):

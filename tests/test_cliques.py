@@ -155,9 +155,14 @@ def test_every_cut_is_a_violated_clique_that_every_feasible_point_meets(monkeypa
             assert rep.objective == pytest.approx(ref.objective, abs=1e-9)
         pairs = conflict_pairs(inst)
         pts = feasible_points(inst)
-        supports = {tuple(sorted(j for j, v in row.coeffs if v)) for row in inst.rows}
+        _, a, senses, b, _, _ = relaxation_arrays(inst)
+        rows = bnb._Roundings(a, senses, b, inst.num_binary)
         made = []
         for x, cuts in rounds:
+            # the hull point meets every row its LP holds, the instance's
+            # and the earlier cuts, so no violated clique repeats one
+            assert (rows.lhs @ x <= rows.rhs + 1e-7).all()
+            assert all(x[list(cols)].sum() <= 1.0 + 1e-7 for cols in made)
             for cut in cuts:
                 cols = cut.tolist()
                 assert cols == sorted(set(cols))
@@ -166,7 +171,6 @@ def test_every_cut_is_a_violated_clique_that_every_feasible_point_meets(monkeypa
                 outside = set(range(inst.num_binary)) - set(cols)
                 assert not [j for j in outside if all((min(i, j), max(i, j)) in pairs for i in cols)]
                 assert x[cols].sum() > 1.0 + 1e-6
-                assert tuple(cols) not in supports
                 assert (pts[:, cols].sum(axis=1) <= 1).all()
                 made.append(tuple(cols))
         assert len(made) == len(set(made)) == rep.cuts
@@ -174,6 +178,17 @@ def test_every_cut_is_a_violated_clique_that_every_feasible_point_meets(monkeypa
         total += rep.cuts
         cut_solves += rep.cuts > 0
     assert cut_solves >= 15 and total >= 30
+
+
+def test_a_clique_over_a_non_unit_rows_support_closes_the_hull():
+    # x0 + x1 <= 1.5 makes x0 and x1 conflict, and the hull point meets
+    # x0 + x1 = 1.5; the clique row x0 + x1 <= 1 has that row's support,
+    # is stronger than it, and with x0 + x1 >= 1.5 leaves the hull LP
+    # infeasible: no node is opened
+    inst = MipInstance("hand", "maximize", 2, 0, [(0, 1.0), (1, 1.0)],
+                       [LinearRow([(0, 1.0), (1, 1.0)], sense, 1.5) for sense in (">=", "<=")])
+    rep = solve_mip(inst, SolveOptions(**EXACT))
+    assert (rep.status, rep.nodes, rep.cuts, rep.lps) == ("infeasible", 0, 1, 2)
 
 
 def cut_lp(inst: MipInstance, rounds: int):
@@ -185,7 +200,7 @@ def cut_lp(inst: MipInstance, rounds: int):
     c = -c if inst.sense == "maximize" else c
     res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub)
     rows = bnb._Roundings(a, senses, b, inst.num_binary)
-    cliques = bnb._Cliques(bnb._conflict_graph(rows.lhs, rows.rhs, inst.num_binary), a)
+    cliques = bnb._Cliques(bnb._conflict_graph(rows.lhs, rows.rhs, inst.num_binary))
     ext = None
     for _ in range(rounds):
         found = cliques(res.x)
@@ -236,7 +251,7 @@ def test_an_extended_state_is_complete_before_its_re_solve(seed):
     c, a, senses, b, lb, ub = relaxation_arrays(inst)
     state = _simplex.solve_bounded_lp(-c, a, senses, b, lb, ub).state
     rows = bnb._Roundings(a, senses, b, inst.num_binary)
-    found = bnb._Cliques(bnb._conflict_graph(rows.lhs, rows.rhs, inst.num_binary), a)(state.x)
+    found = bnb._Cliques(bnb._conflict_graph(rows.lhs, rows.rhs, inst.num_binary))(state.x)
     assert found
     r = np.zeros((len(found), a.shape[1]))
     for k, cols in enumerate(found):

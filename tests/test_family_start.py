@@ -31,7 +31,7 @@ from probranch.generators import (
     write_family,
 )
 from probranch.lp import relaxation_arrays
-from probranch.model import deserialize
+from probranch.model import LinearRow, MipInstance, deserialize
 
 
 def random_lp(rng):
@@ -76,7 +76,7 @@ def test_a_started_lp_matches_a_cold_solve_and_keeps_dual_feasible_reduced_costs
         c2 = rng.normal(size=len(c))
         cold = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub)
         before = len(colds)
-        res = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub, start=first.state)
+        res = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub, warm=first.state.started(c2))
         assert res.status == cold.status == _simplex.STATUS_OPTIMAL
         assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
         solved += 1
@@ -115,7 +115,7 @@ def test_an_unsettled_start_falls_back_to_a_cold_solve(monkeypatch):
     broken.binv[:] = np.nan
     c2 = rng.normal(size=len(c))
     colds = cold_solves(monkeypatch)
-    res = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub, start=broken)
+    res = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub, warm=broken.started(c2))
     assert len(colds) == 1
     ref = _simplex.solve_bounded_lp(c2, a, senses, b, lb, ub)
     assert res.status == ref.status == _simplex.STATUS_OPTIMAL
@@ -132,12 +132,18 @@ def test_a_start_whose_rows_hold_nowhere_in_the_box_leaves_the_lp_to_a_cold_solv
     assert first.status == _simplex.STATUS_OPTIMAL
     c2 = np.array([1.0, 2.0])
     assert first.state.started(c2) is None
+    # the same row as a MIP: a solve carrying that hull solves its hull cold
+    row = [LinearRow([(0, 1.0), (1, 1.0)], "=", 2.0 + 5e-8)]
+    inst = MipInstance("tol", "maximize", 2, 0, [(0, 1.0), (1, 1.0)], row)
+    rep = solve_mip(inst, SolveOptions())
+    assert rep.hull is not None and rep.hull.state.started(c2) is None
+    other = MipInstance("tol", "minimize", 2, 0, [(0, 1.0), (1, 2.0)], row)
     colds = cold_solves(monkeypatch)
-    res = _simplex.solve_bounded_lp(c2, a, ["="], b, lb, ub, start=first.state)
+    res = solve_mip(other, SolveOptions(), start=rep.hull)
     assert len(colds) == 1
-    ref = _simplex.solve_bounded_lp(c2, a, ["="], b, lb, ub)
-    assert (res.status, res.objective) == (ref.status, ref.objective)
-    assert res.iterations == ref.iterations  # no started pass ran
+    ref = solve_mip(other, SolveOptions())
+    assert (res.status, res.objective, res.nodes, res.lps) == (
+        ref.status, ref.objective, ref.nodes, ref.lps)
 
 
 FAMILIES = {

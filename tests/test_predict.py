@@ -389,6 +389,24 @@ class TestLogisticPredict:
             with pytest.raises(MalformedDocumentError, match=f"{field}: .*{message}"):
                 load_model(tmp_path / "bad.json")
 
+    def test_a_model_field_holding_a_string_boolean_or_null_is_rejected_naming_it(self, tmp_path):
+        save_model(logistic_train(labelled_family(5, 8, 0.4, 10, seed=53)), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        weights = doc["weights"]
+        for field, value in (
+            ("weights", [["0.5"] + weights[0][1:]] + weights[1:]),
+            ("weights", weights[:-1] + [weights[-1][:-1] + [True]]),
+            ("intercepts", [None] + doc["intercepts"][1:]),
+            ("feature_mean", ["1e-3"] + doc["feature_mean"][1:]),
+            ("feature_std", doc["feature_std"][:-1] + [False]),
+            ("regularization", "1e-4"),
+            ("regularization", True),
+            ("regularization", None),
+        ):
+            (tmp_path / "bad.json").write_text(json.dumps(dict(doc, **{field: value})))
+            with pytest.raises(MalformedDocumentError, match=f"{field}: .* is not a number"):
+                load_model(tmp_path / "bad.json")
+
 
 class TestLpRootPredict:
     def test_knapsack_has_single_fractional_entry(self):

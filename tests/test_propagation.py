@@ -127,13 +127,17 @@ def recorded_boxes(monkeypatch) -> list:
 
 def test_the_rows_close_a_node_with_no_lp(monkeypatch):
     boxes = recorded_boxes(monkeypatch)
-    # x0 + x1 >= 1.5 fixes x0 = x1 = 1, which overfills x0 + x1 <= 1.5:
-    # the LP holds at x0 + x1 = 1.5, so the hull is solved, but the root
-    # closes unsolved, and the fixings made on the way are not counted
-    inst = binary_instance([row([1, 1], ">=", 1.5), row([1, 1], "<=", 1.5)], 2)
+    # with t in [0, 0.25], x0 + x1 + t >= 1.5 fixes x0 = x1 = 1, which
+    # overfills x0 + x1 + t <= 1.5: the LP holds at x0 + x1 + t = 1.5, so
+    # the hull is solved, but the root closes unsolved, and the fixings
+    # made on the way are not counted; the continuous column keeps both
+    # rows out of the conflict graph, so no clique cut closes the hull
+    rows = [LinearRow([(0, 1.0), (1, 1.0), (2, 1.0)], sense, 1.5) for sense in (">=", "<=")]
+    inst = MipInstance("hand", "maximize", 2, 1, objective=[(0, 1.0), (1, 1.0)], rows=rows,
+                       continuous_bounds=[(0.0, 0.25)])
     rep = solve_mip(inst, options=SolveOptions(**EXACT))
-    hull = [([0.0, 0.0], [1.0, 1.0])]
-    assert (rep.status, rep.nodes, rep.propagated) == ("infeasible", 1, 0)
+    hull = [([0.0, 0.0, 0.0], [1.0, 1.0, 0.25])]
+    assert (rep.status, rep.nodes, rep.propagated, rep.cuts) == ("infeasible", 1, 0, 0)
     assert [(lo.tolist(), hi.tolist()) for lo, hi in boxes] == hull
     assert rep.closed == {**dict.fromkeys(bnb.CLOSED_BY, 0), "propagated": 1}
 

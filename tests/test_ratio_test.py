@@ -93,7 +93,7 @@ def test_a_first_step_gain_is_the_childs_first_dual_iteration():
                 lb[j] = ub[j] = target  # a binary's child fixes it
                 child = state.child(lb, ub)
                 before = float(c_full @ child.x)
-                status = child.dual(c_full, 1)
+                status = child.dual(1)
                 pairs += 1
                 if math.isinf(gain):
                     assert status == _simplex.STATUS_INFEASIBLE
@@ -167,7 +167,7 @@ def random_states():
         basic = rng.permutation(np.flatnonzero(state.is_basic[:n_bin]))[:3]
         return np.r_[basic, rng.permutation(n_bin)[:3]]
 
-    for n_bin, c_full, state in fractional_roots():
+    for n_bin, _, state in fractional_roots():
         n = state.n
         yield state, candidates(state, n_bin), (0.0, 1.0)
         # a child with a third of its columns fixed where they sit
@@ -175,7 +175,7 @@ def random_states():
         fixed = rng.random(n) < 0.3
         lb[fixed] = ub[fixed] = np.clip(np.rint(state.x[:n][fixed]), lb[fixed], ub[fixed])
         child = state.child(lb, ub)
-        if child.dual(c_full, 1000) == _simplex.STATUS_OPTIMAL and child.d is not None:
+        if child.dual(1000) == _simplex.STATUS_OPTIMAL and child.d is not None:
             yield child, candidates(child, n_bin), (0.0, 1.0)
     for seed in range(100):
         _, c, a, b, lb, ub = far_bounded_lp(seed)
