@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import SolveOptions, solve_mip
-from .branching import calibrate, check_margin, cut_settings, partition_solve, round_prediction
+from .branching import calibrate, cut_settings, partition_solve, round_prediction
 from .generators import gen_knapsack_uniform, read_family, stream_rng
 from .predict import logistic_predict, logistic_train, lp_root_predict, predictor
 
@@ -94,9 +94,8 @@ class BenchConfig:
     def validate(self) -> None:
         if self.mode not in ("heuristic", "exact", "plain"):
             raise ValueError(f"bad mode {self.mode!r}")
-        if self.tau is not None and not 0.5 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0.5, 1]")
-        check_margin(self.sigma, self.delta)
+        # the cut settings' own check, before any label solve
+        cut_settings(self.predictor, tau=self.tau, delta=self.delta, sigma=self.sigma)
         if self.test_count is not None and self.test_count < 1:
             raise ValueError("test_count must be >= 1")
 

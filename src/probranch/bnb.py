@@ -48,43 +48,42 @@ propagated box of their one row itself, holding at 0 each item the row
 would fix, but leaves the node's box as it is, so
 ``SolveReport.propagated`` stays 0 on a knapsack solve.
 
-Clique cuts: every solve first solves its hull (below), and builds the
-conflict graph of ``_Roundings``' rows once: binaries i != j conflict
-when a row with nonnegative binary coefficients and no continuous column
-has a_i + a_j > rhs + tol, so no 0/1 point of the instance sets both to
-1 (Atamturk, Nemhauser & Savelsbergh 2000, "Conflict graphs in solving
-integer programming problems").  When the hull's point x is fractional,
-up to CUT_ROUNDS = 3 rounds of greedy separation run at x: each binary
-fractional beyond INTEGRALITY_TOL, in decreasing x, grows a clique over
-the binaries with positive x, in decreasing x, and the clique is then
-lifted over the binaries at 0, in decreasing degree.  A clique C becomes
-the row sum_C x_j <= 1 (Padberg 1973, "On the facial structure of set
-packing polyhedra") when x(C) > 1 + CLIQUE_VIOLATION.  The optimal
-hull's x meets every row it holds within 1e-7, so such a row is new,
-and a row of the same support but other coefficients is weaker than it;
-a graph with no edge gives no such clique.  The rows enter the hull's
-optimal state with their slacks basic (``_simplex._Workspace.with_rows``),
-which stays dual feasible, and the warm dual re-solves it; a round that
-finds no cut, an integral or non-optimal hull, or the deadline ends the
-loop.  The rows hold at every
-0/1 point of the instance, so ``_Roundings``, the propagation and every
-node LP use them, and ``SolveReport.cuts`` counts them.  The closed-form
-knapsack never separates.
+Clique cuts: every solve first solves its hull (below).  When the
+hull's point x is fractional, the conflict graph of ``_Roundings``' rows
+is built once: binaries i != j conflict when a row with nonnegative
+binary coefficients and no continuous column has a_i + a_j > rhs + tol,
+so no 0/1 point of the instance sets both to 1 (Atamturk, Nemhauser &
+Savelsbergh 2000, "Conflict graphs in solving integer programming
+problems").  Up to CUT_ROUNDS = 3 rounds of greedy separation then run
+at x: each binary fractional beyond INTEGRALITY_TOL, in decreasing x,
+grows a clique over the binaries with positive x, in decreasing x, and
+the clique is then lifted over the binaries at 0, in decreasing degree.
+A clique C becomes the row sum_C x_j <= 1 (Padberg 1973, "On the facial
+structure of set packing polyhedra") when x(C) > 1 + CLIQUE_VIOLATION.
+The optimal hull's x meets every row it holds within 1e-7, so such a
+row is new, and a row of the same support but other coefficients is
+weaker than it; a graph with no edge gives no such clique.  The rows
+enter the hull's optimal state with their slacks basic
+(``_simplex._Workspace.with_rows``), which stays dual feasible, and the
+warm dual re-solves it; a round that finds no cut, a non-optimal hull,
+or the deadline ends the loop.  The rows hold at every 0/1 point of the
+instance, so they join the instance's in one row set (``_Rows``) that
+``_Roundings``, the propagation and every node LP use, and
+``SolveReport.cuts`` counts them.  The closed-form knapsack never
+separates.
 
 Carried roots: a solve may start from the final hull of an earlier one
-(``Hull``, kept in every report whose hull is optimal), as
+(``Hull(rows, state)``, kept in every report whose hull is optimal), as
 ``bench.solve_labels`` does along a family's training instances.  When
 the instance's rows (matrix, senses and right-hand sides) are the
 start's and the hull's box is its box, every 0/1 point of the instance
-meets the start's clique rows, so they carry, and with them the
-conflict graph, the separation and the ``_Roundings`` and
-``_Propagator`` built on the rows: the hull LP starts from the start's
-final state over the rows and the cuts, re-priced for this objective
-(``_simplex._Workspace.started``), separation goes on from there, and
-``SolveReport.cuts`` counts the carried rows as well.  Any other solve
-is cold, a change of b included, and so are knapsack solves and the
-solves a user times (``solve``, and ``bench``'s plain and method
-solves), which never take a start.
+meets the start's clique rows, so its ``_Rows`` carry whole, with the
+separation and the structures built on them: the hull LP starts from
+``state``, re-priced for this objective (``_simplex._Workspace.started``),
+separation goes on from there, and ``SolveReport.cuts`` counts the
+carried rows as well.  Any other solve is cold, a change of b included,
+and so are knapsack solves and the solves a user times (``solve``, and
+``bench``'s plain and method solves), which never take a start.
 
 First-step bounds: when a node branches on x_j, its final tableau row
 of x_j bounds each child's LP from below before that LP is set up
@@ -129,10 +128,11 @@ warm LP over the parent's box can read one ulp below it.  An infeasible
 hull ends the solve as "infeasible" with no node, one past the time
 limit, its cut rounds included, as "limit".
 
-Open nodes are ``_Node`` records on a heap of (parent bound, id,
-node).  The solve counts into the ``SolveReport`` it returns as it
-goes, and sets the status, best bound and solution at the end.  An LP
-point with no binaries is integral and is accepted at step 5.
+``_Search.hull`` gives the roots and ``_Search.step`` takes a popped
+node through steps 2 to 6; the loop pops ``_Node`` records from a heap
+of (parent bound, id, node) and counts into the ``SolveReport`` it
+returns, setting its status, best bound and solution at the end.  An
+LP point with no binaries is integral and is accepted at step 5.
 ``SolveReport.lps`` counts the relaxations solved, the hull and its cut
 rounds included, so a node that reaches step 4 adds one, and
 ``lp_iterations`` their dual iterations; a closed-form knapsack LP
@@ -149,6 +149,7 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -387,14 +388,12 @@ def _conflict_graph(lhs: np.ndarray, rhs: np.ndarray, n_bin: int) -> np.ndarray:
 class _Cliques:
     """Greedy clique separation on the conflict graph of ``_Roundings``' rows.
 
-    The module docstring gives the rule.  Each binary's neighbours are a
-    bit mask, so growing a clique is a walk down the greedy order that
-    keeps the candidates adjacent to every member taken so far.  Each
-    call drops its own repeats and keeps nothing, so the solves a start
-    carries share one separation.  No call finds a row the hull already
-    holds: separation runs only on an optimal hull LP, whose point meets
-    each of its rows within the dual's feasibility tolerance (1e-7),
-    below CLIQUE_VIOLATION.
+    The module docstring gives the rule, and why no call finds a row the
+    hull already holds.  Each binary's neighbours are a bit mask, so
+    growing a clique is a walk down the greedy order that keeps the
+    candidates adjacent to every member taken so far.  Each call drops
+    its own repeats and keeps nothing, so one separation serves every
+    solve that carries its rows (``_Rows``).
     """
 
     def __init__(self, adj: np.ndarray):
@@ -565,36 +564,59 @@ class _Knapsack:
         return y if float(w @ y) - self.cap <= ROUNDED_ROW_TOL else None
 
 
+class _Rows:
+    """A solve's LP rows: the instance's own (``a``, ``senses``, ``b``),
+    then ``cuts``, the clique rows sum_C x_j <= 1 as a (k, n) array.
+    ``lp`` (their arrays), ``roundings``, ``propagate`` and ``cliques``
+    (the separation on their conflict graph) are built once, when first
+    read.  A clique row joins only pairs the graph already has, so the
+    graph stays the same and ``with_cuts`` shares the separation."""
+
+    def __init__(self, a: np.ndarray, senses: list[str], b: np.ndarray, n_bin: int, cuts=None):
+        self.a, self.senses, self.b, self.n_bin = a, senses, b, n_bin
+        self.cuts = np.zeros((0, a.shape[1])) if cuts is None else cuts
+
+    @cached_property
+    def lp(self):
+        return (np.vstack([self.a, self.cuts]), self.senses + ["<="] * len(self.cuts),
+                np.concatenate([self.b, np.ones(len(self.cuts))]))
+
+    @cached_property
+    def roundings(self):
+        return _Roundings(*self.lp, self.n_bin)
+
+    @cached_property
+    def propagate(self):
+        return _Propagator(self.roundings.lhs, self.roundings.rhs, self.n_bin)
+
+    @cached_property
+    def cliques(self):
+        return _Cliques(_conflict_graph(self.roundings.lhs, self.roundings.rhs, self.n_bin))
+
+    def with_cuts(self, found: list[np.ndarray]) -> _Rows:
+        """These rows and a clique row over each column list in ``found``."""
+        cuts = np.array([np.bincount(c, minlength=self.a.shape[1]) for c in found], dtype=float)
+        rows = _Rows(self.a, self.senses, self.b, self.n_bin, np.vstack([self.cuts, cuts]))
+        rows.cliques = self.cliques
+        return rows
+
+
 @dataclass
 class Hull:
-    """A solve's final hull, kept in its report to start the next solve
-    of the same family (``solve_mip``'s ``start``).
+    """A solve's final hull, kept in its report to start the next solve of
+    the same family (``solve_mip``'s ``start``): ``rows``, the instance's
+    and the clique rows it holds, and ``state``, its final optimal state,
+    whose box [state.lb[:n], state.ub[:n]] is the hull's box."""
 
-    ``a``, ``senses`` and ``b`` are the instance's own rows and [lb, ub]
-    the hull's box.  ``state`` is the hull's final optimal state over
-    those rows and ``cuts``, the clique rows it holds (a (k, n) array).
-    ``roundings`` and ``propagate`` are built on the rows and the cuts,
-    and ``cliques`` is the separation on their conflict graph (None when
-    the graph was not built).
-    """
-
-    a: np.ndarray
-    senses: list[str]
-    b: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
+    rows: _Rows
     state: _simplex._Workspace
-    cuts: np.ndarray
-    roundings: _Roundings
-    propagate: _Propagator
-    cliques: _Cliques | None
 
-    def fits(self, a: np.ndarray, senses: list[str], b: np.ndarray, lb: np.ndarray,
-             ub: np.ndarray) -> bool:
-        """Whether a hull over the rows (a, senses, b) and the box [lb, ub]
-        can start from this one."""
-        return (senses == self.senses and np.array_equal(a, self.a) and np.array_equal(b, self.b)
-                and np.array_equal(lb, self.lb) and np.array_equal(ub, self.ub))
+    def fits(self, rows: _Rows, lb: np.ndarray, ub: np.ndarray) -> bool:
+        """Whether a hull over the instance's ``rows`` and [lb, ub] can start from this one."""
+        own, n = self.rows, self.state.n
+        return (rows.senses == own.senses and np.array_equal(rows.a, own.a)
+                and np.array_equal(rows.b, own.b) and np.array_equal(lb, self.state.lb[:n])
+                and np.array_equal(ub, self.state.ub[:n]))
 
 
 class _Node(NamedTuple):
@@ -612,6 +634,161 @@ class _Node(NamedTuple):
     stale: bool
 
 
+class _Search:
+    """One solve in the minimize sense: its rows, incumbent, cutoff ``prune_at``
+    and report; ``hull`` gives the heap's roots, ``step`` takes a popped node."""
+
+    def __init__(self, instance: MipInstance, opts: SolveOptions):
+        self.opts, self.n_bin, self.t0 = opts, instance.num_binary, time.monotonic()
+        self.deadline = None if math.isinf(opts.time_limit) else self.t0 + opts.time_limit
+        c, a, senses, b, self.lb, self.ub = relaxation_arrays(instance)
+        self.negate = instance.sense == "maximize"
+        self.c = -c if self.negate else c
+        self.rows = _Rows(a, senses, b, self.n_bin)
+        # pure single-row knapsacks have a closed-form node relaxation
+        self.knapsack = _Knapsack(self.c, a[0], float(b[0])) if (
+            instance.num_continuous == 0 and senses == ["<="] and np.all(a[0] > 0)) else None
+        # a node whose bound reaches prune_at cannot beat the incumbent by the gap
+        self.incumbent_val, self.incumbent_x, self.prune_at = math.inf, None, math.inf
+        # the search counts straight into the report; solve_mip sets the rest
+        self.rep = SolveReport(best_solution=None, best_bound=math.inf, status="infeasible",
+                               nodes=0, wall_time=0.0)
+
+    def accept(self, x: np.ndarray, root: int) -> None:
+        """Take x, found below root box ``root``, when it beats the incumbent."""
+        val = float(self.c @ x)
+        if val >= self.incumbent_val:
+            return
+        self.incumbent_val, self.incumbent_x = val, x.copy()
+        self.rep.best_root = root
+        self.prune_at = val - max(self.opts.abs_gap, self.opts.rel_gap * abs(val))
+        self.rep.incumbent_log.append(
+            (time.monotonic() - self.t0, (-val if self.negate else val) + 0.0))
+
+    def lp(self, lb: np.ndarray, ub: np.ndarray, warm):
+        """(status, x, bound, state) of the LP over the box, from ``warm`` if given."""
+        self.rep.lps += 1
+        if self.knapsack is not None:
+            return self.knapsack(lb, ub)
+        res = _simplex.solve_bounded_lp(self.c, *self.rows.lp, lb, ub, warm=warm,
+                                        deadline=self.deadline, cutoff=self.prune_at)
+        self.rep.lp_iterations += res.iterations
+        return res.status, res.x, res.objective, res.state
+
+    def hull(self, boxes, start: Hull | None, gate: float | None) -> list:
+        """The heap's roots (key, id, node), one per box the root gate keeps,
+        after the hull LP over the least box holding them all, from a
+        carried start, and its cut rounds; none for an infeasible hull."""
+        rep, n_bin, warm = self.rep, self.n_bin, None
+        # the hull bounds every root box and is dual feasible under each
+        lb = np.min([lo for lo, _ in boxes], axis=0)
+        ub = np.max([hi for _, hi in boxes], axis=0)
+        if start is not None and self.knapsack is None and start.fits(self.rows, lb, ub):
+            # the cut rows hold at every 0/1 point of these rows, so they carry
+            self.rows, warm = start.rows, start.state.started(self.c)
+        status, x, bound, state = self.lp(lb, ub, warm)
+        fractional = status == _simplex.STATUS_OPTIMAL and self.knapsack is None and (
+            np.abs(x[:n_bin] - np.rint(x[:n_bin])) > INTEGRALITY_TOL).any()
+        for _ in range(CUT_ROUNDS if fractional else 0):
+            if status != _simplex.STATUS_OPTIMAL or (
+                    self.deadline is not None and time.monotonic() > self.deadline):
+                break
+            found = self.rows.cliques(x)
+            if not found:
+                break
+            self.rows = self.rows.with_cuts(found)
+            state = state.with_rows(self.rows.cuts[-len(found):], np.ones(len(found)))
+            status, x, bound, state = self.lp(lb, ub, state)
+        rep.cuts = len(self.rows.cuts)
+        if status == _simplex.STATUS_OPTIMAL and self.knapsack is None:
+            rep.hull = Hull(self.rows, state)
+            if gate is not None and len(boxes) > 1:
+                y = x[:n_bin]
+                rep.gate = _gate(state, np.where(lb[:n_bin] < ub[:n_bin], np.abs(y - np.rint(y)),
+                                                 0.0), boxes, gate)
+                if not rep.gate.taken:
+                    boxes = [(lb, ub)]
+        rep.root_nodes, rep.root_seconds = [0] * len(boxes), [0.0] * len(boxes)
+        if status == _simplex.STATUS_INFEASIBLE:
+            return []
+        key = bound if status == _simplex.STATUS_OPTIMAL else -math.inf
+        return [(key, k, _Node(lb=lo, ub=hi, warm=state, root=k, bound=-math.inf, stale=True))
+                for k, (lo, hi) in enumerate(boxes)]
+
+    def step(self, node: _Node, parent_bound: float):
+        """(CLOSED_BY key, children as (heap key, node) pairs) of a popped node,
+        or the node, its box fixed and propagated, when a limit stopped its LP."""
+        rep, n_bin, prune_at = self.rep, self.n_bin, self.prune_at
+        lb, ub, stale = node.lb, node.ub, node.stale
+        if node.bound >= prune_at + _simplex.CUTOFF_TOL * max(1.0, abs(prune_at)):
+            return "first_step", ()
+        propagate = None if self.knapsack is not None else self.rows.propagate
+        if node.warm is not None and prune_at < math.inf:
+            lb_f, ub_f, k = _fix_by_reduced_costs(node.warm, lb, ub, n_bin, prune_at - parent_bound,
+                                                  FIXING_TOL * max(1.0, abs(prune_at)))
+            if k and propagate is not None and not stale:
+                stale = propagate.moved(lb, ub, lb_f, ub_f)
+            lb, ub = lb_f, ub_f
+            rep.fixed += k
+        # a box at its parent's fixed point that no fixing moved is at it still
+        if stale and propagate is not None:
+            box = propagate(lb, ub)
+            if box is None:
+                return "propagated", ()
+            lb, ub, k = box
+            rep.propagated += k
+        status, x, bound, state = self.lp(lb, ub, node.warm)
+        if status == _simplex.STATUS_INFEASIBLE:
+            return "infeasible", ()
+        if status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
+            return node._replace(lb=lb, ub=ub, stale=stale)
+        if status == _simplex.STATUS_CUTOFF or bound >= prune_at:
+            return "cutoff", ()
+        # fixed binaries are integral by their bounds and never branched
+        # on; with no binaries, every LP point is integral
+        y = x[:n_bin]
+        frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(y - np.rint(y)), 0.0)
+        fmax = np.maximum.reduce(frac, initial=0.0)
+        # rounding can push a row past its bound (a knapsack item at
+        # 1 - 4e-7 overfills it by that much): such a point is branched
+        # on, unless rounding moved no free binary and any violation is
+        # the LP's own
+        if fmax == 0.0:
+            xi = x.copy()
+            xi[:n_bin] = np.rint(xi[:n_bin])
+            self.accept(xi, node.root)
+            return "integral", ()
+        cand, ok = self.rows.roundings(x, lb, ub)  # nearest, floor, ceil
+        if fmax <= INTEGRALITY_TOL and ok[0]:
+            self.accept(cand[0], node.root)
+            return "integral", ()
+        # rounding heuristic: each rounding that stays feasible is kept
+        for i in ok.nonzero()[0]:
+            self.accept(cand[i], node.root)
+        if self.knapsack is None:
+            cands = _branch_candidates(frac)
+            gains = state.first_step_gains(cands, (0.0, 1.0))
+            best = int(np.multiply.reduce(np.maximum(gains, SCORE_EPS), axis=1).argmax())
+            j = int(cands[best])
+            gain_dn, gain_up = gains[best].tolist()
+        else:
+            y = self.knapsack.complete(cand[1], lb, ub)
+            if y is not None:
+                self.accept(y, node.root)
+            # a knapsack child's closed-form LP costs about what its bound
+            # would, and its LP point has one fractional item to branch on
+            j = int(frac.argmax())  # ties resolve to the lowest index
+            gain_dn = gain_up = 0.0
+        moves = (False, False) if propagate is None else propagate.raises[:, j]
+        lb_up, ub_dn = lb.copy(), ub.copy()
+        lb_up[j], ub_dn[j] = 1.0, 0.0
+        up = _Node(lb_up, ub, state, node.root, bound + gain_up, stale=moves[1])
+        down = _Node(lb, ub_dn, state, node.root, bound + gain_dn, stale=moves[0])
+        # a warm LP over the parent's box can read an ulp below the parent's key
+        key = max(bound, parent_bound)
+        return "branched", [(key, child) for child in ((up, down) if x[j] >= 0.5 else (down, up))]
+
+
 def solve_mip(
     instance: MipInstance,
     options: SolveOptions | None = None,
@@ -623,18 +800,15 @@ def solve_mip(
 
     ``roots`` lists one or more (lb, ub) boxes over all variables, one
     root node each (default: the instance's own bounds); the solve
-    searches their union.  Each box is a child of the hull.  The subtrees share the
-    incumbent, the limits and the incumbent log; the report counts
-    nodes and seconds per root.
+    searches their union.  Each box is a child of the hull.  The
+    subtrees share the incumbent, the limits and the incumbent log; the
+    report counts nodes and seconds per root.
 
-    ``start`` is the ``hull`` of an earlier solve's report, the previous
-    instance of a family.  When the instance's rows, right-hand sides
-    included, are its rows and the hull's box is its box, the start's
-    clique rows and the structures built on the rows carry: the hull LP
-    starts warm from its final state over the rows and the cuts,
-    re-priced (``_simplex._Workspace.started``), instead of the slack
-    basis, and separation goes on from there.  Any other solve, and
-    every knapsack solve, is cold.
+    ``start`` is the ``hull`` of an earlier solve's report, a
+    ``Hull(rows, state)`` of the previous instance of a family.  Its
+    ``_Rows`` and final state carry when the instance's rows, right-hand
+    sides included, are its rows and the hull's box is its box (module
+    docstring, "Carried roots").  Any other solve is cold.
 
     ``gate`` is the ratio k of the root gate (module docstring): with
     two or more roots, the tree keeps them only when their disjunction
@@ -649,118 +823,15 @@ def solve_mip(
     """
     opts = options or SolveOptions()
     opts.validate()
-    t0 = time.monotonic()
-    deadline = None if math.isinf(opts.time_limit) else t0 + opts.time_limit
-    n_bin = instance.num_binary
-
-    c_user, a, senses, b, lb0, ub0 = relaxation_arrays(instance)
-    negate = instance.sense == "maximize"
-    c = -c_user if negate else c_user
-
-    boxes = [(lb0, ub0)] if roots is None else [
+    search = _Search(instance, opts)
+    t0, rep = search.t0, search.rep
+    boxes = [(search.lb, search.ub)] if roots is None else [
         (np.array(lo, dtype=float), np.array(hi, dtype=float)) for lo, hi in roots]
-    if not boxes or any(lo.shape != lb0.shape or (lo > hi).any() for lo, hi in boxes):
+    if not boxes or any(lo.shape != search.lb.shape or (lo > hi).any() for lo, hi in boxes):
         raise ValueError("a solve needs root boxes, each with lb <= ub over every variable")
-    # the search counts straight into the report; the end sets the rest
-    rep = SolveReport(best_solution=None, best_bound=math.inf, status="infeasible", nodes=0,
-                      wall_time=0.0, root_nodes=[0] * len(boxes), root_seconds=[0.0] * len(boxes))
-    root = None  # root box of the node being processed
-
-    incumbent_val, incumbent_x = math.inf, None
-    limit_hit = False
-
-    # a node whose bound reaches prune_at cannot beat the incumbent by the gap
-    prune_at = math.inf
-
-    def accept(x: np.ndarray, val: float) -> None:
-        nonlocal incumbent_val, incumbent_x, prune_at
-        if val >= incumbent_val:
-            return
-        incumbent_val = val
-        incumbent_x = x.copy()
-        rep.best_root = root
-        prune_at = val - max(opts.abs_gap, opts.rel_gap * abs(val))
-        rep.incumbent_log.append((time.monotonic() - t0, (-val if negate else val) + 0.0))
-
-    # pure single-row knapsacks have a closed-form node relaxation
-    knapsack = propagate = None
-    if instance.num_continuous == 0 and senses == ["<="] and np.all(a[0] > 0):
-        knapsack = _Knapsack(c, a[0], float(b[0]))
-
-    def node_lp(lb, ub, warm):
-        """(status, x, bound, state) of the LP over the box, from the dual
-        feasible state ``warm`` when one is given."""
-        rep.lps += 1
-        if knapsack is not None:
-            return knapsack(lb, ub)
-        res = _simplex.solve_bounded_lp(c, a, senses, b, lb, ub, warm=warm,
-                                        deadline=deadline, cutoff=prune_at)
-        rep.lp_iterations += res.iterations
-        return res.status, res.x, res.objective, res.state
-
-    # the hull bounds every root box and is dual feasible under each
-    hull_lb = np.min([lo for lo, _ in boxes], axis=0)
-    hull_ub = np.max([hi for _, hi in boxes], axis=0)
-    rows_a, rows_senses, rows_b = a, senses, b
-    if start is not None and knapsack is None and start.fits(a, senses, b, hull_lb, hull_ub):
-        # the cut rows hold at every 0/1 point of these rows, so they carry
-        cliques, roundings, propagate = start.cliques, start.roundings, start.propagate
-        a = np.vstack([a, start.cuts])
-        senses = senses + ["<="] * len(start.cuts)
-        b = np.concatenate([b, np.ones(len(start.cuts))])
-        lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, start.state.started(c))
-    else:
-        cliques, roundings = None, _Roundings(a, senses, b, n_bin)
-        lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, None)
-    if cliques is None and knapsack is None and lp_status == _simplex.STATUS_OPTIMAL and (
-            np.abs(x[:n_bin] - np.rint(x[:n_bin])) > INTEGRALITY_TOL).any():
-        cliques = _Cliques(_conflict_graph(roundings.lhs, roundings.rhs, n_bin))
-    held = len(b)
-    if cliques is not None and lp_status == _simplex.STATUS_OPTIMAL:
-        for _ in range(CUT_ROUNDS):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            found = cliques(x)
-            if not found:
-                break
-            rows = np.zeros((len(found), a.shape[1]))
-            for r, clique in enumerate(found):
-                rows[r, clique] = 1.0
-            hull = hull.with_rows(rows, np.ones(len(found)))
-            a = np.vstack([a, rows])
-            senses = senses + ["<="] * len(found)
-            b = np.concatenate([b, np.ones(len(found))])
-            lp_status, x, bound, hull = node_lp(hull_lb, hull_ub, hull)
-            if lp_status != _simplex.STATUS_OPTIMAL:
-                break
-        if len(b) > held:
-            roundings = _Roundings(a, senses, b, n_bin)
-            propagate = None
-    rep.cuts = len(b) - len(rows_b)
-    if knapsack is None and propagate is None:
-        propagate = _Propagator(roundings.lhs, roundings.rhs, n_bin)
-    if lp_status == _simplex.STATUS_OPTIMAL and knapsack is None:
-        rep.hull = Hull(a=rows_a, senses=rows_senses, b=rows_b, lb=hull_lb, ub=hull_ub,
-                        state=hull, cuts=a[len(rows_b):], roundings=roundings,
-                        propagate=propagate, cliques=cliques)
-    if gate is not None and len(boxes) > 1 and knapsack is None and (
-            lp_status == _simplex.STATUS_OPTIMAL):
-        y = x[:n_bin]
-        rep.gate = _gate(hull, np.where(hull_lb[:n_bin] < hull_ub[:n_bin],
-                                        np.abs(y - np.rint(y)), 0.0), boxes, gate)
-        if not rep.gate.taken:
-            boxes = [(hull_lb, hull_ub)]
-            rep.root_nodes, rep.root_seconds = [0], [0.0]
-    key = bound if lp_status == _simplex.STATUS_OPTIMAL else -math.inf
-    if lp_status == _simplex.STATUS_INFEASIBLE:
-        boxes = []
-    # open nodes (parent bound, node id, node): a heap by the parent's
-    # bound, ties to the older node
-    tree = [(key, k, _Node(lb=lo, ub=hi, warm=hull, root=k, bound=-math.inf, stale=True))
-            for k, (lo, hi) in enumerate(boxes)]
-    next_id = len(tree)
-
-    clock = t0
+    # open nodes (parent bound, node id, node), ties to the older node
+    tree = search.hull(boxes, start, gate)
+    next_id, clock, root, limit_hit = len(tree), t0, None, False
     while tree:
         now = time.monotonic()
         if root is not None:
@@ -770,107 +841,36 @@ def solve_mip(
             limit_hit = True
             break
         parent_bound, node_id, node = heapq.heappop(tree)
-        if parent_bound >= prune_at:
+        if parent_bound >= search.prune_at:
             continue
         # only now is the node the one whose seconds the clock charges
-        root, lb, ub, stale = node.root, node.lb, node.ub, node.stale
+        root = node.root
         rep.nodes += 1
         rep.root_nodes[root] += 1
-        if node.bound >= prune_at + _simplex.CUTOFF_TOL * max(1.0, abs(prune_at)):
-            rep.closed["first_step"] += 1
-            continue
-        if node.warm is not None and prune_at < math.inf:
-            lb_f, ub_f, k = _fix_by_reduced_costs(node.warm, lb, ub, n_bin, prune_at - parent_bound,
-                                                  FIXING_TOL * max(1.0, abs(prune_at)))
-            if k and propagate is not None and not stale:
-                stale = propagate.moved(lb, ub, lb_f, ub_f)
-            lb, ub = lb_f, ub_f
-            rep.fixed += k
-        # a box at its parent's fixed point that no fixing moved is at it still
-        if stale and propagate is not None:
-            box = propagate(lb, ub)
-            if box is None:
-                rep.closed["propagated"] += 1
-                continue
-            lb, ub, k = box
-            rep.propagated += k
-
-        lp_status, x, bound, state = node_lp(lb, ub, node.warm)
-        if lp_status == _simplex.STATUS_INFEASIBLE:
-            rep.closed["infeasible"] += 1
-            continue
-        if lp_status in (_simplex.STATUS_ITERATION_LIMIT, _simplex.STATUS_TIME_LIMIT):
+        out = search.step(node, parent_bound)
+        if isinstance(out, _Node):
             limit_hit = True
-            heapq.heappush(tree, (parent_bound, node_id, node._replace(lb=lb, ub=ub, stale=stale)))
+            heapq.heappush(tree, (parent_bound, node_id, out))
             break  # the node stays open, counted but not closed
-        if lp_status == _simplex.STATUS_CUTOFF or bound >= prune_at:
-            rep.closed["cutoff"] += 1
-            continue
-        # fixed binaries are integral by their bounds and never branched
-        # on; with no binaries, every LP point is integral
-        y = x[:n_bin]
-        frac = np.where(lb[:n_bin] < ub[:n_bin], np.abs(y - np.rint(y)), 0.0)
-        fmax = np.maximum.reduce(frac, initial=0.0)
-        # rounding can push a row past its bound (a knapsack item at
-        # 1 - 4e-7 overfills it by that much): such a point is branched
-        # on, unless rounding moved no free binary and any violation is
-        # the LP's own
-        if fmax == 0.0:
-            xi = x.copy()
-            xi[:n_bin] = np.rint(xi[:n_bin])
-            accept(xi, float(c @ xi))
-            rep.closed["integral"] += 1
-            continue
-        cand, ok = roundings(x, lb, ub)  # nearest, floor, ceil
-        if fmax <= INTEGRALITY_TOL and ok[0]:
-            accept(cand[0], float(c @ cand[0]))
-            rep.closed["integral"] += 1
-            continue
-
-        # rounding heuristic: each rounding that stays feasible is kept
-        for i in ok.nonzero()[0]:
-            accept(cand[i], float(c @ cand[i]))
-        if knapsack is not None:
-            y = knapsack.complete(cand[1], lb, ub)
-            if y is not None:
-                accept(y, float(c @ y))
-
-        rep.closed["branched"] += 1
-        if knapsack is None:
-            cands = _branch_candidates(frac)
-            gains = state.first_step_gains(cands, (0.0, 1.0))
-            best = int(np.multiply.reduce(np.maximum(gains, SCORE_EPS), axis=1).argmax())
-            j = int(cands[best])
-            gain_dn, gain_up = gains[best].tolist()
-        else:
-            # a knapsack child's closed-form LP costs about what its bound
-            # would, and its LP point has one fractional item to branch on
-            j = int(frac.argmax())  # ties resolve to the lowest index
-            gain_dn = gain_up = 0.0
-        lb_up, ub_dn = lb.copy(), ub.copy()
-        lb_up[j], ub_dn[j] = 1.0, 0.0
-        moves = (False, False) if propagate is None else propagate.raises[:, j]
-        up = _Node(lb=lb_up, ub=ub, warm=state, root=root, bound=bound + gain_up, stale=moves[1])
-        down = _Node(lb=lb, ub=ub_dn, warm=state, root=root, bound=bound + gain_dn, stale=moves[0])
-        # a warm LP over the parent's box can read an ulp below the parent's key
-        key = max(bound, parent_bound)
-        for child in ((up, down) if x[j] >= 0.5 else (down, up)):
+        reason, children = out
+        rep.closed[reason] += 1
+        for key, child in children:
             heapq.heappush(tree, (key, next_id, child))
             next_id += 1
 
     rep.wall_time = time.monotonic() - t0
     if root is not None:
         rep.root_seconds[root] += t0 + rep.wall_time - clock
+    val, negate = search.incumbent_val, search.negate
     if limit_hit:
-        rep.status = "limit"
-        best_bound = min(tree[0][0] if tree else math.inf, incumbent_val)
-    elif incumbent_x is not None:
-        rep.status, best_bound = "optimal", incumbent_val
+        rep.status, best_bound = "limit", min(tree[0][0] if tree else math.inf, val)
+    elif search.incumbent_x is not None:
+        rep.status, best_bound = "optimal", val
     else:
         rep.status, best_bound = "infeasible", math.inf
     rep.best_bound = -best_bound if negate else best_bound
-    if incumbent_x is not None:
+    if search.incumbent_x is not None:
         rep.best_solution = Solution(
-            values=incumbent_x, objective=(-incumbent_val if negate else incumbent_val) + 0.0,
+            values=search.incumbent_x, objective=(-val if negate else val) + 0.0,
             status="optimal" if rep.status == "optimal" else "feasible")
     return rep

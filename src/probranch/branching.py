@@ -301,7 +301,8 @@ def cut_settings(
     calibration and with sigma 0: its cuts then carry no Chebyshev
     margin, so no delta bounds how often they miss the optimum.  The
     returned calibration keeps its delta (1e-8 by default), which the
-    cut arithmetic still reads.
+    cut arithmetic still reads.  It is validated, so a tau, sigma or
+    delta out of range raises ValueError before any prediction or solve.
     """
     data_free = cal is None and predictor.startswith("lp-root")
     if cal is not None:
@@ -317,6 +318,7 @@ def cut_settings(
         cal = Calibration(0.9 if tau is None else tau, 0.0, delta)
     if sigma is not None:
         cal = Calibration(cal.tau_star, sigma, cal.delta)
+    cal.validate()
     claimed = None if data_free and cal.sigma == 0 else cal.delta
     return cal, data_free if tightened is None else tightened, claimed
 

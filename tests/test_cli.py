@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import binary_enumeration
-from probranch import bench, branching, cli
+from probranch import bench, branching, cli, predict
 from probranch.bench import LemmaReport
 from probranch.bnb import solve_mip
 from probranch.branching import Calibration, accuracy_curves, save_calibration, sigma_from_stats
@@ -503,14 +503,33 @@ def test_solve_rejects_a_nan_time_limit(tmp_path, capsys, family_dir):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma", ["nan", "inf"])
-def test_solve_rejects_a_sigma_that_is_not_finite(tmp_path, capsys, family_dir, sigma):
-    # NaN passes sigma < 0, and either value reached the cut arithmetic
+SIGMA_MESSAGE = "sigma must be finite and non-negative"
+
+
+@pytest.mark.parametrize("flag, message", [
+    pytest.param(["--sigma", "nan"], SIGMA_MESSAGE, id="nan"),
+    pytest.param(["--sigma", "inf"], SIGMA_MESSAGE, id="inf"),
+    pytest.param(["--sigma", "-1"], SIGMA_MESSAGE, id="negative"),
+    pytest.param(["--delta", "2"], "delta must be in (0, 1)", id="delta"),
+    pytest.param(["--tau", "0.3"], "tau_star must be in (0.5, 1]", id="tau"),
+])
+def test_solve_rejects_a_sigma_that_is_not_finite(tmp_path, capsys, monkeypatch, family_dir, flag,
+                                                  message):
+    # NaN passes sigma < 0; each value is rejected before the prediction
+    # solves its root LP
+    predictions, root_predict = [], predict.lp_root_predict
+
+    def recorded(inst, **kwargs):
+        predictions.append(inst.name)
+        return root_predict(inst, **kwargs)
+
+    monkeypatch.setattr(predict, "lp_root_predict", recorded)
     out = tmp_path / "solve.json"
     assert cli.main(["solve", "--instance", str(family_dir / "instance_0000.json"),
-                     "--mode", "exact", "--sigma", sigma, "--out", str(out)]) == 1
-    assert "error: sigma must be finite and non-negative" in capsys.readouterr().err
-    assert not out.exists()
+                     "--mode", "exact", "--predictor", "lp-root-simplex", *flag,
+                     "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert predictions == [] and not out.exists()
 
 
 def test_bench_rejects_a_nan_sigma_before_any_solve(tmp_path, capsys, monkeypatch, family_dir):

@@ -172,10 +172,11 @@ def test_carried_labels_equal_independent_solves(monkeypatch, kind):
         objectives.append(rep.objective)
         if start is not None and rep.hull is not None:
             # separation keeps no state, yet no cut repeats a cut or an instance row
-            cuts = {tuple(row) for row in rep.hull.cuts}
-            assert len(cuts) == len(rep.hull.cuts)
-            assert not cuts & {tuple(row) for row in rep.hull.a}
-            grown.append(len(rep.hull.cuts) > len(start.cuts) and rep.hull.cliques is start.cliques)
+            rows = rep.hull.rows
+            cuts = {tuple(row) for row in rows.cuts}
+            assert len(cuts) == len(rows.cuts)
+            assert not cuts & {tuple(row) for row in rows.a}
+            grown.append(len(rows.cuts) > len(start.rows.cuts) and rows.cliques is start.rows.cliques)
         return rep
 
     monkeypatch.setattr(bench, "solve_mip", recorded)
@@ -208,7 +209,7 @@ def test_carried_objectives_equal_independent_solves_and_starts_skip_knapsacks()
         assert rep.status == cold.status == "optimal"
         assert rep.objective == pytest.approx(cold.objective, rel=1e-9)
         hull = rep.hull
-        assert hull is not None and len(hull.cuts) == rep.cuts
+        assert hull is not None and len(hull.rows.cuts) == rep.cuts
     knap = gen_knapsack_uniform(30, 0.3, seed=2).instance
     assert solve_mip(knap, start=hull).hull is None  # the closed form takes and leaves none
 
@@ -240,7 +241,7 @@ def test_a_member_with_other_rows_is_read_whole_and_solved_cold(tmp_path, monkey
         # a start counts when its rows are the instance's: the member with
         # other rows and the one after it take none
         starts.append((inst.name, start is not None and np.array_equal(
-            start.a, relaxation_arrays(inst)[1])))
+            start.rows.a, relaxation_arrays(inst)[1])))
         return rep
 
     monkeypatch.setattr(bench, "solve_mip", spy)

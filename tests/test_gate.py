@@ -76,9 +76,9 @@ def test_each_region_bound_is_at_most_its_lp_optimum(monkeypatch):
         hull = seen["report"].hull
         c, a, senses, b, _, _ = relaxation_arrays(seen["instance"])
         c = -c if inst.sense == "maximize" else c
-        a = np.vstack([a, hull.cuts])
-        senses = senses + ["<="] * len(hull.cuts)
-        b = np.concatenate([b, np.ones(len(hull.cuts))])
+        a = np.vstack([a, hull.rows.cuts])
+        senses = senses + ["<="] * len(hull.rows.cuts)
+        b = np.concatenate([b, np.ones(len(hull.rows.cuts))])
         state, boxes = hull.state, seen["roots"]
         bound = float(c @ state.x[: state.n])
         for (lo, hi), gain in zip(boxes, bnb._region_gains(state, boxes)):
